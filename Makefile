@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check check-perf farm-smoke fmt vet build test race scale-smoke bench bench-figs bench-diff profile-scale
+.PHONY: check check-perf farm-smoke fmt vet cross build test race scale-smoke fuzz-smoke bench bench-figs bench-diff profile-scale
 
-check: fmt vet build test race farm-smoke scale-smoke
+check: fmt vet cross build test race farm-smoke scale-smoke
 	@$(MAKE) --no-print-directory check-perf PERF_FATAL=0
 
 # gofmt -l prints unformatted files; fail loudly if there are any.
@@ -15,6 +15,13 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# cross is the only thing that compiles the !amd64 side of the assembly
+# kernels (internal/cpufeat's constant-false features, the _noasm stubs):
+# cross-vet type-checks every file an arm64 build would use, and vet's
+# asmdecl pass checks each .s against its Go declaration.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -53,6 +60,16 @@ farm-smoke:
 # path visible as its own CI step.
 scale-smoke:
 	$(GO) test -count=1 -run TestScaleProfileSmoke ./internal/sim
+
+# fuzz-smoke gives each fuzz target ten seconds of mutation beyond the seed
+# corpus plain `go test` replays: the two assembly-vs-Go kernel oracles and
+# the event queue's place-arming dedup. (go test -fuzz takes one package
+# and one target per run.)
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDNNKernels$$' -fuzztime $(FUZZTIME) ./internal/dnn
+	$(GO) test -run '^$$' -fuzz '^FuzzFitScanKernel$$' -fuzztime $(FUZZTIME) ./internal/scheduler
+	$(GO) test -run '^$$' -fuzz '^FuzzArmPlaceDedup$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # profile-scale captures pprof CPU+heap profiles of the scale-profile
 # single run (scale/sim-scale5k-rccr only, via -bench-filter — no other

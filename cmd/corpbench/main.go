@@ -25,7 +25,9 @@
 //	-json       run the perf benchmark suite and write a JSON snapshot
 //	-out        snapshot path for -json (default BENCH_<date>.json)
 //	-bench-diff compare two snapshots "old.json,new.json"; non-zero exit
-//	            on >10% ns/op regression in the DNN kernels
+//	            on >10% ns/op regression in the DNN kernels (not gated,
+//	            and the report says so, when the snapshots' dnn_kernel
+//	            tiers differ — an AVX2 box against a generic one)
 //	-bench-tol  fractional regression tolerance for -bench-diff (default 0.10)
 //	-bench-filter with -json, run only benches whose name contains one of
 //	            these comma-separated substrings (e.g. "scale/,sim/span")

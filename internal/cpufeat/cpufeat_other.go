@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package cpufeat
+
+// No assembly kernels exist off amd64.
+const (
+	HasAVX2        = false
+	HasAVX512FDQVL = false
+)

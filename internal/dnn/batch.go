@@ -95,59 +95,11 @@ func (n *Network) ForwardBatch(inputs []float64) ([]float64, error) {
 }
 
 // forwardBatchLayer applies one dense layer to a row-major rows×in
-// activation plane, producing the rows×out plane. The blocked pass holds
-// four input rows × two output neurons (eight accumulators) in registers
-// and streams each pair of weight rows exactly once per four-row block, so
-// at Table II widths the whole weight matrix stays cache-resident while
-// the batch flows through. Leftover rows (batch % 4) fall back to the
-// shared single-row forwardLayer kernel, keeping one source of truth for
-// the layer numerics.
+// activation plane, producing the rows×out plane, one forwardLayer call per
+// row: at Table II widths the whole weight matrix stays cache-resident
+// while the batch flows through it.
 func forwardBatchLayer(w, b, prev, cur []float64, in, out, rows int) {
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		p0 := prev[(r+0)*in : (r+1)*in : (r+1)*in]
-		p1 := prev[(r+1)*in : (r+2)*in : (r+2)*in]
-		p2 := prev[(r+2)*in : (r+3)*in : (r+3)*in]
-		p3 := prev[(r+3)*in : (r+4)*in : (r+4)*in]
-		c0 := cur[(r+0)*out : (r+1)*out : (r+1)*out]
-		c1 := cur[(r+1)*out : (r+2)*out : (r+2)*out]
-		c2 := cur[(r+2)*out : (r+3)*out : (r+3)*out]
-		c3 := cur[(r+3)*out : (r+4)*out : (r+4)*out]
-		i := 0
-		for ; i+2 <= out; i += 2 {
-			w0 := w[(i+0)*in : (i+0)*in+in : (i+0)*in+in]
-			w1 := w[(i+1)*in : (i+1)*in+in : (i+1)*in+in]
-			s00, s01, s02, s03 := b[i], b[i], b[i], b[i]
-			s10, s11, s12, s13 := b[i+1], b[i+1], b[i+1], b[i+1]
-			for j := 0; j < in; j++ {
-				wa, wb := w0[j], w1[j]
-				g0, g1, g2, g3 := p0[j], p1[j], p2[j], p3[j]
-				s00 += wa * g0
-				s01 += wa * g1
-				s02 += wa * g2
-				s03 += wa * g3
-				s10 += wb * g0
-				s11 += wb * g1
-				s12 += wb * g2
-				s13 += wb * g3
-			}
-			c0[i], c1[i], c2[i], c3[i] = sigmoid(s00), sigmoid(s01), sigmoid(s02), sigmoid(s03)
-			c0[i+1], c1[i+1], c2[i+1], c3[i+1] = sigmoid(s10), sigmoid(s11), sigmoid(s12), sigmoid(s13)
-		}
-		for ; i < out; i++ {
-			row := w[i*in : i*in+in : i*in+in]
-			s0, s1, s2, s3 := b[i], b[i], b[i], b[i]
-			for j := 0; j < in; j++ {
-				wj := row[j]
-				s0 += wj * p0[j]
-				s1 += wj * p1[j]
-				s2 += wj * p2[j]
-				s3 += wj * p3[j]
-			}
-			c0[i], c1[i], c2[i], c3[i] = sigmoid(s0), sigmoid(s1), sigmoid(s2), sigmoid(s3)
-		}
-	}
-	for ; r < rows; r++ {
+	for r := 0; r < rows; r++ {
 		forwardLayer(w, b, prev[r*in:(r+1)*in], cur[r*out:(r+1)*out])
 	}
 }

@@ -11,7 +11,9 @@ import (
 // topologies and batch sizes 1..N, including sizes that leave a ragged
 // final 4-row block and odd output widths that exercise the 1-neuron
 // remainder column.
-func TestForwardBatchMatchesPerSample(t *testing.T) {
+func TestForwardBatchMatchesPerSample(t *testing.T) { eachTier(t, testForwardBatchMatchesPerSample) }
+
+func testForwardBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][]int{
 		{12, 50, 50, 1}, // Table II
@@ -61,6 +63,10 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 // TestForwardBatchMatchesForwardBatchInto checks the convenience wrapper
 // grows its owned scratch and agrees with the explicit-scratch call.
 func TestForwardBatchMatchesForwardBatchInto(t *testing.T) {
+	eachTier(t, testForwardBatchMatchesForwardBatchInto)
+}
+
+func testForwardBatchMatchesForwardBatchInto(t *testing.T) {
 	net, err := New(Config{LayerSizes: []int{12, 50, 50, 1}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +121,9 @@ func TestForwardBatchErrors(t *testing.T) {
 }
 
 // TestForwardBatchIntoAllocs pins the batched forward allocation-free.
-func TestForwardBatchIntoAllocs(t *testing.T) {
+func TestForwardBatchIntoAllocs(t *testing.T) { eachTier(t, testForwardBatchIntoAllocs) }
+
+func testForwardBatchIntoAllocs(t *testing.T) {
 	net, err := New(Config{LayerSizes: []int{12, 50, 50, 1}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -16,12 +16,29 @@
 // network sits in the simulator's per-slot inner loop, so the compute core
 // is written as contiguous allocation-free kernels: each layer's weights
 // are one flat []float64 (row-major, stride = fan-in) carved from a single
-// slab, activations/deltas/scratch are preallocated, and the hot loops are
-// register-blocked so several output neurons accumulate in parallel.
-// Every kernel preserves the exact per-element floating-point accumulation
-// order of the original jagged implementation (ascending fan-in index),
-// so results are bit-identical to the seed — equivalence_test.go pins
-// this against a reconstructed jagged reference.
+// slab, and activations/deltas/scratch are preallocated.
+//
+// Every forward pass and SGD step is built from three primitives
+// (kernels.go): the layer pre-activation, the fused Eq. 7 + Eq. 8 hidden-
+// layer pass, and the input-layer Eq. 8 update. Each has two
+// implementations, AVX2 assembly (kernels_amd64.s, selected by CPU feature
+// at init) and one plain Go loop, and they are bit-identical because of
+// two rules. Ascending index: every element's accumulation chain — a
+// pre-activation's bias-then-fan-in sum, a back-propagated error's sum over
+// the next layer's neurons — adds its terms in the same ascending order
+// as the original jagged implementation. No FMA: every term is an IEEE-754
+// double multiply rounded, then an add rounded (VMULPD + VADDPD in the
+// assembly, an explicit float64 conversion in Go). A vector lane is then
+// just one more such scalar chain, and the lane layout only picks which
+// chains run side by side: in the forward kernel a lane is one output
+// neuron (four weight rows are transposed in registers, sixteen rows are in
+// flight, and a ragged last block is recomputed overlapped at out-4 rather
+// than finished in scalar code); in the two update kernels a lane is one
+// fan-in index (four rows share each chunk load, and the fan-in % 4 tail is
+// one masked chunk). Single-row, batched and training evaluation all go
+// through the same primitives. kernels_test.go pins the two tiers == on
+// random shapes, and equivalence_test.go pins both against a reconstructed
+// jagged reference.
 package dnn
 
 import (
@@ -176,61 +193,13 @@ func forwardInto(weights, biases, acts [][]float64, input []float64) {
 	}
 }
 
-// forwardLayer applies one dense layer to a single activation row: blocked
-// passes accumulate eight output neurons at a time in registers, which
-// breaks the one-long dependent-add chain per neuron into independent
-// pipelined chains. The per-neuron accumulation order (bias, then fan-in
-// ascending) is the same as a plain nested loop. The batched kernel
-// (batch.go) delegates its remainder rows here, so single-row and batched
-// evaluation share one definition of the layer numerics.
+// forwardLayer applies one dense layer to a single activation row. Batched
+// evaluation (batch.go) and training call it too, so all three share one
+// definition of the layer numerics.
 func forwardLayer(w, b, prev, cur []float64) {
-	in := len(prev)
-	i := 0
-	for ; i+8 <= len(cur); i += 8 {
-		r0 := w[(i+0)*in : (i+0)*in+in : (i+0)*in+in]
-		r1 := w[(i+1)*in : (i+1)*in+in : (i+1)*in+in]
-		r2 := w[(i+2)*in : (i+2)*in+in : (i+2)*in+in]
-		r3 := w[(i+3)*in : (i+3)*in+in : (i+3)*in+in]
-		r4 := w[(i+4)*in : (i+4)*in+in : (i+4)*in+in]
-		r5 := w[(i+5)*in : (i+5)*in+in : (i+5)*in+in]
-		r6 := w[(i+6)*in : (i+6)*in+in : (i+6)*in+in]
-		r7 := w[(i+7)*in : (i+7)*in+in : (i+7)*in+in]
-		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
-		s4, s5, s6, s7 := b[i+4], b[i+5], b[i+6], b[i+7]
-		for j, g := range prev {
-			s0 += r0[j] * g
-			s1 += r1[j] * g
-			s2 += r2[j] * g
-			s3 += r3[j] * g
-			s4 += r4[j] * g
-			s5 += r5[j] * g
-			s6 += r6[j] * g
-			s7 += r7[j] * g
-		}
-		cur[i], cur[i+1], cur[i+2], cur[i+3] = sigmoid(s0), sigmoid(s1), sigmoid(s2), sigmoid(s3)
-		cur[i+4], cur[i+5], cur[i+6], cur[i+7] = sigmoid(s4), sigmoid(s5), sigmoid(s6), sigmoid(s7)
-	}
-	for ; i+4 <= len(cur); i += 4 {
-		r0 := w[(i+0)*in : (i+0)*in+in : (i+0)*in+in]
-		r1 := w[(i+1)*in : (i+1)*in+in : (i+1)*in+in]
-		r2 := w[(i+2)*in : (i+2)*in+in : (i+2)*in+in]
-		r3 := w[(i+3)*in : (i+3)*in+in : (i+3)*in+in]
-		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
-		for j, g := range prev {
-			s0 += r0[j] * g
-			s1 += r1[j] * g
-			s2 += r2[j] * g
-			s3 += r3[j] * g
-		}
-		cur[i], cur[i+1], cur[i+2], cur[i+3] = sigmoid(s0), sigmoid(s1), sigmoid(s2), sigmoid(s3)
-	}
-	for ; i < len(cur); i++ {
-		row := w[i*in : i*in+in : i*in+in]
-		sum := b[i]
-		for j, g := range prev {
-			sum += row[j] * g
-		}
-		cur[i] = sigmoid(sum)
+	layerAcc(w, b, prev, cur)
+	for i, x := range cur {
+		cur[i] = sigmoid(x)
 	}
 }
 
@@ -290,12 +259,8 @@ func (n *Network) ForwardInto(s *FwdScratch, input []float64) ([]float64, error)
 	return s.acts[len(s.acts)-1], nil
 }
 
-// trainOne is the fused forward+backward+update kernel for one sample.
-// Sizes must already be validated. For each hidden layer the Eq. 7
-// back-propagation and the Eq. 8 weight update share a single blocked pass
-// over the weight matrix: the error contribution is read from a weight
-// immediately before the update is written, so back-propagation sees
-// pre-update weights exactly as a two-pass implementation would.
+// trainOne is the forward+backward+update step for one sample. Sizes must
+// already be validated.
 func (n *Network) trainOne(input, target []float64) float64 {
 	n.forward(input)
 	last := len(n.sizes) - 1
@@ -306,92 +271,17 @@ func (n *Network) trainOne(input, target []float64) float64 {
 		loss += 0.5 * diff * diff
 		n.deltas[last][i] = diff * sigmoidPrime(g) // Eq. 6
 	}
-	rate := n.rate
 	// Hidden layers: fused Eq. 7 + Eq. 8 over weights[d], d = last-1 … 1.
 	for d := last - 1; d >= 1; d-- {
-		w := n.weights[d]
-		b := n.biases[d]
-		delta := n.deltas[d+1]
 		prev := n.acts[d]
 		cur := n.deltas[d]
-		in := len(cur)
-		tmp := n.tmp[:in]
-		for i := range tmp {
-			tmp[i] = 0
-		}
-		j := 0
-		for ; j+4 <= len(delta); j += 4 {
-			d0, d1, d2, d3 := delta[j], delta[j+1], delta[j+2], delta[j+3]
-			s0, s1, s2, s3 := rate*d0, rate*d1, rate*d2, rate*d3
-			r0 := w[(j+0)*in : (j+0)*in+in : (j+0)*in+in]
-			r1 := w[(j+1)*in : (j+1)*in+in : (j+1)*in+in]
-			r2 := w[(j+2)*in : (j+2)*in+in : (j+2)*in+in]
-			r3 := w[(j+3)*in : (j+3)*in+in : (j+3)*in+in]
-			for i, g := range prev {
-				t := tmp[i]
-				t += d0 * r0[i]
-				r0[i] += s0 * g
-				t += d1 * r1[i]
-				r1[i] += s1 * g
-				t += d2 * r2[i]
-				r2[i] += s2 * g
-				t += d3 * r3[i]
-				r3[i] += s3 * g
-				tmp[i] = t
-			}
-			b[j] += s0
-			b[j+1] += s1
-			b[j+2] += s2
-			b[j+3] += s3
-		}
-		for ; j < len(delta); j++ {
-			dj := delta[j]
-			step := rate * dj
-			row := w[j*in : j*in+in : j*in+in]
-			for i, g := range prev {
-				tmp[i] += dj * row[i]
-				row[i] += step * g
-			}
-			b[j] += step
-		}
+		tmp := n.tmp[:len(cur)]
+		backpropUpdate(n.weights[d], n.biases[d], n.deltas[d+1], prev, tmp, n.rate)
 		for i := range cur {
 			cur[i] = tmp[i] * sigmoidPrime(prev[i])
 		}
 	}
-	// Input layer: Eq. 8 update only (no error term propagates to inputs).
-	{
-		w := n.weights[0]
-		b := n.biases[0]
-		prev := n.acts[0]
-		delta := n.deltas[1]
-		in := len(prev)
-		i := 0
-		for ; i+4 <= len(delta); i += 4 {
-			s0, s1, s2, s3 := rate*delta[i], rate*delta[i+1], rate*delta[i+2], rate*delta[i+3]
-			r0 := w[(i+0)*in : (i+0)*in+in : (i+0)*in+in]
-			r1 := w[(i+1)*in : (i+1)*in+in : (i+1)*in+in]
-			r2 := w[(i+2)*in : (i+2)*in+in : (i+2)*in+in]
-			r3 := w[(i+3)*in : (i+3)*in+in : (i+3)*in+in]
-			for j, g := range prev {
-				r0[j] += s0 * g
-				r1[j] += s1 * g
-				r2[j] += s2 * g
-				r3[j] += s3 * g
-			}
-			b[i] += s0
-			b[i+1] += s1
-			b[i+2] += s2
-			b[i+3] += s3
-		}
-		for ; i < len(delta); i++ {
-			step := rate * delta[i]
-			row := w[i*in : i*in+in : i*in+in]
-			for j, g := range prev {
-				row[j] += step * g
-			}
-			b[i] += step
-		}
-	}
+	sgdUpdate(n.weights[0], n.biases[0], n.deltas[1], n.acts[0], n.rate)
 	return loss
 }
 

@@ -108,7 +108,9 @@ var tableIIShape = []int{12, 50, 50, 1}
 // and demands ≤1e-12 divergence in losses, outputs, and every parameter.
 // (The kernels are designed to be exactly bit-identical; the 1e-12 bound
 // is the acceptance criterion's slack.)
-func TestFlatMatchesJaggedTableII(t *testing.T) {
+func TestFlatMatchesJaggedTableII(t *testing.T) { eachTier(t, testFlatMatchesJaggedTableII) }
+
+func testFlatMatchesJaggedTableII(t *testing.T) {
 	const seed = 42
 	flat, err := New(Config{LayerSizes: tableIIShape, Seed: seed})
 	if err != nil {
@@ -172,7 +174,9 @@ func TestFlatMatchesJaggedTableII(t *testing.T) {
 // TestFlatMatchesJaggedOddShapes covers layer widths that exercise the
 // blocked kernels' 8/4/scalar remainder paths (and a widest-layer-first
 // topology for the shared tmp buffer).
-func TestFlatMatchesJaggedOddShapes(t *testing.T) {
+func TestFlatMatchesJaggedOddShapes(t *testing.T) { eachTier(t, testFlatMatchesJaggedOddShapes) }
+
+func testFlatMatchesJaggedOddShapes(t *testing.T) {
 	shapes := [][]int{
 		{3, 5, 2},     // all-scalar remainders
 		{7, 13, 9, 4}, // 8+4+scalar mixes
@@ -209,6 +213,10 @@ func TestFlatMatchesJaggedOddShapes(t *testing.T) {
 // TestTrainBatchMatchesSequentialTrainSample pins the batched kernel to
 // per-sample semantics: same order, same numerics, summed loss.
 func TestTrainBatchMatchesSequentialTrainSample(t *testing.T) {
+	eachTier(t, testTrainBatchMatchesSequentialTrainSample)
+}
+
+func testTrainBatchMatchesSequentialTrainSample(t *testing.T) {
 	a, err := New(Config{LayerSizes: tableIIShape, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +280,9 @@ func TestTrainBatchValidation(t *testing.T) {
 }
 
 // TestCloneDeterminism: a clone must train exactly like its source.
-func TestCloneDeterminism(t *testing.T) {
+func TestCloneDeterminism(t *testing.T) { eachTier(t, testCloneDeterminism) }
+
+func testCloneDeterminism(t *testing.T) {
 	a, err := New(Config{LayerSizes: tableIIShape, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +344,9 @@ func TestForwardReturnIsNetworkOwned(t *testing.T) {
 
 // TestHotKernelsDoNotAllocate asserts the acceptance criterion directly:
 // Forward, TrainSample, and TrainBatch are allocation-free.
-func TestHotKernelsDoNotAllocate(t *testing.T) {
+func TestHotKernelsDoNotAllocate(t *testing.T) { eachTier(t, testHotKernelsDoNotAllocate) }
+
+func testHotKernelsDoNotAllocate(t *testing.T) {
 	n, _ := New(Config{LayerSizes: tableIIShape, Seed: 1})
 	in := make([]float64, tableIIShape[0])
 	for i := range in {

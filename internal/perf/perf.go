@@ -51,8 +51,13 @@ type Snapshot struct {
 	// MaxProcs records GOMAXPROCS at capture time: the scale/* and
 	// engine/* -wmax entries are only meaningful relative to it (on a
 	// single-core machine they necessarily match the -w1 entries).
-	MaxProcs int      `json:"max_procs,omitempty"`
-	Results  []Result `json:"results"`
+	MaxProcs int `json:"max_procs,omitempty"`
+	// DNNKernel records which tier of the DNN layer primitives the
+	// capturing machine selected ("avx2" or "generic", see dnn.Kernel): the
+	// dnn/* rows time that tier, so Diff only ns-gates them between
+	// snapshots that ran the same one.
+	DNNKernel string   `json:"dnn_kernel,omitempty"`
+	Results   []Result `json:"results"`
 	// WorkloadCache records the process-wide snapshot cache's counters
 	// over the suite run (reset at suite start), so sharing regressions —
 	// a sweep that stops hitting — are visible in the committed JSON.
@@ -175,7 +180,7 @@ func Suite(quick bool) (snap Snapshot) { return SuiteFiltered(quick, "") }
 // is what makes profiling a single bench (`make profile-scale`) practical,
 // and `-bench-filter scale/,sim/span` compares two groups in one run.
 func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
-	snap = Snapshot{GoVersion: runtime.Version(), GOARCH: runtime.GOARCH, MaxProcs: runtime.GOMAXPROCS(0)}
+	snap = Snapshot{GoVersion: runtime.Version(), GOARCH: runtime.GOARCH, MaxProcs: runtime.GOMAXPROCS(0), DNNKernel: dnn.Kernel()}
 	// Track snapshot-cache effectiveness over this suite run only; the
 	// deferred capture lands on the named return after the last bench.
 	workload.Default.Reset()
@@ -1049,7 +1054,9 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 // bench outside the exempt prefixes (end-to-end figure/scale runs and the
 // engine benches, whose pool alloc counts are timing-dependent) grew its
 // allocs/op beyond allocSlack. Benches present in only one snapshot are
-// reported but never fail the diff.
+// reported but never fail the diff. Between snapshots whose DNNKernel
+// differs the dnn/* rows are reported but not ns-gated (the report says
+// so): they time different kernel tiers, not a code change.
 func Diff(old, new Snapshot, tol float64) (string, error) {
 	if tol <= 0 {
 		tol = 0.10
@@ -1070,6 +1077,11 @@ func Diff(old, new Snapshot, tol float64) (string, error) {
 
 	var sb strings.Builder
 	var failures []string
+	kernelsDiffer := old.DNNKernel != new.DNNKernel
+	if kernelsDiffer {
+		fmt.Fprintf(&sb, "dnn kernel: old %q, new %q: dnn/* ns/op not gated, the two snapshots timed different kernel tiers\n",
+			old.DNNKernel, new.DNNKernel)
+	}
 	fmt.Fprintf(&sb, "%-28s %14s %14s %8s\n", "bench", "old ns/op", "new ns/op", "delta")
 	for _, name := range names {
 		nr := newBy[name]
@@ -1083,7 +1095,11 @@ func Diff(old, new Snapshot, tol float64) (string, error) {
 			delta = (nr.NsPerOp - or.NsPerOp) / or.NsPerOp
 		}
 		fmt.Fprintf(&sb, "%-28s %14.1f %14.1f %+7.1f%%\n", name, or.NsPerOp, nr.NsPerOp, delta*100)
-		if gateTol := nsGateTol(name, tol); gateTol > 0 && delta > gateTol {
+		gateTol := nsGateTol(name, tol)
+		if kernelsDiffer && strings.HasPrefix(name, "dnn/") {
+			gateTol = 0
+		}
+		if gateTol > 0 && delta > gateTol {
 			failures = append(failures, fmt.Sprintf("%s: ns/op regressed %.1f%% (> %.0f%%)", name, delta*100, gateTol*100))
 		}
 		if !hasAnyPrefix(name, allocExemptPrefixes) && nr.AllocsPerOp > or.AllocsPerOp+allocSlack(or.AllocsPerOp) {

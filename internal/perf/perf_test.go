@@ -57,6 +57,38 @@ func TestDiffFailsOnKernelRegression(t *testing.T) {
 	}
 }
 
+// TestDiffSkipsDNNNsGateAcrossKernelTiers: a snapshot captured on the
+// AVX2 tier against one captured on the plain-Go tier is a machine
+// difference, not a regression — the dnn/* ns gate stands down and says
+// why, while the hmm/* gate and the dnn/* alloc gate stay armed.
+func TestDiffSkipsDNNNsGateAcrossKernelTiers(t *testing.T) {
+	old := snap(Result{Name: "dnn/train-sample-tableII", NsPerOp: 2000}, Result{Name: "hmm/viterbi", NsPerOp: 900})
+	old.DNNKernel = "avx2"
+	new := snap(Result{Name: "dnn/train-sample-tableII", NsPerOp: 4500}, Result{Name: "hmm/viterbi", NsPerOp: 910})
+	new.DNNKernel = "generic"
+	report, err := Diff(old, new, 0.10)
+	if err != nil {
+		t.Fatalf("dnn/* ns-gated across kernel tiers: %v", err)
+	}
+	if !strings.Contains(report, `old "avx2", new "generic"`) {
+		t.Errorf("report does not say why dnn/* is ungated:\n%s", report)
+	}
+	new.Results[1].NsPerOp = 1200
+	if _, err := Diff(old, new, 0.10); err == nil {
+		t.Error("hmm regression passed because the DNN kernels differ")
+	}
+	new.Results[1].NsPerOp = 910
+	new.Results[0].AllocsPerOp = 1
+	if _, err := Diff(old, new, 0.10); err == nil {
+		t.Error("dnn alloc growth passed because the DNN kernels differ")
+	}
+	new.Results[0].AllocsPerOp = 0
+	new.DNNKernel = "avx2"
+	if _, err := Diff(old, new, 0.10); err == nil {
+		t.Error("same-tier dnn regression passed the gate")
+	}
+}
+
 func TestDiffFailsOnKernelAllocGrowth(t *testing.T) {
 	old := snap(Result{Name: "dnn/forward-tableII", NsPerOp: 2500, AllocsPerOp: 0})
 	new := snap(Result{Name: "dnn/forward-tableII", NsPerOp: 2500, AllocsPerOp: 2})

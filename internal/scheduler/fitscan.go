@@ -1,5 +1,11 @@
 package scheduler
 
+import "repro/internal/cpufeat"
+
+// hasFitScanAsm gates the assembly kernel, which needs AVX-512 F
+// (VPCOMPRESSD), DQ (byte mask ops) and VL (256-bit index vectors).
+var hasFitScanAsm = cpufeat.HasAVX512FDQVL
+
 // fitEps is resource.Vector.FitsIn's slack, duplicated here because the
 // feasibility scan compares against precomputed pool+eps arrays instead of
 // calling FitsIn per VM. The precomputation performs the identical

@@ -11,38 +11,3 @@ package scheduler
 //
 //go:noescape
 func fitScanAVX512(q0, q1, q2 *float64, blocks int, d0, d1, d2 float64, out *int32, base int32) int32
-
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv0() (eax, edx uint32)
-
-// hasFitScanAsm gates the assembly kernel: the CPU must implement
-// AVX-512 F (foundation + VPCOMPRESSD), DQ (byte mask ops) and VL
-// (256-bit index vectors), and the OS must have enabled opmask and ZMM
-// state in XCR0.
-var hasFitScanAsm = detectAVX512()
-
-func detectAVX512() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c1, _ := cpuid(1, 0)
-	const osxsave = 1 << 27
-	if c1&osxsave == 0 {
-		return false
-	}
-	xlo, _ := xgetbv0()
-	// SSE, AVX, opmask, ZMM_Hi256 and Hi16_ZMM state all OS-enabled.
-	const xcr0Needed = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
-	if xlo&xcr0Needed != xcr0Needed {
-		return false
-	}
-	_, b7, _, _ := cpuid(7, 0)
-	const (
-		avx512f  = 1 << 16
-		avx512dq = 1 << 17
-		avx512vl = 1 << 31
-	)
-	return b7&(avx512f|avx512dq|avx512vl) == avx512f|avx512dq|avx512vl
-}
