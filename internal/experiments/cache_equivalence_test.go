@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/workload"
 )
 
@@ -16,19 +15,16 @@ func TestWorkloadCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-figure equivalence sweep is slow; run without -short")
 	}
+	cachedFigs, stats, err := runCachedCampaign()
+	if err != nil {
+		t.Fatalf("cached run: %v", err)
+	}
 	prev := workload.Default.Enabled()
 	defer workload.Default.SetEnabled(prev)
+	workload.Default.SetEnabled(false)
 
-	for _, profile := range []cluster.Profile{cluster.ProfileCluster, cluster.ProfileEC2} {
-		o := Options{Profile: profile, Seed: 11, Quick: true}
-
-		workload.Default.SetEnabled(true)
-		workload.Default.Reset()
-		cached, err := runFigureSet(o)
-		if err != nil {
-			t.Fatalf("%s cached run: %v", profile, err)
-		}
-		st := workload.Default.Stats()
+	for _, profile := range goldenProfiles {
+		cached, st := cachedFigs[profile], stats[profile]
 		if st.Hits == 0 {
 			t.Errorf("%s: cache recorded no hits across a full figure sweep", profile)
 		}
@@ -36,8 +32,9 @@ func TestWorkloadCacheEquivalence(t *testing.T) {
 			t.Errorf("%s: cache recorded no misses (nothing was built?)", profile)
 		}
 
-		workload.Default.SetEnabled(false)
-		uncached, err := runFigureSet(o)
+		o := goldenOptions
+		o.Profile = profile
+		uncached, err := FigureSet(o)
 		if err != nil {
 			t.Fatalf("%s uncached run: %v", profile, err)
 		}
