@@ -34,11 +34,16 @@ test:
 # training state, the scheduler's batched-refresh engine (the
 # multi-worker equivalence tests drive the gather/forward/scatter phases
 # across goroutines), and the farm dispatcher/worker pair (leases,
-# heartbeats, and result submission race by design). -short skips the
-# heavyweight single-threaded determinism tests (they add minutes under
-# the race detector and no concurrency coverage). internal/sim alone runs
-# ~10 minutes on a one-core box, right at go test's default -timeout;
-# raise it so a loaded machine cannot flake the gate.
+# heartbeats, and result submission race by design). In internal/sim the
+# equivalence suites run production sim.Run at several worker counts
+# against the test-side oracles (oracle_test.go: the reference slot loop
+# and the recompute-telemetry run, entered through newRunState), so the
+# sharded execute, observe and span replay all run under the detector.
+# -short skips the heavyweight single-threaded determinism tests (they add
+# minutes under the race detector and no concurrency coverage).
+# internal/sim alone runs ~10 minutes on a one-core box, right at go
+# test's default -timeout; raise it so a loaded machine cannot flake the
+# gate.
 race:
 	$(GO) test -race -short -timeout 30m ./internal/sim ./internal/workload ./internal/dnn ./internal/scheduler ./internal/farm
 
@@ -54,22 +59,27 @@ farm-smoke:
 	./bin/corpfarm -addr 127.0.0.1:0 -quick -local 0 -spawn 2 -figs fig06,ext-faults
 
 # scale-smoke runs the short-horizon scale-profile smoke test explicitly:
-# one 5000-PM / 20000-VM RCCR burst at a truncated horizon, run with the
-# periodic resident tables on and off and compared bit-for-bit. It also
+# one 5000-PM / 20000-VM RCCR burst at a truncated horizon, production
+# sim.Run compared bit-for-bit with the recompute-telemetry oracle (the
+# same run with the periodic resident tables dropped). It also
 # rides the plain `go test ./...` tier; the named target keeps the 5k-PM
 # path visible as its own CI step.
 scale-smoke:
 	$(GO) test -count=1 -run TestScaleProfileSmoke ./internal/sim
 
 # fuzz-smoke gives each fuzz target ten seconds of mutation beyond the seed
-# corpus plain `go test` replays: the two assembly-vs-Go kernel oracles and
-# the event queue's place-arming dedup. (go test -fuzz takes one package
-# and one target per run.)
+# corpus plain `go test` replays: the two assembly-vs-Go kernel oracles,
+# the event queue's place-arming dedup, the three trace readers (never
+# panic, accepted input round-trips) and the farm's spec keys (stable
+# across the wire). (go test -fuzz takes one package and one target per
+# run.)
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDNNKernels$$' -fuzztime $(FUZZTIME) ./internal/dnn
 	$(GO) test -run '^$$' -fuzz '^FuzzFitScanKernel$$' -fuzztime $(FUZZTIME) ./internal/scheduler
 	$(GO) test -run '^$$' -fuzz '^FuzzArmPlaceDedup$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRunSpecKeys$$' -fuzztime $(FUZZTIME) ./internal/farm
 
 # profile-scale captures pprof CPU+heap profiles of the scale-profile
 # single run (scale/sim-scale5k-rccr only, via -bench-filter — no other
@@ -93,7 +103,7 @@ bench:
 
 # bench-diff compares two snapshots and fails on >10% ns/op regression
 # (or any allocs/op growth) in the DNN kernels:
-#   make bench-diff OLD=BENCH_2026-08-06.json NEW=BENCH_2026-09-01.json
+#   make bench-diff OLD=BENCH_2026-09-28.json NEW=BENCH_2026-10-05.json
 bench-diff:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=old.json NEW=new.json"; exit 1; }
 	$(GO) run ./cmd/corpbench -bench-diff "$(OLD),$(NEW)"
@@ -104,12 +114,16 @@ bench-diff:
 # growth in any non-engine bench (predictor refresh paths included); from
 # `make check` it is invoked with PERF_FATAL=0 so a noisy CI box warns
 # instead of blocking.
-# The equivalence tests are the correctness side of the perf work: they
-# pin every figure series bit-identical with the workload snapshot cache
-# on vs off, with the event-queue core vs the reference slot loop, and
-# with the batched CORP refresh vs the per-VM forward path, so a perf
-# "win" can never silently change results.
-# The quick capture runs BEFORE the equivalence tests: committed
+# The figure tests are the correctness side of the perf work: every
+# quick figure series of both profiles must hash to the digests committed
+# in internal/experiments/testdata/figure_golden.json (TestFigureGolden),
+# and must be bit-identical with the workload snapshot cache on vs off
+# (TestWorkloadCacheEquivalence, which shares its cached campaign with the
+# golden test), so a perf "win" can never silently change results.
+# This gate answers "did a kernel get slower, did a figure move"; the repo
+# benchmark (`go run ./bench`, BENCHMARK.json) answers "did an end-to-end
+# run get slower or change its digest" — see bench/README.md.
+# The quick capture runs BEFORE the figure tests: committed
 # BENCH_*.json snapshots are taken on an otherwise-idle box, and several
 # minutes of figure sweeps right before the capture leave a small
 # machine hot enough to skew the µs-scale kernels past the 10% gate.
@@ -123,7 +137,7 @@ check-perf:
 	elif [ "$(PERF_FATAL)" = "0" ]; then \
 		echo "check-perf: WARNING: kernel regression vs $$latest (non-fatal in make check)"; rm -f "$$tmp"; \
 	else rm -f "$$tmp"; exit 1; fi
-	$(GO) test -count=1 -run 'TestWorkloadCacheEquivalence|TestFigureCoreEquivalence|TestFigureBatchEquivalence' ./internal/experiments
+	$(GO) test -count=1 -run 'TestWorkloadCacheEquivalence|TestFigureGolden' ./internal/experiments
 
 # bench-figs regenerates every figure once — the end-to-end sweep suite
 # (the old `make bench` behaviour).

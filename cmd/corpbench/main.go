@@ -11,8 +11,6 @@
 //	-workers    intra-run prediction-engine workers per simulation
 //	            (0 = auto from the shared budget, 1 = serial; figures
 //	            are identical at any value)
-//	-core       event | slot simulator core (default event; figures are
-//	            bit-identical either way — see the core-equivalence test)
 //	-workload-cache  on | off: share generated workload snapshots across
 //	            the sweep's runs (default on; figures are bit-identical
 //	            either way — see the cache-equivalence test)
@@ -38,7 +36,7 @@
 //
 //	corpbench -fig fig06
 //	corpbench -fig all -quick=false     # full paper-scale run (slow)
-//	corpbench -json -out BENCH_2026-08-06.json
+//	corpbench -json -out BENCH_2026-09-28.json
 //	corpbench -bench-diff BENCH_old.json,BENCH_new.json
 //	corpbench -fig fig06 -cpuprofile cpu.out
 //	corpbench -json -bench-filter scale/sim-scale5k -cpuprofile cpu.pprof -out /tmp/scale.json
@@ -58,7 +56,6 @@ import (
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/perf"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -74,7 +71,6 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	quick := fs.Bool("quick", true, "small cluster and 3-point sweeps")
 	workers := fs.Int("workers", 0, "intra-run prediction-engine workers per simulation (0 = auto, 1 = serial)")
-	coreName := fs.String("core", "event", "simulator core: event or slot (bit-identical figures)")
 	wlCache := fs.String("workload-cache", "on", "share generated workload snapshots across runs: on or off")
 	forecastTier := fs.String("forecast-tier", "off", "CORP two-tier predictor for figure runs: off or auto")
 	progress := fs.Bool("progress", false, "print per-batch sweep progress to stderr")
@@ -139,16 +135,12 @@ func run(args []string, out io.Writer) error {
 		return runBenchJSON(out, *benchOut, *benchQuick, *benchFilter)
 	}
 
-	core, err := sim.ParseCore(*coreName)
-	if err != nil {
-		return err
-	}
 	switch *forecastTier {
 	case "off", "auto":
 	default:
 		return fmt.Errorf("forecast-tier: want off or auto, got %q", *forecastTier)
 	}
-	opts := corp.Options{Seed: *seed, Quick: *quick, Workers: *workers, Core: core, ForecastTier: *forecastTier}
+	opts := corp.Options{Seed: *seed, Quick: *quick, Workers: *workers, ForecastTier: *forecastTier}
 	if *progress {
 		opts.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "corpbench: batch %d/%d runs done\n", done, total)

@@ -23,7 +23,6 @@
 //	-slots    slots per spawned/local worker        (default 1)
 //	-lease    job lease duration                    (default 2m)
 //	-retries  attempts per job before permanent failure (default 3)
-//	-core     event | slot simulator core           (default event)
 //	-forecast-tier  off | auto CORP two-tier predictor (default off)
 //	-progress print per-batch sweep progress to stderr
 //	-serve    keep serving after the campaign (for external workers
@@ -71,15 +70,10 @@ func run(args []string, out *os.File) error {
 	slots := fs.Int("slots", 1, "concurrent runs per worker")
 	lease := fs.Duration("lease", 2*time.Minute, "job lease duration")
 	retries := fs.Int("retries", 3, "attempts per job before permanent failure")
-	coreName := fs.String("core", "event", "simulator core: event or slot (bit-identical results)")
 	forecastTier := fs.String("forecast-tier", "off", "CORP two-tier predictor: off or auto")
 	progress := fs.Bool("progress", false, "print per-batch sweep progress to stderr")
 	serve := fs.Bool("serve", false, "keep serving after the campaign for late workers")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	core, err := sim.ParseCore(*coreName)
-	if err != nil {
 		return err
 	}
 	if *forecastTier != "off" && *forecastTier != "auto" {
@@ -98,7 +92,16 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: d.Handler()}
+	// Every handler answers from memory in microseconds (pull is a poll,
+	// not a long-poll), so these only ever cut off a peer that stalls
+	// mid-request or never reads its response.
+	srv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()
@@ -142,7 +145,6 @@ func run(args []string, out *os.File) error {
 	o := corp.Options{
 		Seed:         *seed,
 		Quick:        *quick,
-		Core:         core,
 		ForecastTier: *forecastTier,
 		RunBatch:     d.RunBatch,
 	}

@@ -6,8 +6,6 @@
 //
 //	-scheme   CORP | RCCR | CloudScale | DRA        (default CORP)
 //	-profile  cluster | ec2 | scale                  (default cluster)
-//	-core     event | slot simulator core            (default event;
-//	          results are bit-identical, only wall time changes)
 //	-jobs     number of short-lived jobs             (default 300)
 //	-pms      physical machines (0 = profile default)
 //	-vms      virtual machines  (0 = profile default)
@@ -63,7 +61,6 @@ func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("corpsim", flag.ContinueOnError)
 	schemeName := fs.String("scheme", "CORP", "provisioning scheme: CORP, RCCR, CloudScale or DRA")
 	profileName := fs.String("profile", "cluster", "testbed profile: cluster, ec2 or scale")
-	coreName := fs.String("core", "event", "simulator core: event or slot (bit-identical results)")
 	jobs := fs.Int("jobs", 300, "number of short-lived jobs")
 	pms := fs.Int("pms", 0, "physical machines (0 = profile default)")
 	vms := fs.Int("vms", 0, "virtual machines (0 = profile default)")
@@ -102,14 +99,9 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	core, err := sim.ParseCore(*coreName)
-	if err != nil {
-		return err
-	}
 
 	cfg := sim.Config{
 		Profile: profile,
-		Core:    core,
 		NumPMs:  *pms,
 		NumVMs:  *vms,
 		NumJobs: *jobs,

@@ -91,6 +91,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-profile", "nope"}, os.Stdout); err == nil {
 		t.Error("bad profile accepted")
 	}
+	// There is one simulator core; the selector flag is gone.
+	if err := run([]string{"-core", "slot"}, os.Stdout); err == nil {
+		t.Error("-core accepted")
+	}
 }
 
 func TestRunWithFaults(t *testing.T) {

@@ -49,10 +49,6 @@ func TestWorkloadCacheEquivalence(t *testing.T) {
 	}
 }
 
-// runFigureSet runs every figure for the profile plus the faulted extension
-// figure, in a fixed order.
-func runFigureSet(o Options) ([]*Figure, error) { return FigureSet(o) }
-
 // wallClockFigures measure real scheduler decision wall time (the paper's
 // overhead Figs. 10/14), so their Y values differ between any two runs of
 // the same binary — cache or no cache. For these the test pins structure

@@ -42,17 +42,10 @@ type Options struct {
 	// (sim.Config.Workers): 0 claims from the shared budget, 1 is serial.
 	// Figures are identical at any value; only wall time changes.
 	Workers int
-	// Core selects the simulator core (sim.Config.Core). The default
-	// event core and the reference slot loop produce bit-identical
-	// figures — pinned by the core-equivalence test.
-	Core sim.Core
 	// ForecastTier enables CORP's two-tier predictor ("auto"); "" or
 	// "off" keeps the single-tier pipeline. Figures are pinned
 	// bit-identical with the tier off.
 	ForecastTier string
-	// DisableBatchedRefresh forces the per-VM refresh path (ablation /
-	// equivalence testing; the batched path is pinned bit-identical).
-	DisableBatchedRefresh bool
 	// RunBatch, when non-nil, executes a batch of independent simulation
 	// configs and returns results positionally (results[i] for cfgs[i],
 	// nil on failure, errors joined) — the sim.RunMany contract. The farm
@@ -173,13 +166,11 @@ func (o Options) baseConfig(sc scheduler.Scheme, jobs int) sim.Config {
 			Seed:   o.Seed,
 		},
 		Workers: o.Workers,
-		Core:    o.Core,
 	}
 	// Fleet runs feed the shared DNN from every VM each slot; a light
 	// replay factor keeps accuracy without quadratic training cost.
 	cfg.Scheduler.Corp.ReplaySteps = 2
 	cfg.Scheduler.Corp.TierEnabled = o.ForecastTier == "auto"
-	cfg.Scheduler.DisableBatchedRefresh = o.DisableBatchedRefresh
 	return cfg
 }
 
@@ -276,7 +267,8 @@ func runAll(o Options, jobs int, mutate func(*sim.Config)) (map[scheduler.Scheme
 
 // FigureSet runs every figure for the options' profile plus the
 // fault-tolerance extension, in a fixed order — the per-profile campaign
-// unit shared by the cache-, core-, and farm-equivalence suites.
+// unit shared by the figure goldens and the cache- and farm-equivalence
+// suites.
 func FigureSet(o Options) ([]*Figure, error) {
 	figs, err := AllFigures(o)
 	if err != nil {

@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -58,6 +60,11 @@ type Counters struct {
 	// Retries counts re-enqueues: expired leases (worker died or hung)
 	// plus failed attempts that had attempts left.
 	Retries int64 `json:"retries"`
+	// DeterminismAlarms counts duplicate submissions for a finished job
+	// that runs under the virtual clock — deterministic by contract —
+	// whose result differed from the stored one. Anything but zero means
+	// two workers disagree about the same content-addressed run.
+	DeterminismAlarms int64 `json:"determinism_alarms"`
 }
 
 // WorkerStatus is the dispatcher's view of one worker, fed by heartbeats
@@ -306,7 +313,9 @@ func (d *Dispatcher) Heartbeat(req HeartbeatRequest) {
 
 // SubmitResult records one run's outcome. First completion wins; a stale
 // submission for an already-finished job (its lease expired and a retry
-// beat it) is ignored — either copy is correct, results are deterministic.
+// beat it) is dropped — either copy is correct, results are deterministic.
+// Under the virtual clock that is checkable, so a stale copy that differs
+// from the stored result raises a determinism alarm instead of vanishing.
 // A failed attempt requeues until MaxAttempts, then fails the job for all
 // batches waiting on it, mirroring RunMany's per-slot error containment.
 func (d *Dispatcher) SubmitResult(workerID string, jobID int64, key string, result *sim.Result, runErr string, millis float64) error {
@@ -318,7 +327,12 @@ func (d *Dispatcher) SubmitResult(workerID string, jobID int64, key string, resu
 		return fmt.Errorf("farm: unknown job %d (%.16s…)", jobID, key)
 	}
 	if j.state == stateDone || j.state == stateFailed {
-		return nil // stale duplicate; first submission won
+		// Stale duplicate; first submission won.
+		if j.state == stateDone && result != nil && j.spec.VirtualClockStep != 0 && !sameResult(j.result, result) {
+			d.counters.DeterminismAlarms++
+			d.logf("DETERMINISM ALARM: job %d (%.16s…) resubmitted by %s with a different result", j.id, j.key, workerID)
+		}
+		return nil
 	}
 	if runErr != "" {
 		if j.state != stateLeased || j.worker != workerID {
@@ -352,6 +366,15 @@ func (d *Dispatcher) SubmitResult(workerID string, jobID int64, key string, resu
 	d.runMillis += millis
 	close(j.done)
 	return nil
+}
+
+// sameResult reports whether two results encode to the same JSON — the
+// wire form, which round-trips every float64 exactly, so a copy that came
+// over HTTP compares equal to one submitted in-process.
+func sameResult(a, b *sim.Result) bool {
+	ea, errA := json.Marshal(a)
+	eb, errB := json.Marshal(b)
+	return errA == nil && errB == nil && bytes.Equal(ea, eb)
 }
 
 // reapExpiredLocked requeues leased jobs whose deadline passed (the

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -12,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -378,4 +382,141 @@ func TestFarmOverHTTPRunsRealSim(t *testing.T) {
 	if !reflect.DeepEqual(results[0], want) {
 		t.Fatalf("farm run differs from in-process run:\n got %+v\nwant %+v", results[0], want)
 	}
+}
+
+// TestFarmRejectsOversizedBody: a POST body past maxBodyBytes is cut off
+// with 413 instead of being buffered, and the dispatcher keeps serving.
+func TestFarmRejectsOversizedBody(t *testing.T) {
+	d := NewDispatcher(Config{})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	body := `{"worker":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	resp, err := srv.Client().Post(srv.URL+"/v1/pull", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized pull: status %d, want 413", resp.StatusCode)
+	}
+	resp, err = srv.Client().Post(srv.URL+"/v1/pull", "application/json", strings.NewReader(`{"worker":"w"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pull after oversized request: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestFarmDuplicateSubmitDeterminismAlarm: a second submission for a
+// finished job is silent when it matches the stored result, and a
+// determinism alarm when the job runs under the virtual clock and the
+// bytes differ. Without the virtual clock the overhead metric is wall
+// time, so differing duplicates are expected and stay silent.
+func TestFarmDuplicateSubmitDeterminismAlarm(t *testing.T) {
+	var logged []string
+	d := NewDispatcher(Config{Logf: func(format string, a ...any) {
+		logged = append(logged, fmt.Sprintf(format, a...))
+	}})
+	det, wall := quickCfg(1), quickCfg(2)
+	det.Clock = &sim.VirtualClock{StepMicros: 150}
+	if _, err := d.Submit([]sim.Config{det, wall}); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		job, ok, _ := d.Pull("w0")
+		if !ok {
+			t.Fatal("no job to pull")
+		}
+		before := d.Counters().DeterminismAlarms
+		first := &sim.Result{Scheme: "RCCR", NumJobs: 10, Overall: 0.5}
+		if err := d.SubmitResult("w0", job.ID, job.Key, first, "", 1); err != nil {
+			t.Fatal(err)
+		}
+		same := *first
+		if err := d.SubmitResult("w1", job.ID, job.Key, &same, "", 1); err != nil {
+			t.Fatal(err)
+		}
+		if c := d.Counters(); c.DeterminismAlarms != before {
+			t.Fatalf("identical duplicate raised an alarm: %+v", c)
+		}
+		tampered := *first
+		tampered.Overall = 0.5000001
+		if err := d.SubmitResult("w1", job.ID, job.Key, &tampered, "", 1); err != nil {
+			t.Fatal(err)
+		}
+		want := before
+		if job.Spec.VirtualClockStep != 0 {
+			want++
+		}
+		if c := d.Counters(); c.DeterminismAlarms != want || c.Completed == 0 {
+			t.Fatalf("virtual clock step %v: alarms = %d, want %d (%+v)", job.Spec.VirtualClockStep, c.DeterminismAlarms, want, c)
+		}
+	}
+	if got := d.Status().Counters.DeterminismAlarms; got != 1 {
+		t.Fatalf("status reports %d determinism alarms, want 1", got)
+	}
+	alarms := 0
+	for _, l := range logged {
+		if strings.Contains(l, "DETERMINISM ALARM") {
+			alarms++
+		}
+	}
+	if alarms != 1 {
+		t.Fatalf("logged %d determinism alarms, want 1: %q", alarms, logged)
+	}
+}
+
+// FuzzRunSpecKeys: a spec's job and workload keys are content addresses,
+// so they must not move when the spec crosses the wire — encode → JSON →
+// decode → Keys() is stable for every config the dispatcher can be handed,
+// and the decoded config addresses the same workload. Float fields take
+// the fuzzer's raw values: a NaN or infinity makes the spec unencodable,
+// which Keys must report as an error, never a panic or a silent key.
+func FuzzRunSpecKeys(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(8), uint16(10), uint8(1), uint8(0), 0.0, 0.0, 0.0, 0.0, uint8(0), false, false)
+	f.Add(int64(11), uint8(0), uint8(0), uint16(300), uint8(0), uint8(1), 150.0, 0.01, 0.02, 0.7, uint8(8), true, true)
+	f.Add(int64(-3), uint8(2), uint8(1), uint16(0), uint8(3), uint8(2), -0.0, 1e-300, math.Inf(1), math.NaN(), uint8(0), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, pms, vms uint8, jobs uint16, scheme, profile uint8,
+		clockStep, crashProb, surgeProb, pth float64, longJobs uint8, hetero, tier bool) {
+		cfg := sim.Config{
+			Profile: cluster.Profile(profile % 3), NumPMs: int(pms), NumVMs: int(vms),
+			Heterogeneous: hetero, NumJobs: int(jobs), Seed: seed, LongJobs: int(longJobs),
+			Scheduler: scheduler.Config{Scheme: scheduler.Scheme(scheme % 5), Seed: seed},
+			Faults:    faults.Config{Seed: seed, VMCrashProb: crashProb, SurgeProb: surgeProb},
+		}
+		cfg.Scheduler.Corp.Pth = pth
+		cfg.Scheduler.Corp.TierEnabled = tier
+		if clockStep != 0 {
+			cfg.Clock = &sim.VirtualClock{StepMicros: clockStep}
+		}
+		spec, err := EncodeSpec(cfg)
+		if err != nil {
+			t.Fatalf("EncodeSpec rejected a distributable config: %v", err)
+		}
+		jobKey, workloadKey, err := spec.Keys()
+		if err != nil {
+			return // invalid cluster shape or a non-finite float: reported, not keyed
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("Keys succeeded on a spec that does not marshal: %v", err)
+		}
+		var back RunSpec
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("spec does not decode from its own encoding: %v\n%s", err, enc)
+		}
+		jobKey2, workloadKey2, err := back.Keys()
+		if err != nil {
+			t.Fatalf("decoded spec has no keys: %v\n%s", err, enc)
+		}
+		if jobKey2 != jobKey || workloadKey2 != workloadKey {
+			t.Fatalf("keys moved across the wire: job %.12s → %.12s, workload %.12s → %.12s\n%s",
+				jobKey, jobKey2, workloadKey, workloadKey2, enc)
+		}
+		if wk, err := sim.WorkloadKey(back.DecodeConfig()); err != nil || wk != workloadKey {
+			t.Fatalf("decoded config addresses workload %.12s (%v), want %.12s", wk, err, workloadKey)
+		}
+	})
 }

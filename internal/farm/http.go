@@ -2,6 +2,7 @@ package farm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -97,13 +98,24 @@ func (d *Dispatcher) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds every POST body. The largest legitimate request is a
+// submit carrying a sim.Result with a recorded timeline (tens of KB), so
+// 16 MiB is far past anything a worker sends while still capping what one
+// hostile request can make the dispatcher buffer.
+const maxBodyBytes = 16 << 20
+
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request: %v", err), status)
 		return false
 	}
 	return true

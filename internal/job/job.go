@@ -16,6 +16,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/resource"
 )
@@ -81,6 +82,8 @@ type Job struct {
 }
 
 // Validate reports the first structural problem with the spec, or nil.
+// Amounts must be finite: a NaN or infinite field in a loaded trace would
+// otherwise pass every sign check and poison the run's ledgers.
 func (j *Job) Validate() error {
 	switch {
 	case j.Duration <= 0:
@@ -89,18 +92,29 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("job %d: empty usage series", j.ID)
 	case j.Arrival < 0:
 		return fmt.Errorf("job %d: negative arrival %d", j.ID, j.Arrival)
-	case j.SLOFactor <= 0:
-		return fmt.Errorf("job %d: non-positive SLO factor %v", j.ID, j.SLOFactor)
+	case !(j.SLOFactor > 0 && j.SLOFactor <= math.MaxFloat64):
+		return fmt.Errorf("job %d: SLO factor %v is not positive and finite", j.ID, j.SLOFactor)
 	}
 	for k, u := range j.Usage {
-		if !u.NonNegative() {
-			return fmt.Errorf("job %d: negative usage at slot %d: %v", j.ID, k, u)
+		if !validAmounts(u) {
+			return fmt.Errorf("job %d: negative or non-finite usage at slot %d: %v", j.ID, k, u)
 		}
 	}
-	if !j.Request.NonNegative() {
-		return fmt.Errorf("job %d: negative request %v", j.ID, j.Request)
+	if !validAmounts(j.Request) {
+		return fmt.Errorf("job %d: negative or non-finite request %v", j.ID, j.Request)
 	}
 	return nil
+}
+
+// validAmounts reports whether every component is in [0, +Inf); NaN fails
+// both comparisons.
+func validAmounts(v resource.Vector) bool {
+	for _, x := range v {
+		if !(x >= 0 && x <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 // DemandAt returns the job's demand in its k-th slot of execution

@@ -55,6 +55,10 @@ func TestValidateRejections(t *testing.T) {
 		{"zero SLO factor", func(j *Job) { j.SLOFactor = 0 }},
 		{"negative usage", func(j *Job) { j.Usage[1] = resource.New(-1, 0, 0) }},
 		{"negative request", func(j *Job) { j.Request = resource.New(-1, 0, 0) }},
+		{"NaN usage", func(j *Job) { j.Usage[1] = resource.New(math.NaN(), 0, 0) }},
+		{"infinite request", func(j *Job) { j.Request = resource.New(0, math.Inf(1), 0) }},
+		{"NaN SLO factor", func(j *Job) { j.SLOFactor = math.NaN() }},
+		{"infinite SLO factor", func(j *Job) { j.SLOFactor = math.Inf(1) }},
 	}
 	for _, m := range mutations {
 		j := spec()

@@ -477,83 +477,23 @@ func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
 			}
 		}
 	})
-	add("sim/run-quick-warm", func(b *testing.B) {
-		snapshot, err := sim.PrepareWorkload(quickRunConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := quickRunConfig()
-		cfg.Prepared = snapshot
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Core-comparison benches: the same warm quick run driven by the
-	// event-queue core (the default) and the reference slot loop. Results
-	// are bit-identical (the core-equivalence tests), so the ratio is the
-	// event core's net cost/savings on a dense little world; the wmax
-	// entry adds the sharded executor on top.
-	if matchesAny("sim/event-core-w1", "sim/event-core-wmax", "sim/slot-core-w1") {
-		snapshot, err := sim.PrepareWorkload(quickRunConfig())
-		if err != nil {
-			panic(fmt.Sprintf("perf: prepare core bench workload: %v", err))
-		}
-		coreBench := func(core sim.Core, workers int) func(b *testing.B) {
-			return func(b *testing.B) {
-				cfg := quickRunConfig()
-				cfg.Prepared = snapshot
-				cfg.Core = core
-				cfg.Workers = workers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := sim.Run(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		add("sim/event-core-w1", coreBench(sim.CoreEvent, 1))
-		add("sim/event-core-wmax", coreBench(sim.CoreEvent, runtime.GOMAXPROCS(0)))
-		add("sim/slot-core-w1", coreBench(sim.CoreSlot, 1))
-	}
-	// Quiescent-span fast-forward A/B: the same quiet-heavy run — a short
-	// arrival burst, then a drain hundreds of slots long with nothing in
-	// flight — with the fast-forward on (default) and forced off. Results
-	// are bit-identical (TestSpanFastForwardEquivalence); the ratio is the
-	// time-axis win on event-sparse stretches, the regime the fast-forward
-	// exists for. Both are ns-gated so neither the fast path nor the
-	// escape-hatch slow path silently regresses.
-	if matchesAny("sim/span-fastforward-on", "sim/span-fastforward-off") {
-		snapshot, err := sim.PrepareWorkload(spanBenchConfig(false))
-		if err != nil {
-			panic(fmt.Sprintf("perf: prepare span bench workload: %v", err))
-		}
-		spanBench := func(disable bool) func(b *testing.B) {
-			return func(b *testing.B) {
-				cfg := spanBenchConfig(disable)
-				cfg.Prepared = snapshot
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := sim.Run(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		add("sim/span-fastforward-on", spanBench(false))
-		add("sim/span-fastforward-off", spanBench(true))
-	}
+	add("sim/run-quick-warm", warmRunBench(quickRunConfig()))
+	// The same warm quick run with the sharded executor at full width
+	// (run-quick-warm is the serial side): a dense little world, so the
+	// ratio is the shard's net cost/savings where there is little to shard.
+	wide := quickRunConfig()
+	wide.Workers = runtime.GOMAXPROCS(0)
+	add("sim/event-core-wmax", warmRunBench(wide))
+	// The quiet-heavy run the span fast-forward exists for: a short arrival
+	// burst, then a drain hundreds of slots long with nothing in flight.
+	// ns-gated so the time-axis fast path cannot silently regress.
+	add("sim/span-fastforward-on", warmRunBench(spanBenchConfig()))
 	// Isolated telemetry-phase benches over the 20000-VM scale fleet:
-	// the periodic-table fast path versus the per-VM recomputation it
-	// replaces on quiet slots (identical outputs — the table-equivalence
-	// tests). Both are ns- and alloc-gated: the fast path is the per-slot
-	// floor of the scale/sim-scale5k-* runs and must stay allocation-free.
+	// the periodic-table fast path taken on quiet slots versus the per-VM
+	// recomputation surged, long-job and non-periodic slots run (identical
+	// outputs — the table-equivalence tests). Both are ns- and alloc-gated:
+	// the fast path is the per-slot floor of the scale/sim-scale5k-* runs
+	// and must stay allocation-free.
 	if matchesAny("sim/slot-observe-tables-20k", "sim/slot-observe-recompute-20k") {
 		snapshot, err := workload.Build(observeBenchParams())
 		if err != nil {
@@ -592,21 +532,21 @@ func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
 	}{{"w1", 1}, {"wmax", runtime.GOMAXPROCS(0)}} {
 		eng := eng
 		add("engine/observe-fleet200-"+eng.suffix, func(b *testing.B) {
-			bo, _, unused := engineFleet(b, eng.workers)
+			sched, unused := engineFleet(b, eng.workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bo.ObserveAll(unused, nil)
+				sched.ObserveAll(unused, nil)
 			}
 		})
 		add("engine/refresh-fleet200-"+eng.suffix, func(b *testing.B) {
-			bo, sched, unused := engineFleet(b, eng.workers)
+			sched, unused := engineFleet(b, eng.workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Each Refresh needs fresh observations or the dirty-skip
 				// makes later iterations free; feed them off the timer.
 				b.StopTimer()
-				bo.ObserveAll(unused, nil)
+				sched.ObserveAll(unused, nil)
 				b.StartTimer()
 				sched.Refresh()
 			}
@@ -615,11 +555,11 @@ func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
 		// (20000 VMs) with RCCR's cheap predictors: the per-slot telemetry
 		// floor of the scale/sim-scale5k-* end-to-end runs.
 		add("engine/scale-observe20k-"+eng.suffix, func(b *testing.B) {
-			bo, _, unused := scaleFleet(b, eng.workers)
+			sched, unused := scaleFleet(b, eng.workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bo.ObserveAll(unused, nil)
+				sched.ObserveAll(unused, nil)
 			}
 		})
 	}
@@ -677,16 +617,13 @@ func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
 			}
 		}
 		// One window's CORP Refresh over the full 20000-VM scale fleet:
-		// the per-VM forward baseline, the batched gather → ForwardBatch →
-		// scatter pipeline (identical predictions — the equivalence tests),
-		// and the batched pipeline with the two-tier forecaster serving the
-		// (flat) fleet. The tier entry is the headline: first-tier hits
-		// skip the DNN+HMM work entirely, so its ratio to the per-VM entry
-		// is the realizable refresh speedup on calm fleets.
-		add("engine/refresh20k-pervm-w1", refresh20kBench(true, false, nil, nil))
-		add("engine/refresh20k-batched-w1", refresh20kBench(false, false, nil, nil))
+		// the batched gather → ForwardBatch → scatter pipeline, alone and
+		// with the two-tier forecaster serving the (flat) fleet. First-tier
+		// hits skip the DNN+HMM work entirely, so the ratio of the two is
+		// the realizable refresh speedup on calm fleets.
+		add("engine/refresh20k-batched-w1", refresh20kBench(false, nil, nil))
 		var tierHits, tierEscal int
-		add("engine/refresh20k-tier-w1", refresh20kBench(false, true, &tierHits, &tierEscal))
+		add("engine/refresh20k-tier-w1", refresh20kBench(true, &tierHits, &tierEscal))
 		if tierHits+tierEscal > 0 {
 			snap.Tier = &TierStats{Hits: tierHits, Escalations: tierEscal}
 		}
@@ -752,13 +689,13 @@ func farmCampaignBench(n int, stats **FarmStats) func(b *testing.B) {
 // Refresh alone; each iteration's observations are fed off the timer.
 // The counter pointers, when non-nil, receive the fleet's tier tallies
 // after the timed loop.
-func refresh20kBench(disableBatched, tier bool, hits, escal *int) func(b *testing.B) {
+func refresh20kBench(tier bool, hits, escal *int) func(b *testing.B) {
 	return func(b *testing.B) {
 		cl, err := cluster.New(cluster.Config{Profile: cluster.ProfileScale})
 		if err != nil {
 			b.Fatal(err)
 		}
-		scfg := scheduler.Config{Scheme: scheduler.CORP, Seed: 1, Workers: 1, DisableBatchedRefresh: disableBatched}
+		scfg := scheduler.Config{Scheme: scheduler.CORP, Seed: 1, Workers: 1}
 		// One replay step keeps the (off-timer) per-slot training cost down
 		// without changing what Refresh itself does.
 		scfg.Corp.ReplaySteps = 1
@@ -766,10 +703,6 @@ func refresh20kBench(disableBatched, tier bool, hits, escal *int) func(b *testin
 		sched, err := scheduler.New(scfg, cl)
 		if err != nil {
 			b.Fatal(err)
-		}
-		bo, ok := sched.(scheduler.BatchObserver)
-		if !ok {
-			b.Fatal("CORP scheduler does not implement BatchObserver")
 		}
 		unused := make([]resource.Vector, len(cl.VMs))
 		for v := range unused {
@@ -782,7 +715,7 @@ func refresh20kBench(disableBatched, tier bool, hits, escal *int) func(b *testin
 		// telemetry is constant per VM, so persistence is exact and a
 		// trusted tier serves the whole fleet.
 		for i := 0; i < 48; i++ {
-			bo.ObserveAll(unused, nil)
+			sched.ObserveAll(unused, nil)
 			if i%6 == 5 {
 				sched.Refresh()
 			}
@@ -790,7 +723,7 @@ func refresh20kBench(disableBatched, tier bool, hits, escal *int) func(b *testin
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			bo.ObserveAll(unused, nil)
+			sched.ObserveAll(unused, nil)
 			b.StartTimer()
 			sched.Refresh()
 		}
@@ -799,6 +732,25 @@ func refresh20kBench(disableBatched, tier bool, hits, escal *int) func(b *testin
 			*hits, *escal = tc.TierCounters()
 			if tier && *hits == 0 {
 				b.Fatal("refresh20k tier bench: tier never served")
+			}
+		}
+	}
+}
+
+// warmRunBench times sim.Run(cfg) against a snapshot prepared off the
+// timer — what every run after the first costs inside a sweep.
+func warmRunBench(cfg sim.Config) func(b *testing.B) {
+	return func(b *testing.B) {
+		snapshot, err := sim.PrepareWorkload(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Prepared = snapshot
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.Run(cfg); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
@@ -829,18 +781,17 @@ func quickWorkloadParams() workload.Params {
 	}
 }
 
-// spanBenchConfig is the sim/span-fastforward-* run: a 200-VM fleet whose
+// spanBenchConfig is the sim/span-fastforward-on run: a 200-VM fleet whose
 // 150 short jobs all arrive inside 10 slots and finish early, leaving a
 // 400-slot drain where the event queue holds nothing but telemetry and
 // refresh ticks — maximal quiescent-span surface.
-func spanBenchConfig(disable bool) sim.Config {
+func spanBenchConfig() sim.Config {
 	return sim.Config{
 		NumPMs: 50, NumVMs: 200, NumJobs: 150, Seed: 1,
 		Warmup: 20, ArrivalSpan: 10, Drain: 400,
-		Scheduler:              scheduler.Config{Scheme: scheduler.RCCR, Seed: 1},
-		Clock:                  &sim.VirtualClock{StepMicros: 50},
-		Workers:                1,
-		DisableSpanFastForward: disable,
+		Scheduler: scheduler.Config{Scheme: scheduler.RCCR, Seed: 1},
+		Clock:     &sim.VirtualClock{StepMicros: 50},
+		Workers:   1,
 	}
 }
 
@@ -899,7 +850,7 @@ func observeBenchParams() workload.Params {
 
 // scaleFleet builds the scale profile's 20000-VM RCCR scheduler plus one
 // plausible unused-telemetry slot for the engine/scale-observe20k bench.
-func scaleFleet(b *testing.B, workers int) (scheduler.BatchObserver, scheduler.Scheduler, []resource.Vector) {
+func scaleFleet(b *testing.B, workers int) (scheduler.Scheduler, []resource.Vector) {
 	b.Helper()
 	cl, err := cluster.New(cluster.Config{Profile: cluster.ProfileScale})
 	if err != nil {
@@ -909,22 +860,18 @@ func scaleFleet(b *testing.B, workers int) (scheduler.BatchObserver, scheduler.S
 	if err != nil {
 		b.Fatal(err)
 	}
-	bo, ok := sched.(scheduler.BatchObserver)
-	if !ok {
-		b.Fatal("RCCR scheduler does not implement BatchObserver")
-	}
 	unused := make([]resource.Vector, len(cl.VMs))
 	for v := range unused {
 		c := cl.VMs[v].Capacity
 		f := 0.3 + 0.4*float64(v%7)/7
 		unused[v] = resource.Vector{c[0] * f, c[1] * f * 0.9, c[2] * f * 0.7}
 	}
-	return bo, sched, unused
+	return sched, unused
 }
 
 // engineFleet builds a 200-VM CORP scheduler with a warmed predictor
 // fleet plus a plausible unused-telemetry slot for the engine benches.
-func engineFleet(b *testing.B, workers int) (scheduler.BatchObserver, scheduler.Scheduler, []resource.Vector) {
+func engineFleet(b *testing.B, workers int) (scheduler.Scheduler, []resource.Vector) {
 	b.Helper()
 	cl, err := cluster.New(cluster.Config{Profile: cluster.ProfileCluster, NumPMs: 50, NumVMs: 200})
 	if err != nil {
@@ -933,10 +880,6 @@ func engineFleet(b *testing.B, workers int) (scheduler.BatchObserver, scheduler.
 	sched, err := scheduler.New(scheduler.Config{Scheme: scheduler.CORP, Seed: 1, Workers: workers}, cl)
 	if err != nil {
 		b.Fatal(err)
-	}
-	bo, ok := sched.(scheduler.BatchObserver)
-	if !ok {
-		b.Fatal("CORP scheduler does not implement BatchObserver")
 	}
 	unused := make([]resource.Vector, len(cl.VMs))
 	for v := range unused {
@@ -947,9 +890,9 @@ func engineFleet(b *testing.B, workers int) (scheduler.BatchObserver, scheduler.
 	// Warm the fleet past the cold-start threshold so every timed
 	// iteration exercises the full train/predict path.
 	for i := 0; i < 32; i++ {
-		bo.ObserveAll(unused, nil)
+		sched.ObserveAll(unused, nil)
 	}
-	return bo, sched, unused
+	return sched, unused
 }
 
 // refreshVector is a deterministic, non-constant unused-telemetry slot for

@@ -16,9 +16,9 @@ import (
 // state — the CORP brain — is only ever touched from the ordered per-kind
 // flush phase, so any worker count yields bit-identical figures.
 
-// BatchObserver is implemented by schedulers that can ingest a whole
-// slot's observations at once, fanning the per-VM predictor updates
-// across the engine's workers. skip[i] (optional, may be nil) marks VMs
+// BatchObserver is the part of Scheduler that ingests a whole slot's
+// observations at once, fanning the per-VM predictor updates across the
+// engine's workers. skip[i] (optional, may be nil) marks VMs
 // whose sample must not be fed this slot (e.g. down VMs); semantics are
 // identical to calling Observe(i, actualUnused[i]) for every non-skipped
 // VM in ascending order.
@@ -26,8 +26,8 @@ type BatchObserver interface {
 	ObserveAll(actualUnused []resource.Vector, skip []bool)
 }
 
-// SpanObserver is implemented by schedulers that can ingest several
-// consecutive slots' observations in one call. rows[s][i] is VM i's sample
+// SpanObserver is the part of Scheduler that ingests several consecutive
+// slots' observations in one call. rows[s][i] is VM i's sample
 // for the s-th slot of the span; semantics are identical to calling
 // ObserveAll(rows[s], skip) for s = 0, 1, ... in order. The simulator's
 // quiescent-span fast-forward uses this to feed k slots of periodic
@@ -106,24 +106,17 @@ func (b *base) initEngine(workers int) {
 }
 
 // initEngine (corpScheduler override) wires the base engine, then caches
-// the concrete *CorpPredictor views the batched Refresh needs. A fleet
-// with any non-CORP predictor (impossible today, defensive for future
-// mixed fleets) falls back to the per-VM path, as do the oracle variant
-// (nil brain) and DisableBatchedRefresh.
+// the concrete *CorpPredictor views the batched Refresh needs. The oracle
+// variant (nil brain, oracle predictors) keeps the per-VM base path.
 func (s *corpScheduler) initEngine(workers int) {
 	s.base.initEngine(workers)
-	if !s.batched || s.brain == nil {
+	if s.brain == nil {
 		return
 	}
-	cp := make([]*predict.CorpPredictor, len(s.preds))
+	s.corpPreds = make([]*predict.CorpPredictor, len(s.preds))
 	for i, p := range s.preds {
-		c, ok := p.(*predict.CorpPredictor)
-		if !ok {
-			return
-		}
-		cp[i] = c
+		s.corpPreds[i] = p.(*predict.CorpPredictor)
 	}
-	s.corpPreds = cp
 }
 
 // refreshBatchRows is the batched Refresh chunk size: how many dirty VMs'

@@ -29,16 +29,39 @@ func batchTelemetry(cl *cluster.Cluster, v, slot int) resource.Vector {
 	return resource.New(c[0]*f, c[1]*f*0.9, c[2]*f*0.7)
 }
 
+// perVMRefresh is the reference Refresh the batched pipeline is pinned
+// against: one serial Predict per dirty VM, in VM order.
+func perVMRefresh(s *corpScheduler) {
+	for i, p := range s.preds {
+		if s.dirty[i] {
+			s.dirty[i] = false
+			s.latest[i] = p.Predict()
+		}
+	}
+}
+
+// newCorp builds a CORP scheduler; every one refreshes through the batched
+// pipeline.
+func newCorp(t *testing.T, cfg Config, cl *cluster.Cluster) *corpScheduler {
+	t.Helper()
+	cfg.Scheme = CORP
+	s, err := New(cfg, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.(*corpScheduler)
+	if c.corpPreds == nil {
+		t.Fatal("CORP scheduler did not cache corp predictors for the batched refresh")
+	}
+	return c
+}
+
 // driveFleet feeds both schedulers identical telemetry (with a rotating
 // down-VM mask to exercise the dirty-skip path) and refreshes every
-// window, checking the forecasts stay exactly equal after each refresh.
-func driveFleet(t *testing.T, a, b Scheduler, cl *cluster.Cluster, slots int) {
+// window — a through its own batched Refresh, b through refreshB —
+// checking the forecasts stay exactly equal after each refresh.
+func driveFleet(t *testing.T, a, b *corpScheduler, refreshB func(), cl *cluster.Cluster, slots int) {
 	t.Helper()
-	ab, aok := a.(BatchObserver)
-	bb, bok := b.(BatchObserver)
-	if !aok || !bok {
-		t.Fatal("schedulers must implement BatchObserver")
-	}
 	unused := make([]resource.Vector, len(cl.VMs))
 	skip := make([]bool, len(cl.VMs))
 	for slot := 0; slot < slots; slot++ {
@@ -47,24 +70,24 @@ func driveFleet(t *testing.T, a, b Scheduler, cl *cluster.Cluster, slots int) {
 			// Rotate a sparse down mask so some VMs keep stale forecasts.
 			skip[v] = slot > 20 && (v+slot)%17 == 0
 		}
-		ab.ObserveAll(unused, skip)
-		bb.ObserveAll(unused, skip)
+		a.ObserveAll(unused, skip)
+		b.ObserveAll(unused, skip)
 		if slot%a.Window() == 0 {
 			a.Refresh()
-			b.Refresh()
+			refreshB()
 			compareLatest(t, a, b, slot)
 		}
 	}
 	// A second Refresh with nothing dirty must be a no-op on both paths.
 	a.Refresh()
-	b.Refresh()
+	refreshB()
 	compareLatest(t, a, b, slots)
 }
 
-func compareLatest(t *testing.T, a, b Scheduler, slot int) {
+func compareLatest(t *testing.T, a, b *corpScheduler, slot int) {
 	t.Helper()
-	la := a.(*corpScheduler).latest
-	lb := b.(*corpScheduler).latest
+	la := a.latest
+	lb := b.latest
 	for i := range la {
 		if la[i] != lb[i] {
 			t.Fatalf("slot %d VM %d: forecasts diverge: %+v vs %+v", slot, i, la[i], lb[i])
@@ -83,26 +106,14 @@ func compareLatest(t *testing.T, a, b Scheduler, slot int) {
 }
 
 // TestBatchedRefreshMatchesPerVM pins the batched gather → ForwardBatch →
-// scatter Refresh bit-identical to the per-VM forward path, across a
-// fleet larger than one batch chunk, with down-VM skips and matured
-// prediction outcomes compared at every refresh.
+// scatter Refresh bit-identical to the reference per-VM Predict loop,
+// across a fleet larger than one batch chunk, with down-VM skips and
+// matured prediction outcomes compared at every refresh.
 func TestBatchedRefreshMatchesPerVM(t *testing.T) {
 	cl := batchTestCluster(t, 300)
-	mk := func(disable bool) Scheduler {
-		s, err := New(Config{Scheme: CORP, Seed: 7, Workers: 1, DisableBatchedRefresh: disable}, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	batched, pervm := mk(false), mk(true)
-	if batched.(*corpScheduler).corpPreds == nil {
-		t.Fatal("batched scheduler did not cache corp predictors")
-	}
-	if pervm.(*corpScheduler).corpPreds != nil {
-		t.Fatal("DisableBatchedRefresh should keep the per-VM path")
-	}
-	driveFleet(t, batched, pervm, cl, 40)
+	batched := newCorp(t, Config{Seed: 7, Workers: 1}, cl)
+	pervm := newCorp(t, Config{Seed: 7, Workers: 1}, cl)
+	driveFleet(t, batched, pervm, func() { perVMRefresh(pervm) }, cl, 40)
 }
 
 // TestBatchedRefreshWorkerEquivalence pins the batched Refresh
@@ -110,34 +121,23 @@ func TestBatchedRefreshMatchesPerVM(t *testing.T) {
 // race gate runs under -race.
 func TestBatchedRefreshWorkerEquivalence(t *testing.T) {
 	cl := batchTestCluster(t, 300)
-	mk := func(workers int) Scheduler {
-		s, err := New(Config{Scheme: CORP, Seed: 7, Workers: workers}, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	driveFleet(t, mk(1), mk(4), cl, 40)
+	serial := newCorp(t, Config{Seed: 7, Workers: 1}, cl)
+	wide := newCorp(t, Config{Seed: 7, Workers: 4}, cl)
+	driveFleet(t, serial, wide, wide.Refresh, cl, 40)
 }
 
-// TestBatchedRefreshTierEquivalence pins the batched and per-VM paths
-// identical with the two-tier forecaster enabled as well: tier decisions
-// are VM-local state, so they must not depend on the forward batching.
+// TestBatchedRefreshTierEquivalence pins the batched path and the per-VM
+// reference identical with the two-tier forecaster enabled as well: tier
+// decisions are VM-local state, so they must not depend on the forward
+// batching.
 func TestBatchedRefreshTierEquivalence(t *testing.T) {
 	cl := batchTestCluster(t, 64)
-	mk := func(disable bool) Scheduler {
-		cfg := Config{Scheme: CORP, Seed: 7, Workers: 1, DisableBatchedRefresh: disable}
-		cfg.Corp.TierEnabled = true
-		s, err := New(cfg, cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	batched, pervm := mk(false), mk(true)
-	driveFleet(t, batched, pervm, cl, 60)
-	bh, be := batched.(*corpScheduler).TierCounters()
-	ph, pe := pervm.(*corpScheduler).TierCounters()
+	cfg := Config{Seed: 7, Workers: 1}
+	cfg.Corp.TierEnabled = true
+	batched, pervm := newCorp(t, cfg, cl), newCorp(t, cfg, cl)
+	driveFleet(t, batched, pervm, func() { perVMRefresh(pervm) }, cl, 60)
+	bh, be := batched.TierCounters()
+	ph, pe := pervm.TierCounters()
 	if bh != ph || be != pe {
 		t.Fatalf("tier counters diverge: batched %d/%d vs per-VM %d/%d", bh, be, ph, pe)
 	}
@@ -169,19 +169,19 @@ func TestTierCountersOffByDefault(t *testing.T) {
 
 // TestBatchedRefreshSteadyStateAllocs pins the batched Refresh machinery
 // (staging, gather, scatter) as adding no steady-state allocations over
-// the per-VM path: the measured cycle includes the predictors' own
-// pre-existing costs (training, HMM refits), so the batched and per-VM
+// the per-VM reference loop: the measured cycle includes the predictors'
+// own pre-existing costs (training, HMM refits), so the batched and per-VM
 // totals are compared rather than pinned at zero. A clean Refresh (no
 // dirty VMs) must be exactly allocation-free. The pure prediction path
 // is pinned at zero allocs in internal/predict and internal/dnn.
 func TestBatchedRefreshSteadyStateAllocs(t *testing.T) {
-	measure := func(disable bool) float64 {
+	measure := func(perVM bool) float64 {
 		cl := batchTestCluster(t, 64)
-		s, err := New(Config{Scheme: CORP, Seed: 3, Workers: 1, DisableBatchedRefresh: disable}, cl)
-		if err != nil {
-			t.Fatal(err)
+		s := newCorp(t, Config{Seed: 3, Workers: 1}, cl)
+		refresh := s.Refresh
+		if perVM {
+			refresh = func() { perVMRefresh(s) }
 		}
-		bo := s.(BatchObserver)
 		unused := make([]resource.Vector, len(cl.VMs))
 		slot := 0
 		cycle := func() {
@@ -189,18 +189,18 @@ func TestBatchedRefreshSteadyStateAllocs(t *testing.T) {
 				for v := range unused {
 					unused[v] = batchTelemetry(cl, v, slot)
 				}
-				bo.ObserveAll(unused, nil)
+				s.ObserveAll(unused, nil)
 				slot++
 			}
-			s.Refresh()
+			refresh()
 			s.DrainOutcomes()
 		}
 		for i := 0; i < 10; i++ {
 			cycle()
 		}
 		// The batched path bails before building any closure when nothing
-		// is dirty; the per-VM path pays one closure allocation.
-		if clean := testing.AllocsPerRun(10, s.Refresh); !disable && clean > 0 {
+		// is dirty.
+		if clean := testing.AllocsPerRun(10, s.Refresh); clean > 0 {
 			t.Fatalf("batched Refresh with nothing dirty allocates %v times", clean)
 		}
 		return testing.AllocsPerRun(30, cycle)

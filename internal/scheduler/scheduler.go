@@ -121,13 +121,6 @@ type Config struct {
 	// Values <= 1 run serially. Results are bit-identical at any worker
 	// count; Workers affects wall time only.
 	Workers int
-
-	// DisableBatchedRefresh forces CORP's Refresh back onto the per-VM
-	// forward path instead of the batched gather → one ForwardBatch per
-	// kind → scatter pipeline (engine.go). Results are bit-identical
-	// either way (the equivalence suite pins this); the knob exists for
-	// the baseline benches and the equivalence tests themselves.
-	DisableBatchedRefresh bool
 }
 
 // VMView is the simulator's per-VM state snapshot handed to Place: what
@@ -179,6 +172,11 @@ type Scheduler interface {
 	// buffer, valid only until the next DrainOutcomes call; callers that
 	// retain samples must copy them out.
 	DrainOutcomes() []predict.ErrorSample
+	// ObserveAll and ObserveSpan feed one slot's, or several consecutive
+	// slots', observations for the whole fleet at once; the simulator's
+	// telemetry phase and span fast-forward call nothing else.
+	BatchObserver
+	SpanObserver
 }
 
 // New builds the scheduler for the scheme over the given cluster.
@@ -237,7 +235,6 @@ func build(cfg Config, cl *cluster.Cluster) (Scheduler, error) {
 		return &corpScheduler{
 			base: base, name: "CORP", packing: !cfg.DisablePacking,
 			margin: margin, strategy: strategy, packK: packK, brain: brain,
-			batched: !cfg.DisableBatchedRefresh,
 		}, nil
 	case RCCR:
 		for i, cap := range caps {
@@ -472,12 +469,11 @@ type corpScheduler struct {
 	// reuses this scheduler without learned predictions).
 	brain *predict.CorpBrain
 
-	// Batched-refresh state (engine.go): batched is the config knob,
-	// corpPreds the concrete per-VM predictors cached by initEngine (nil
-	// when batching is off or unavailable, which routes Refresh through
-	// the per-VM base path). The remaining slices are the reused staging
-	// buffers of the gather → batched forward → scatter pipeline.
-	batched     bool
+	// Batched-refresh state (engine.go): corpPreds are the concrete per-VM
+	// predictors cached by initEngine (nil for the oracle variant, which
+	// routes Refresh through the per-VM base path). The remaining slices
+	// are the reused staging buffers of the gather → batched forward →
+	// scatter pipeline.
 	corpPreds   []*predict.CorpPredictor
 	refreshIdx  []int
 	refreshNeed [][resource.NumKinds]bool

@@ -73,36 +73,33 @@ func coreScenarios() []coreScenario {
 	return scen
 }
 
-// TestCoreEquivalence is the tentpole's acceptance pin: for every
-// scenario, the event-queue core must reproduce the slot loop's Result —
-// every metric, timeline point and overhead microsecond — bit for bit.
+// TestCoreEquivalence pins the event loop against the reference slot loop
+// (oracle_test.go): for every scenario, production Run must reproduce the
+// oracle's Result — every metric, timeline point and overhead microsecond —
+// bit for bit.
 func TestCoreEquivalence(t *testing.T) {
 	for _, sc := range coreScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			slotCfg := sc.cfg()
-			slotCfg.Core = CoreSlot
-			want, err := Run(slotCfg)
+			want, _, err := oracle{slotLoop: true}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			eventCfg := sc.cfg()
-			eventCfg.Core = CoreEvent
-			got, err := Run(eventCfg)
+			got, err := Run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("event core diverged from slot loop:\n slot:  %+v\n event: %+v", want, got)
+				t.Errorf("event loop diverged from slot loop:\n slot:  %+v\n event: %+v", want, got)
 			}
 		})
 	}
 }
 
 // TestCoreEquivalenceParallel repeats the pin with the sharded executor
-// running wide: slot loop at 1 worker versus event core at several worker
-// counts. The positional merge means worker count can only change wall
+// running wide: slot loop at 1 worker versus production Run at several
+// worker counts. The positional merge means worker count can only change wall
 // time, never a figure; running under -race also exercises the shard for
 // data races (the race Make target covers this package).
 func TestCoreEquivalenceParallel(t *testing.T) {
@@ -112,40 +109,21 @@ func TestCoreEquivalenceParallel(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			slotCfg := sc.cfg()
-			slotCfg.Core = CoreSlot
-			want, err := Run(slotCfg)
+			want, _, err := oracle{slotLoop: true}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range counts {
 				cfg := sc.cfg()
-				cfg.Core = CoreEvent
 				cfg.Workers = w
 				got, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("event core (workers=%d) diverged from serial slot loop", w)
+					t.Errorf("event loop (workers=%d) diverged from serial slot loop", w)
 				}
 			}
 		})
-	}
-}
-
-// TestCoreParseAndString pins the CLI surface of the core selector.
-func TestCoreParseAndString(t *testing.T) {
-	for _, c := range []Core{CoreEvent, CoreSlot} {
-		got, err := ParseCore(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseCore(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseCore("tick"); err == nil {
-		t.Error("ParseCore accepted an unknown core")
-	}
-	if _, err := Run(Config{NumPMs: 2, NumVMs: 4, NumJobs: 5, Core: Core(7), Workers: 1}); err == nil {
-		t.Error("Run accepted an unknown core")
 	}
 }

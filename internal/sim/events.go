@@ -20,8 +20,9 @@ package sim
 // times, placements only while jobs queue.
 
 // eventKind orders same-timestamp events. The numeric order IS the phase
-// order of the slot loop, so processing a slot's events in (time, kind)
-// order replays the monolithic loop's phase sequence exactly.
+// order of a slot, so processing a slot's events in (time, kind) order
+// runs the phases exactly as a loop offering every phase every slot would
+// (the tests' reference slot loop does precisely that).
 type eventKind uint8
 
 const (
@@ -128,12 +129,11 @@ func (q *eventQueue) pop() event {
 	}
 }
 
-// runEventLoop is the event-driven core. It seeds the initial events,
-// then repeatedly processes the earliest one until the horizon; every
-// handler calls exactly the phase method the slot loop would have run at
-// that simulated time, so results are bit-identical to runSlotLoop.
+// runEventLoop drives the run. It seeds the initial events, then
+// repeatedly processes the earliest one until the horizon; every handler
+// calls exactly the phase method a fixed-tick loop would have run at that
+// simulated time.
 func (rs *runState) runEventLoop() error {
-	rs.useEvents = true
 	q := &rs.events
 	if rs.inj != nil {
 		q.Push(0, evFault, 0)
@@ -162,16 +162,15 @@ func (rs *runState) processNextEvent() error {
 	t := ev.time
 	switch ev.kind {
 	case evFault:
-		// The injector draws per-slot RNG, so it must advance every slot
-		// to stay bit-identical to the slot loop.
+		// The injector draws per-slot RNG, so it must advance every slot.
 		rs.advanceFaults(t)
 		rs.events.Push(t+1, evFault, 0)
 	case evLongArrival:
 		rs.placeLongArrivals(t)
 		if rs.nextLong < len(rs.longRuntimes) {
-			// The cursor stalls on the next arrival exactly like the slot
-			// loop's ≤-scan; max() keeps time monotonic if specs arrived
-			// unsorted.
+			// The cursor stalls on the next arrival (placeLongArrivals
+			// scans Arrival ≤ t); max() keeps time monotonic if specs
+			// arrived unsorted.
 			rs.events.Push(maxSlot(rs.longRuntimes[rs.nextLong].Arrival, t+1), evLongArrival, 0)
 		}
 	case evTelemetry:
@@ -202,8 +201,8 @@ func (rs *runState) processNextEvent() error {
 				return err
 			}
 			if len(rs.queue) > 0 {
-				// Unplaced jobs are re-offered every slot, matching the
-				// slot loop's standing len(queue)>0 pass.
+				// Unplaced jobs are re-offered every slot while any
+				// queue.
 				rs.armPlace(t + 1)
 			}
 		}

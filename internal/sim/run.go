@@ -21,9 +21,9 @@ type pendingRetry struct {
 }
 
 // runState carries one run's mutable state through the per-slot phases.
-// Both execution cores — the fixed-tick slot loop and the event queue —
-// drive exactly these phase methods, in the same order at every simulated
-// time, so their results are bit-identical by construction (pinned by the
+// The event loop (events.go) and the tests' reference slot loop drive
+// exactly these phase methods, in the same order at every simulated time,
+// so their results are bit-identical by construction (pinned by the
 // core-equivalence tests).
 type runState struct {
 	cfg     Config
@@ -35,6 +35,7 @@ type runState struct {
 	horizon int
 	window  int
 	workers int
+	claimed int // worker-budget slots to hand back in release
 
 	vms          []*vmState
 	runtimes     []*job.Runtime
@@ -63,10 +64,6 @@ type runState struct {
 	downMask         []bool
 	surgeHits        []int
 	views            []scheduler.VMView
-	batcher          scheduler.BatchObserver
-	hasBatcher       bool
-	spanObs          scheduler.SpanObserver
-	hasSpanObs       bool
 	exec             []vmExecRecord
 	spanRows         [][]resource.Vector
 	// pendingScratch is placeQueued's reused spec-offer buffer. byID maps
@@ -79,11 +76,12 @@ type runState struct {
 	dupScratch     map[job.ID]*job.Runtime
 	dupIDs         bool
 
-	// Activity-proportional fast-path state (DESIGN.md §5i). tables holds
-	// the snapshot's precomputed periodic resident vectors (nil disables
-	// the telemetry fast path). downCount/downMask and longActive are
-	// maintained incrementally at their transition points (advanceFaults,
-	// long placement/finish) so the fast paths need no O(VMs) rescan.
+	// Activity-proportional fast-path state (DESIGN.md §5f). tables holds
+	// the snapshot's precomputed periodic resident vectors (nil for a
+	// non-periodic population: telemetry recomputes every slot and no span
+	// forms). downCount/downMask and longActive are maintained
+	// incrementally at their transition points (advanceFaults, long
+	// placement/finish) so the fast paths need no O(VMs) rescan.
 	// activeJobs counts running short+long jobs per VM; execDirty marks
 	// VMs whose cached exec record no longer matches what a full
 	// executeVM pass would produce (job finished, fault transition).
@@ -98,10 +96,11 @@ type runState struct {
 	activeJobs  []int32
 	execDirty   []bool
 
-	// Event-core state; unused by the slot loop.
-	useEvents    bool
+	// Event-loop state. spanSlots counts the slots fastForwardSpan
+	// replayed this run.
 	events       eventQueue
 	placeArmedAt int
+	spanSlots    int
 }
 
 // initScratch sizes the per-slot buffers once.
@@ -122,8 +121,6 @@ func (rs *runState) initScratch() {
 		// pass to seed the cached records.
 		rs.execDirty[v] = true
 	}
-	rs.batcher, rs.hasBatcher = rs.sched.(scheduler.BatchObserver)
-	rs.spanObs, rs.hasSpanObs = rs.sched.(scheduler.SpanObserver)
 	rs.placeArmedAt = -1
 	rs.byID = make(map[job.ID]*job.Runtime, len(rs.runtimes))
 	for _, rt := range rs.runtimes {
@@ -135,30 +132,6 @@ func (rs *runState) initScratch() {
 	if rs.dupIDs {
 		rs.dupScratch = make(map[job.ID]*job.Runtime)
 	}
-}
-
-// runSlotLoop is the original fixed-tick core: every phase is offered every
-// slot, with the same cheap guards the monolithic loop used.
-func (rs *runState) runSlotLoop() error {
-	for t := 0; t < rs.horizon; t++ {
-		if rs.inj != nil {
-			rs.advanceFaults(t)
-		}
-		rs.placeLongArrivals(t)
-		rs.observe(t)
-		if t%rs.window == 0 {
-			rs.refreshWindow(t)
-		}
-		rs.admitArrivals(t)
-		rs.admitRetries(t)
-		if len(rs.queue) > 0 {
-			if err := rs.placeQueued(t); err != nil {
-				return err
-			}
-		}
-		rs.executeSlot(t)
-	}
-	return nil
 }
 
 // advanceFaults is phase 0: complete repairs, crash VMs/PMs and evict their
@@ -192,9 +165,7 @@ func (rs *runState) advanceFaults(t int) {
 			res.Recovery.Retries++
 			at := t + rs.inj.Config().Backoff(rt.Retries)
 			rs.retries = append(rs.retries, pendingRetry{rt, at})
-			if rs.useEvents {
-				rs.events.Push(at, evRetry, int(rt.Spec.ID))
-			}
+			rs.events.Push(at, evRetry, int(rt.Spec.ID))
 		}
 		// Long-lived jobs die with the VM and are not retried; their
 		// guaranteed reservations return to the pool.
@@ -272,10 +243,11 @@ func (rs *runState) placeLongArrivals(t int) {
 
 // observe is phase 2: compute the actual unused resources (prediction
 // target) per VM — the residents' slack, shrunk by any demand surge, plus
-// the running long jobs' slack — and feed them to the predictor fleet.
-// Failed VMs report no telemetry and offer no pool. The per-VM samples are
-// independent ledger reads, so they shard across the worker budget with
-// positional writes; the surge counter merges as an order-free int sum.
+// the running long jobs' slack — and feed them to the predictor fleet in
+// one batched call. Failed VMs report no telemetry and offer no pool. The
+// per-VM samples are independent ledger reads, so they shard across the
+// worker budget with positional writes; the surge counter merges as an
+// order-free int sum.
 //
 // Fast path: resident demand is periodic (job.DemandAt wraps
 // t % len(Usage)), so when no surge is active and no long job is running
@@ -312,7 +284,7 @@ func (rs *runState) observe(t int) {
 				}
 			}
 		}
-		rs.feedObservations()
+		rs.sched.ObserveAll(rs.unused, rs.downMask)
 		return
 	}
 	rs.residentUse = rs.residentUseOwned
@@ -344,21 +316,7 @@ func (rs *runState) observe(t int) {
 			rs.res.Recovery.SurgeSlots += hit
 		}
 	}
-	rs.feedObservations()
-}
-
-// feedObservations hands the slot's unused vectors to the predictor fleet,
-// batched when the scheduler supports it.
-func (rs *runState) feedObservations() {
-	if rs.hasBatcher {
-		rs.batcher.ObserveAll(rs.unused, rs.downMask)
-	} else {
-		for v := range rs.vms {
-			if !rs.downMask[v] {
-				rs.sched.Observe(v, rs.unused[v])
-			}
-		}
-	}
+	rs.sched.ObserveAll(rs.unused, rs.downMask)
 }
 
 // refreshWindow is phase 3: refresh forecasts (timed — this is the

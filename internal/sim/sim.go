@@ -117,66 +117,6 @@ type Config struct {
 	// are bit-identical at any worker count — Workers affects wall time
 	// only. Run overwrites Scheduler.Workers with the resolved count.
 	Workers int
-
-	// Core selects the execution core driving the run: the global event
-	// queue (the default) or the original fixed-tick slot loop, kept as
-	// the equivalence reference. Both cores drive identical phase methods
-	// and produce bit-identical results (see the core-equivalence tests);
-	// only the scheduling of no-op slots differs.
-	Core Core
-
-	// DisableResidentTables forces the telemetry phase onto the original
-	// per-VM recomputation instead of the snapshot's precomputed periodic
-	// tables (DESIGN.md §5i). The tables are bit-identical by
-	// construction, so this only affects wall time; it exists for the
-	// equivalence tests and A/B measurements.
-	DisableResidentTables bool
-
-	// DisableSpanFastForward forces the event core to process every
-	// quiescent slot through the normal per-event path instead of
-	// replaying whole no-op spans in one loop (DESIGN.md §5j). The
-	// fast-forward is bit-identical by construction, so this only affects
-	// wall time; it exists for the equivalence tests and A/B
-	// measurements. It implies nothing for CoreSlot, which never
-	// fast-forwards.
-	DisableSpanFastForward bool
-}
-
-// Core selects the simulator's execution core.
-type Core int
-
-const (
-	// CoreEvent drives the run from a global min-heap of simulation
-	// events (arrivals, retries, refresh windows, faults, telemetry,
-	// execution) keyed by timestamp with deterministic tie-breaking.
-	CoreEvent Core = iota
-	// CoreSlot is the original fixed-tick loop offering every phase at
-	// every slot. Results are bit-identical to CoreEvent.
-	CoreSlot
-)
-
-// String names the core.
-func (c Core) String() string {
-	switch c {
-	case CoreEvent:
-		return "event"
-	case CoreSlot:
-		return "slot"
-	default:
-		return fmt.Sprintf("Core(%d)", int(c))
-	}
-}
-
-// ParseCore parses "event" or "slot" (the -core CLI flag).
-func ParseCore(s string) (Core, error) {
-	switch s {
-	case "event":
-		return CoreEvent, nil
-	case "slot":
-		return CoreSlot, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown core %q (want event or slot)", s)
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -319,6 +259,30 @@ func (st *vmState) freshHeadroom() resource.Vector {
 
 // Run executes one simulation and returns its metrics.
 func Run(cfg Config) (*Result, error) {
+	rs, err := newRunState(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer rs.release()
+	if err := rs.runEventLoop(); err != nil {
+		return nil, err
+	}
+	return rs.finalize(), nil
+}
+
+// release returns the run's claimed worker slots to the shared budget.
+func (rs *runState) release() {
+	if rs.claimed > 0 {
+		workpool.Release(rs.claimed)
+	}
+}
+
+// newRunState builds everything a run needs before its first slot: the
+// cluster, the workload snapshot, the scheduler (pre-trained for CORP), the
+// per-VM ledgers and the fault injector. Run drives the returned state
+// through runEventLoop and finalize; the equivalence tests drive the same
+// state through their reference loop instead. The caller must release().
+func newRunState(cfg Config) (rs *runState, err error) {
 	cfg = cfg.withDefaults()
 	// Size the intra-run prediction engine from the shared worker budget.
 	// Auto (0) claims the remaining budget — RunMany claims its outer
@@ -336,9 +300,11 @@ func Run(cfg Config) (*Result, error) {
 	} else if workers > 1 {
 		claimed = workpool.ClaimUpTo(workers)
 	}
-	if claimed > 0 {
-		defer workpool.Release(claimed)
-	}
+	defer func() {
+		if err != nil && claimed > 0 {
+			workpool.Release(claimed)
+		}
+	}()
 	cfg.Scheduler.Workers = workers
 
 	cl, err := cluster.New(cluster.Config{
@@ -482,7 +448,7 @@ func Run(cfg Config) (*Result, error) {
 		NumJobs: cfg.NumJobs,
 		Slots:   horizon,
 	}
-	rs := &runState{
+	rs = &runState{
 		cfg:          cfg,
 		cl:           cl,
 		sched:        sched,
@@ -492,6 +458,7 @@ func Run(cfg Config) (*Result, error) {
 		horizon:      horizon,
 		window:       sched.Window(),
 		workers:      workers,
+		claimed:      claimed,
 		vms:          vms,
 		runtimes:     runtimes,
 		longRuntimes: longRuntimes,
@@ -500,28 +467,16 @@ func Run(cfg Config) (*Result, error) {
 		// VM per candidate in the long-job placement phase.
 		maxVMCap: cl.MaxVMCapacity(),
 	}
-	if !cfg.DisableResidentTables {
-		// Periodic resident tables for the telemetry fast path, built once
-		// per snapshot and shared via the workload cache. Guarded by the
-		// VM count so a snapshot/cluster mismatch can never read the wrong
-		// rows (the key check above should already preclude it).
-		if tab := snap.Tables(); tab != nil && tab.NumVMs == len(vms) {
-			rs.tables = tab
-		}
+	// Periodic resident tables for the telemetry fast path, built once per
+	// snapshot and shared via the workload cache; nil for a non-periodic
+	// population, which recomputes every slot. Guarded by the VM count so a
+	// snapshot/cluster mismatch can never read the wrong rows (the key
+	// check above should already preclude it).
+	if tab := snap.Tables(); tab != nil && tab.NumVMs == len(vms) {
+		rs.tables = tab
 	}
 	rs.initScratch()
-	switch cfg.Core {
-	case CoreEvent:
-		err = rs.runEventLoop()
-	case CoreSlot:
-		err = rs.runSlotLoop()
-	default:
-		return nil, fmt.Errorf("sim: unknown core %d", int(cfg.Core))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rs.finalize(), nil
+	return rs, nil
 }
 
 func boolToInt(b bool) int {

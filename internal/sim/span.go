@@ -1,21 +1,10 @@
 package sim
 
-import (
-	"sync/atomic"
+import "repro/internal/resource"
 
-	"repro/internal/resource"
-)
-
-// spanSlotsFastForwarded counts the slots replayed by fastForwardSpan,
-// process-wide. The equivalence tests read it to prove their quiet
-// scenarios actually enter the fast path — and that faulted or surged
-// runs stand down completely. Atomic because figure sweeps run
-// simulations concurrently; one add per span is noise.
-var spanSlotsFastForwarded atomic.Int64
-
-// This file is the quiescent-span fast-forward (DESIGN.md §5j): when the
+// This file is the quiescent-span fast-forward (DESIGN.md §5f): when the
 // event queue's next real event is k > 1 slots away and the fleet is
-// quiescent, the event core replays the whole span in one tight loop
+// quiescent, the event loop replays the whole span in one tight loop
 // instead of k full slot iterations. "Quiescent" means every slot in the
 // span would be a pure telemetry+execute no-op slot:
 //
@@ -32,8 +21,8 @@ var spanSlotsFastForwarded atomic.Int64
 //     form a span and the fast path stands down automatically; a surge can
 //     only arm inside advanceFaults, which the same bound covers.
 //
-// Bit-exactness recipe (the AddCommRepeat recipe from §5i, applied to the
-// telemetry/collector folds): every per-slot accumulation is applied as
+// Bit-exactness recipe (refreshWindow's AddCommRepeat recipe, applied to
+// the telemetry/collector folds): every per-slot accumulation is applied as
 // repeated additions in the identical per-slot order the normal path would
 // perform — one collector.Observe with zero vectors and one
 // clusterCollector.Observe per slot, with the cluster demand taken from
@@ -53,17 +42,17 @@ var spanSlotsFastForwarded atomic.Int64
 // the span, so the skipped per-slot DrainOutcomes calls would all return
 // empty.
 //
-// Config.DisableSpanFastForward is the escape hatch; the equivalence
-// suites pin fast-forward on vs off (and the event core vs the slot loop)
-// bit-identical at any worker count.
+// The equivalence suites pin the replay against the tests' slot loop, which
+// has no span machinery, bit-identical at any worker count; runState.spanSlots
+// lets them prove each scenario engaged the path or fully stood down.
 
-// spanEnd reports how far the event core may fast-forward from slot t: it
+// spanEnd reports how far the event loop may fast-forward from slot t: it
 // returns the first slot the replay must stop before (exclusive), or t
 // itself when no fast-forward is possible. A span is only worth entering
 // when it covers at least two slots; single quiet slots run the normal
 // per-event path.
 func (rs *runState) spanEnd(t int) int {
-	if rs.cfg.DisableSpanFastForward || rs.tables == nil || rs.cfg.RecordTimeline {
+	if rs.tables == nil || rs.cfg.RecordTimeline {
 		return t
 	}
 	// Activity checks, cheapest first: any running or queued work, an
@@ -100,7 +89,7 @@ func (rs *runState) spanEnd(t int) int {
 // observable effect of the normal per-slot path is reproduced bit-exactly;
 // see the file comment for the argument.
 func (rs *runState) fastForwardSpan(t0, end int) {
-	spanSlotsFastForwarded.Add(int64(end - t0))
+	rs.spanSlots += end - t0
 	tab := rs.tables
 	// The cluster-allocation side of the execute reduction folds the
 	// cached ledger records in ascending VM order. The records are
@@ -125,24 +114,8 @@ func (rs *runState) fastForwardSpan(t0, end int) {
 	rs.spanRows = rows
 
 	// Predictor feeds: the engine's ObserveSpan replays the identical
-	// per-VM appends (sharded, positional); without one, per-slot batch
-	// or serial feeds preserve the exact call sequence instead.
-	switch {
-	case rs.hasSpanObs:
-		rs.spanObs.ObserveSpan(rows, rs.downMask)
-	case rs.hasBatcher:
-		for _, row := range rows {
-			rs.batcher.ObserveAll(row, rs.downMask)
-		}
-	default:
-		for _, row := range rows {
-			for v := range rs.vms {
-				if !rs.downMask[v] {
-					rs.sched.Observe(v, row[v])
-				}
-			}
-		}
-	}
+	// per-VM appends (sharded, positional).
+	rs.sched.ObserveSpan(rows, rs.downMask)
 
 	// Collector folds, one slot at a time in slot order (repeated
 	// additions, never a fused multiply): the short-job collector sees

@@ -12,7 +12,7 @@ import (
 
 // spanQuietConfig is the quiet-heavy shape the span tests share: a short
 // arrival burst followed by a long drain, so the tail is one quiescent
-// stretch the event core carves into spans (each bounded by the refresh
+// stretch the event loop carves into spans (each bounded by the refresh
 // event, the arrival chain having ended).
 func spanQuietConfig(sc scheduler.Scheme, seed int64) Config {
 	return Config{
@@ -25,13 +25,12 @@ func spanQuietConfig(sc scheduler.Scheme, seed int64) Config {
 }
 
 // TestSpanFastForwardEquivalence pins the quiescent-span fast-forward
-// (DESIGN.md §5j): every scenario must produce the identical Result with
-// Config.DisableSpanFastForward off (spans replayed in one loop) and on
-// (every slot through the normal per-event path). The process-wide span
-// counter proves each scenario does what its name claims — the quiet
-// shapes must actually fast-forward, and the faulted/surged shapes must
-// stand down completely. Subtests are deliberately sequential: the
-// counter is shared by every run in the process.
+// (DESIGN.md §5f): every scenario must produce the identical Result from
+// production Run (spans replayed in one loop) and from the reference slot
+// loop, which runs every slot through every phase and has no span
+// machinery at all. The per-run span counter proves each scenario does what
+// its name claims — the quiet shapes must actually fast-forward, and the
+// faulted/surged shapes must stand down completely.
 func TestSpanFastForwardEquivalence(t *testing.T) {
 	scenarios := []struct {
 		name      string
@@ -102,31 +101,27 @@ func TestSpanFastForwardEquivalence(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			before := spanSlotsFastForwarded.Load()
-			want, err := Run(sc.cfg())
+			t.Parallel()
+			got, ff, err := oracle{}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			ffOn := spanSlotsFastForwarded.Load() - before
-			if sc.wantSpans && ffOn == 0 {
+			if sc.wantSpans && ff == 0 {
 				t.Fatal("scenario never entered the span fast path; it pins nothing")
 			}
-			if !sc.wantSpans && ffOn != 0 {
-				t.Fatalf("span fast path replayed %d slots; this scenario requires it to stand down", ffOn)
+			if !sc.wantSpans && ff != 0 {
+				t.Fatalf("span fast path replayed %d slots; this scenario requires it to stand down", ff)
 			}
 
-			off := sc.cfg()
-			off.DisableSpanFastForward = true
-			before = spanSlotsFastForwarded.Load()
-			got, err := Run(off)
+			want, ff, err := oracle{slotLoop: true}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ff := spanSlotsFastForwarded.Load() - before; ff != 0 {
-				t.Fatalf("DisableSpanFastForward run still replayed %d span slots", ff)
+			if ff != 0 {
+				t.Fatalf("slot loop replayed %d span slots; it must have no span path", ff)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("span-off run diverged from span-on:\n on:  %+v\n off: %+v", want, got)
+				t.Errorf("span replay diverged from the slot loop:\n slot: %+v\n span: %+v", want, got)
 			}
 		})
 	}
@@ -134,38 +129,36 @@ func TestSpanFastForwardEquivalence(t *testing.T) {
 
 // TestSpanFastForwardWorkersAndCores pins the span path's other two axes:
 // the engine's sharded ObserveSpan replay is bit-identical at any worker
-// budget, and the event core with spans enabled matches the reference
-// slot loop, which has no span machinery at all.
+// budget, and the event loop with spans matches the reference slot loop at
+// either width.
 func TestSpanFastForwardWorkersAndCores(t *testing.T) {
-	mk := func(workers int, core Core) Config {
+	mk := func(workers int) Config {
 		cfg := spanQuietConfig(scheduler.CORP, 29)
 		cfg.Workers = workers
-		cfg.Core = core
 		return cfg
 	}
-	before := spanSlotsFastForwarded.Load()
-	want, err := Run(mk(1, CoreEvent))
+	want, ff, err := oracle{}.run(mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spanSlotsFastForwarded.Load() == before {
+	if ff == 0 {
 		t.Fatal("reference run never entered the span fast path; the comparison is vacuous")
 	}
 	for _, tc := range []struct {
 		name    string
 		workers int
-		core    Core
+		o       oracle
 	}{
-		{"workers4-event", 4, CoreEvent},
-		{"workers1-slot", 1, CoreSlot},
-		{"workers4-slot", 4, CoreSlot},
+		{"workers4-event", 4, oracle{}},
+		{"workers1-slot", 1, oracle{slotLoop: true}},
+		{"workers4-slot", 4, oracle{slotLoop: true}},
 	} {
-		got, err := Run(mk(tc.workers, tc.core))
+		got, _, err := tc.o.run(mk(tc.workers))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s diverged from workers=1 event core", tc.name)
+			t.Errorf("%s diverged from workers=1 event loop", tc.name)
 		}
 	}
 }

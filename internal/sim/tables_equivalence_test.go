@@ -13,8 +13,9 @@ import (
 )
 
 // TestObserveTableEquivalence pins the observe fast path: every scenario
-// must produce the identical Result with the periodic resident tables on
-// and off. The matrix covers the quiet fast path itself, fault-driven
+// must produce the identical Result from production Run and from the same
+// event loop with the periodic resident tables dropped, which recomputes
+// every VM's telemetry every slot (oracle_test.go). The matrix covers the quiet fast path itself, fault-driven
 // down-mask patching, surge-heavy runs (fast path standing down for long
 // stretches), the mixed long-job workload (longActive gating), and an
 // explicit-jobs run whose widened horizon forces real t % period wraps.
@@ -55,10 +56,10 @@ func TestObserveTableEquivalence(t *testing.T) {
 		}},
 		{"span-quiet-tail", func() Config {
 			// A short burst followed by a long drain: the tail is pure
-			// quiescence, so the event core fast-forwards span after span
-			// (each bounded by the refresh event); the tables-off side
-			// disables the spans too, so this pins the span replay against
-			// the fully plain per-slot path.
+			// quiescence, so the event loop fast-forwards span after span
+			// (each bounded by the refresh event); without tables no span
+			// forms, so this pins the span replay against the fully plain
+			// per-slot path.
 			cfg := base(scheduler.RCCR, 17)
 			cfg.ArrivalSpan = 10
 			cfg.Drain = 200
@@ -113,19 +114,16 @@ func TestObserveTableEquivalence(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			on := sc.cfg()
-			want, err := Run(on)
+			got, err := Run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			off := sc.cfg()
-			off.DisableResidentTables = true
-			got, err := Run(off)
+			want, _, err := oracle{recompute: true}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("tables-off run diverged from tables-on:\n on:  %+v\n off: %+v", want, got)
+				t.Errorf("table telemetry diverged from recompute:\n tables:    %+v\n recompute: %+v", got, want)
 			}
 		})
 	}
@@ -134,7 +132,7 @@ func TestObserveTableEquivalence(t *testing.T) {
 // TestScaleProfileSmoke runs the 5000-PM / 20000-VM scale profile at a
 // truncated horizon — the same cluster and VM-capacity shape as the
 // scale/sim-scale5k-rccr bench, just few enough jobs to finish in seconds —
-// and pins tables-on versus tables-off bit-identical at that scale. This is
+// and pins production Run against the recompute oracle at that scale. This is
 // the only tier-1 test that exercises the 20k-VM fast paths (SoA scan
 // blocks, table rows, active-set shards) at their real width.
 func TestScaleProfileSmoke(t *testing.T) {
@@ -163,13 +161,11 @@ func TestScaleProfileSmoke(t *testing.T) {
 	if want.PlacedOpportunistic+want.PlacedFresh == 0 {
 		t.Fatal("scale smoke placed no jobs; the run is vacuous")
 	}
-	off := cfg
-	off.DisableResidentTables = true
-	got, err := Run(off)
+	got, _, err := oracle{recompute: true}.run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("scale profile diverged with resident tables disabled")
+		t.Error("scale profile diverged from the recompute oracle")
 	}
 }
