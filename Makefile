@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check check-perf farm-smoke fmt vet cross build test race scale-smoke fuzz-smoke bench bench-figs bench-diff profile-scale
+.PHONY: check check-perf farm-smoke fmt vet cross build test fma-off race scale-smoke fuzz-smoke bench bench-figs bench-diff profile-scale
 
-check: fmt vet cross build test race farm-smoke scale-smoke
+check: fmt vet cross build test fma-off race farm-smoke scale-smoke
 	@$(MAKE) --no-print-directory check-perf PERF_FATAL=0
 
 # gofmt -l prints unformatted files; fail loudly if there are any.
@@ -28,6 +28,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# fma-off reruns the exponential's and the DNN kernels' tests with the Go
+# runtime told the CPU has no FMA. math.FMA then takes its exact software
+# path inside fmath.Exp (the plain-Go tier) while the assembly tier, which
+# asks CPUID itself, keeps its VFMADD — and the two must still agree on
+# every lane. math.Exp does change under this switch (its amd64 assembly
+# reads it), so the fmath-vs-math.Exp comparison detects that and skips.
+fma-off:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/fmath ./internal/dnn
 
 # The race subset covers the packages with real concurrency: the parallel
 # sweep runner, the shared workload-snapshot cache, the DNN's shared
@@ -68,14 +77,17 @@ scale-smoke:
 	$(GO) test -count=1 -run TestScaleProfileSmoke ./internal/sim
 
 # fuzz-smoke gives each fuzz target ten seconds of mutation beyond the seed
-# corpus plain `go test` replays: the two assembly-vs-Go kernel oracles,
-# the event queue's place-arming dedup, the three trace readers (never
-# panic, accepted input round-trips) and the farm's spec keys (stable
-# across the wire). (go test -fuzz takes one package and one target per
-# run.)
+# corpus plain `go test` replays: the owned exponential against math.Exp,
+# the three assembly-vs-Go kernel oracles (DNN layers, the sigmoid alone,
+# the fit scan), the event queue's place-arming dedup, the three trace
+# readers (never panic, accepted input round-trips) and the farm's spec
+# keys (stable across the wire). (go test -fuzz takes one package and one
+# target per run.)
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzExp$$' -fuzztime $(FUZZTIME) ./internal/fmath
 	$(GO) test -run '^$$' -fuzz '^FuzzDNNKernels$$' -fuzztime $(FUZZTIME) ./internal/dnn
+	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernel$$' -fuzztime $(FUZZTIME) ./internal/dnn
 	$(GO) test -run '^$$' -fuzz '^FuzzFitScanKernel$$' -fuzztime $(FUZZTIME) ./internal/scheduler
 	$(GO) test -run '^$$' -fuzz '^FuzzArmPlaceDedup$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
@@ -103,7 +115,7 @@ bench:
 
 # bench-diff compares two snapshots and fails on >10% ns/op regression
 # (or any allocs/op growth) in the DNN kernels:
-#   make bench-diff OLD=BENCH_2026-09-28.json NEW=BENCH_2026-10-05.json
+#   make bench-diff OLD=BENCH_2026-10-01.json NEW=BENCH_2026-10-05.json
 bench-diff:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=old.json NEW=new.json"; exit 1; }
 	$(GO) run ./cmd/corpbench -bench-diff "$(OLD),$(NEW)"

@@ -36,7 +36,7 @@
 //
 //	corpbench -fig fig06
 //	corpbench -fig all -quick=false     # full paper-scale run (slow)
-//	corpbench -json -out BENCH_2026-09-28.json
+//	corpbench -json -out BENCH_2026-10-01.json
 //	corpbench -bench-diff BENCH_old.json,BENCH_new.json
 //	corpbench -fig fig06 -cpuprofile cpu.out
 //	corpbench -json -bench-filter scale/sim-scale5k -cpuprofile cpu.pprof -out /tmp/scale.json

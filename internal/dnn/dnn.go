@@ -18,27 +18,32 @@
 // are one flat []float64 (row-major, stride = fan-in) carved from a single
 // slab, and activations/deltas/scratch are preallocated.
 //
-// Every forward pass and SGD step is built from three primitives
-// (kernels.go): the layer pre-activation, the fused Eq. 7 + Eq. 8 hidden-
-// layer pass, and the input-layer Eq. 8 update. Each has two
-// implementations, AVX2 assembly (kernels_amd64.s, selected by CPU feature
-// at init) and one plain Go loop, and they are bit-identical because of
-// two rules. Ascending index: every element's accumulation chain — a
-// pre-activation's bias-then-fan-in sum, a back-propagated error's sum over
-// the next layer's neurons — adds its terms in the same ascending order
-// as the original jagged implementation. No FMA: every term is an IEEE-754
-// double multiply rounded, then an add rounded (VMULPD + VADDPD in the
-// assembly, an explicit float64 conversion in Go). A vector lane is then
-// just one more such scalar chain, and the lane layout only picks which
-// chains run side by side: in the forward kernel a lane is one output
-// neuron (four weight rows are transposed in registers, sixteen rows are in
-// flight, and a ragged last block is recomputed overlapped at out-4 rather
-// than finished in scalar code); in the two update kernels a lane is one
-// fan-in index (four rows share each chunk load, and the fan-in % 4 tail is
-// one masked chunk). Single-row, batched and training evaluation all go
-// through the same primitives. kernels_test.go pins the two tiers == on
-// random shapes, and equivalence_test.go pins both against a reconstructed
-// jagged reference.
+// Every forward pass and SGD step is built from three kernels (kernels.go):
+// the dense layer with its sigmoid, the fused Eq. 7 + Eq. 8 hidden-layer
+// pass, and the input-layer Eq. 8 update. Each has two implementations,
+// AVX2+FMA assembly (kernels_amd64.s, selected by CPU feature at init) and
+// one plain Go loop, and they are bit-identical because both perform the
+// same IEEE-754 operations on each element in the same order. For the
+// multiply/add chains that is two rules. Ascending index: every element's
+// accumulation chain — a pre-activation's bias-then-fan-in sum, a
+// back-propagated error's sum over the next layer's neurons — adds its
+// terms in the same ascending order as the original jagged implementation.
+// No FMA: every term is an IEEE-754 double multiply rounded, then an add
+// rounded (VMULPD + VADDPD in the assembly, an explicit float64 conversion
+// in Go). For the sigmoid it is one owned exponential: fmath.Exp spells out
+// its range reduction and polynomial operation by operation, fused exactly
+// where it calls math.FMA, and the assembly replays that chain on the
+// accumulators before they are stored. A vector lane is then just one more
+// such scalar chain, and the lane layout only picks which chains run side
+// by side: in the forward kernel a lane is one output neuron (four weight
+// rows are transposed in registers, sixteen rows are in flight, and a ragged
+// last block is recomputed overlapped at out-4 rather than finished in
+// scalar code); in the two update kernels a lane is one fan-in index (four
+// rows share each chunk load, and the fan-in % 4 tail is one masked chunk).
+// Single-row, batched and training evaluation all go through the same
+// kernels. kernels_test.go pins the two tiers == on random shapes and on the
+// sigmoid's whole argument range, and equivalence_test.go pins both against
+// a reconstructed jagged reference.
 package dnn
 
 import (
@@ -46,6 +51,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/fmath"
 )
 
 // Config describes a network topology and training hyperparameters.
@@ -172,7 +179,7 @@ func (n *Network) NumLayers() int { return len(n.sizes) }
 func (n *Network) LayerSizes() []int { return append([]int(nil), n.sizes...) }
 
 // sigmoid is F of Eq. 5.
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+func sigmoid(x float64) float64 { return 1 / (1 + fmath.Exp(-x)) }
 
 // sigmoidPrime is F′ expressed in terms of the activation g:
 // F′ = g·(1−g), as used by Eqs. 6–7.
@@ -190,16 +197,6 @@ func forwardInto(weights, biases, acts [][]float64, input []float64) {
 	copy(acts[0], input)
 	for d := 0; d < len(weights); d++ {
 		forwardLayer(weights[d], biases[d], acts[d], acts[d+1])
-	}
-}
-
-// forwardLayer applies one dense layer to a single activation row. Batched
-// evaluation (batch.go) and training call it too, so all three share one
-// definition of the layer numerics.
-func forwardLayer(w, b, prev, cur []float64) {
-	layerAcc(w, b, prev, cur)
-	for i, x := range cur {
-		cur[i] = sigmoid(x)
 	}
 }
 

@@ -2,17 +2,20 @@ package dnn
 
 import "repro/internal/cpufeat"
 
-// The three primitives every forward pass and SGD step is made of. Each has
+// The primitives every forward pass and SGD step is made of. Each has
 // exactly two implementations — the AVX2 assembly in kernels_amd64.s and the
 // plain loop below — chosen by CPU feature alone. They agree to the bit
-// because both evaluate, per element, the same IEEE-754 multiply followed
-// by the same add in the same ascending-index order; a vector lane is one
-// such scalar chain, and nothing is fused (the float64 conversions below
-// forbid the compiler's FMA contraction just as the assembly avoids VFMADD)
-// or re-associated.
+// because both evaluate, per element, the same IEEE-754 operations in the
+// same order; a vector lane is one such scalar chain, and nothing is
+// re-associated. In the multiply/add chains nothing is fused either (the
+// float64 conversions below forbid the compiler's FMA contraction just as
+// the assembly avoids VFMADD). The sigmoid's exponential is the one chain
+// that does fuse, and there both tiers fuse the same operations: the loop
+// through fmath.Exp's math.FMA calls, the assembly through the matching
+// VFMADD/VFNMADD, which is why the tier needs FMA3 as well as AVX2.
 
 // useAVX2 selects the assembly tier. Tests flip it to compare the tiers.
-var useAVX2 = cpufeat.HasAVX2
+var useAVX2 = cpufeat.HasAVX2 && cpufeat.HasFMA
 
 // Kernel names the implementation the layer primitives run on this
 // machine: "avx2" or "generic".
@@ -23,22 +26,26 @@ func Kernel() string {
 	return "generic"
 }
 
-// layerAcc computes the layer pre-activations (the argument of F in Eq. 5):
-// acc[i] = b[i] + Σ_j w[i*in+j]*prev[j], bias first, then j ascending.
-// The assembly keeps one output neuron per lane, so it needs at least four.
-func layerAcc(w, b, prev, acc []float64) {
+// forwardLayer applies one dense layer (Eq. 5) to a single activation row:
+// cur[i] = F(b[i] + Σ_j w[i*in+j]*prev[j]), bias first, then j ascending, F
+// the sigmoid. Batched evaluation (batch.go) and training call it too, so
+// all three share one definition of the layer numerics. The assembly keeps
+// one output neuron per lane, so it needs at least four, and it stops at
+// the first group of rows holding a pre-activation its in-register sigmoid
+// does not cover (|x| > 700 or NaN); the loop finishes whatever it left.
+func forwardLayer(w, b, prev, cur []float64) {
 	in := len(prev)
-	if useAVX2 && len(acc) >= 4 {
-		layerAccAVX2(&w[0], &b[0], &prev[0], &acc[0], in, len(acc))
-		return
+	done := 0
+	if useAVX2 && len(cur) >= 4 {
+		done = forwardLayerAVX2(&w[0], &b[0], &prev[0], &cur[0], in, len(cur))
 	}
-	for i := range acc {
+	for i := done; i < len(cur); i++ {
 		row := w[i*in : i*in+in : i*in+in]
 		sum := b[i]
 		for j, g := range prev {
 			sum += float64(row[j] * g)
 		}
-		acc[i] = sum
+		cur[i] = sigmoid(sum)
 	}
 }
 

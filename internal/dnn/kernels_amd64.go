@@ -6,7 +6,7 @@ package dnn
 // fan-out; all slices are passed as their first element.
 
 //go:noescape
-func layerAccAVX2(w, b, prev, acc *float64, in, out int)
+func forwardLayerAVX2(w, b, prev, cur *float64, in, out int) (done int)
 
 //go:noescape
 func backpropUpdateAVX2(w, b, delta, prev, tmp *float64, in, out int, rate float64)

@@ -2,9 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 tier of the three layer primitives (kernels.go). Every lane performs
-// the same IEEE-754 double multiply followed by the same add, in the same
-// per-element order, as the plain Go loops: VMULPD then VADDPD, never FMA.
+// AVX2 tier of the layer primitives (kernels.go). Every lane performs the
+// same IEEE-754 operations, in the same per-element order, as the plain Go
+// loops. The multiply/add chains are VMULPD then VADDPD, never FMA; the
+// sigmoid is the one place that fuses, exactly where fmath.Exp calls
+// math.FMA.
 
 // COLS4 accumulates four consecutive fan-in columns of one 4-row block into
 // ACC (lane r = row r of the block). P points at the block's first row at
@@ -51,18 +53,140 @@
 	VBROADCASTSD 16(P), Y10; \
 	VBROADCASTSD 24(P), Y11
 
-// func layerAccAVX2(w, b, prev, acc *float64, in, out int)
+// sigk holds the sigmoid's constants, each broadcast to four lanes so it can
+// be a memory operand: fmath.Exp's, plus the sign/abs masks, the |x| limit
+// of the in-register chain and the exponent bias.
+#define K4(OFF, V) \
+	DATA sigk<>+OFF+0(SB)/8, V; \
+	DATA sigk<>+OFF+8(SB)/8, V; \
+	DATA sigk<>+OFF+16(SB)/8, V; \
+	DATA sigk<>+OFF+24(SB)/8, V
+K4(0, $0x8000000000000000)
+K4(32, $0x7FFFFFFFFFFFFFFF)
+K4(64, $700.0)
+K4(96, $1.4426950408889634073599246810018920)
+K4(128, $0.69314718055966295651160180568695068359375)
+K4(160, $0.28235290563031577122588448175013436025525412068e-12)
+K4(192, $0.0625)
+K4(224, $2.4801587301587301587e-5)
+K4(256, $1.9841269841269841270e-4)
+K4(288, $1.3888888888888888889e-3)
+K4(320, $8.3333333333333333333e-3)
+K4(352, $4.1666666666666666667e-2)
+K4(384, $1.6666666666666666667e-1)
+K4(416, $0.5)
+K4(448, $1.0)
+K4(480, $2.0)
+DATA sigk<>+512(SB)/8, $0x000003FF000003FF
+DATA sigk<>+520(SB)/8, $0x000003FF000003FF
+GLOBL sigk<>(SB), RODATA|NOPTR, $528
+
+#define SIGNBIT   sigk<>+0(SB)
+#define ABSMASK   sigk<>+32(SB)
+#define SIGLIMIT  sigk<>+64(SB)
+#define LOG2E     sigk<>+96(SB)
+#define LN2U      sigk<>+128(SB)
+#define LN2L      sigk<>+160(SB)
+#define SIXTEENTH sigk<>+192(SB)
+#define EXPC8     sigk<>+224(SB)
+#define EXPC7     sigk<>+256(SB)
+#define EXPC6     sigk<>+288(SB)
+#define EXPC5     sigk<>+320(SB)
+#define EXPC4     sigk<>+352(SB)
+#define EXPC3     sigk<>+384(SB)
+#define HALF      sigk<>+416(SB)
+#define ONE       sigk<>+448(SB)
+#define TWO       sigk<>+480(SB)
+#define EXPBIAS   sigk<>+512(SB)
+
+// The sigmoid 1/(1+exp(-x)) of one accumulator vector A, as steps over the
+// register set (A, P, KX, KY) with KX the low half of KY: fmath.Exp's chain
+// on four lanes, then the add and the divide. S1 runs a step on the one set
+// of a 4-row block; S4 runs it on the four sets of a 16-row group in turn,
+// so four independent chains hide each other's latency.
+#define S1(STEP) STEP(Y12, Y0, X4, Y4)
+#define S4(STEP) \
+	STEP(Y12, Y0, X4, Y4); \
+	STEP(Y13, Y1, X5, Y5); \
+	STEP(Y14, Y2, X6, Y6); \
+	STEP(Y15, Y3, X7, Y7)
+
+// SIGCHECK leaves in P an all-ones lane wherever the chain does not apply:
+// |x| > 700 (past it k+bias leaves the normal exponent range) or NaN.
+#define SIGCHECK(A, P, KX, KY) \
+	VANDPD ABSMASK, A, P; \
+	VCMPPD $0x16, SIGLIMIT, P, P // NLE_UQ: not (|x| <= 700)
+
+// a = -x; k = round-to-even(log2e*a); r = (a - k*ln2u - k*ln2l) / 16.
+#define SIGREDUCE(A, P, KX, KY) \
+	VXORPD       SIGNBIT, A, A; \
+	VMULPD       LOG2E, A, P; \
+	VCVTPD2DQY   P, KX; \
+	VCVTDQ2PD    KX, P; \
+	VFNMADD231PD LN2U, P, A; \
+	VFNMADD231PD LN2L, P, A; \
+	VMULPD       SIXTEENTH, A, A; \
+	VMOVUPD      EXPC8, P
+
+// Horner steps p = r*p + C.
+#define SIGC7(A, P, KX, KY) VFMADD213PD EXPC7, A, P
+#define SIGC6(A, P, KX, KY) VFMADD213PD EXPC6, A, P
+#define SIGC5(A, P, KX, KY) VFMADD213PD EXPC5, A, P
+#define SIGC4(A, P, KX, KY) VFMADD213PD EXPC4, A, P
+#define SIGC3(A, P, KX, KY) VFMADD213PD EXPC3, A, P
+#define SIGC2(A, P, KX, KY) VFMADD213PD HALF, A, P
+#define SIGC1(A, P, KX, KY) VFMADD213PD ONE, A, P
+
+// r = r*p, then one squaring step p = r+2; r = r*p.
+#define SIGMUL(A, P, KX, KY) VMULPD P, A, A
+#define SIGSQUARE(A, P, KX, KY) \
+	VADDPD TWO, A, P; \
+	VMULPD P, A, A
+
+// The last squaring fused, r = (r+2)*r + 1 = exp(a - k*ln2); scaled by 2**k
+// through the exponent field; then 1/(1+e).
+#define SIGFINISH(A, P, KX, KY) \
+	VADDPD      TWO, A, P; \
+	VFMADD213PD ONE, P, A; \
+	VPADDD      EXPBIAS, KX, KX; \
+	VPMOVZXDQ   KX, KY; \
+	VPSLLQ      $52, KY, KY; \
+	VMULPD      KY, A, A; \
+	VADDPD      ONE, A, A; \
+	VMOVUPD     ONE, P; \
+	VDIVPD      A, P, A
+
+#define SIGMOID(RUN) \
+	RUN(SIGREDUCE); \
+	RUN(SIGC7); \
+	RUN(SIGC6); \
+	RUN(SIGC5); \
+	RUN(SIGC4); \
+	RUN(SIGC3); \
+	RUN(SIGC2); \
+	RUN(SIGC1); \
+	RUN(SIGMUL); \
+	RUN(SIGSQUARE); \
+	RUN(SIGSQUARE); \
+	RUN(SIGSQUARE); \
+	RUN(SIGFINISH)
+
+// func forwardLayerAVX2(w, b, prev, cur *float64, in, out int) (done int)
 //
-// acc[i] = b[i] + Σ_j w[i*in+j]*prev[j], j ascending; requires out >= 4.
-// Lanes are output neurons. Rows go sixteen at a time (four independent
-// add chains keep the FP pipes busy), then four at a time; when out is not
-// a multiple of 4 the last block backs up to start at out-4 and recomputes
-// up to three rows to the identical values, so no row takes a scalar path.
-TEXT ·layerAccAVX2(SB), NOSPLIT, $0-48
+// cur[i] = F(b[i] + Σ_j w[i*in+j]*prev[j]), j ascending, F the sigmoid;
+// requires out >= 4. Lanes are output neurons. Rows go sixteen at a time
+// (four independent add chains keep the FP pipes busy), then four at a
+// time; when out is not a multiple of 4 the last block backs up to start at
+// out-4 and recomputes up to three rows to the identical values, so no row
+// takes a scalar path. The sigmoid is applied to the accumulators before
+// they are stored. A group holding a lane the in-register chain does not
+// cover stops the kernel before that group's store: done is the number of
+// leading rows finished, and the caller's loop does the rest.
+TEXT ·forwardLayerAVX2(SB), NOSPLIT, $0-56
 	MOVQ w+0(FP), SI           // SI, DX, DI: cursors at the current row
 	MOVQ b+8(FP), DX
 	MOVQ prev+16(FP), BX
-	MOVQ acc+24(FP), DI
+	MOVQ cur+24(FP), DI
 	MOVQ in+32(FP), CX
 	MOVQ out+40(FP), R8        // rows left
 	MOVQ CX, R9
@@ -119,6 +243,14 @@ tcols16:
 	JNZ  tcols16
 
 store16:
+	S4(SIGCHECK)
+	VORPD     Y1, Y0, Y0
+	VORPD     Y3, Y2, Y2
+	VORPD     Y2, Y0, Y0
+	VMOVMSKPD Y0, R13
+	TESTQ     R13, R13
+	JNZ       done
+	SIGMOID(S4)
 	VMOVUPD Y12, (DI)
 	VMOVUPD Y13, 32(DI)
 	VMOVUPD Y14, 64(DI)
@@ -173,6 +305,11 @@ tcols4:
 	JNZ  tcols4
 
 store4:
+	S1(SIGCHECK)
+	VMOVMSKPD Y0, R13
+	TESTQ     R13, R13
+	JNZ       done
+	SIGMOID(S1)
 	VMOVUPD Y12, (DI)
 	LEAQ (R10)(R11*1), SI
 	ADDQ $32, DX
@@ -181,6 +318,9 @@ store4:
 	JMP  rows4
 
 done:
+	MOVQ out+40(FP), AX        // R8 rows are left, counting a refused group
+	SUBQ R8, AX
+	MOVQ AX, done+48(FP)
 	VZEROUPPER
 	RET
 

@@ -4,7 +4,7 @@ package dnn
 
 // cpufeat reports no AVX2 off amd64, so these are never called.
 
-func layerAccAVX2(w, b, prev, acc *float64, in, out int) {}
+func forwardLayerAVX2(w, b, prev, cur *float64, in, out int) (done int) { return 0 }
 
 func backpropUpdateAVX2(w, b, delta, prev, tmp *float64, in, out int, rate float64) {}
 

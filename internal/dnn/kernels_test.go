@@ -1,16 +1,20 @@
 package dnn
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/cpufeat"
 )
 
 // The AVX2 and plain-Go tiers of the layer primitives must agree to the
 // bit, so the oracle needs no golden file: run the same calls on two
 // identically seeded networks, one per tier, and demand == everywhere.
+
+// hasAVX2Tier reports whether this machine can run the assembly tier: the
+// selection as made at init, before any test flips it.
+var hasAVX2Tier = useAVX2
 
 // setTier forces one tier for the rest of the test.
 func setTier(t testing.TB, avx2 bool) {
@@ -22,7 +26,7 @@ func setTier(t testing.TB, avx2 bool) {
 // eachTier runs f once per tier this machine can execute, as subtests.
 func eachTier(t *testing.T, f func(t *testing.T)) {
 	for _, avx2 := range []bool{true, false} {
-		if avx2 && !cpufeat.HasAVX2 {
+		if avx2 && !hasAVX2Tier {
 			continue
 		}
 		name := "generic"
@@ -116,11 +120,11 @@ func (p *tierPair) compareState(t testing.TB) {
 	}
 }
 
-// needBothTiers skips on a machine without AVX2 and restores the tier
-// selection (which step flips) when the test ends.
+// needBothTiers skips on a machine without AVX2 and FMA and restores the
+// tier selection (which step flips) when the test ends.
 func needBothTiers(t testing.TB) {
-	if !cpufeat.HasAVX2 {
-		t.Skip("no AVX2: only the plain-Go tier exists on this machine")
+	if !hasAVX2Tier {
+		t.Skip("no AVX2+FMA: only the plain-Go tier exists on this machine")
 	}
 	setTier(t, useAVX2)
 }
@@ -202,4 +206,142 @@ func FuzzDNNKernels(f *testing.F) {
 		}
 		p.compareState(t)
 	})
+}
+
+// sigmoidTiersAgree runs forwardLayer over xs as a bare sigmoid on both
+// tiers and demands the same bit patterns. Fan-in 1, prev = {1} and a bias
+// of -0 make every pre-activation -0 + x·1, which is x to the bit: the sign
+// of a zero survives, and so does a NaN's payload.
+func sigmoidTiersAgree(t testing.TB, xs []float64) {
+	bias := negZeros(len(xs))
+	run := func(avx2 bool, fill float64) []float64 {
+		out := make([]float64, len(xs))
+		for i := range out {
+			out[i] = fill // no sigmoid is 2 or 3: a lane nobody wrote shows
+		}
+		useAVX2 = avx2
+		forwardLayer(xs, bias, []float64{1}, out)
+		return out
+	}
+	simd, plain := run(true, 2), run(false, 3)
+	for i, x := range xs {
+		if math.Float64bits(simd[i]) != math.Float64bits(plain[i]) {
+			t.Fatalf("width %d: sigmoid(%v [%#x]) at [%d]: avx2 %v [%#x], generic %v [%#x]", len(xs), x, math.Float64bits(x), i,
+				simd[i], math.Float64bits(simd[i]), plain[i], math.Float64bits(plain[i]))
+		}
+	}
+}
+
+func negZeros(n int) []float64 {
+	zs := make([]float64, n)
+	for i := range zs {
+		zs[i] = math.Copysign(0, -1)
+	}
+	return zs
+}
+
+// sigmoidSpecials are the arguments around every branch of the sigmoid's
+// exponential and of the kernel's |x| <= 700 gate. (exp sees -x.)
+var sigmoidSpecials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 1, -1,
+	math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff4000000000002),
+	700, -700, math.Nextafter(700, 800), math.Nextafter(-700, -800), 699.9999, -699.9999,
+	708.4, -708.4, 709.436, -709.436, 709.437, -709.437,
+	709.782712893384, -709.782712893384, math.Nextafter(709.782712893384, 800), math.Nextafter(-709.782712893384, -800),
+	745.1332191019411, 745.1332191019412, -745.1332191019412, 800, -800, 1e300, -1e300,
+}
+
+// TestSigmoidTiersAgree feeds the fused sigmoid every width in 1…67 — the
+// plain loop behind out < 4, whole 16-row groups, 4-row blocks and the
+// overlapped last block — with inputs that stay inside the in-register
+// chain (N(0, 3), rounding ties (n+½)·ln 2 up to |x| = 700), that leave it
+// in most groups (±800 uniform, raw bit patterns) and that leave it in
+// exactly one lane (a special dropped into an N(0, 3) row, so the kernel
+// stops at every group position and the loop finishes the row).
+func TestSigmoidTiersAgree(t *testing.T) {
+	needBothTiers(t)
+	rng := rand.New(rand.NewSource(13))
+	for width := 1; width <= 67; width++ {
+		xs := make([]float64, width)
+		fill := func(f func() float64) {
+			for i := range xs {
+				xs[i] = f()
+			}
+		}
+		normal := func() float64 { return 3 * rng.NormFloat64() }
+		tie := func() float64 { return (float64(rng.Intn(2019)-1010) + 0.5) * math.Ln2 }
+		for round := 0; round < 40; round++ {
+			fill(normal)
+			sigmoidTiersAgree(t, xs)
+			fill(tie)
+			sigmoidTiersAgree(t, xs)
+			fill(func() float64 { return (2*rng.Float64() - 1) * 800 })
+			sigmoidTiersAgree(t, xs)
+			fill(func() float64 { return math.Float64frombits(rng.Uint64()) })
+			sigmoidTiersAgree(t, xs)
+			fill(func() float64 { return sigmoidSpecials[rng.Intn(len(sigmoidSpecials))] })
+			sigmoidTiersAgree(t, xs)
+		}
+		for _, x := range sigmoidSpecials {
+			fill(normal)
+			xs[rng.Intn(width)] = x
+			sigmoidTiersAgree(t, xs)
+		}
+	}
+}
+
+// FuzzSigmoidKernel lets the fuzzer pick the width and the arguments: each
+// eight bytes of data are one argument, a raw bit pattern if spread is
+// false and an int64 scaled onto ±800 otherwise (the band where the
+// in-register chain and its gate both matter).
+func FuzzSigmoidKernel(f *testing.F) {
+	le := binary.LittleEndian
+	specials := make([]byte, 0, 8*len(sigmoidSpecials))
+	for _, x := range sigmoidSpecials {
+		specials = le.AppendUint64(specials, math.Float64bits(x))
+	}
+	f.Add(uint8(50), false, specials)
+	f.Add(uint8(67), true, []byte("table II has fifty sigmoids in a hidden layer"))
+	f.Add(uint8(7), true, []byte{0, 0, 0, 0, 0, 0, 0, 0x70, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(3), false, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Fuzz(func(t *testing.T, widthByte uint8, spread bool, data []byte) {
+		needBothTiers(t)
+		if len(data) < 8 {
+			t.Skip()
+		}
+		xs := make([]float64, 1+int(widthByte)%67)
+		for i := range xs {
+			u := le.Uint64(data[8*(i%(len(data)/8)):])
+			if spread {
+				xs[i] = float64(int64(u)) / (1 << 63) * 800
+			} else {
+				xs[i] = math.Float64frombits(u)
+			}
+		}
+		sigmoidTiersAgree(t, xs)
+	})
+}
+
+// BenchmarkSigmoidTableII times forwardLayer as a bare 50-wide sigmoid (see
+// sigmoidTiersAgree) on each tier this machine has.
+func BenchmarkSigmoidTableII(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 50)
+	bias := negZeros(len(xs))
+	for i := range xs {
+		xs[i] = 3 * rng.NormFloat64()
+	}
+	out := make([]float64, len(xs))
+	for _, tier := range []string{"avx2", "generic"} {
+		if tier == "avx2" && !hasAVX2Tier {
+			continue
+		}
+		b.Run(tier, func(b *testing.B) {
+			setTier(b, tier == "avx2")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				forwardLayer(xs, bias, []float64{1}, out)
+			}
+		})
+	}
 }

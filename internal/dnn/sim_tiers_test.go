@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/cpufeat"
 	"repro/internal/dnn"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -17,8 +16,8 @@ import (
 // online TrainBatch, single and batched forwards all included) must
 // serialize to the same bytes whichever tier the layer primitives run on.
 func TestSimResultIdenticalAcrossKernelTiers(t *testing.T) {
-	if !cpufeat.HasAVX2 {
-		t.Skip("no AVX2: only the plain-Go tier exists on this machine")
+	if !dnn.HasAVX2Tier {
+		t.Skip("no AVX2+FMA: only the plain-Go tier exists on this machine")
 	}
 	run := func(avx2 bool) []byte {
 		dnn.SetTier(t, avx2)

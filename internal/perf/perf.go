@@ -251,8 +251,8 @@ func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
 	add("dnn/forward-batch-tableII", func(b *testing.B) {
 		// One 256-row batched forward over the Table II shape: the batched
 		// refresh engine's kernel. ns/op is per batch (÷256 for per-row);
-		// the win over 256 single-row Forwards is modest on this shape —
-		// the sigmoid evaluations dominate — but the kernel must stay
+		// it is 256 single-row layer passes per layer, so the win over 256
+		// Forwards is modest on this shape, but the kernel must stay
 		// allocation-free and never regress.
 		net, in, _ := tableIINet(1)
 		const rows = 256
@@ -265,6 +265,24 @@ func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := net.ForwardBatchInto(scratch, ins); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	add("dnn/sigmoid-tableII", func(b *testing.B) {
+		// A 50-wide layer of fan-in 1: a Table II hidden layer's fifty
+		// activations with the multiply/add work all but gone, so the row
+		// times the sigmoid of the tier Snapshot.DNNKernel names
+		// (BenchmarkSigmoidTableII in internal/dnn prints both tiers).
+		net, err := dnn.New(dnn.Config{LayerSizes: []int{1, 50}, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := []float64{0.5}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := net.Forward(in); err != nil {
 				b.Fatal(err)
 			}
 		}

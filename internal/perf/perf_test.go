@@ -160,6 +160,7 @@ func TestSuiteQuickRunsKernels(t *testing.T) {
 	s := Suite(true)
 	want := map[string]bool{
 		"dnn/forward-tableII":      false,
+		"dnn/sigmoid-tableII":      false,
 		"dnn/train-sample-tableII": false,
 		"dnn/train-batch-tableII":  false,
 		"predict/corp-observe":     false,

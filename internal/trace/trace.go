@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/fmath"
 	"repro/internal/job"
 	"repro/internal/resource"
 )
@@ -447,7 +448,7 @@ func sampleClass(rng *rand.Rand, w [4]float64) job.Class {
 // [1, MaxShortJobSlots].
 func sampleDuration(rng *rand.Rand, mean int) int {
 	mu := math.Log(float64(mean)) - 0.32 // sigma²/2 with sigma = 0.8
-	d := int(math.Exp(mu + 0.8*rng.NormFloat64()))
+	d := int(fmath.Exp(mu + 0.8*rng.NormFloat64()))
 	if d < 1 {
 		d = 1
 	}
