@@ -47,7 +47,9 @@ fma-off:
 # equivalence suites run production sim.Run at several worker counts
 # against the test-side oracles (oracle_test.go: the reference slot loop
 # and the recompute-telemetry run, entered through newRunState), so the
-# sharded execute, observe and span replay all run under the detector.
+# sharded execute, observe and span replay all run under the detector —
+# the patched-row telemetry path included, through the 4-worker runs of
+# TestObserveTableEquivalence's fault and long-job scenarios.
 # -short skips the heavyweight single-threaded determinism tests (they add
 # minutes under the race detector and no concurrency coverage).
 # internal/sim alone runs ~10 minutes on a one-core box, right at go
@@ -67,14 +69,17 @@ farm-smoke:
 	$(GO) build -o bin/corpfarmd ./cmd/corpfarmd
 	./bin/corpfarm -addr 127.0.0.1:0 -quick -local 0 -spawn 2 -figs fig06,ext-faults
 
-# scale-smoke runs the short-horizon scale-profile smoke test explicitly:
-# one 5000-PM / 20000-VM RCCR burst at a truncated horizon, production
-# sim.Run compared bit-for-bit with the recompute-telemetry oracle (the
-# same run with the periodic resident tables dropped). It also
-# rides the plain `go test ./...` tier; the named target keeps the 5k-PM
-# path visible as its own CI step.
+# scale-smoke runs the short-horizon scale-profile smoke tests explicitly:
+# one 5000-PM / 20000-VM RCCR burst at a truncated horizon, calm
+# (TestScaleProfileSmoke: every telemetry slot aliases the table rows) and
+# under crashes, surges and long jobs (TestScaleChurnSmoke: rows patched,
+# dense long-job placement), production sim.Run compared bit-for-bit with
+# the recompute-telemetry oracle (the same run with the periodic resident
+# tables dropped) and the path counters asserted. They also ride the plain
+# `go test ./...` tier; the named target keeps the 5k-PM path visible as
+# its own CI step.
 scale-smoke:
-	$(GO) test -count=1 -run TestScaleProfileSmoke ./internal/sim
+	$(GO) test -count=1 -run 'TestScaleProfileSmoke|TestScaleChurnSmoke' ./internal/sim
 
 # fuzz-smoke gives each fuzz target ten seconds of mutation beyond the seed
 # corpus plain `go test` replays: the owned exponential against math.Exp,
@@ -94,13 +99,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSpecKeys$$' -fuzztime $(FUZZTIME) ./internal/farm
 
 # profile-scale captures pprof CPU+heap profiles of the scale-profile
-# single run (scale/sim-scale5k-rccr only, via -bench-filter — no other
-# bench or its setup runs). -bench-filter also takes a comma-separated
-# list (e.g. "scale/,sim/span") to profile several groups in one run.
+# single run (scale/sim-scale5k-rccr-w1 only, via -bench-filter — no other
+# bench or its setup runs); `make profile-scale
+# SCALE_BENCH=scale/sim-scale5k-rccr-churn-w1` profiles the churned fleet
+# instead. -bench-filter also takes a comma-separated list (e.g.
+# "scale/,sim/span") to profile several groups in one run.
 # Inspect with `go tool pprof cpu-scale.pprof`.
 # This is where every scale-profile optimisation starts; see EXPERIMENTS.md.
+SCALE_BENCH ?= scale/sim-scale5k-rccr-w1
 profile-scale:
-	$(GO) run ./cmd/corpbench -json -bench-filter scale/sim-scale5k-rccr-w1 \
+	$(GO) run ./cmd/corpbench -json -bench-filter $(SCALE_BENCH) \
 		-cpuprofile cpu-scale.pprof -memprofile mem-scale.pprof -out /tmp/bench-scale.json
 	@echo "wrote cpu-scale.pprof mem-scale.pprof (bench json: /tmp/bench-scale.json)"
 
@@ -115,7 +123,7 @@ bench:
 
 # bench-diff compares two snapshots and fails on >10% ns/op regression
 # (or any allocs/op growth) in the DNN kernels:
-#   make bench-diff OLD=BENCH_2026-10-01.json NEW=BENCH_2026-10-05.json
+#   make bench-diff OLD=BENCH_2026-10-02.json NEW=BENCH_2026-10-05.json
 bench-diff:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=old.json NEW=new.json"; exit 1; }
 	$(GO) run ./cmd/corpbench -bench-diff "$(OLD),$(NEW)"

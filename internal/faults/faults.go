@@ -135,9 +135,11 @@ type SlotEvents struct {
 // Injector produces the fault schedule for one simulation run. It is not
 // safe for concurrent use; each run owns its injector.
 type Injector struct {
-	cfg    Config
-	rng    *rand.Rand
-	vmToPM []int
+	cfg Config
+	rng *rand.Rand
+	// pmVMs[pm] lists the VMs PM pm hosts, ascending; built once, and only
+	// when PMs can crash, so a PM failure touches just its own VMs.
+	pmVMs [][]int
 
 	downUntil  []int // per VM: slot at which it recovers; -1 = up
 	surgeUntil []int // per VM: last slot (exclusive) of the active surge
@@ -153,7 +155,6 @@ func NewInjector(cfg Config, vmToPM []int) *Injector {
 	in := &Injector{
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ 0xfa17)),
-		vmToPM:     append([]int(nil), vmToPM...),
 		downUntil:  make([]int, len(vmToPM)),
 		surgeUntil: make([]int, len(vmToPM)),
 		surgeFac:   make([]float64, len(vmToPM)),
@@ -163,6 +164,14 @@ func NewInjector(cfg Config, vmToPM []int) *Injector {
 		in.surgeFac[v] = 1
 	}
 	in.ev.Surge = in.surgeFac
+	if cfg.PMCrashProb > 0 {
+		for v, pm := range vmToPM {
+			for pm >= len(in.pmVMs) {
+				in.pmVMs = append(in.pmVMs, nil)
+			}
+			in.pmVMs[pm] = append(in.pmVMs[pm], v)
+		}
+	}
 	return in
 }
 
@@ -171,17 +180,6 @@ func (in *Injector) Config() Config { return in.cfg }
 
 // Down reports whether VM v is currently failed.
 func (in *Injector) Down(v int) bool { return in.downUntil[v] >= 0 }
-
-// numPMs returns the PM count implied by the topology.
-func (in *Injector) numPMs() int {
-	n := 0
-	for _, pm := range in.vmToPM {
-		if pm+1 > n {
-			n = pm + 1
-		}
-	}
-	return n
-}
 
 // Advance rolls the injector to slot t and returns the slot's events. It
 // must be called once per slot with strictly increasing t. The returned
@@ -201,24 +199,22 @@ func (in *Injector) Advance(t int) SlotEvents {
 	}
 
 	// 2. Whole-PM failures take every hosted VM down together.
-	if in.cfg.PMCrashProb > 0 {
-		for pm := 0; pm < in.numPMs(); pm++ {
-			if in.rng.Float64() >= in.cfg.PMCrashProb {
-				continue
-			}
-			in.ev.PMCrashes++
-			dt := in.downtime()
-			for v, host := range in.vmToPM {
-				if host == pm && in.downUntil[v] < 0 {
-					in.crash(v, t+dt)
-				}
+	for _, hosted := range in.pmVMs {
+		if in.rng.Float64() >= in.cfg.PMCrashProb {
+			continue
+		}
+		in.ev.PMCrashes++
+		dt := in.downtime()
+		for _, v := range hosted {
+			if in.downUntil[v] < 0 {
+				in.crash(v, t+dt)
 			}
 		}
 	}
 
 	// 3. Independent single-VM crashes.
 	if in.cfg.VMCrashProb > 0 {
-		for v := range in.vmToPM {
+		for v := range in.downUntil {
 			if in.downUntil[v] >= 0 {
 				continue
 			}
@@ -230,7 +226,7 @@ func (in *Injector) Advance(t int) SlotEvents {
 
 	// 4. Resident demand surges on up VMs.
 	if in.cfg.SurgeProb > 0 {
-		for v := range in.vmToPM {
+		for v := range in.downUntil {
 			if in.surgeUntil[v] > t {
 				continue // surge still running
 			}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -188,5 +189,74 @@ func TestCrashClearsSurge(t *testing.T) {
 		if in.Down(v) && f != 1 {
 			t.Errorf("down VM %d still surging with factor %v", v, f)
 		}
+	}
+}
+
+// TestPMCrashSchedulePinned pins the whole-PM failure path to the schedule
+// the injector produced before the PM → VM index list replaced its
+// per-PM scans of every VM (recorded from that code): same draws, same
+// crash order, on the cluster's round-robin VM → PM layout. Only slots
+// with an event are listed.
+func TestPMCrashSchedulePinned(t *testing.T) {
+	vmToPM := make([]int, 15)
+	for v := range vmToPM {
+		vmToPM[v] = v % 5
+	}
+	in := NewInjector(Config{Seed: 42, PMCrashProb: 0.01, VMCrashProb: 0.004, MeanDowntime: 6}, vmToPM)
+	want := []string{
+		"2 crashed=[5] recovered=[] pm=0",
+		"5 crashed=[] recovered=[5] pm=0",
+		"6 crashed=[4 9 14] recovered=[] pm=1",
+		"12 crashed=[0 5 10] recovered=[] pm=1",
+		"15 crashed=[] recovered=[0 4 5 9 10 14] pm=0",
+		"26 crashed=[14] recovered=[] pm=0",
+		"30 crashed=[1 6 11] recovered=[] pm=1",
+		"32 crashed=[] recovered=[14] pm=0",
+		"41 crashed=[] recovered=[1 6 11] pm=0",
+		"54 crashed=[2] recovered=[] pm=0",
+		"55 crashed=[4 9 14] recovered=[] pm=1",
+		"58 crashed=[] recovered=[2] pm=0",
+		"64 crashed=[3 8 13] recovered=[4 9 14] pm=1",
+		"70 crashed=[0 5 10] recovered=[] pm=1",
+		"73 crashed=[] recovered=[3 8 13] pm=0",
+		"80 crashed=[] recovered=[0 5 10] pm=0",
+		"83 crashed=[2 7 12 13] recovered=[] pm=1",
+		"89 crashed=[] recovered=[2 7 12] pm=0",
+		"93 crashed=[7] recovered=[13] pm=0",
+		"96 crashed=[3 4] recovered=[] pm=0",
+		"97 crashed=[1 6 11] recovered=[3] pm=1",
+		"100 crashed=[] recovered=[7] pm=0",
+		"105 crashed=[13] recovered=[1 6 11] pm=0",
+		"107 crashed=[] recovered=[4] pm=0",
+		"113 crashed=[1] recovered=[13] pm=0",
+		"119 crashed=[3 8 13] recovered=[] pm=1",
+		"121 crashed=[] recovered=[1] pm=0",
+		"124 crashed=[] recovered=[3 8 13] pm=0",
+		"127 crashed=[0 5 10] recovered=[] pm=1",
+		"130 crashed=[] recovered=[0 5 10] pm=0",
+		"133 crashed=[1] recovered=[] pm=0",
+		"135 crashed=[5] recovered=[] pm=0",
+		"141 crashed=[] recovered=[1] pm=0",
+		"142 crashed=[] recovered=[5] pm=0",
+		"146 crashed=[13] recovered=[] pm=0",
+		"156 crashed=[] recovered=[13] pm=0",
+		"165 crashed=[1] recovered=[] pm=0",
+		"168 crashed=[5] recovered=[] pm=0",
+		"173 crashed=[] recovered=[5] pm=0",
+		"174 crashed=[] recovered=[1] pm=0",
+		"175 crashed=[4 9 14] recovered=[] pm=1",
+		"176 crashed=[0 6] recovered=[] pm=0",
+		"183 crashed=[] recovered=[0 6] pm=0",
+		"186 crashed=[] recovered=[4 9 14] pm=0",
+	}
+	var got []string
+	for s := 0; s < 200; s++ {
+		ev := in.Advance(s)
+		if len(ev.Crashed)+len(ev.Recovered)+ev.PMCrashes > 0 {
+			got = append(got, fmt.Sprintf("%d crashed=%v recovered=%v pm=%d", s, ev.Crashed, ev.Recovered, ev.PMCrashes))
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("PM-crash schedule changed:\n got  %q\n want %q", got, want)
 	}
 }

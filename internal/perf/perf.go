@@ -24,6 +24,7 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/experiments"
 	"repro/internal/farm"
+	"repro/internal/faults"
 	"repro/internal/hmm"
 	"repro/internal/job"
 	"repro/internal/predict"
@@ -94,7 +95,7 @@ type FarmStats struct {
 // compute kernels and the trace generators at the base tolerance; the
 // isolated slot-observe benches at 2× — they walk a 20000-VM fleet per op,
 // so box weather moves them more than a µs kernel, while the regression
-// they guard (the table fast path silently degrading to recomputation) is
+// they guard (the table rows silently degrading to recomputation) is
 // a 13× cliff no tolerance hides; the span-fastforward A/B pair likewise
 // at 2× (the off entry keeps the escape hatch honest); the scale/* end-to-
 // end single runs at a wider band — they are the tentpole numbers this
@@ -507,11 +508,12 @@ func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
 	// ns-gated so the time-axis fast path cannot silently regress.
 	add("sim/span-fastforward-on", warmRunBench(spanBenchConfig()))
 	// Isolated telemetry-phase benches over the 20000-VM scale fleet:
-	// the periodic-table fast path taken on quiet slots versus the per-VM
-	// recomputation surged, long-job and non-periodic slots run (identical
+	// the periodic-table rows every slot of a periodic population starts
+	// from (aliased here — an idle fleet has nothing to patch) versus the
+	// per-VM recomputation a non-periodic population runs (identical
 	// outputs — the table-equivalence tests). Both are ns- and alloc-gated:
-	// the fast path is the per-slot floor of the scale/sim-scale5k-* runs
-	// and must stay allocation-free.
+	// the aliased rows are the per-slot floor of the scale/sim-scale5k-*
+	// runs and must stay allocation-free.
 	if matchesAny("sim/slot-observe-tables-20k", "sim/slot-observe-recompute-20k") {
 		snapshot, err := workload.Build(observeBenchParams())
 		if err != nil {
@@ -657,6 +659,15 @@ func SuiteFiltered(quick bool, filter string) (snap Snapshot) {
 		// behind would perturb the µs- and ms-scale entries above.
 		add("farm/campaign-quick-w1", farmCampaignBench(1, nil))
 		add("farm/campaign-quick-w2", farmCampaignBench(2, &snap.Farm))
+		// The scale fleet under churn — the repo benchmark's
+		// rccr-scale5k-churn unit: crashes, surges and long jobs keep the
+		// long-job placement column and the patched telemetry rows busy.
+		// After everything else: run right before the refresh20k rows it
+		// made them read 4–15× their value in three captures out of three
+		// (its ~250 MB snapshot stays in the workload cache; the suite's
+		// system time tripled), while a multi-second run shrugs off what
+		// the farm leaves behind.
+		add("scale/sim-scale5k-rccr-churn-w1", warmRunBench(scaleChurnConfig(1)))
 	}
 	return snap
 }
@@ -845,6 +856,17 @@ func scaleProfileConfig(workers int) sim.Config {
 	}
 	cfg.Jobs.MeanDuration = 30
 	cfg.Jobs.VMCapacity = resource.Vector{0.5, 2, 8}
+	return cfg
+}
+
+// scaleChurnConfig is bench/'s rccr-scale5k-churn unit at seed 1: the
+// scale profile's fleet and arrival rate over two thirds of its horizon,
+// plus VM crashes, resident surges and 2000 long jobs.
+func scaleChurnConfig(workers int) sim.Config {
+	cfg := scaleProfileConfig(workers)
+	cfg.Faults = faults.Config{Seed: 1, VMCrashProb: 5e-4, SurgeProb: 2e-3}
+	cfg.LongJobs = 2000
+	cfg.NumJobs, cfg.ArrivalSpan, cfg.Drain = 175_000, 30, 60
 	return cfg
 }
 

@@ -30,16 +30,17 @@ func TestAdjustFreshGrowthRespectsLongReservations(t *testing.T) {
 	rt := job.NewRuntime(spec)
 	rt.Allocated = one(1)
 	// Entity 0 = fresh placement (opportunistic jobs carry entity 1).
-	st := &vmState{
+	vms := []vmState{{
 		capacity:     one(10),
 		reserved:     one(4),
 		longReserved: one(4),
 		freshInUse:   one(1),
 		running:      []*job.Runtime{rt},
-	}
+	}}
+	st := &vms[0]
 	st.rebuildHot()
 
-	applyAdjustments([]*vmState{st}, growAdjuster{want: one(6)})
+	applyAdjustments(vms, []bool{false}, growAdjuster{want: one(6)})
 
 	total := st.reserved.Add(st.longReserved).Add(st.freshInUse)
 	if !total.FitsIn(st.capacity) {
@@ -58,9 +59,9 @@ func TestAdjustFreshGrowthRespectsLongReservations(t *testing.T) {
 	opp := job.NewRuntime(spec)
 	opp.Allocated = one(1)
 	opp.Entity = 1
-	stOpp := &vmState{capacity: one(10), reserved: one(4), oppInUse: one(1), running: []*job.Runtime{opp}}
-	stOpp.rebuildHot()
-	applyAdjustments([]*vmState{stOpp}, growAdjuster{want: one(6)})
+	vmsOpp := []vmState{{capacity: one(10), reserved: one(4), oppInUse: one(1), running: []*job.Runtime{opp}}}
+	vmsOpp[0].rebuildHot()
+	applyAdjustments(vmsOpp, []bool{false}, growAdjuster{want: one(6)})
 	if want := one(6); opp.Allocated != want {
 		t.Errorf("opportunistic adjusted allocation = %v, want %v", opp.Allocated, want)
 	}

@@ -36,12 +36,12 @@ func TestClusterUtilizationCountsFreshOnce(t *testing.T) {
 	opp := job.NewRuntime(spec(2))
 	opp.Allocated = one(1)
 	opp.Entity = 1
-	vms := []*vmState{
+	vms := []vmState{
 		{capacity: one(8), reserved: one(2), freshInUse: one(3), running: []*job.Runtime{fresh}},
 		{capacity: one(8), reserved: one(2), oppInUse: one(1), running: []*job.Runtime{opp}},
 	}
-	for _, st := range vms {
-		st.rebuildHot()
+	for v := range vms {
+		vms[v].rebuildHot()
 	}
 
 	cl, err := cluster.New(cluster.Config{NumPMs: 1, NumVMs: 2})
@@ -91,9 +91,9 @@ func TestRefreshWindowSkipsDownVMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vms := make([]*vmState, 4)
+	vms := make([]vmState, 4)
 	for i := range vms {
-		vms[i] = &vmState{capacity: resource.Vector{4, 16, 180}}
+		vms[i] = vmState{capacity: resource.Vector{4, 16, 180}}
 	}
 	rs := &runState{
 		cl:      cl,

@@ -14,7 +14,7 @@ import (
 // over a synthetic idle fleet, for the perf suite's sim/slot-observe-*
 // entries: the same per-slot work the full scale run pays on every quiet
 // slot, with the predictor fan-out stubbed out so the measurement isolates
-// the resident-demand computation (periodic-table fast path versus per-VM
+// the resident-demand computation (periodic-table rows versus per-VM
 // recomputation).
 type ObserveBench struct {
 	rs *runState
@@ -38,17 +38,17 @@ func (nullScheduler) Place([]*job.Job, []scheduler.VMView) []scheduler.Placement
 
 // NewObserveBench builds the bench fleet from a prepared workload snapshot
 // (one resident per VM capacity in its params). disableTables forces the
-// slow recomputation path; otherwise the snapshot's periodic tables drive
-// the fast path.
+// per-VM recomputation a non-periodic population runs; otherwise the
+// snapshot's periodic tables supply the rows.
 func NewObserveBench(snap *workload.Snapshot, disableTables bool) (*ObserveBench, error) {
 	residents := snap.Residents()
 	caps := snap.Params().VMCaps
 	if len(residents) != len(caps) {
 		return nil, fmt.Errorf("sim: observe bench: %d residents for %d VM capacities", len(residents), len(caps))
 	}
-	vms := make([]*vmState, len(residents))
+	vms := make([]vmState, len(residents))
 	for i, r := range residents {
-		vms[i] = &vmState{capacity: caps[i], reserved: r.Request, resident: r}
+		vms[i] = vmState{capacity: caps[i], reserved: r.Request, resident: r}
 	}
 	rs := &runState{
 		sched:   nullScheduler{},
@@ -64,7 +64,7 @@ func NewObserveBench(snap *workload.Snapshot, disableTables bool) (*ObserveBench
 	return &ObserveBench{rs: rs}, nil
 }
 
-// UsingTables reports whether the fast path is armed.
+// UsingTables reports whether the table rows are armed.
 func (ob *ObserveBench) UsingTables() bool { return ob.rs.tables != nil }
 
 // Run drives iters consecutive telemetry slots (continuing from the last

@@ -37,19 +37,19 @@ type oracle struct {
 	// slotLoop drives runSlotLoop instead of the production event loop.
 	slotLoop bool
 	// recompute drops the resident tables, forcing every slot's telemetry
-	// onto the per-VM recompute path production takes for surged slots,
-	// running long jobs and non-periodic populations (and, with no tables,
-	// no span can form).
+	// onto the per-VM recompute path production takes for non-periodic
+	// populations (and, with no tables, no span can form).
 	recompute bool
 }
 
-// run executes cfg through the seam and returns the result plus the number
-// of slots the span fast-forward replayed. The zero oracle is production
-// Run, step for step.
-func (o oracle) run(cfg Config) (*Result, int, error) {
+// run executes cfg through the seam and returns the result plus the run's
+// path counters (slots the span fast-forward replayed, telemetry slots
+// aliased / patched / recomputed). The zero oracle is production Run, step
+// for step.
+func (o oracle) run(cfg Config) (*Result, pathCounters, error) {
 	rs, err := newRunState(cfg)
 	if err != nil {
-		return nil, 0, err
+		return nil, pathCounters{}, err
 	}
 	defer rs.release()
 	if o.recompute {
@@ -60,7 +60,7 @@ func (o oracle) run(cfg Config) (*Result, int, error) {
 		loop = rs.runSlotLoop
 	}
 	if err := loop(); err != nil {
-		return nil, 0, err
+		return nil, pathCounters{}, err
 	}
-	return rs.finalize(), rs.spanSlots, nil
+	return rs.finalize(), rs.pathCounters, nil
 }

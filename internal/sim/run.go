@@ -37,7 +37,7 @@ type runState struct {
 	workers int
 	claimed int // worker-budget slots to hand back in release
 
-	vms          []*vmState
+	vms          []vmState
 	runtimes     []*job.Runtime
 	longRuntimes []*job.Runtime
 	nextArrival  int
@@ -51,18 +51,20 @@ type runState struct {
 	outcomes         []predict.ErrorSample
 
 	// Per-slot scratch, hoisted so the hot path does not reallocate.
-	// unused/residentUse are copy-on-write: on quiescent table slots they
-	// alias the snapshot's resident-table rows directly (strictly
+	// unused/residentUse are copy-on-write: on table slots with nothing to
+	// patch they alias the snapshot's resident-table rows directly (strictly
 	// read-only — see the aliasing contract on workload.ResidentTables),
 	// and any path that must write per-VM entries first re-points them at
-	// the run-owned backing buffers below.
+	// the run-owned backing buffers below. headVol is placeLongArrivals'
+	// per-event volume column (mixed-workload runs only).
 	surge            []float64
 	unused           []resource.Vector
 	residentUse      []resource.Vector
 	unusedOwned      []resource.Vector
 	residentUseOwned []resource.Vector
 	downMask         []bool
-	surgeHits        []int
+	surgeHits        []int // recompute path only, sized on first use
+	headVol          []float64
 	views            []scheduler.VMView
 	exec             []vmExecRecord
 	spanRows         [][]resource.Vector
@@ -76,12 +78,13 @@ type runState struct {
 	dupScratch     map[job.ID]*job.Runtime
 	dupIDs         bool
 
-	// Activity-proportional fast-path state (DESIGN.md §5f). tables holds
-	// the snapshot's precomputed periodic resident vectors (nil for a
+	// Activity-proportional state (DESIGN.md §5f). tables holds the
+	// snapshot's precomputed periodic resident vectors (nil for a
 	// non-periodic population: telemetry recomputes every slot and no span
-	// forms). downCount/downMask and longActive are maintained
-	// incrementally at their transition points (advanceFaults, long
-	// placement/finish) so the fast paths need no O(VMs) rescan.
+	// forms). downCount/downMask (written by setDown alone) and longActive
+	// are maintained incrementally at their transition points
+	// (advanceFaults, long placement/finish) so no phase rescans the fleet
+	// to learn them.
 	// activeJobs counts running short+long jobs per VM; execDirty marks
 	// VMs whose cached exec record no longer matches what a full
 	// executeVM pass would produce (job finished, fault transition).
@@ -96,11 +99,20 @@ type runState struct {
 	activeJobs  []int32
 	execDirty   []bool
 
-	// Event-loop state. spanSlots counts the slots fastForwardSpan
-	// replayed this run.
+	// Event-loop state.
 	events       eventQueue
 	placeArmedAt int
-	spanSlots    int
+	pathCounters
+}
+
+// pathCounters records, per run, which path each slot took, so a test can
+// prove the one it means to pin actually ran.
+type pathCounters struct {
+	spanSlots       int // slots fastForwardSpan replayed
+	slotsAliased    int // observe served the table rows untouched
+	slotsPatched    int // observe copied the rows and patched vmsPatched entries
+	slotsRecomputed int // observe recomputed every VM (tables == nil)
+	vmsPatched      int
 }
 
 // initScratch sizes the per-slot buffers once.
@@ -111,7 +123,9 @@ func (rs *runState) initScratch() {
 	rs.unusedOwned = rs.unused
 	rs.residentUseOwned = rs.residentUse
 	rs.downMask = make([]bool, n)
-	rs.surgeHits = make([]int, n)
+	if len(rs.longRuntimes) > 0 {
+		rs.headVol = make([]float64, n)
+	}
 	rs.views = make([]scheduler.VMView, n)
 	rs.exec = make([]vmExecRecord, n)
 	rs.activeJobs = make([]int32, n)
@@ -142,13 +156,11 @@ func (rs *runState) advanceFaults(t int) {
 	ev := rs.inj.Advance(t)
 	res.Recovery.PMCrashes += ev.PMCrashes
 	for _, v := range ev.Recovered {
-		rs.vms[v].down = false
 		rs.setDown(v, false)
 		res.Recovery.VMRecoveries++
 	}
 	for _, v := range ev.Crashed {
-		st := rs.vms[v]
-		st.down = true
+		st := &rs.vms[v]
 		rs.setDown(v, true)
 		res.Recovery.VMCrashes++
 		for _, rt := range st.running {
@@ -206,22 +218,26 @@ func (rs *runState) setDown(v int, down bool) {
 }
 
 // placeLongArrivals is phase 1: place arriving long-lived jobs with the
-// cooperating reservation method, largest guaranteed headroom first.
+// cooperating reservation method, largest guaranteed headroom first (lowest
+// index on ties). The slot's arrivals share one dense column of headroom
+// volumes, filled once per call (-1 for a down VM): each arrival scans the
+// column, goes back to the ledger for the fit check only on a candidate
+// that would improve the best volume, and refreshes the chosen VM's entry
+// so the next arrival sees the reservation.
 func (rs *runState) placeLongArrivals(t int) {
+	if rs.nextLong >= len(rs.longRuntimes) || rs.longRuntimes[rs.nextLong].Arrival > t {
+		return
+	}
+	for v := range rs.vms {
+		rs.setHeadVol(v)
+	}
 	for rs.nextLong < len(rs.longRuntimes) && rs.longRuntimes[rs.nextLong].Arrival <= t {
 		rt := rs.longRuntimes[rs.nextLong]
 		rs.nextLong++
 		bestVM, bestVol := -1, -1.0
 		need := rt.Spec.Request
-		for v, st := range rs.vms {
-			if st.down {
-				continue
-			}
-			head := st.freshHeadroom()
-			if !need.FitsIn(head) {
-				continue
-			}
-			if vol := head.Volume(rs.maxVMCap); vol > bestVol {
+		for v, vol := range rs.headVol {
+			if vol > bestVol && need.FitsIn(rs.vms[v].freshHeadroom()) {
 				bestVM, bestVol = v, vol
 			}
 		}
@@ -229,8 +245,9 @@ func (rs *runState) placeLongArrivals(t int) {
 			rs.res.LongUnplaced++
 			continue
 		}
-		st := rs.vms[bestVM]
+		st := &rs.vms[bestVM]
 		st.longReserved = st.longReserved.Add(need)
+		rs.setHeadVol(bestVM)
 		rt.VM = bestVM
 		rt.Started = t
 		rt.Allocated = need
@@ -241,60 +258,86 @@ func (rs *runState) placeLongArrivals(t int) {
 	}
 }
 
+// setHeadVol refreshes VM v's entry of the long-placement volume column.
+func (rs *runState) setHeadVol(v int) {
+	rs.headVol[v] = -1
+	if !rs.downMask[v] {
+		rs.headVol[v] = rs.vms[v].freshHeadroom().Volume(rs.maxVMCap)
+	}
+}
+
 // observe is phase 2: compute the actual unused resources (prediction
 // target) per VM — the residents' slack, shrunk by any demand surge, plus
 // the running long jobs' slack — and feed them to the predictor fleet in
-// one batched call. Failed VMs report no telemetry and offer no pool. The
-// per-VM samples are independent ledger reads, so they shard across the
-// worker budget with positional writes; the surge counter merges as an
-// order-free int sum.
+// one batched call. Failed VMs report no telemetry and offer no pool.
 //
-// Fast path: resident demand is periodic (job.DemandAt wraps
-// t % len(Usage)), so when no surge is active and no long job is running
-// the whole per-VM computation collapses to copying two precomputed rows
-// out of the snapshot's ResidentTables — every entry of which was produced
-// by the identical DemandAt/UnusedAt calls, so the values are bit-exact.
-// Down VMs are re-zeroed from the incrementally maintained down mask. The
-// surge-hit reset/sum is skipped: with surge == nil the slow path would
-// zero every counter and add only zeros, and any later surge slot takes
-// the slow path, which resets every entry before summing, so stale hits
-// can never leak into Recovery.SurgeSlots.
+// Resident demand is periodic (job.DemandAt wraps t % len(Usage)), so with
+// tables the slot starts from the two precomputed rows for t % Period —
+// every entry produced by the identical DemandAt/UnusedAt calls, so
+// bit-exact — and patches only the VMs that differ from them: down (zero),
+// surged (the same Scale/Min/Sub/Clamp, on the row's demand) or hosting
+// long jobs (their slack added in longRunning order). Copy-on-write: the
+// scratch slices alias the read-only rows (see the aliasing contract on
+// workload.ResidentTables) and are re-pointed at the run-owned buffers when
+// the first VM needs a patch; every downstream consumer — predictor feeds,
+// the execute reduction, timeline snapshots — only reads them. Without
+// tables (a non-periodic population) every VM is recomputed, sharded across
+// the worker budget with positional writes. Which branch runs depends on
+// the population alone, never on run state.
 func (rs *runState) observe(t int) {
-	if rs.tables != nil && rs.surge == nil && rs.longActive == 0 {
-		tab := rs.tables
-		p := t % tab.Period
-		if rs.downCount == 0 {
-			// Copy-on-write: no entry needs patching, so the scratch
-			// slices alias the (read-only) table rows directly instead of
-			// copying 2×NumVMs vectors. Every downstream consumer —
-			// predictor feeds, the execute reduction, timeline snapshots —
-			// only reads them; any writing path below re-points the
-			// slices at the run-owned buffers first.
-			rs.residentUse = tab.DemandRow(p)
-			rs.unused = tab.UnusedRow(p)
-		} else {
-			rs.residentUse = rs.residentUseOwned
-			rs.unused = rs.unusedOwned
-			copy(rs.residentUse, tab.DemandRow(p))
-			copy(rs.unused, tab.UnusedRow(p))
-			for v, d := range rs.downMask {
-				if d {
-					rs.unused[v] = resource.Vector{}
-					rs.residentUse[v] = resource.Vector{}
+	surge := rs.surge
+	if tab := rs.tables; tab != nil {
+		demand, unused := tab.DemandRow(t%tab.Period), tab.UnusedRow(t%tab.Period)
+		rs.residentUse, rs.unused = demand, unused
+		patched, hits := 0, 0
+		if rs.downCount > 0 || rs.longActive > 0 || surge != nil {
+			for v, down := range rs.downMask {
+				surged := surge != nil && surge[v] > 1
+				if !down && !surged && (rs.longActive == 0 || len(rs.vms[v].longRunning) == 0) {
+					continue
 				}
+				if patched == 0 {
+					rs.residentUse, rs.unused = rs.residentUseOwned, rs.unusedOwned
+					copy(rs.residentUse, demand)
+					copy(rs.unused, unused)
+				}
+				patched++
+				if down {
+					rs.residentUse[v], rs.unused[v] = resource.Vector{}, resource.Vector{}
+					continue
+				}
+				st := &rs.vms[v]
+				u := unused[v]
+				if surged {
+					rs.residentUse[v] = demand[v].Scale(surge[v]).Min(st.reserved)
+					u = st.reserved.Sub(rs.residentUse[v]).ClampNonNegative()
+					hits++
+				}
+				for _, rt := range st.longRunning {
+					u = u.Add(rt.Spec.Request.Sub(rt.Spec.DemandAt(rt.Slots)).ClampNonNegative())
+				}
+				rs.unused[v] = u
 			}
+		}
+		if patched == 0 {
+			rs.slotsAliased++
+		} else {
+			rs.slotsPatched++
+			rs.vmsPatched += patched
+			rs.res.Recovery.SurgeSlots += hits
 		}
 		rs.sched.ObserveAll(rs.unused, rs.downMask)
 		return
 	}
-	rs.residentUse = rs.residentUseOwned
-	rs.unused = rs.unusedOwned
-	surge := rs.surge
+	rs.slotsRecomputed++
+	rs.residentUse, rs.unused = rs.residentUseOwned, rs.unusedOwned
+	if rs.surgeHits == nil {
+		rs.surgeHits = make([]int, len(rs.vms))
+	}
 	shardIndexes(rs.workers, len(rs.vms), func(v int) {
-		st := rs.vms[v]
-		rs.downMask[v] = st.down
+		st := &rs.vms[v]
 		rs.surgeHits[v] = 0
-		if st.down {
+		if rs.downMask[v] {
 			rs.unused[v] = resource.Vector{}
 			rs.residentUse[v] = resource.Vector{}
 			return
@@ -326,7 +369,7 @@ func (rs *runState) refreshWindow(t int) {
 	start := rs.clk.Now()
 	rs.sched.Refresh()
 	if adj, ok := rs.sched.(scheduler.Adjuster); ok {
-		applyAdjustments(rs.vms, adj)
+		applyAdjustments(rs.vms, rs.downMask, adj)
 	}
 	rs.res.Overhead.AddCompute(rs.clk.Now() - start)
 	// One status RPC per VM to collect utilization reports; in a real
@@ -347,11 +390,12 @@ func (rs *runState) refreshWindow(t int) {
 // scheme's corrected amount. Opportunistic jobs swap their allocation
 // freely (risk lands at execute time when the pool runs short); fresh jobs
 // may only grow into real guaranteed headroom.
-func applyAdjustments(vms []*vmState, adj scheduler.Adjuster) {
-	for _, st := range vms {
-		if st.down {
+func applyAdjustments(vms []vmState, down []bool, adj scheduler.Adjuster) {
+	for v := range vms {
+		if down[v] {
 			continue
 		}
+		st := &vms[v]
 		for i, rt := range st.running {
 			// The hot entry carries the live slot counter and shadows the
 			// allocation; the runtime's Slots is only synced at finish, so
@@ -415,11 +459,12 @@ func (rs *runState) admitRetries(t int) bool {
 // VMs drop out of the scheduler's view and re-enter when they recover.
 func (rs *runState) placeQueued(t int) error {
 	res := rs.res
-	for v, st := range rs.vms {
-		if st.down {
+	for v := range rs.vms {
+		if rs.downMask[v] {
 			rs.views[v] = scheduler.VMView{Down: true}
 			continue
 		}
+		st := &rs.vms[v]
 		rs.views[v] = scheduler.VMView{
 			FreshAvailable: st.freshHeadroom(),
 			OppInUse:       st.oppInUse,
@@ -460,7 +505,7 @@ func (rs *runState) placeQueued(t int) error {
 			rt.VM = p.VM
 			rt.Started = t
 			rt.Allocated = p.Allocs[idx]
-			st := rs.vms[p.VM]
+			st := &rs.vms[p.VM]
 			if p.Opportunistic {
 				st.oppInUse = st.oppInUse.Add(rt.Allocated)
 				res.PlacedOpportunistic++
@@ -730,14 +775,14 @@ func (st *vmState) rebuildHot() {
 // jobs, so an empty shorts/longGrants is exactly what a fresh pass would
 // record for it.
 func (rs *runState) executeVM(t, v int, acc *slotAccum) {
-	st := rs.vms[v]
+	st := &rs.vms[v]
 	rec := &rs.exec[v]
 	rec.longGrants = rec.longGrants[:0]
 	rec.shorts = rec.shorts[:0]
 	rec.longFinished = 0
 	rec.shortFinished = 0
-	rec.skip = st.down
-	if st.down {
+	rec.skip = rs.downMask[v]
+	if rec.skip {
 		return
 	}
 	// Ledger snapshot before completions release reservations: the
@@ -873,7 +918,8 @@ func (rs *runState) finalize() *Result {
 	// Jobs still running at the horizon carry their live progress in the
 	// VMs' hot arrays (the Runtime fields are only synced at finish); write
 	// it back before the per-runtime accounting below reads it.
-	for _, st := range rs.vms {
+	for v := range rs.vms {
+		st := &rs.vms[v]
 		for i, rt := range st.running {
 			rt.Progress = st.hot[i].progress
 			rt.Slots = int(st.hot[i].slots)

@@ -249,7 +249,6 @@ type vmState struct {
 	// update the pair together). See hotShort in run.go.
 	hot         []hotShort
 	longRunning []*job.Runtime
-	down        bool // failed by fault injection; recovers later
 }
 
 // freshHeadroom is the guaranteed capacity still unallocated on the VM.
@@ -404,9 +403,9 @@ func newRunState(cfg Config) (rs *runState, err error) {
 		}
 	}
 
-	vms := make([]*vmState, len(cl.VMs))
+	vms := make([]vmState, len(cl.VMs))
 	for i, vm := range cl.VMs {
-		vms[i] = &vmState{
+		vms[i] = vmState{
 			capacity: vm.Capacity,
 			reserved: residents[i].Request,
 			resident: residents[i],
@@ -467,7 +466,7 @@ func newRunState(cfg Config) (rs *runState, err error) {
 		// VM per candidate in the long-job placement phase.
 		maxVMCap: cl.MaxVMCapacity(),
 	}
-	// Periodic resident tables for the telemetry fast path, built once per
+	// Periodic resident tables for the telemetry phase, built once per
 	// snapshot and shared via the workload cache; nil for a non-periodic
 	// population, which recomputes every slot. Guarded by the VM count so a
 	// snapshot/cluster mismatch can never read the wrong rows (the key

@@ -9,7 +9,7 @@ import "repro/internal/resource"
 // span would be a pure telemetry+execute no-op slot:
 //
 //   - the resident tables are armed and no surge is active, so observe(t)
-//     would take the table fast path and its output depends only on
+//     would serve the table rows unpatched and its output depends only on
 //     t mod Period;
 //   - no long or short job is running and no VM carries a pending
 //     fault/finish transition (execDirty), so executeSlot(t) would skip
@@ -105,8 +105,8 @@ func (rs *runState) fastForwardSpan(t0, end int) {
 	clusterAlloc = clusterAlloc.Add(zero)
 
 	// Telemetry rows for the span, aliased straight out of the resident
-	// tables (read-only; the observe fast path would alias the same rows
-	// with downCount == 0).
+	// tables (read-only; observe would alias the same rows, having nothing
+	// to patch).
 	rows := rs.spanRows[:0]
 	for t := t0; t < end; t++ {
 		rows = append(rows, tab.UnusedRow(t%tab.Period))

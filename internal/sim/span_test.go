@@ -102,10 +102,11 @@ func TestSpanFastForwardEquivalence(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			got, ff, err := oracle{}.run(sc.cfg())
+			got, pc, err := oracle{}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
+			ff := pc.spanSlots
 			if sc.wantSpans && ff == 0 {
 				t.Fatal("scenario never entered the span fast path; it pins nothing")
 			}
@@ -113,11 +114,11 @@ func TestSpanFastForwardEquivalence(t *testing.T) {
 				t.Fatalf("span fast path replayed %d slots; this scenario requires it to stand down", ff)
 			}
 
-			want, ff, err := oracle{slotLoop: true}.run(sc.cfg())
+			want, pc, err := oracle{slotLoop: true}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ff != 0 {
+			if ff = pc.spanSlots; ff != 0 {
 				t.Fatalf("slot loop replayed %d span slots; it must have no span path", ff)
 			}
 			if !reflect.DeepEqual(want, got) {
@@ -137,11 +138,11 @@ func TestSpanFastForwardWorkersAndCores(t *testing.T) {
 		cfg.Workers = workers
 		return cfg
 	}
-	want, ff, err := oracle{}.run(mk(1))
+	want, pc, err := oracle{}.run(mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ff == 0 {
+	if pc.spanSlots == 0 {
 		t.Fatal("reference run never entered the span fast path; the comparison is vacuous")
 	}
 	for _, tc := range []struct {

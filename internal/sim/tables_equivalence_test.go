@@ -12,13 +12,16 @@ import (
 	"repro/internal/trace"
 )
 
-// TestObserveTableEquivalence pins the observe fast path: every scenario
-// must produce the identical Result from production Run and from the same
-// event loop with the periodic resident tables dropped, which recomputes
-// every VM's telemetry every slot (oracle_test.go). The matrix covers the quiet fast path itself, fault-driven
-// down-mask patching, surge-heavy runs (fast path standing down for long
-// stretches), the mixed long-job workload (longActive gating), and an
-// explicit-jobs run whose widened horizon forces real t % period wraps.
+// TestObserveTableEquivalence pins the table telemetry path: every scenario
+// must produce the identical Result from production Run (rows, patched where
+// a VM is down, surged or hosts long jobs) at 1 and 4 workers and from the
+// same event loop with the periodic resident tables dropped, which
+// recomputes every VM's telemetry every slot (oracle_test.go). The matrix
+// covers the quiet aliased path itself, each patch kind alone and all three
+// on the same VMs, a surge that clamps at the reservation, and an
+// explicit-jobs run whose widened horizon forces real t % period wraps. The
+// per-run path counters prove which path each side took: production never
+// recomputes, and a scenario that means to patch does.
 func TestObserveTableEquivalence(t *testing.T) {
 	base := func(sc scheduler.Scheme, seed int64) Config {
 		return Config{
@@ -32,8 +35,11 @@ func TestObserveTableEquivalence(t *testing.T) {
 	scenarios := []struct {
 		name string
 		cfg  func() Config
+		// patches: the scenario must patch rows on some slots (else on
+		// none); aliases: it must serve some slots' rows untouched.
+		patches, aliases bool
 	}{
-		{"plain-rccr", func() Config { return base(scheduler.RCCR, 7) }},
+		{"plain-rccr", func() Config { return base(scheduler.RCCR, 7) }, false, true},
 		{"faulted", func() Config {
 			cfg := base(scheduler.CORP, 11)
 			cfg.Faults = faults.Config{
@@ -41,19 +47,19 @@ func TestObserveTableEquivalence(t *testing.T) {
 				SurgeProb: 0.02, DelayProb: 0.05,
 			}
 			return cfg
-		}},
+		}, true, true},
 		{"surged", func() Config {
 			cfg := base(scheduler.RCCR, 13)
 			cfg.Faults = faults.Config{
 				Seed: 13, SurgeProb: 0.25, SurgeFactor: 1.8, MeanDowntime: 8,
 			}
 			return cfg
-		}},
+		}, true, false},
 		{"mixed-long", func() Config {
 			cfg := base(scheduler.CORP, 9)
 			cfg.LongJobs = 8
 			return cfg
-		}},
+		}, true, true},
 		{"span-quiet-tail", func() Config {
 			// A short burst followed by a long drain: the tail is pure
 			// quiescence, so the event loop fast-forwards span after span
@@ -64,7 +70,7 @@ func TestObserveTableEquivalence(t *testing.T) {
 			cfg.ArrivalSpan = 10
 			cfg.Drain = 200
 			return cfg
-		}},
+		}, false, true},
 		{"span-edge-fault", func() Config {
 			// Faults during a quiet-heavy run: the injector re-arms its
 			// draw event every slot, so every would-be span is bounded at
@@ -77,7 +83,7 @@ func TestObserveTableEquivalence(t *testing.T) {
 				Seed: 19, VMCrashProb: 0.02, MeanDowntime: 10,
 			}
 			return cfg
-		}},
+		}, true, true},
 		{"span-refresh-bisect", func() Config {
 			// A refresh window far wider than the default bisects the quiet
 			// tail into long spans whose only boundary is the refresh event
@@ -88,7 +94,7 @@ func TestObserveTableEquivalence(t *testing.T) {
 			cfg.ArrivalSpan = 10
 			cfg.Drain = 200
 			return cfg
-		}},
+		}, false, true},
 		{"explicit-wrap", func() Config {
 			cfg := base(scheduler.RCCR, 3)
 			// Late-arriving explicit jobs widen the run horizon well past
@@ -108,38 +114,80 @@ func TestObserveTableEquivalence(t *testing.T) {
 			}
 			cfg.ExplicitJobs = jobs
 			return cfg
-		}},
+		}, false, true},
+		{"surge-long-crash", func() Config {
+			// More long jobs than VMs, frequent surges and crashes: the
+			// three patch kinds keep landing on the same VM, and a crash
+			// kills the long jobs a surged VM hosts.
+			cfg := base(scheduler.RCCR, 29)
+			cfg.LongJobs = 40
+			cfg.Faults = faults.Config{
+				Seed: 29, VMCrashProb: 0.03, MeanDowntime: 6, SurgeProb: 0.3,
+			}
+			return cfg
+		}, true, false},
+		{"crash-only", func() Config {
+			// SurgeProb = 0: the injector still hands out a (calm) surge
+			// column every slot, which must not cost the alias — rows are
+			// patched only while some VM is down. The timeline's unused-CPU
+			// sum is the one reader of a down VM's (zeroed) entry.
+			cfg := base(scheduler.RCCR, 31)
+			cfg.Faults = faults.Config{Seed: 31, VMCrashProb: 0.004, MeanDowntime: 5}
+			cfg.RecordTimeline = true
+			return cfg
+		}, true, true},
+		{"surge-clamped", func() Config {
+			// A factor far above reserved/demand: every surged demand
+			// clamps at the reservation and the VM's unused pool is zero.
+			cfg := base(scheduler.RCCR, 37)
+			cfg.Faults = faults.Config{Seed: 37, SurgeProb: 1, SurgeFactor: 50}
+			return cfg
+		}, true, false},
 	}
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			got, err := Run(sc.cfg())
+			want, pc, err := oracle{recompute: true}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := oracle{recompute: true}.run(sc.cfg())
-			if err != nil {
-				t.Fatal(err)
+			if pc.slotsRecomputed != want.Slots || pc.slotsAliased+pc.slotsPatched != 0 {
+				t.Fatalf("recompute oracle took the table path: %+v", pc)
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("table telemetry diverged from recompute:\n tables:    %+v\n recompute: %+v", got, want)
+			if sc.name == "surge-long-crash" && (want.LongFailed == 0 || want.Recovery.SurgeSlots == 0) {
+				t.Fatalf("no crash killed a long job (%d) or no VM-slot surged (%d); the scenario pins nothing",
+					want.LongFailed, want.Recovery.SurgeSlots)
+			}
+			for _, workers := range []int{1, 4} {
+				cfg := sc.cfg()
+				cfg.Workers = workers
+				got, pc, err := oracle{}.run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("workers=%d: table telemetry diverged from recompute:\n tables:    %+v\n recompute: %+v", workers, got, want)
+				}
+				if pc.slotsRecomputed != 0 || pc.slotsAliased+pc.slotsPatched+pc.spanSlots != want.Slots {
+					t.Errorf("workers=%d: every slot must be served from the rows: %+v over %d slots", workers, pc, want.Slots)
+				}
+				if sc.patches != (pc.slotsPatched > 0) || sc.patches != (pc.vmsPatched > 0) {
+					t.Errorf("workers=%d: patches = %v, counters %+v", workers, sc.patches, pc)
+				}
+				if sc.aliases && pc.slotsAliased+pc.spanSlots == 0 {
+					t.Errorf("workers=%d: no slot served the rows untouched: %+v", workers, pc)
+				}
 			}
 		})
 	}
 }
 
-// TestScaleProfileSmoke runs the 5000-PM / 20000-VM scale profile at a
-// truncated horizon — the same cluster and VM-capacity shape as the
-// scale/sim-scale5k-rccr bench, just few enough jobs to finish in seconds —
-// and pins production Run against the recompute oracle at that scale. This is
-// the only tier-1 test that exercises the 20k-VM fast paths (SoA scan
-// blocks, table rows, active-set shards) at their real width.
-func TestScaleProfileSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale smoke skipped in -short mode")
-	}
-	cfg := Config{
+// scaleSmokeConfig is the 5000-PM / 20000-VM scale profile at a truncated
+// horizon — the same cluster and VM-capacity shape as the
+// scale/sim-scale5k-rccr bench, just few enough jobs to finish in seconds.
+func scaleSmokeConfig() Config {
+	return Config{
 		Profile: cluster.ProfileScale,
 		NumJobs: 4000, Seed: 1,
 		Warmup: 5, ArrivalSpan: 10, Drain: 30,
@@ -151,21 +199,60 @@ func TestScaleProfileSmoke(t *testing.T) {
 		Clock:   &VirtualClock{StepMicros: 50},
 		Workers: 1,
 	}
-	want, err := Run(cfg)
+}
+
+// runScaleSmoke pins production Run against the recompute oracle at the
+// scale profile's real width and returns production's result and path
+// counters.
+func runScaleSmoke(t *testing.T, cfg Config) (*Result, pathCounters) {
+	if testing.Short() {
+		t.Skip("scale smoke skipped in -short mode")
+	}
+	got, pc, err := oracle{}.run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.NumJobs != 4000 {
-		t.Fatalf("NumJobs = %d, want 4000", want.NumJobs)
+	if got.NumJobs != 4000 {
+		t.Fatalf("NumJobs = %d, want 4000", got.NumJobs)
 	}
-	if want.PlacedOpportunistic+want.PlacedFresh == 0 {
+	if got.PlacedOpportunistic+got.PlacedFresh == 0 {
 		t.Fatal("scale smoke placed no jobs; the run is vacuous")
 	}
-	got, _, err := oracle{recompute: true}.run(cfg)
+	want, _, err := oracle{recompute: true}.run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("scale profile diverged from the recompute oracle")
+	}
+	return got, pc
+}
+
+// TestScaleProfileSmoke runs the calm scale burst. With TestScaleChurnSmoke
+// it is the only tier-1 test that exercises the 20k-VM fast paths (SoA scan
+// blocks, table rows, active-set shards) at their real width. A calm fleet
+// must serve every telemetry slot from the untouched rows.
+func TestScaleProfileSmoke(t *testing.T) {
+	_, pc := runScaleSmoke(t, scaleSmokeConfig())
+	if pc.slotsPatched != 0 || pc.slotsRecomputed != 0 || pc.slotsAliased == 0 {
+		t.Errorf("calm fleet left the aliased rows: %+v", pc)
+	}
+}
+
+// TestScaleChurnSmoke adds the churn the rccr-scale5k-churn bench workload
+// runs under — crashes, surges, long jobs — to the same burst: the dense
+// long-job placement and the patched telemetry rows at 20000 VMs. Every
+// slot must still come from the rows, the churned ones patched.
+func TestScaleChurnSmoke(t *testing.T) {
+	cfg := scaleSmokeConfig()
+	cfg.Faults = faults.Config{VMCrashProb: 5e-4, SurgeProb: 2e-3}
+	cfg.LongJobs = 200
+	res, pc := runScaleSmoke(t, cfg)
+	if pc.slotsRecomputed != 0 || pc.slotsPatched == 0 {
+		t.Errorf("churned fleet: want patched rows and no recompute, got %+v", pc)
+	}
+	if res.LongPlaced == 0 || res.Recovery.VMCrashes == 0 || res.Recovery.SurgeSlots == 0 {
+		t.Errorf("churn smoke is vacuous: %d long placed, %d crashes, %d surged VM-slots",
+			res.LongPlaced, res.Recovery.VMCrashes, res.Recovery.SurgeSlots)
 	}
 }

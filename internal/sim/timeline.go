@@ -97,7 +97,7 @@ func ReadTimelineCSV(r io.Reader) ([]TimelinePoint, error) {
 // snapshotTimeline builds one slot's point from the loop's ledgers.
 func snapshotTimeline(t int, weights resource.Weights,
 	shortAlloc, shortDemand, clusterAlloc, clusterDemand resource.Vector,
-	unused []resource.Vector, vms []*vmState, queued int) TimelinePoint {
+	unused []resource.Vector, vms []vmState, queued int) TimelinePoint {
 	p := TimelinePoint{Slot: t, Queued: queued}
 	if den := shortAlloc.Weighted(weights); den > 0 {
 		p.ShortUtil = shortDemand.Weighted(weights) / den
@@ -108,9 +108,9 @@ func snapshotTimeline(t int, weights resource.Weights,
 	for _, u := range unused {
 		p.UnusedCPU += u.At(resource.CPU)
 	}
-	for _, st := range vms {
-		p.OppInUseCPU += st.oppInUse.At(resource.CPU)
-		p.RunningShort += len(st.running)
+	for v := range vms {
+		p.OppInUseCPU += vms[v].oppInUse.At(resource.CPU)
+		p.RunningShort += len(vms[v].running)
 	}
 	return p
 }

@@ -9,24 +9,24 @@ import (
 // vectors for every phase of its usage cycle. Resident demand is periodic —
 // job.DemandAt(k) wraps k % len(Usage) — so absent surges and long jobs a
 // VM's (residentUse, unused) pair at slot t depends only on t mod Period.
-// The simulator's telemetry fast path turns its per-VM vector math into two
-// row copies from these tables; because every entry is computed by the very
-// same DemandAt/UnusedAt calls the slow path would make, the values are
-// bit-identical, not merely close.
+// The simulator's telemetry phase starts every slot from two rows of these
+// tables and patches only the VMs that are down, surged or host long jobs;
+// because every entry is computed by the very same DemandAt/UnusedAt calls
+// the per-VM recomputation would make, the values are bit-identical, not
+// merely close.
 //
 // Layout is phase-major: row p holds all VMs' vectors for phase p
-// contiguously, so a slot's fast path streams two dense rows instead of
-// striding across per-VM blocks.
+// contiguously, so a slot streams two dense rows instead of striding
+// across per-VM blocks.
 //
 // Aliasing contract: the rows returned by DemandRow/UnusedRow are views
 // into the snapshot-shared backing slabs, and the simulator's telemetry
-// fast path aliases its per-slot scratch directly to them (copy-on-write:
-// it falls back to copying into run-owned buffers only when a down-mask or
-// surge mutation must patch individual entries). Every consumer of those
-// rows — predictor feeds, the execute reduction, timeline snapshots —
-// therefore MUST treat them as strictly read-only; a single write through
-// an aliased row would corrupt the table for every concurrent run sharing
-// the snapshot.
+// phase aliases its per-slot scratch directly to them (copy-on-write: it
+// copies into run-owned buffers only when a down, surged or long-job VM
+// needs its entry patched). Every consumer of those rows — predictor
+// feeds, the execute reduction, timeline snapshots — therefore MUST treat
+// them as strictly read-only; a single write through an aliased row would
+// corrupt the table for every concurrent run sharing the snapshot.
 type ResidentTables struct {
 	// NumVMs is the number of residents (one per VM).
 	NumVMs int
