@@ -3,10 +3,16 @@
 
 GO ?= go
 
-.PHONY: check check-perf farm-smoke fmt vet cross build test fma-off race scale-smoke fuzz-smoke bench bench-figs bench-diff profile-scale
+.PHONY: check farm-smoke fmt vet cross build test fma-off race scale-smoke fuzz-smoke bench bench-figs profile-scale
 
+# The tests that keep a perf "win" from silently changing results ride
+# `test`: every quick figure series of both profiles must hash to the
+# digests in internal/experiments/testdata/figure_golden.json
+# (TestFigureGolden) and be bit-identical with the workload snapshot cache
+# on vs off (TestWorkloadCacheEquivalence). Nothing here gates on timing:
+# whether a run got slower is the repo benchmark's question (`go run
+# ./bench`, bench/README.md), answered with alternating parent/change runs.
 check: fmt vet cross build test fma-off race farm-smoke scale-smoke
-	@$(MAKE) --no-print-directory check-perf PERF_FATAL=0
 
 # gofmt -l prints unformatted files; fail loudly if there are any.
 fmt:
@@ -98,68 +104,25 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSpecKeys$$' -fuzztime $(FUZZTIME) ./internal/farm
 
-# profile-scale captures pprof CPU+heap profiles of the scale-profile
-# single run (scale/sim-scale5k-rccr-w1 only, via -bench-filter — no other
-# bench or its setup runs); `make profile-scale
-# SCALE_BENCH=scale/sim-scale5k-rccr-churn-w1` profiles the churned fleet
-# instead. -bench-filter also takes a comma-separated list (e.g.
-# "scale/,sim/span") to profile several groups in one run.
-# Inspect with `go tool pprof cpu-scale.pprof`.
-# This is where every scale-profile optimisation starts; see EXPERIMENTS.md.
-SCALE_BENCH ?= scale/sim-scale5k-rccr-w1
+# profile-scale captures pprof CPU+heap profiles of one warm scale-profile
+# run (the workload is prepared outside the timer but inside the profile):
+# the calm 20000-VM unit by default, `make profile-scale
+# SCALE_BENCH=BenchmarkScaleRCCRChurn` for the churned fleet. Inspect with
+# `go tool pprof cpu-scale.pprof`. This is where every scale-profile
+# optimisation starts; see EXPERIMENTS.md.
+SCALE_BENCH ?= BenchmarkScaleRCCR
 profile-scale:
-	$(GO) run ./cmd/corpbench -json -bench-filter $(SCALE_BENCH) \
-		-cpuprofile cpu-scale.pprof -memprofile mem-scale.pprof -out /tmp/bench-scale.json
-	@echo "wrote cpu-scale.pprof mem-scale.pprof (bench json: /tmp/bench-scale.json)"
+	$(GO) test -run '^$$' -bench '^$(SCALE_BENCH)$$' -benchtime 1x \
+		-cpuprofile cpu-scale.pprof -memprofile mem-scale.pprof ./internal/sim
 
-# bench runs the hot-path benchmark suite at a fixed benchtime (stable
-# enough for snapshot comparison) and writes the BENCH_<date>.json perf
-# snapshot via corpbench -json. Commit the snapshot to extend the perf
-# trajectory.
+# bench runs every in-package benchmark under internal/ once: kernels, small
+# runs and the two scale units (the root package's figure benches are
+# bench-figs). Narrow it the way any Go benchmark is narrowed, e.g.
+# `go test -run '^$' -bench TableII -count 5 -benchmem ./internal/dnn`.
 BENCHTIME ?= 2s
 bench:
-	$(GO) test -run XXX -bench 'TableII|CorpObserve' -benchtime $(BENCHTIME) ./internal/dnn ./internal/predict
-	$(GO) run ./cmd/corpbench -json -out BENCH_$$(date +%Y-%m-%d).json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/...
 
-# bench-diff compares two snapshots and fails on >10% ns/op regression
-# (or any allocs/op growth) in the DNN kernels:
-#   make bench-diff OLD=BENCH_2026-10-02.json NEW=BENCH_2026-10-05.json
-bench-diff:
-	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-diff OLD=old.json NEW=new.json"; exit 1; }
-	$(GO) run ./cmd/corpbench -bench-diff "$(OLD),$(NEW)"
-
-# check-perf captures a quick snapshot (kernel + engine micro-benches
-# only) and diffs it against the newest committed BENCH_*.json. Run
-# standalone it fails on DNN/HMM-kernel ns regressions and on allocs/op
-# growth in any non-engine bench (predictor refresh paths included); from
-# `make check` it is invoked with PERF_FATAL=0 so a noisy CI box warns
-# instead of blocking.
-# The figure tests are the correctness side of the perf work: every
-# quick figure series of both profiles must hash to the digests committed
-# in internal/experiments/testdata/figure_golden.json (TestFigureGolden),
-# and must be bit-identical with the workload snapshot cache on vs off
-# (TestWorkloadCacheEquivalence, which shares its cached campaign with the
-# golden test), so a perf "win" can never silently change results.
-# This gate answers "did a kernel get slower, did a figure move"; the repo
-# benchmark (`go run ./bench`, BENCHMARK.json) answers "did an end-to-end
-# run get slower or change its digest" — see bench/README.md.
-# The quick capture runs BEFORE the figure tests: committed
-# BENCH_*.json snapshots are taken on an otherwise-idle box, and several
-# minutes of figure sweeps right before the capture leave a small
-# machine hot enough to skew the µs-scale kernels past the 10% gate.
-PERF_FATAL ?= 1
-check-perf:
-	@latest="$$(ls BENCH_*.json 2>/dev/null | sort | tail -n 1)"; \
-	if [ -z "$$latest" ]; then echo "check-perf: no committed BENCH_*.json; skipping bench diff"; exit 0; fi; \
-	tmp="$$(mktemp)"; \
-	$(GO) run ./cmd/corpbench -json -bench-quick -out "$$tmp" >/dev/null || exit 1; \
-	if $(GO) run ./cmd/corpbench -bench-diff "$$latest,$$tmp"; then rm -f "$$tmp"; \
-	elif [ "$(PERF_FATAL)" = "0" ]; then \
-		echo "check-perf: WARNING: kernel regression vs $$latest (non-fatal in make check)"; rm -f "$$tmp"; \
-	else rm -f "$$tmp"; exit 1; fi
-	$(GO) test -count=1 -run 'TestWorkloadCacheEquivalence|TestFigureGolden' ./internal/experiments
-
-# bench-figs regenerates every figure once — the end-to-end sweep suite
-# (the old `make bench` behaviour).
+# bench-figs regenerates every figure once — the end-to-end sweep suite.
 bench-figs:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -167,13 +167,11 @@ func BenchmarkSimulationPerScheme(b *testing.B) {
 	for _, sc := range scheduler.Schemes() {
 		sc := sc
 		b.Run(sc.String(), func(b *testing.B) {
-			o := benchOptions(1)
 			for i := 0; i < b.N; i++ {
 				cfg := SimConfig{
 					NumPMs: 10, NumVMs: 40, NumJobs: 80, Seed: int64(i),
 					Scheduler: SchedulerConfig{Scheme: sc, Seed: int64(i)},
 				}
-				_ = o
 				if _, err := RunSimulation(cfg); err != nil {
 					b.Fatal(err)
 				}

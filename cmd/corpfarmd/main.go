@@ -18,7 +18,6 @@
 //	             oversubscribing the machine)
 //	-poll        idle re-poll interval            (default 500ms)
 //	-heartbeat   lease-extension interval         (default 5s)
-//	-workload-cache  on | off snapshot cache      (default on)
 //	-v           verbose event logging
 //
 // Example:
@@ -32,9 +31,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
-	"repro"
 	"repro/internal/farm"
 )
 
@@ -52,21 +51,12 @@ func run(args []string) error {
 	slots := fs.Int("slots", 1, "concurrent pull→run→submit loops")
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle re-poll interval")
 	heartbeat := fs.Duration("heartbeat", 5*time.Second, "lease-extension interval")
-	wlCache := fs.String("workload-cache", "on", "share generated workload snapshots across runs: on or off")
 	verbose := fs.Bool("v", false, "verbose event logging")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dispatcher == "" {
 		return fmt.Errorf("-dispatcher is required")
-	}
-	switch *wlCache {
-	case "on":
-		corp.SetWorkloadCache(true)
-	case "off":
-		corp.SetWorkloadCache(false)
-	default:
-		return fmt.Errorf("workload-cache: want on or off, got %q", *wlCache)
 	}
 	if *id == "" {
 		host, _ := os.Hostname()
@@ -88,7 +78,7 @@ func run(args []string) error {
 
 	// SIGINT/SIGTERM cancel the loops; a clean dispatcher shutdown signal
 	// ends Serve with nil.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return w.Serve(ctx)
 }

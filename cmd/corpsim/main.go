@@ -26,9 +26,6 @@
 //	          flat VMs from a cheap persistence+ridge forecaster and
 //	          escalates to the full DNN+HMM on drift (default off;
 //	          off is bit-identical to the single-tier pipeline)
-//	-workload-cache  on | off: share generated workload snapshots across
-//	          runs in this process (default on; results identical
-//	          either way, only wall time changes)
 //
 // Example:
 //
@@ -42,7 +39,6 @@ import (
 	"os"
 	"strings"
 
-	"repro"
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/resource"
@@ -77,18 +73,8 @@ func run(args []string, out *os.File) error {
 	det := fs.Bool("det", false, "deterministic virtual clock for the overhead metric")
 	workers := fs.Int("workers", 0, "intra-run prediction-engine workers (0 = auto, 1 = serial)")
 	forecastTier := fs.String("forecast-tier", "off", "CORP two-tier predictor: off or auto")
-	wlCache := fs.String("workload-cache", "on", "share generated workload snapshots across runs: on or off")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	switch *wlCache {
-	case "on":
-		corp.SetWorkloadCache(true)
-	case "off":
-		corp.SetWorkloadCache(false)
-	default:
-		return fmt.Errorf("workload-cache: want on or off, got %q", *wlCache)
 	}
 
 	scheme, err := parseScheme(*schemeName)

@@ -95,6 +95,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-core", "slot"}, os.Stdout); err == nil {
 		t.Error("-core accepted")
 	}
+	// A one-run process has nothing to share a workload snapshot with.
+	if err := run([]string{"-workload-cache", "off"}, os.Stdout); err == nil {
+		t.Error("-workload-cache accepted")
+	}
 }
 
 func TestRunWithFaults(t *testing.T) {

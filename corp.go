@@ -136,14 +136,6 @@ func PrepareWorkload(cfg SimConfig) (*WorkloadSnapshot, error) {
 	return sim.PrepareWorkload(cfg)
 }
 
-// SetWorkloadCache enables or disables the process-wide workload snapshot
-// cache (the -workload-cache=on|off switch of the CLIs). Disabling makes
-// every run regenerate its traces privately; figures are bit-identical
-// either way, only wall time changes.
-func SetWorkloadCache(on bool) {
-	workload.Default.SetEnabled(on)
-}
-
 // WorkloadCacheCounters returns the process-wide snapshot cache's current
 // counters.
 func WorkloadCacheCounters() WorkloadCacheStats {

@@ -17,15 +17,6 @@ import "repro/internal/cpufeat"
 // useAVX2 selects the assembly tier. Tests flip it to compare the tiers.
 var useAVX2 = cpufeat.HasAVX2 && cpufeat.HasFMA
 
-// Kernel names the implementation the layer primitives run on this
-// machine: "avx2" or "generic".
-func Kernel() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "generic"
-}
-
 // forwardLayer applies one dense layer (Eq. 5) to a single activation row:
 // cur[i] = F(b[i] + Σ_j w[i*in+j]*prev[j]), bias first, then j ascending, F
 // the sigmoid. Batched evaluation (batch.go) and training call it too, so

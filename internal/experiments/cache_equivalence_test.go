@@ -9,8 +9,8 @@ import (
 // TestWorkloadCacheEquivalence pins the snapshot cache's core contract:
 // every figure series — both profiles, quick mode, including the faulted
 // extension figure — is bit-identical whether runs share cached snapshots
-// (the default) or regenerate their traces privately (-workload-cache=off).
-// It is the acceptance gate wired into `make check-perf`.
+// (production) or regenerate their traces privately (SetEnabled(false)).
+// It rides plain `go test ./...`, and so `make check`.
 func TestWorkloadCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-figure equivalence sweep is slow; run without -short")

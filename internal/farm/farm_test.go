@@ -520,3 +520,38 @@ func FuzzRunSpecKeys(f *testing.F) {
 		}
 	})
 }
+
+// TestWorkerServeReturnsWhenDispatcherHangs: a dispatcher that accepts
+// requests and never answers must not hold a cancelled worker. Serve waits
+// for its heartbeat goroutine before returning, so a prompt return with a
+// heartbeat wedged in the handler proves that goroutine gone too.
+func TestWorkerServeReturnsWhenDispatcherHangs(t *testing.T) {
+	release := make(chan struct{})
+	arrived := make(chan string)
+	srv := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- r.URL.Path:
+		case <-release:
+		}
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release) // before Close, which waits for the handlers
+	w := &Worker{BaseURL: srv.URL, ID: "w", Heartbeat: 5 * time.Millisecond, Client: srv.Client()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- w.Serve(ctx) }()
+	for wedged := map[string]bool{}; !wedged["/v1/pull"] || !wedged["/v1/heartbeat"]; {
+		wedged[<-arrived] = true
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Serve = %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serve still blocked a second after its context was cancelled")
+	}
+}

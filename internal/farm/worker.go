@@ -37,7 +37,8 @@ type Worker struct {
 	// Run executes one simulation; nil defaults to sim.Run. Panics are
 	// contained per attempt and submitted as run failures.
 	Run func(sim.Config) (*sim.Result, error)
-	// Client is the HTTP client; nil defaults to http.DefaultClient.
+	// Client is the HTTP client; nil defaults to one that gives up on a
+	// request after a minute (the dispatcher's own write timeout).
 	Client *http.Client
 	// Logf, when non-nil, receives worker event logs.
 	Logf func(format string, args ...any)
@@ -87,7 +88,7 @@ func (w *Worker) Serve(ctx context.Context) error {
 			case <-hbCtx.Done():
 				return
 			case <-t.C:
-				w.heartbeat()
+				w.heartbeat(hbCtx)
 			}
 		}
 	}()
@@ -113,7 +114,7 @@ func (w *Worker) loop(ctx context.Context, poll time.Duration, run func(sim.Conf
 			return ctx.Err()
 		}
 		var resp PullResponse
-		if err := w.post("/v1/pull", PullRequest{Worker: w.ID}, &resp); err != nil {
+		if err := w.post(ctx, "/v1/pull", PullRequest{Worker: w.ID}, &resp); err != nil {
 			// The dispatcher may simply not be up yet (corpfarm spawns
 			// workers while binding its listener); poll through it.
 			w.logf("pull: %v", err)
@@ -144,7 +145,7 @@ func (w *Worker) loop(ctx context.Context, poll time.Duration, run func(sim.Conf
 			req.Result = res
 		}
 		var sub okResponse
-		if err := w.post("/v1/submit", req, &sub); err != nil {
+		if err := w.post(ctx, "/v1/submit", req, &sub); err != nil {
 			// Submission lost (dispatcher restart, network): drop the
 			// result; the lease will expire and the job will be retried.
 			w.logf("submit job %d: %v", job.ID, err)
@@ -178,7 +179,7 @@ func (w *Worker) setRunning(id int64, on bool) {
 // heartbeat extends leases for the jobs currently running and streams the
 // worker's workload-cache counters (for the dispatcher's dedup
 // accounting) and workpool occupancy (engine saturation).
-func (w *Worker) heartbeat() {
+func (w *Worker) heartbeat(ctx context.Context) {
 	w.mu.Lock()
 	ids := make([]int64, 0, len(w.running))
 	for id := range w.running {
@@ -186,7 +187,7 @@ func (w *Worker) heartbeat() {
 	}
 	w.mu.Unlock()
 	var resp okResponse
-	if err := w.post("/v1/heartbeat", HeartbeatRequest{
+	if err := w.post(ctx, "/v1/heartbeat", HeartbeatRequest{
 		Worker: w.ID, IDs: ids, Cache: workload.Default.Stats(),
 		BudgetInUse: workpool.InUse(), BudgetLimit: workpool.Limit(),
 	}, &resp); err != nil {
@@ -194,16 +195,28 @@ func (w *Worker) heartbeat() {
 	}
 }
 
-func (w *Worker) post(path string, req, resp any) error {
+// defaultClient bounds every request of a Worker without its own Client: a
+// dispatcher that accepts the connection and never answers costs a minute,
+// not the worker.
+var defaultClient = &http.Client{Timeout: time.Minute}
+
+// post sends one JSON request under ctx, so cancelling Serve abandons a
+// request in flight instead of waiting for the dispatcher to answer it.
+func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 	client := w.Client
 	if client == nil {
-		client = http.DefaultClient
+		client = defaultClient
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	r, err := client.Post(w.BaseURL+path, "application/json", bytes.NewReader(body))
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, w.BaseURL+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	r, err := client.Do(hr)
 	if err != nil {
 		return err
 	}

@@ -68,8 +68,8 @@ func runMany(cfgs []Config, workers int, progress ProgressFunc, run func(Config)
 	// replications share (seed, workload) keys, so the cache's
 	// singleflight generates every distinct trace exactly once here and
 	// each run receives its snapshot read-only via Config.Prepared.
-	// Skipped when the cache is disabled (-workload-cache=off): that A/B
-	// baseline regenerates inside every run, as the harness always did.
+	// Skipped when the cache is disabled (the cache-equivalence tests'
+	// SetEnabled(false) side): that baseline regenerates inside every run.
 	if workload.Default.Enabled() {
 		prepared := make([]Config, len(cfgs))
 		copy(prepared, cfgs)

@@ -4,12 +4,10 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/resource"
 	"repro/internal/scheduler"
-	"repro/internal/trace"
 )
 
 // TestObserveTableEquivalence pins the table telemetry path: every scenario
@@ -183,22 +181,14 @@ func TestObserveTableEquivalence(t *testing.T) {
 	}
 }
 
-// scaleSmokeConfig is the 5000-PM / 20000-VM scale profile at a truncated
-// horizon — the same cluster and VM-capacity shape as the
-// scale/sim-scale5k-rccr bench, just few enough jobs to finish in seconds.
+// scaleSmokeConfig is the scale profile at a truncated horizon: the same
+// cluster and VM-capacity shape as scaleProfileConfig, just few and short
+// enough jobs to finish in seconds.
 func scaleSmokeConfig() Config {
-	return Config{
-		Profile: cluster.ProfileScale,
-		NumJobs: 4000, Seed: 1,
-		Warmup: 5, ArrivalSpan: 10, Drain: 30,
-		Scheduler: scheduler.Config{Scheme: scheduler.RCCR, Seed: 1},
-		Jobs: trace.Config{
-			MeanDuration: 8,
-			VMCapacity:   resource.Vector{0.5, 2, 8},
-		},
-		Clock:   &VirtualClock{StepMicros: 50},
-		Workers: 1,
-	}
+	cfg := scaleProfileConfig()
+	cfg.NumJobs, cfg.Warmup, cfg.ArrivalSpan, cfg.Drain = 4000, 5, 10, 30
+	cfg.Jobs.MeanDuration = 8
+	return cfg
 }
 
 // runScaleSmoke pins production Run against the recompute oracle at the
@@ -244,10 +234,7 @@ func TestScaleProfileSmoke(t *testing.T) {
 // long-job placement and the patched telemetry rows at 20000 VMs. Every
 // slot must still come from the rows, the churned ones patched.
 func TestScaleChurnSmoke(t *testing.T) {
-	cfg := scaleSmokeConfig()
-	cfg.Faults = faults.Config{VMCrashProb: 5e-4, SurgeProb: 2e-3}
-	cfg.LongJobs = 200
-	res, pc := runScaleSmoke(t, cfg)
+	res, pc := runScaleSmoke(t, withChurn(scaleSmokeConfig(), 200))
 	if pc.slotsRecomputed != 0 || pc.slotsPatched == 0 {
 		t.Errorf("churned fleet: want patched rows and no recompute, got %+v", pc)
 	}

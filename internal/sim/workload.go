@@ -54,7 +54,7 @@ func workloadParams(cfg Config, vmCaps []resource.Vector) workload.Params {
 
 // snapshotFor returns the workload snapshot for the given params, through
 // the process-wide cache when it is enabled and by a private build when
-// not (the -workload-cache=off A/B path).
+// not (the tests' cache-off side: workload.Default.SetEnabled(false)).
 func snapshotFor(p workload.Params) (*workload.Snapshot, error) {
 	if workload.Default.Enabled() {
 		return workload.Default.Get(p)

@@ -14,8 +14,8 @@ const DefaultMaxEntries = 64
 // Default is the process-wide snapshot cache. sim.Run consults it whenever
 // no pre-built snapshot was supplied, and sim.RunMany warms it before
 // fanning a sweep out, so every scheme × replication sharing a workload key
-// builds the trace exactly once. SetEnabled(false) bypasses it everywhere —
-// the A/B switch behind the -workload-cache=on|off flags.
+// builds the trace exactly once. SetEnabled(false) bypasses it everywhere:
+// the seam the cache-equivalence tests compare against, not a user option.
 var Default = NewCache(DefaultMaxEntries)
 
 // Stats is a point-in-time snapshot of a cache's counters.
