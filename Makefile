@@ -9,7 +9,10 @@ GO ?= go
 # `test`: every quick figure series of both profiles must hash to the
 # digests in internal/experiments/testdata/figure_golden.json
 # (TestFigureGolden) and be bit-identical with the workload snapshot cache
-# on vs off (TestWorkloadCacheEquivalence). Nothing here gates on timing:
+# on vs off (TestWorkloadCacheEquivalence). So does the surface gate
+# (TestInternalSurfaceReachable, root package): an exported identifier under
+# internal/ that no figure, CLI, example or bench workload reaches fails
+# the build of record. Nothing here gates on timing:
 # whether a run got slower is the repo benchmark's question (`go run
 # ./bench`, bench/README.md), answered with alternating parent/change runs.
 check: fmt vet cross build test fma-off race farm-smoke scale-smoke

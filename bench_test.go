@@ -14,9 +14,7 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/scheduler"
-	"repro/internal/sim"
 )
 
 // TestMain reports the workload snapshot cache's counters after the suite,
@@ -122,43 +120,10 @@ func BenchmarkFig13SLOVsConfidenceEC2(b *testing.B) { benchFigure(b, "fig13") }
 // EC2).
 func BenchmarkFig14OverheadEC2(b *testing.B) { benchFigure(b, "fig14") }
 
-// benchAblation runs one CORP variant per iteration.
-func benchAblation(b *testing.B, a experiments.Ablation) {
-	b.Helper()
-	o := benchOptions(1)
-	jobs := 120
-	if os.Getenv("CORP_BENCH_FULL") != "" {
-		jobs = 300
-	}
-	var r *sim.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.RunAblation(o, a, jobs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if r != nil {
-		b.Logf("%s: overall=%.4f slo=%.4f errRate=%.4f opp=%d fresh=%d",
-			a, r.Overall, r.SLORate, r.PredictionErrorRate,
-			r.PlacedOpportunistic, r.PlacedFresh)
-	}
-}
-
-// BenchmarkAblationFull is unmodified CORP, the ablation reference point.
-func BenchmarkAblationFull(b *testing.B) { benchAblation(b, experiments.AblationFull) }
-
-// BenchmarkAblationNoHMM removes the peak/valley fluctuation correction.
-func BenchmarkAblationNoHMM(b *testing.B) { benchAblation(b, experiments.AblationNoHMM) }
-
-// BenchmarkAblationNoPacking places every job as a singleton entity.
-func BenchmarkAblationNoPacking(b *testing.B) { benchAblation(b, experiments.AblationNoPacking) }
-
-// BenchmarkAblationNoCI removes the confidence-interval conservatism.
-func BenchmarkAblationNoCI(b *testing.B) { benchAblation(b, experiments.AblationNoCI) }
-
-// BenchmarkAblationETSPredictor swaps the DNN+HMM predictor for RCCR's ETS.
-func BenchmarkAblationETSPredictor(b *testing.B) { benchAblation(b, experiments.AblationETSPredictor) }
+// BenchmarkAblations regenerates the ablation study: full CORP, CORP
+// without the HMM correction, without packing, without the confidence
+// interval, and with RCCR's ETS predictor, side by side.
+func BenchmarkAblations(b *testing.B) { benchFigure(b, "ablations") }
 
 // BenchmarkSimulationPerScheme measures one full simulation run per
 // scheme at bench scale — the end-to-end cost comparison behind

@@ -62,6 +62,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (flags stop at the first non-flag word)", fs.Arg(0))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

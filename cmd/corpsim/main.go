@@ -76,6 +76,9 @@ func run(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (flags stop at the first non-flag word)", fs.Arg(0))
+	}
 
 	scheme, err := parseScheme(*schemeName)
 	if err != nil {

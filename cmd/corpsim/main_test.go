@@ -99,6 +99,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-workload-cache", "off"}, os.Stdout); err == nil {
 		t.Error("-workload-cache accepted")
 	}
+	// flag stops parsing at the first non-flag word: without the check the
+	// flags after it would be dropped silently.
+	if err := run([]string{"-jobs", "10", "-pms", "2", "-vms", "4", "quick", "-scheme", "RCCR"}, os.Stdout); err == nil {
+		t.Error("stray positional argument accepted")
+	}
 }
 
 func TestRunWithFaults(t *testing.T) {

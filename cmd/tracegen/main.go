@@ -43,6 +43,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (flags stop at the first non-flag word)", fs.Arg(0))
+	}
 
 	jobs, err := trace.GenerateShortJobs(trace.Config{
 		Seed:         *seed,

@@ -37,4 +37,9 @@ func TestRunRejectsBadFormat(t *testing.T) {
 	if err := run([]string{"-format", "xml"}); err == nil {
 		t.Error("bad format accepted")
 	}
+	// The flags after a non-flag word would be dropped silently.
+	out := filepath.Join(t.TempDir(), "w.json")
+	if err := run([]string{"-n", "5", "-o", out, "stray", "-seed", "3"}); err == nil {
+		t.Error("stray positional argument accepted")
+	}
 }

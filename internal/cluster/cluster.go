@@ -1,7 +1,6 @@
 // Package cluster models the physical substrate of the paper's two
 // testbeds: physical machines (PMs) whose resources are carved into virtual
-// machines (VMs), with capacity accounting for reserved and opportunistic
-// allocations.
+// machines (VMs), with capacity accounting for reserved allocations.
 //
 // Profiles mirror Section IV of the paper:
 //
@@ -26,34 +25,19 @@ type PM struct {
 	VMs      []int // indices into the cluster's VM list
 }
 
-// VM is a virtual machine with multi-resource capacity C_ij and allocation
-// accounting. Reserved covers long-standing tenant reservations;
-// Opportunistic covers short-lived grants carved from predicted-unused or
-// unallocated headroom.
+// VM is a virtual machine with multi-resource capacity C_ij and an account
+// of the long-standing tenant reservations carved from it. Short-lived
+// grants are the ledgers of their consumers (internal/sim, internal/core).
 type VM struct {
 	ID       int
 	PM       int
 	Capacity resource.Vector
 
-	reserved      resource.Vector
-	opportunistic resource.Vector
+	reserved resource.Vector
 }
 
 // Reserved returns the currently reserved amount.
 func (v *VM) Reserved() resource.Vector { return v.reserved }
-
-// Opportunistic returns the currently granted opportunistic amount.
-func (v *VM) Opportunistic() resource.Vector { return v.opportunistic }
-
-// Allocated returns reserved + opportunistic.
-func (v *VM) Allocated() resource.Vector {
-	return v.reserved.Add(v.opportunistic)
-}
-
-// Unallocated returns capacity − reserved − opportunistic, clamped at zero.
-func (v *VM) Unallocated() resource.Vector {
-	return v.Capacity.Sub(v.Allocated()).ClampNonNegative()
-}
 
 // Reserve claims amount from the VM's reserved pool. It fails without side
 // effects when the VM lacks headroom.
@@ -61,40 +45,12 @@ func (v *VM) Reserve(amount resource.Vector) error {
 	if !amount.NonNegative() {
 		return fmt.Errorf("cluster: negative reserve %v on VM %d", amount, v.ID)
 	}
-	if !v.Allocated().Add(amount).FitsIn(v.Capacity) {
-		return fmt.Errorf("cluster: VM %d cannot reserve %v (allocated %v of %v)",
-			v.ID, amount, v.Allocated(), v.Capacity)
+	if !v.reserved.Add(amount).FitsIn(v.Capacity) {
+		return fmt.Errorf("cluster: VM %d cannot reserve %v (reserved %v of %v)",
+			v.ID, amount, v.reserved, v.Capacity)
 	}
 	v.reserved = v.reserved.Add(amount)
 	return nil
-}
-
-// ReleaseReserved returns amount to the reserved pool, clamping so the pool
-// never goes negative even if callers double-release.
-func (v *VM) ReleaseReserved(amount resource.Vector) {
-	v.reserved = v.reserved.Sub(amount).ClampNonNegative()
-}
-
-// GrantOpportunistic claims amount from the VM's opportunistic pool. The
-// grant is bounded by total capacity, not by actual current usage — an
-// overcommitted grant is exactly how opportunistic provisioning causes SLO
-// damage when the prediction was wrong, so the simulator enforces only the
-// physical capacity here.
-func (v *VM) GrantOpportunistic(amount resource.Vector) error {
-	if !amount.NonNegative() {
-		return fmt.Errorf("cluster: negative grant %v on VM %d", amount, v.ID)
-	}
-	if !v.Allocated().Add(amount).FitsIn(v.Capacity) {
-		return fmt.Errorf("cluster: VM %d cannot grant %v (allocated %v of %v)",
-			v.ID, amount, v.Allocated(), v.Capacity)
-	}
-	v.opportunistic = v.opportunistic.Add(amount)
-	return nil
-}
-
-// ReleaseOpportunistic returns amount to the opportunistic pool, clamped.
-func (v *VM) ReleaseOpportunistic(amount resource.Vector) {
-	v.opportunistic = v.opportunistic.Sub(amount).ClampNonNegative()
 }
 
 // Cluster is a set of PMs and the VMs carved from them.
@@ -118,17 +74,8 @@ func (c *Cluster) MaxVMCapacity() resource.Vector {
 	return resource.MaxAcross(caps)
 }
 
-// TotalCapacity returns the element-wise sum of all VM capacities.
-func (c *Cluster) TotalCapacity() resource.Vector {
-	caps := make([]resource.Vector, len(c.VMs))
-	for i, v := range c.VMs {
-		caps[i] = v.Capacity
-	}
-	return resource.SumAcross(caps)
-}
-
 // Validate checks structural invariants: every VM references a valid PM,
-// per-PM VM capacity sums fit in the PM, and all allocations fit their VM.
+// per-PM VM capacity sums fit in the PM, and all reservations fit their VM.
 func (c *Cluster) Validate() error {
 	perPM := make([]resource.Vector, len(c.PMs))
 	for i, v := range c.VMs {
@@ -139,8 +86,8 @@ func (c *Cluster) Validate() error {
 			return fmt.Errorf("cluster: VM %d references PM %d of %d", v.ID, v.PM, len(c.PMs))
 		}
 		perPM[v.PM] = perPM[v.PM].Add(v.Capacity)
-		if !v.Allocated().FitsIn(v.Capacity) {
-			return fmt.Errorf("cluster: VM %d over-allocated: %v of %v", v.ID, v.Allocated(), v.Capacity)
+		if !v.reserved.FitsIn(v.Capacity) {
+			return fmt.Errorf("cluster: VM %d over-reserved: %v of %v", v.ID, v.reserved, v.Capacity)
 		}
 	}
 	for i, pm := range c.PMs {

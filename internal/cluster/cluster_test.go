@@ -115,8 +115,8 @@ func TestVMReserveRelease(t *testing.T) {
 	if err := v.Reserve(resource.New(2, 8, 90)); err != nil {
 		t.Fatal(err)
 	}
-	if v.Unallocated() != resource.New(2, 8, 90) {
-		t.Errorf("Unallocated = %v", v.Unallocated())
+	if v.Reserved() != resource.New(2, 8, 90) {
+		t.Errorf("Reserved = %v", v.Reserved())
 	}
 	// Over-reserve fails with no side effect.
 	before := v.Reserved()
@@ -126,40 +126,12 @@ func TestVMReserveRelease(t *testing.T) {
 	if v.Reserved() != before {
 		t.Error("failed reserve mutated state")
 	}
-	// Release clamps at zero.
-	v.ReleaseReserved(resource.New(100, 100, 100))
-	if !v.Reserved().IsZero() {
-		t.Errorf("Reserved after big release = %v", v.Reserved())
-	}
-}
-
-func TestVMOpportunisticPool(t *testing.T) {
-	v := &VM{ID: 0, Capacity: resource.New(4, 16, 180)}
-	if err := v.Reserve(resource.New(3, 12, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.GrantOpportunistic(resource.New(1, 4, 80)); err != nil {
-		t.Fatal(err)
-	}
-	if !v.Unallocated().IsZero() {
-		t.Errorf("Unallocated = %v, want zero", v.Unallocated())
-	}
-	if err := v.GrantOpportunistic(resource.New(0.1, 0, 0)); err == nil {
-		t.Error("grant beyond capacity should fail")
-	}
-	v.ReleaseOpportunistic(resource.New(1, 4, 80))
-	if !v.Opportunistic().IsZero() {
-		t.Errorf("Opportunistic after release = %v", v.Opportunistic())
-	}
 }
 
 func TestVMRejectsNegativeAmounts(t *testing.T) {
 	v := &VM{ID: 0, Capacity: resource.New(4, 4, 4)}
 	if err := v.Reserve(resource.New(-1, 0, 0)); err == nil {
 		t.Error("negative reserve should fail")
-	}
-	if err := v.GrantOpportunistic(resource.New(-1, 0, 0)); err == nil {
-		t.Error("negative grant should fail")
 	}
 }
 
@@ -170,9 +142,6 @@ func TestMaxVMCapacityAndTotal(t *testing.T) {
 	}}
 	if got := c.MaxVMCapacity(); got != resource.New(25, 2, 30) {
 		t.Errorf("MaxVMCapacity = %v", got)
-	}
-	if got := c.TotalCapacity(); got != resource.New(35, 3, 50) {
-		t.Errorf("TotalCapacity = %v", got)
 	}
 }
 
@@ -201,27 +170,15 @@ func TestValidateCatchesMisindexedIDs(t *testing.T) {
 	}
 }
 
-// Property: for any sequence of valid reserve/grant/release operations,
-// Allocated never exceeds Capacity and never goes negative.
+// Property: whatever sequence of reservations is attempted, the reserved
+// amount never exceeds Capacity and never goes negative.
 func TestQuickVMAccountingInvariant(t *testing.T) {
 	f := func(ops []uint8) bool {
 		v := &VM{ID: 0, Capacity: resource.New(8, 8, 8)}
 		for _, op := range ops {
-			amt := resource.Uniform(float64(op%5) * 0.7)
-			switch op % 4 {
-			case 0:
-				_ = v.Reserve(amt) // may fail; fine
-			case 1:
-				_ = v.GrantOpportunistic(amt)
-			case 2:
-				v.ReleaseReserved(amt)
-			case 3:
-				v.ReleaseOpportunistic(amt)
-			}
-			if !v.Allocated().FitsIn(v.Capacity) {
-				return false
-			}
-			if !v.Reserved().NonNegative() || !v.Opportunistic().NonNegative() {
+			amt := float64(op%5) * 0.7
+			_ = v.Reserve(resource.New(amt, amt, amt)) // may fail; fine
+			if !v.Reserved().FitsIn(v.Capacity) || !v.Reserved().NonNegative() {
 				return false
 			}
 		}

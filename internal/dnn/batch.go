@@ -79,21 +79,6 @@ func (n *Network) ForwardBatchInto(s *BatchScratch, inputs []float64) ([]float64
 	return s.acts[len(s.acts)-1][:rows*outSize], nil
 }
 
-// ForwardBatch is the convenience entry point over a network-owned batch
-// scratch, grown on demand. Not safe for concurrent use (use
-// ForwardBatchInto with per-caller scratch instead).
-func (n *Network) ForwardBatch(inputs []float64) ([]float64, error) {
-	inSize := n.sizes[0]
-	if len(inputs) == 0 || len(inputs)%inSize != 0 {
-		return nil, fmt.Errorf("dnn: batch inputs length %d not a positive multiple of %d", len(inputs), inSize)
-	}
-	rows := len(inputs) / inSize
-	if n.batch == nil || n.batch.rows < rows {
-		n.batch = n.NewBatchScratch(rows)
-	}
-	return n.ForwardBatchInto(n.batch, inputs)
-}
-
 // forwardBatchLayer applies one dense layer to a row-major rows×in
 // activation plane, producing the rows×out plane, one forwardLayer call per
 // row: at Table II widths the whole weight matrix stays cache-resident

@@ -60,41 +60,6 @@ func testForwardBatchMatchesPerSample(t *testing.T) {
 	}
 }
 
-// TestForwardBatchMatchesForwardBatchInto checks the convenience wrapper
-// grows its owned scratch and agrees with the explicit-scratch call.
-func TestForwardBatchMatchesForwardBatchInto(t *testing.T) {
-	eachTier(t, testForwardBatchMatchesForwardBatchInto)
-}
-
-func testForwardBatchMatchesForwardBatchInto(t *testing.T) {
-	net, err := New(Config{LayerSizes: []int{12, 50, 50, 1}, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	scratch := net.NewBatchScratch(32)
-	for _, rows := range []int{1, 5, 32} {
-		inputs := make([]float64, rows*12)
-		for i := range inputs {
-			inputs[i] = rng.Float64()
-		}
-		want, err := net.ForwardBatchInto(scratch, inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantCopy := append([]float64(nil), want...)
-		got, err := net.ForwardBatch(inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantCopy {
-			if got[i] != wantCopy[i] {
-				t.Fatalf("rows %d out %d: ForwardBatch %v != ForwardBatchInto %v", rows, i, got[i], wantCopy[i])
-			}
-		}
-	}
-}
-
 // TestForwardBatchErrors covers the validation paths.
 func TestForwardBatchErrors(t *testing.T) {
 	net, err := New(Config{LayerSizes: []int{4, 3, 2}, Seed: 1})

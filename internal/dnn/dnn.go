@@ -2,10 +2,7 @@
 // exactly the model of the paper's Section III-A: a fully connected
 // feed-forward network with sigmoid activations (Eq. 5), back-propagated
 // error terms (Eqs. 6–7), and SGD weight updates (Eq. 8), trained for
-// multiple epochs until a held-out validation error converges. Greedy
-// layer-wise autoencoder pretraining is provided as well ("for training, it
-// first computes the hidden activation[,] the reconstructed output from the
-// hidden activation[,] the error gradient, and ... back-propagates").
+// multiple epochs until a held-out validation error converges.
 //
 // Table II fixes the paper's topology: h = 4 layers with 50 units per
 // hidden layer.
@@ -89,8 +86,6 @@ type Network struct {
 	deltas [][]float64
 	tmp    []float64 // fused-backward accumulator, sized to the widest layer
 
-	// batch is the network-owned scratch behind ForwardBatch, grown lazily.
-	batch *BatchScratch
 }
 
 // newShell allocates a network's slabs and views for the given topology
@@ -170,13 +165,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	return n, nil
 }
-
-// NumLayers returns the number of layers including input and output
-// (the paper's h).
-func (n *Network) NumLayers() int { return len(n.sizes) }
-
-// LayerSizes returns a copy of the topology.
-func (n *Network) LayerSizes() []int { return append([]int(nil), n.sizes...) }
 
 // sigmoid is F of Eq. 5.
 func sigmoid(x float64) float64 { return 1 / (1 + fmath.Exp(-x)) }
@@ -380,66 +368,6 @@ type TrainResult struct {
 	ValidationLoss  float64 // mean held-out loss after the final epoch
 	Converged       bool    // stopped by the convergence criterion
 	ValidationCount int
-}
-
-// Train runs the paper's training loop: repeat epochs over the training
-// set, measure the held-out validation error after each, and stop when it
-// converges to a low value (or MaxEpochs).
-func (n *Network) Train(samples []Sample, opts TrainOptions) (TrainResult, error) {
-	opts = opts.withDefaults()
-	if len(samples) == 0 {
-		return TrainResult{}, errors.New("dnn: no training samples")
-	}
-	nVal := int(float64(len(samples)) * opts.ValidationFrac)
-	if nVal >= len(samples) {
-		nVal = len(samples) - 1
-	}
-	train := samples[:len(samples)-nVal]
-	val := samples[len(samples)-nVal:]
-	rng := rand.New(rand.NewSource(opts.Seed))
-	order := make([]int, len(train))
-	for i := range order {
-		order[i] = i
-	}
-
-	res := TrainResult{ValidationCount: len(val)}
-	prevVal := math.Inf(1)
-	stalled := 0
-	for epoch := 0; epoch < opts.MaxEpochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var trainLoss float64
-		for _, idx := range order {
-			s := train[idx]
-			loss, err := n.TrainSample(s.Input, s.Target)
-			if err != nil {
-				return res, err
-			}
-			trainLoss += loss
-		}
-		res.TrainLoss = trainLoss / float64(len(train))
-		res.Epochs = epoch + 1
-
-		valLoss, err := n.Loss(val)
-		if err != nil {
-			return res, err
-		}
-		res.ValidationLoss = valLoss
-		if nVal == 0 {
-			valLoss = res.TrainLoss
-			res.ValidationLoss = valLoss
-		}
-		if prevVal-valLoss < opts.Tolerance*math.Max(prevVal, 1e-12) {
-			stalled++
-			if stalled >= opts.Patience {
-				res.Converged = true
-				return res, nil
-			}
-		} else {
-			stalled = 0
-		}
-		prevVal = valLoss
-	}
-	return res, nil
 }
 
 // Loss returns the mean ½‖t−g‖² over the samples without updating weights.

@@ -19,11 +19,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.NumLayers() != 4 {
-		t.Errorf("NumLayers = %d, want 4 (Table II)", n.NumLayers())
-	}
-	if got := n.LayerSizes(); !reflect.DeepEqual(got, []int{4, 50, 50, 1}) {
-		t.Errorf("LayerSizes = %v", got)
+	if !reflect.DeepEqual(n.sizes, []int{4, 50, 50, 1}) {
+		t.Errorf("sizes = %v, want the Table II topology", n.sizes)
 	}
 }
 
@@ -131,41 +128,6 @@ func TestLearnsXOR(t *testing.T) {
 	}
 }
 
-func TestTrainLoopConvergesOnFunction(t *testing.T) {
-	// Learn y = 0.5 + 0.3·sin(2πx) sampled on [0,1]. Samples are visited
-	// in a scrambled order so the held-out tail is representative rather
-	// than an extrapolation region.
-	var samples []Sample
-	for i := 0; i < 200; i++ {
-		x := float64((i*37)%200) / 200
-		samples = append(samples, Sample{
-			Input:  []float64{x},
-			Target: []float64{0.5 + 0.3*math.Sin(2*math.Pi*x)},
-		})
-	}
-	n, err := New(Config{LayerSizes: []int{1, 16, 16, 1}, LearningRate: 1.0, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Train(samples, TrainOptions{MaxEpochs: 400, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ValidationLoss > 0.01 {
-		t.Errorf("validation loss %v too high after %d epochs", res.ValidationLoss, res.Epochs)
-	}
-	if res.ValidationCount == 0 {
-		t.Error("validation set should not be empty")
-	}
-}
-
-func TestTrainEmptySamples(t *testing.T) {
-	n, _ := New(Config{LayerSizes: []int{1, 2, 1}})
-	if _, err := n.Train(nil, TrainOptions{}); err == nil {
-		t.Error("empty training set should fail")
-	}
-}
-
 func TestLossEmptyIsZero(t *testing.T) {
 	n, _ := New(Config{LayerSizes: []int{1, 2, 1}})
 	loss, err := n.Loss(nil)
@@ -192,81 +154,6 @@ func TestCloneIndependence(t *testing.T) {
 	outC, _ := c.Forward([]float64{0.5, 0.5})
 	if reflect.DeepEqual(want, append([]float64(nil), outC...)) {
 		t.Error("clone did not train")
-	}
-}
-
-func TestAutoencoderReconstruction(t *testing.T) {
-	ae, err := NewAutoencoder(4, 8, 1.0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := [][]float64{
-		{0.9, 0.1, 0.1, 0.1},
-		{0.1, 0.9, 0.1, 0.1},
-		{0.1, 0.1, 0.9, 0.1},
-		{0.1, 0.1, 0.1, 0.9},
-	}
-	loss, err := ae.TrainEpochs(inputs, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss > 0.01 {
-		t.Errorf("reconstruction loss %v too high", loss)
-	}
-	rec, err := ae.Reconstruct(inputs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rec[0]-0.9) > 0.15 {
-		t.Errorf("reconstructed[0] = %v, want ≈ 0.9", rec[0])
-	}
-	enc, err := ae.Encode(inputs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) != 8 {
-		t.Errorf("encoding size %d, want 8", len(enc))
-	}
-}
-
-func TestAutoencoderEmptyInputs(t *testing.T) {
-	ae, _ := NewAutoencoder(2, 2, 0.5, 0)
-	if _, err := ae.TrainEpochs(nil, 5); err == nil {
-		t.Error("empty inputs should fail")
-	}
-}
-
-func TestPretrainImprovesStart(t *testing.T) {
-	// Inputs live on a 1-D manifold; pretraining should not error and
-	// should leave the network able to fine-tune.
-	var inputs [][]float64
-	var samples []Sample
-	for i := 0; i < 100; i++ {
-		x := float64(i) / 100
-		in := []float64{x, 1 - x, x * x}
-		inputs = append(inputs, in)
-		samples = append(samples, Sample{Input: in, Target: []float64{x}})
-	}
-	n, err := New(Config{LayerSizes: []int{3, 10, 10, 1}, LearningRate: 1.0, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Pretrain(inputs, 50, 6); err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Train(samples, TrainOptions{MaxEpochs: 200, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ValidationLoss > 0.02 {
-		t.Errorf("post-pretrain fine-tune loss %v too high", res.ValidationLoss)
-	}
-}
-
-func TestPretrainEmptyInputs(t *testing.T) {
-	n, _ := New(Config{LayerSizes: []int{2, 2, 1}})
-	if err := n.Pretrain(nil, 5, 0); err == nil {
-		t.Error("empty pretraining inputs should fail")
 	}
 }
 

@@ -41,8 +41,8 @@ func (o ParallelOptions) withDefaults() ParallelOptions {
 }
 
 // TrainParallel runs the distributed training loop on the network in
-// place. With Workers == 1 it degrades to the sequential loop's behaviour
-// (modulo shuffling order).
+// place. With Workers == 1 it is plain sequential SGD, one epoch after
+// another.
 func (n *Network) TrainParallel(samples []Sample, opts ParallelOptions) (TrainResult, error) {
 	opts = opts.withDefaults()
 	if len(samples) == 0 {

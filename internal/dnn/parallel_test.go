@@ -1,10 +1,8 @@
 package dnn
 
 import (
-	"bytes"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -109,69 +107,6 @@ func TestAverageFrom(t *testing.T) {
 	a.averageFrom(nil)
 	if math.Abs(a.weights[0][0]-orig) > 1e-12 {
 		t.Error("empty average mutated the network")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	n, err := New(Config{LayerSizes: []int{3, 5, 2}, LearningRate: 0.7, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Train a little so the weights are non-trivial.
-	for i := 0; i < 50; i++ {
-		if _, err := n.TrainSample([]float64{0.1, 0.5, 0.9}, []float64{0.2, 0.8}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOut, _ := n.Forward([]float64{0.3, 0.3, 0.3})
-	want := append([]float64(nil), wantOut...)
-	gotOut, err := loaded.Forward([]float64{0.3, 0.3, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, append([]float64(nil), gotOut...)) {
-		t.Error("loaded network diverges from saved one")
-	}
-	// Loaded network must be trainable (scratch buffers intact).
-	if _, err := loaded.TrainSample([]float64{0, 0, 0}, []float64{0.5, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"{not json",
-		`{"sizes":[3],"rate":0.5,"weights":[],"biases":[]}`,
-		`{"sizes":[2,1],"rate":0,"weights":[[[0.1,0.2]]],"biases":[[0]]}`,
-		`{"sizes":[2,1],"rate":0.5,"weights":[],"biases":[]}`,
-		`{"sizes":[2,1],"rate":0.5,"weights":[[[0.1]]],"biases":[[0]]}`,
-	}
-	for i, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
-		}
-	}
-}
-
-func BenchmarkTrainEpochSequential(b *testing.B) {
-	samples := sineSamples(512)
-	n, err := New(Config{LayerSizes: []int{1, 50, 50, 1}, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.Train(samples, TrainOptions{MaxEpochs: 1, Patience: 100, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -75,15 +75,6 @@ func ablationConfig(o Options, a Ablation, jobs int) sim.Config {
 	return cfg
 }
 
-// RunAblation executes one CORP variant and returns its result.
-func RunAblation(o Options, a Ablation, jobs int) (*sim.Result, error) {
-	r, err := sim.Run(ablationConfig(o, a, jobs))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ablation %v: %w", a, err)
-	}
-	return r, nil
-}
-
 // AblationStudy runs every variant and reports utilization, SLO violation
 // rate and prediction error rate side by side.
 func AblationStudy(o Options) (*Figure, error) {

@@ -182,7 +182,7 @@ func TestQuickExtensionMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + f.String())
-	if s := f.SeriesByLabel("cluster util"); s == nil || s.Len() != 2 {
+	if s := f.SeriesByLabel("cluster util"); s == nil || len(s.Y) != 2 {
 		t.Fatalf("cluster util series missing or wrong length")
 	}
 	// Long jobs add served demand: cluster utilization must not drop.

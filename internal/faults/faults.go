@@ -178,9 +178,6 @@ func NewInjector(cfg Config, vmToPM []int) *Injector {
 // Config returns the injector's effective (defaulted) configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
-// Down reports whether VM v is currently failed.
-func (in *Injector) Down(v int) bool { return in.downUntil[v] >= 0 }
-
 // Advance rolls the injector to slot t and returns the slot's events. It
 // must be called once per slot with strictly increasing t. The returned
 // SlotEvents (including Surge) is only valid until the next call.

@@ -115,7 +115,7 @@ func TestDownAndRecovery(t *testing.T) {
 		t.Fatalf("crashed %v, want all VMs", ev.Crashed)
 	}
 	for v := range topo() {
-		if !in.Down(v) {
+		if in.downUntil[v] < 0 {
 			t.Errorf("VM %d should be down", v)
 		}
 	}
@@ -186,7 +186,7 @@ func TestCrashClearsSurge(t *testing.T) {
 	in := NewInjector(cfg, topo())
 	ev := in.Advance(0)
 	for v, f := range ev.Surge {
-		if in.Down(v) && f != 1 {
+		if in.downUntil[v] >= 0 && f != 1 {
 			t.Errorf("down VM %d still surging with factor %v", v, f)
 		}
 	}

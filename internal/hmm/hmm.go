@@ -8,8 +8,8 @@
 //
 // The kernels run over contiguous row-major slabs held in a reusable
 // Scratch, so in steady state (once the scratch has grown to the longest
-// observation sequence seen) Forward, Backward, Gamma, Viterbi, BaumWelch
-// and PredictNextSymbol perform no heap allocations. Every kernel
+// observation sequence seen) Viterbi, BaumWelch with its forward and
+// backward passes, and PredictNextSymbol perform no heap allocations. Every kernel
 // preserves the floating-point accumulation order of the original jagged
 // implementation exactly — see equivalence_test.go — so all figures pinned
 // to fixed seeds are bit-identical to the seed code.
@@ -141,43 +141,6 @@ func randomStochastic(rng *rand.Rand, rows, cols int) [][]float64 {
 	return out
 }
 
-// Validate checks that all parameter rows are stochastic.
-func (m *Model) Validate() error {
-	if len(m.A) != m.H || len(m.B) != m.H || len(m.Pi) != m.H {
-		return errors.New("hmm: parameter shapes do not match H")
-	}
-	check := func(row []float64, what string) error {
-		var sum float64
-		for _, p := range row {
-			if p < -1e-12 || math.IsNaN(p) {
-				return fmt.Errorf("hmm: %s has invalid probability %v", what, p)
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			return fmt.Errorf("hmm: %s sums to %v", what, sum)
-		}
-		return nil
-	}
-	for i, row := range m.A {
-		if len(row) != m.H {
-			return fmt.Errorf("hmm: A row %d has %d cols", i, len(row))
-		}
-		if err := check(row, fmt.Sprintf("A[%d]", i)); err != nil {
-			return err
-		}
-	}
-	for i, row := range m.B {
-		if len(row) != m.M {
-			return fmt.Errorf("hmm: B row %d has %d cols", i, len(row))
-		}
-		if err := check(row, fmt.Sprintf("B[%d]", i)); err != nil {
-			return err
-		}
-	}
-	return check(m.Pi, "Pi")
-}
-
 func (m *Model) checkObs(obs []Symbol) error {
 	if len(obs) == 0 {
 		return errors.New("hmm: empty observation sequence")
@@ -214,9 +177,6 @@ type Scratch struct {
 	psi   []int32   // backpointers, T×H
 	path  []State   // T
 	dist  []float64 // M
-
-	// Reused row-header views for the jagged-shaped public returns.
-	alphaRows, betaRows, gammaRows [][]float64
 }
 
 // NewScratch returns an empty scratch; kernels size it on first use.
@@ -258,16 +218,6 @@ func (s *Scratch) pack(m *Model) {
 		copy(s.b[i*mm:(i+1)*mm], m.B[i])
 	}
 	copy(s.pi, m.Pi)
-}
-
-// rows re-slices dst into T row views of the flat T×H slab. With dst
-// capacity ≥ T this performs no allocation.
-func rows(dst [][]float64, flat []float64, tLen, h int) [][]float64 {
-	dst = dst[:0]
-	for t := 0; t < tLen; t++ {
-		dst = append(dst, flat[t*h:(t+1)*h])
-	}
-	return dst
 }
 
 // forwardInto runs the scaled forward pass (Eq. 14) on packed parameters.
@@ -349,112 +299,6 @@ func (m *Model) backwardInto(s *Scratch, obs []Symbol, scale []float64) {
 			beta[base+i] = sum / scale[t]
 		}
 	}
-}
-
-// Forward computes the scaled forward variables α̂ (Eq. 14) and returns
-// them with the per-step scale factors and the sequence log-likelihood
-// log P(O|λ). The returned slices alias the model-owned scratch and are
-// overwritten by the next kernel call on this model.
-func (m *Model) Forward(obs []Symbol) (alpha [][]float64, scale []float64, logProb float64, err error) {
-	return m.ForwardInto(m.scratch(), obs)
-}
-
-// ForwardInto is Forward running on caller-supplied scratch, for callers
-// that share one read-only model across goroutines. The returned slices
-// alias s.
-func (m *Model) ForwardInto(s *Scratch, obs []Symbol) (alpha [][]float64, scale []float64, logProb float64, err error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, nil, 0, err
-	}
-	s.pack(m)
-	logProb = m.forwardInto(s, obs)
-	s.alphaRows = rows(s.alphaRows, s.alpha, len(obs), m.H)
-	return s.alphaRows, s.scale[:len(obs)], logProb, nil
-}
-
-// Backward computes the scaled backward variables β̂ (Eq. 15) using the
-// scale factors produced by Forward on the same sequence. The returned
-// rows alias the model-owned scratch (see Forward); Backward and Forward
-// use distinct buffers, so a Forward/Backward pair over one sequence may
-// consume both results together.
-func (m *Model) Backward(obs []Symbol, scale []float64) ([][]float64, error) {
-	return m.BackwardInto(m.scratch(), obs, scale)
-}
-
-// BackwardInto is Backward running on caller-supplied scratch.
-func (m *Model) BackwardInto(s *Scratch, obs []Symbol, scale []float64) ([][]float64, error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, err
-	}
-	T := len(obs)
-	if len(scale) != T {
-		return nil, fmt.Errorf("hmm: scale length %d, want %d", len(scale), T)
-	}
-	s.pack(m)
-	m.backwardInto(s, obs, scale)
-	s.betaRows = rows(s.betaRows, s.beta, T, m.H)
-	return s.betaRows, nil
-}
-
-// Gamma computes γ_t(i) = P(q_t = S_i | O, λ) (Eqs. 12–13) for all t. The
-// returned rows alias the model-owned scratch (see Forward).
-func (m *Model) Gamma(obs []Symbol) ([][]float64, error) {
-	return m.GammaInto(m.scratch(), obs)
-}
-
-// GammaInto is Gamma running on caller-supplied scratch.
-func (m *Model) GammaInto(s *Scratch, obs []Symbol) ([][]float64, error) {
-	if err := m.checkObs(obs); err != nil {
-		return nil, err
-	}
-	s.pack(m)
-	T := len(obs)
-	h := m.H
-	m.forwardInto(s, obs)
-	m.backwardInto(s, obs, s.scale[:T])
-	s.gamma = growF(s.gamma, T*h)
-	alpha, beta, gamma := s.alpha, s.beta, s.gamma
-	for t := 0; t < T; t++ {
-		base := t * h
-		var norm float64
-		for i := 0; i < h; i++ {
-			g := alpha[base+i] * beta[base+i]
-			gamma[base+i] = g
-			norm += g
-		}
-		if norm > 0 {
-			for i := 0; i < h; i++ {
-				gamma[base+i] /= norm
-			}
-		}
-	}
-	s.gammaRows = rows(s.gammaRows, s.gamma, T, h)
-	return s.gammaRows, nil
-}
-
-// MostLikelyStates solves Eq. 16: the individually most likely state at
-// each time, argmax_i γ_t(i). The returned path aliases the model-owned
-// scratch and is overwritten by the next Viterbi or MostLikelyStates call.
-func (m *Model) MostLikelyStates(obs []Symbol) ([]State, error) {
-	s := m.scratch()
-	gamma, err := m.GammaInto(s, obs)
-	if err != nil {
-		return nil, err
-	}
-	if cap(s.path) < len(obs) {
-		s.path = make([]State, len(obs))
-	}
-	path := s.path[:len(obs)]
-	for t, g := range gamma {
-		best := 0
-		for i := 1; i < m.H; i++ {
-			if g[i] > g[best] {
-				best = i
-			}
-		}
-		path[t] = State(best)
-	}
-	return path, nil
 }
 
 // Viterbi returns the single best state sequence Q* maximizing P(Q, O|λ)
@@ -714,16 +558,4 @@ func (m *Model) PredictNextSymbolInto(s *Scratch, lastState State) (Symbol, []fl
 		}
 	}
 	return Symbol(best), dist, nil
-}
-
-// PredictNext fits nothing; it decodes the observation sequence with
-// Viterbi and applies Eq. 17 from the final state. It is the one-call
-// prediction path the CORP predictor uses each window.
-func (m *Model) PredictNext(obs []Symbol) (Symbol, error) {
-	path, _, err := m.Viterbi(obs)
-	if err != nil {
-		return 0, err
-	}
-	sym, _, err := m.PredictNextSymbol(path[len(path)-1])
-	return sym, err
 }

@@ -161,26 +161,6 @@ func TestViterbiMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestMostLikelyStatesDecodesCleanSignal(t *testing.T) {
-	// Near-deterministic emissions: symbol ≈ state.
-	m := &Model{
-		H: 2, M: 2,
-		A:  [][]float64{{0.9, 0.1}, {0.1, 0.9}},
-		B:  [][]float64{{0.95, 0.05}, {0.05, 0.95}},
-		Pi: []float64{0.5, 0.5},
-	}
-	obs := []Symbol{0, 0, 0, 1, 1, 1, 0, 0}
-	states, err := m.MostLikelyStates(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range states {
-		if int(s) != int(obs[i]) {
-			t.Errorf("t=%d decoded %v for symbol %v", i, s, obs[i])
-		}
-	}
-}
-
 func TestBaumWelchImprovesLikelihood(t *testing.T) {
 	// Generate observations from a known sticky model, then fit a fresh
 	// one and check likelihood improves monotonically overall.
@@ -290,31 +270,6 @@ func TestPredictNextSymbolDistribution(t *testing.T) {
 	}
 }
 
-func TestPredictNextEndToEnd(t *testing.T) {
-	// Alternating observations with a learned model: after a long
-	// alternating history the next symbol should flip.
-	m := NewPaperModel(2)
-	obs := make([]Symbol, 60)
-	for i := range obs {
-		if i%2 == 0 {
-			obs[i] = Peak
-		} else {
-			obs[i] = Valley
-		}
-	}
-	if _, _, err := m.BaumWelch(obs, 100, 1e-8); err != nil {
-		t.Fatal(err)
-	}
-	next, err := m.PredictNext(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sequence ends with Valley (index 59) → next should be Peak.
-	if next != Peak {
-		t.Errorf("predicted %v after ...Peak,Valley alternation, want Peak", next)
-	}
-}
-
 // Property: forward log-likelihood never increases when an impossible
 // symbol streak replaces a typical one under a near-deterministic model;
 // and γ stays a distribution for random models and sequences.
@@ -363,49 +318,26 @@ func TestSymbolizerThresholds(t *testing.T) {
 	if t1 != 5 || t2 != 15 {
 		t.Errorf("thresholds = (%v, %v), want (5, 15)", t1, t2)
 	}
-	if s.Symbol(3) != Valley {
-		t.Error("small delta should be valley")
+	if s.SymbolForLevel(3) != Valley {
+		t.Error("low level should be valley")
 	}
-	if s.Symbol(5) != Valley {
-		t.Error("delta == t1 should be valley (inclusive)")
+	if s.SymbolForLevel(5) != Valley {
+		t.Error("level == t1 should be valley (inclusive)")
 	}
-	if s.Symbol(10) != Center {
-		t.Error("middle delta should be center")
+	if s.SymbolForLevel(10) != Center {
+		t.Error("middle level should be center")
 	}
-	if s.Symbol(15) != Peak {
-		t.Error("delta == t2 should be peak")
+	if s.SymbolForLevel(15) != Peak {
+		t.Error("level == t2 should be peak")
 	}
-	if s.Symbol(19) != Peak {
-		t.Error("large delta should be peak")
+	if s.SymbolForLevel(19) != Peak {
+		t.Error("high level should be peak")
 	}
 }
 
 func TestNewSymbolizerEmpty(t *testing.T) {
 	if _, err := NewSymbolizer(nil); err == nil {
 		t.Error("empty history should fail")
-	}
-}
-
-func TestSymbolizerObserve(t *testing.T) {
-	s := &Symbolizer{Min: 0, Mean: 10, Max: 20} // t1=5, t2=15
-	// Windows of 3: [1,2,3]→Δ2 valley; [1,10,2]→Δ9 center; [0,20,1]→Δ20 peak.
-	series := []float64{1, 2, 3, 1, 10, 2, 0, 20, 1}
-	obs := s.Observe(series, 3)
-	want := []Symbol{Valley, Center, Peak}
-	if len(obs) != len(want) {
-		t.Fatalf("obs = %v", obs)
-	}
-	for i := range want {
-		if obs[i] != want[i] {
-			t.Errorf("obs[%d] = %v, want %v", i, obs[i], want[i])
-		}
-	}
-	if s.Observe([]float64{1}, 3) != nil {
-		t.Error("short series should yield nil")
-	}
-	// windowLen < 2 is raised to 2.
-	if got := s.Observe([]float64{1, 2, 3, 4}, 0); len(got) != 2 {
-		t.Errorf("raised window len should give 2 obs, got %v", got)
 	}
 }
 
@@ -419,43 +351,6 @@ func TestCorrectionMagnitudeConservative(t *testing.T) {
 	s2 := &Symbolizer{Min: 0, Mean: 5, Max: 10}
 	if got := s2.CorrectionMagnitude(); got != 5 {
 		t.Errorf("magnitude = %v, want 5", got)
-	}
-}
-
-func TestCorrectAdjustsByMagnitude(t *testing.T) {
-	s := &Symbolizer{Min: 0, Mean: 6, Max: 10} // magnitude 4
-	if got := s.Correct(10, Valley); got != 6 {
-		t.Errorf("valley correction = %v, want 6", got)
-	}
-	if got := s.Correct(10, Peak); got != 14 {
-		t.Errorf("peak correction = %v, want 14", got)
-	}
-	if got := s.Correct(10, Center); got != 10 {
-		t.Errorf("center correction = %v, want 10", got)
-	}
-	// Floors at zero.
-	if got := s.Correct(2, Valley); got != 0 {
-		t.Errorf("floored correction = %v, want 0", got)
-	}
-}
-
-// Property: Correct never returns a negative value and is monotone in its
-// input for a fixed symbol.
-func TestQuickCorrectMonotone(t *testing.T) {
-	s := &Symbolizer{Min: 0, Mean: 5, Max: 12}
-	f := func(a, b float64, rawSym uint8) bool {
-		sym := Symbol(int(rawSym) % 3)
-		x := math.Abs(math.Mod(a, 1000))
-		y := math.Abs(math.Mod(b, 1000))
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return true
-		}
-		lo, hi := math.Min(x, y), math.Max(x, y)
-		cLo, cHi := s.Correct(lo, sym), s.Correct(hi, sym)
-		return cLo >= 0 && cHi >= 0 && cHi >= cLo
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

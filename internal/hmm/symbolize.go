@@ -16,7 +16,8 @@ import (
 //
 // For each observation window the paper takes Δⱼ, the difference between
 // the window's maximum and minimum unused amount; Δⱼ ≤ t₁ → valley,
-// Δⱼ < t₂ → center, otherwise peak.
+// Δⱼ < t₂ → center, otherwise peak. ObserveLevels explains why this
+// reproduction symbolizes the window's level instead.
 type Symbolizer struct {
 	Min, Mean, Max float64
 }
@@ -52,48 +53,6 @@ func (s *Symbolizer) Thresholds() (t1, t2 float64) {
 	return t1, t2
 }
 
-// Symbol categorizes one window range Δ.
-func (s *Symbolizer) Symbol(delta float64) Symbol {
-	t1, t2 := s.Thresholds()
-	switch {
-	case delta <= t1:
-		return Valley
-	case delta < t2:
-		return Center
-	default:
-		return Peak
-	}
-}
-
-// Observe builds the observation sequence for a series of unused-resource
-// samples: consecutive windows of the given length (the paper's L−1
-// subwindows between observation slots) are reduced to Δⱼ = max−min and
-// symbolized. A windowLen < 2 is raised to 2; a series shorter than one
-// window yields nil.
-func (s *Symbolizer) Observe(series []float64, windowLen int) []Symbol {
-	return s.AppendObserve(nil, series, windowLen)
-}
-
-// AppendObserve is Observe writing into dst (usually a reused scratch
-// slice re-sliced to length 0); it allocates only when dst lacks capacity.
-func (s *Symbolizer) AppendObserve(dst []Symbol, series []float64, windowLen int) []Symbol {
-	if windowLen < 2 {
-		windowLen = 2
-	}
-	if len(series) < windowLen {
-		return dst
-	}
-	for start := 0; start+windowLen <= len(series); start += windowLen {
-		win := series[start : start+windowLen]
-		lo, hi, err := stats.MinMax(win)
-		if err != nil {
-			continue
-		}
-		dst = append(dst, s.Symbol(hi-lo))
-	}
-	return dst
-}
-
 // ObserveLevels builds the observation sequence from window *levels*
 // rather than window ranges: each consecutive window of windowLen slots is
 // reduced to its mean and symbolized against the level thresholds
@@ -105,8 +64,7 @@ func (s *Symbolizer) AppendObserve(dst []Symbol, series []float64, windowLen int
 // (lowering the estimate on valley) then points the wrong way. Level
 // symbolization preserves the paper's intent — detect whether the unused
 // amount is about to sit low or high and shift the estimate accordingly —
-// with consistent units. The CORP predictor uses this variant; Observe
-// remains available as the paper-literal reading.
+// with consistent units.
 func (s *Symbolizer) ObserveLevels(series []float64, windowLen int) []Symbol {
 	return s.AppendObserveLevels(nil, series, windowLen)
 }
@@ -181,8 +139,7 @@ func (s *Symbolizer) CorrectionMagnitude() float64 {
 // never past the band edge t₁ (t₂). The paper's unconditional shift assumes
 // the base predictor sits near the historical mean ("the predicted amount
 // may be close to m_cpu"); when the DNN already tracks the regime, an
-// unconditional shift overshoots, so the band edge bounds it. The CORP
-// predictor uses this variant; Correct remains the paper-literal rule.
+// unconditional shift overshoots, so the band edge bounds it.
 func (s *Symbolizer) CorrectToward(predicted float64, next Symbol) float64 {
 	step := s.CorrectionMagnitude()
 	t1, t2 := s.Thresholds()
@@ -203,24 +160,6 @@ func (s *Symbolizer) CorrectToward(predicted float64, next Symbol) float64 {
 			}
 			predicted = moved
 		}
-	}
-	if predicted < 0 {
-		return 0
-	}
-	return predicted
-}
-
-// Correct applies the paper's prediction-error correction: Valley reduces
-// the DNN estimate by the correction magnitude, Peak raises it, Center
-// leaves it untouched. The result is floored at zero (a negative unused
-// amount cannot be allocated).
-func (s *Symbolizer) Correct(predicted float64, next Symbol) float64 {
-	step := s.CorrectionMagnitude()
-	switch next {
-	case Valley:
-		predicted -= step
-	case Peak:
-		predicted += step
 	}
 	if predicted < 0 {
 		return 0

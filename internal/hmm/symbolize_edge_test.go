@@ -1,7 +1,6 @@
 package hmm
 
 import (
-	"math"
 	"testing"
 )
 
@@ -31,15 +30,12 @@ func TestSymbolizerConstantHistory(t *testing.T) {
 	// Zero magnitude and collapsed band edges: corrections are no-ops
 	// (modulo the zero floor).
 	for _, next := range []Symbol{Peak, Center, Valley} {
-		if got := sym.Correct(50, next); got != 50 {
-			t.Fatalf("Correct(50, %v) = %v, want 50", next, got)
-		}
 		if got := sym.CorrectToward(30, next); got != 30 {
 			t.Fatalf("CorrectToward(30, %v) = %v, want 30", next, got)
 		}
 	}
-	if got := sym.Correct(-1, Center); got != 0 {
-		t.Fatalf("Correct floors at zero, got %v", got)
+	if got := sym.CorrectToward(-1, Center); got != 0 {
+		t.Fatalf("CorrectToward floors at zero, got %v", got)
 	}
 }
 
@@ -49,9 +45,6 @@ func TestObserveShorterThanWindow(t *testing.T) {
 	if obs := sym.ObserveLevels(short, 6); obs != nil {
 		t.Fatalf("ObserveLevels on short series = %v, want nil", obs)
 	}
-	if obs := sym.Observe(short, 6); obs != nil {
-		t.Fatalf("Observe on short series = %v, want nil", obs)
-	}
 	if means := WindowMeans(short, 6); means != nil {
 		t.Fatalf("WindowMeans on short series = %v, want nil", means)
 	}
@@ -59,9 +52,6 @@ func TestObserveShorterThanWindow(t *testing.T) {
 	dst := make([]Symbol, 0, 4)
 	if got := sym.AppendObserveLevels(dst, short, 6); len(got) != 0 {
 		t.Fatalf("AppendObserveLevels appended %d symbols to short series", len(got))
-	}
-	if got := sym.AppendObserve(dst, short, 6); len(got) != 0 {
-		t.Fatalf("AppendObserve appended %d symbols to short series", len(got))
 	}
 	fdst := make([]float64, 0, 4)
 	if got := AppendWindowMeans(fdst, short, 6); len(got) != 0 {
@@ -98,9 +88,5 @@ func TestCorrectTowardNearZeroMagnitude(t *testing.T) {
 	}
 	if got := sym.CorrectToward(pred, Center); got != pred {
 		t.Fatalf("CorrectToward center = %v, want %v untouched", got, pred)
-	}
-	// The paper-literal rule shifts by the same tiny step, unbounded.
-	if got := sym.Correct(pred, Valley); math.Abs(got-(pred-eps)) > 1e-15 {
-		t.Fatalf("Correct valley = %v, want %v", got, pred-eps)
 	}
 }

@@ -208,12 +208,6 @@ type Runtime struct {
 	EvictedAt int
 }
 
-// NewRuntime returns a fresh runtime for the spec, unplaced and unstarted,
-// arriving at the spec's own arrival slot.
-func NewRuntime(spec *Job) *Runtime {
-	return NewRuntimeAt(spec, spec.Arrival)
-}
-
 // NewRuntimeAt returns a fresh runtime for the spec arriving at the given
 // run-local slot. Use this to apply timeline offsets (warmup shifts)
 // without writing through the shared, immutable spec.
@@ -233,11 +227,6 @@ func (r *Runtime) Evict(slot int) {
 	r.Entity = 0
 	r.Evictions++
 	r.EvictedAt = slot
-}
-
-// Running reports whether the job has started and not finished.
-func (r *Runtime) Running() bool {
-	return r.Started >= 0 && r.Finished < 0
 }
 
 // Done reports whether the job has finished.

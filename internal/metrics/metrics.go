@@ -18,47 +18,11 @@ import (
 	"repro/internal/resource"
 )
 
-// Utilization computes Eq. 1 for kind j at one slot:
-// U_{j,t} = Σᵢ d_{ij,t} / Σᵢ r_{ij,t}. A zero denominator yields 0.
-func Utilization(allocated, demand []resource.Vector, j resource.Kind) float64 {
-	var num, den float64
-	for i := range allocated {
-		den += allocated[i].At(j)
-	}
-	for i := range demand {
-		num += demand[i].At(j)
-	}
-	if den <= 0 {
-		return 0
-	}
-	return num / den
-}
-
-// OverallUtilization computes Eq. 2: the ω-weighted overall utilization
-// across kinds at one slot.
-func OverallUtilization(allocated, demand []resource.Vector, w resource.Weights) float64 {
-	num := resource.SumAcross(demand).Weighted(w)
-	den := resource.SumAcross(allocated).Weighted(w)
-	if den <= 0 {
-		return 0
-	}
-	return num / den
-}
-
-// WastageRatio computes Eq. 3: w_{j,t} = Σᵢ(r−d) / Σᵢ r for kind j.
-func WastageRatio(allocated, demand []resource.Vector, j resource.Kind) float64 {
-	u := Utilization(allocated, demand, j)
-	return 1 - u
-}
-
-// OverallWastageRatio computes Eq. 4, the ω-weighted overall wastage.
-func OverallWastageRatio(allocated, demand []resource.Vector, w resource.Weights) float64 {
-	return 1 - OverallUtilization(allocated, demand, w)
-}
-
 // UtilizationCollector accumulates allocation/demand mass over an entire
-// run so per-kind and overall utilization can be reported across all slots
-// (the time-average of Eqs. 1–2 with slot sums pooled).
+// run so per-kind and overall utilization can be reported across all slots:
+// Eq. 1, U_{j,t} = Σᵢ d_{ij,t} / Σᵢ r_{ij,t}, and its ω-weighted overall
+// form Eq. 2, with the slot sums pooled over time. The wastage ratios of
+// Eqs. 3–4 are the complements. A zero denominator yields 0.
 type UtilizationCollector struct {
 	Allocated resource.Vector
 	Demand    resource.Vector
@@ -191,9 +155,6 @@ func (s *Series) Append(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
 // String renders the series as "label: (x→y) ..." for harness output.
 func (s *Series) String() string {
 	out := s.Label + ":"
@@ -201,30 +162,6 @@ func (s *Series) String() string {
 		out += fmt.Sprintf(" (%.4g→%.4g)", s.X[i], s.Y[i])
 	}
 	return out
-}
-
-// Monotone reports whether Y is non-decreasing (+1), non-increasing (−1),
-// or neither (0) — used by experiment self-checks asserting figure shape.
-func (s *Series) Monotone() int {
-	inc, dec := true, true
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] < s.Y[i-1]-1e-12 {
-			inc = false
-		}
-		if s.Y[i] > s.Y[i-1]+1e-12 {
-			dec = false
-		}
-	}
-	switch {
-	case inc && !dec:
-		return 1
-	case dec && !inc:
-		return -1
-	case inc && dec:
-		return 1 // constant counts as non-decreasing
-	default:
-		return 0
-	}
 }
 
 // MeanY returns the mean of the Y values.
@@ -237,21 +174,6 @@ func (s *Series) MeanY() float64 {
 		sum += y
 	}
 	return sum / float64(len(s.Y))
-}
-
-// DominatesEverywhere reports whether s.Y[i] ≥ o.Y[i] at every shared
-// index (within slack), used to assert orderings like CORP > RCCR.
-func (s *Series) DominatesEverywhere(o *Series, slack float64) bool {
-	n := len(s.Y)
-	if len(o.Y) < n {
-		n = len(o.Y)
-	}
-	for i := 0; i < n; i++ {
-		if s.Y[i] < o.Y[i]-slack {
-			return false
-		}
-	}
-	return n > 0
 }
 
 // LatencyTracker accumulates scheduling overhead: real compute time spent
@@ -336,16 +258,4 @@ func PercentileInt(xs []int, p float64) (int, bool) {
 		rank = 0
 	}
 	return sorted[rank], true
-}
-
-// RelativeGap returns (a−b)/b, guarding the zero denominator; handy for
-// EXPERIMENTS.md paper-vs-measured factors.
-func RelativeGap(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (a - b) / b
 }

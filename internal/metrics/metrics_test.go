@@ -10,39 +10,22 @@ import (
 )
 
 func TestUtilizationEq1(t *testing.T) {
-	allocated := []resource.Vector{resource.New(10, 4, 2), resource.New(10, 4, 2)}
-	demand := []resource.Vector{resource.New(5, 2, 1), resource.New(5, 2, 1)}
-	if got := Utilization(allocated, demand, resource.CPU); got != 0.5 {
+	// Two jobs allocated (10, 4, 2) each and demanding (5, 2, 1) each:
+	// U_cpu = Σd / Σr = 10 / 20.
+	var c UtilizationCollector
+	c.Observe(resource.New(20, 8, 4), resource.New(10, 4, 2))
+	if got := c.Utilization(resource.CPU); got != 0.5 {
 		t.Errorf("CPU utilization = %v, want 0.5", got)
-	}
-	if got := Utilization(nil, nil, resource.CPU); got != 0 {
-		t.Errorf("empty utilization = %v, want 0", got)
 	}
 }
 
 func TestOverallUtilizationEq2(t *testing.T) {
-	allocated := []resource.Vector{resource.New(10, 10, 10)}
-	demand := []resource.Vector{resource.New(5, 10, 0)}
+	var c UtilizationCollector
+	c.Observe(resource.New(10, 10, 10), resource.New(5, 10, 0))
 	w := resource.DefaultWeights() // 0.4/0.4/0.2
 	// num = 0.4·5 + 0.4·10 + 0.2·0 = 6; den = 10 → 0.6.
-	if got := OverallUtilization(allocated, demand, w); math.Abs(got-0.6) > 1e-12 {
+	if got := c.Overall(w); math.Abs(got-0.6) > 1e-12 {
 		t.Errorf("overall = %v, want 0.6", got)
-	}
-}
-
-func TestWastageComplementsUtilization(t *testing.T) {
-	allocated := []resource.Vector{resource.New(8, 8, 8)}
-	demand := []resource.Vector{resource.New(6, 2, 8)}
-	for _, k := range resource.Kinds() {
-		u := Utilization(allocated, demand, k)
-		wst := WastageRatio(allocated, demand, k)
-		if math.Abs(u+wst-1) > 1e-12 {
-			t.Errorf("kind %v: U + w = %v, want 1", k, u+wst)
-		}
-	}
-	w := resource.DefaultWeights()
-	if math.Abs(OverallUtilization(allocated, demand, w)+OverallWastageRatio(allocated, demand, w)-1) > 1e-12 {
-		t.Error("overall wastage does not complement overall utilization")
 	}
 }
 
@@ -99,11 +82,8 @@ func TestSeries(t *testing.T) {
 	s.Append(50, 0.6)
 	s.Append(100, 0.7)
 	s.Append(150, 0.8)
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	if s.Monotone() != 1 {
-		t.Errorf("Monotone = %d, want 1", s.Monotone())
+	if len(s.X) != 3 || len(s.Y) != 3 {
+		t.Errorf("Append stored %d xs, %d ys", len(s.X), len(s.Y))
 	}
 	if math.Abs(s.MeanY()-0.7) > 1e-12 {
 		t.Errorf("MeanY = %v", s.MeanY())
@@ -111,46 +91,8 @@ func TestSeries(t *testing.T) {
 	if !strings.HasPrefix(s.String(), "CORP:") {
 		t.Errorf("String = %q", s.String())
 	}
-	var d Series
-	d.Append(50, 0.9)
-	d.Append(100, 0.2)
-	d.Append(150, 0.95)
-	if d.Monotone() != 0 {
-		t.Errorf("non-monotone series misclassified: %d", d.Monotone())
-	}
-	var dec Series
-	dec.Append(1, 3)
-	dec.Append(2, 2)
-	if dec.Monotone() != -1 {
-		t.Errorf("decreasing series misclassified: %d", dec.Monotone())
-	}
-	var flat Series
-	flat.Append(1, 2)
-	flat.Append(2, 2)
-	if flat.Monotone() != 1 {
-		t.Error("constant series should count as non-decreasing")
-	}
 	if (&Series{}).MeanY() != 0 {
 		t.Error("empty MeanY should be 0")
-	}
-}
-
-func TestDominatesEverywhere(t *testing.T) {
-	a := &Series{Y: []float64{0.8, 0.9, 0.95}}
-	b := &Series{Y: []float64{0.7, 0.85, 0.9}}
-	if !a.DominatesEverywhere(b, 0) {
-		t.Error("a should dominate b")
-	}
-	if b.DominatesEverywhere(a, 0) {
-		t.Error("b should not dominate a")
-	}
-	// Slack forgives small inversions.
-	c := &Series{Y: []float64{0.69, 0.9, 0.99}}
-	if !c.DominatesEverywhere(b, 0.02) {
-		t.Error("slack should forgive a 0.01 inversion")
-	}
-	if (&Series{}).DominatesEverywhere(&Series{}, 0) {
-		t.Error("empty series should not dominate")
 	}
 }
 
@@ -170,20 +112,8 @@ func TestLatencyTracker(t *testing.T) {
 	}
 }
 
-func TestRelativeGap(t *testing.T) {
-	if got := RelativeGap(12, 10); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("gap = %v", got)
-	}
-	if RelativeGap(0, 0) != 0 {
-		t.Error("0/0 gap should be 0")
-	}
-	if !math.IsInf(RelativeGap(1, 0), 1) {
-		t.Error("x/0 gap should be +Inf")
-	}
-}
-
 // Property: utilization is always in [0, 1] when demand ≤ allocated
-// element-wise, and wastage complements it.
+// element-wise.
 func TestQuickUtilizationBounds(t *testing.T) {
 	f := func(alloc resource.Vector, fracRaw float64) bool {
 		alloc = alloc.ClampNonNegative()
@@ -197,15 +127,15 @@ func TestQuickUtilizationBounds(t *testing.T) {
 			frac = 0.5
 		}
 		demand := alloc.Scale(frac)
-		a := []resource.Vector{alloc}
-		d := []resource.Vector{demand}
+		var c UtilizationCollector
+		c.Observe(alloc, demand)
 		for _, k := range resource.Kinds() {
-			u := Utilization(a, d, k)
+			u := c.Utilization(k)
 			if u < 0 || u > 1+1e-9 {
 				return false
 			}
 		}
-		overall := OverallUtilization(a, d, resource.DefaultWeights())
+		overall := c.Overall(resource.DefaultWeights())
 		return overall >= 0 && overall <= 1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -9,6 +9,9 @@ import (
 	"repro/internal/resource"
 )
 
+// uniform returns a vector with the same amount of every kind.
+func uniform(v float64) resource.Vector { return resource.New(v, v, v) }
+
 func mkJob(id int, cpu, mem, sto float64) *job.Job {
 	return &job.Job{
 		ID:        job.ID(id),
@@ -120,10 +123,10 @@ func TestPackAllSameDominantYieldsSingletons(t *testing.T) {
 }
 
 func TestPackEmptyAndSingle(t *testing.T) {
-	if got := Pack(nil, resource.Uniform(1)); got != nil {
+	if got := Pack(nil, uniform(1)); got != nil {
 		t.Errorf("Pack(nil) = %v", got)
 	}
-	one := Pack([]*job.Job{mkJob(0, 1, 1, 1)}, resource.Uniform(1))
+	one := Pack([]*job.Job{mkJob(0, 1, 1, 1)}, uniform(1))
 	if len(one) != 1 || len(one[0].Jobs) != 1 {
 		t.Errorf("single job should be one singleton entity: %v", one)
 	}
@@ -195,10 +198,10 @@ func TestPlacePaperExample(t *testing.T) {
 
 func TestPlaceNoFit(t *testing.T) {
 	candidates := []Candidate{{VM: 1, Available: resource.New(1, 1, 1)}}
-	if _, ok := Place(resource.New(2, 0, 0), candidates, resource.Uniform(10)); ok {
+	if _, ok := Place(resource.New(2, 0, 0), candidates, uniform(10)); ok {
 		t.Error("oversized demand should not place")
 	}
-	if _, ok := Place(resource.New(1, 0, 0), nil, resource.Uniform(10)); ok {
+	if _, ok := Place(resource.New(1, 0, 0), nil, uniform(10)); ok {
 		t.Error("no candidates should not place")
 	}
 }
@@ -208,7 +211,7 @@ func TestPlaceTieBreaksByVMID(t *testing.T) {
 		{VM: 7, Available: resource.New(2, 2, 2)},
 		{VM: 3, Available: resource.New(2, 2, 2)},
 	}
-	vm, ok := Place(resource.New(1, 1, 1), candidates, resource.Uniform(10))
+	vm, ok := Place(resource.New(1, 1, 1), candidates, uniform(10))
 	if !ok || vm != 3 {
 		t.Errorf("tie should break to lower VM ID, got %d", vm)
 	}
@@ -229,7 +232,7 @@ func TestQuickPlaceOptimal(t *testing.T) {
 				Available: resource.New(float64(r%11), float64((r/2)%11), float64((r/4)%11)),
 			})
 		}
-		demand := resource.Uniform(float64(d % 11))
+		demand := uniform(float64(d % 11))
 		vm, ok := Place(demand, candidates, cprime)
 		minVol := math.Inf(1)
 		anyFit := false

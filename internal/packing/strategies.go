@@ -68,8 +68,6 @@ func PackK(jobs []*job.Job, reference resource.Vector, k int) []Entity {
 // Strategy selects a VM for a demand among candidates. Implementations
 // must not mutate the candidate slice.
 type Strategy interface {
-	// Name identifies the strategy.
-	Name() string
 	// Choose returns the chosen candidate's VM; ok is false when nothing
 	// fits.
 	Choose(demand resource.Vector, candidates []Candidate, maxCapacity resource.Vector) (vm int, ok bool)
@@ -77,9 +75,6 @@ type Strategy interface {
 
 // MostMatched is the paper's Eq. 22 strategy (smallest adequate volume).
 type MostMatched struct{}
-
-// Name implements Strategy.
-func (MostMatched) Name() string { return "most-matched" }
 
 // Choose implements Strategy.
 func (MostMatched) Choose(demand resource.Vector, candidates []Candidate, maxCapacity resource.Vector) (int, bool) {
@@ -89,9 +84,6 @@ func (MostMatched) Choose(demand resource.Vector, candidates []Candidate, maxCap
 // FirstFit picks the first candidate (by slice order) that satisfies the
 // demand — the classic baseline bin-packing heuristic.
 type FirstFit struct{}
-
-// Name implements Strategy.
-func (FirstFit) Name() string { return "first-fit" }
 
 // Choose implements Strategy.
 func (FirstFit) Choose(demand resource.Vector, candidates []Candidate, _ resource.Vector) (int, bool) {
@@ -106,9 +98,6 @@ func (FirstFit) Choose(demand resource.Vector, candidates []Candidate, _ resourc
 // WorstFit picks the fitting candidate with the LARGEST volume, spreading
 // load — the opposite of most-matched.
 type WorstFit struct{}
-
-// Name implements Strategy.
-func (WorstFit) Name() string { return "worst-fit" }
 
 // Choose implements Strategy.
 func (WorstFit) Choose(demand resource.Vector, candidates []Candidate, maxCapacity resource.Vector) (int, bool) {
@@ -135,9 +124,6 @@ func (WorstFit) Choose(demand resource.Vector, candidates []Candidate, maxCapaci
 type RandomFit struct {
 	Rng *rand.Rand
 }
-
-// Name implements Strategy.
-func (RandomFit) Name() string { return "random-fit" }
 
 // Choose implements Strategy.
 func (r RandomFit) Choose(demand resource.Vector, candidates []Candidate, _ resource.Vector) (int, bool) {

@@ -10,14 +10,14 @@ import (
 
 func TestPackKSingletons(t *testing.T) {
 	jobs := []*job.Job{mkJob(0, 8, 1, 1), mkJob(1, 1, 8, 1)}
-	out := PackK(jobs, resource.Uniform(10), 1)
+	out := PackK(jobs, uniform(10), 1)
 	if len(out) != 2 {
 		t.Fatalf("k=1 should yield singletons, got %d entities", len(out))
 	}
 }
 
 func TestPackKMatchesPackForPairs(t *testing.T) {
-	ref := resource.New(10, 10, 10)
+	ref := uniform(10)
 	jobs := []*job.Job{
 		mkJob(0, 8, 1, 1), mkJob(1, 1, 8, 1), mkJob(2, 7, 1, 1), mkJob(3, 1, 1, 8),
 	}
@@ -39,7 +39,7 @@ func TestPackKMatchesPackForPairs(t *testing.T) {
 }
 
 func TestPackKTriples(t *testing.T) {
-	ref := resource.New(10, 10, 10)
+	ref := uniform(10)
 	jobs := []*job.Job{
 		mkJob(0, 8, 1, 1), // CPU
 		mkJob(1, 1, 8, 1), // MEM
@@ -62,7 +62,7 @@ func TestPackKTriples(t *testing.T) {
 
 // Property: PackK preserves every job exactly once and respects k.
 func TestPackKPartition(t *testing.T) {
-	ref := resource.New(10, 10, 10)
+	ref := uniform(10)
 	var jobs []*job.Job
 	for i := 0; i < 30; i++ {
 		jobs = append(jobs, mkJob(i, float64(i%9)+0.5, float64((i*3)%9)+0.5, float64((i*7)%9)+0.5))
@@ -90,39 +90,36 @@ func TestPackKPartition(t *testing.T) {
 
 func strategyCandidates() []Candidate {
 	return []Candidate{
-		{VM: 0, Available: resource.New(2, 2, 2)},
-		{VM: 1, Available: resource.New(9, 9, 9)},
-		{VM: 2, Available: resource.New(4, 4, 4)},
+		{VM: 0, Available: uniform(2)},
+		{VM: 1, Available: uniform(9)},
+		{VM: 2, Available: uniform(4)},
 	}
 }
 
 func TestMostMatchedStrategy(t *testing.T) {
-	vm, ok := MostMatched{}.Choose(resource.Uniform(1), strategyCandidates(), resource.Uniform(10))
+	vm, ok := MostMatched{}.Choose(uniform(1), strategyCandidates(), uniform(10))
 	if !ok || vm != 0 {
 		t.Errorf("most-matched chose %d (ok=%v), want 0", vm, ok)
-	}
-	if (MostMatched{}).Name() != "most-matched" {
-		t.Error("name wrong")
 	}
 }
 
 func TestFirstFitStrategy(t *testing.T) {
 	// Demand 3: VM0 (2) fails; VM1 fits first in order.
-	vm, ok := FirstFit{}.Choose(resource.Uniform(3), strategyCandidates(), resource.Uniform(10))
+	vm, ok := FirstFit{}.Choose(uniform(3), strategyCandidates(), uniform(10))
 	if !ok || vm != 1 {
 		t.Errorf("first-fit chose %d, want 1", vm)
 	}
-	if _, ok := (FirstFit{}).Choose(resource.Uniform(99), strategyCandidates(), resource.Uniform(10)); ok {
+	if _, ok := (FirstFit{}).Choose(uniform(99), strategyCandidates(), uniform(10)); ok {
 		t.Error("oversized demand should not fit")
 	}
 }
 
 func TestWorstFitStrategy(t *testing.T) {
-	vm, ok := WorstFit{}.Choose(resource.Uniform(1), strategyCandidates(), resource.Uniform(10))
+	vm, ok := WorstFit{}.Choose(uniform(1), strategyCandidates(), uniform(10))
 	if !ok || vm != 1 {
 		t.Errorf("worst-fit chose %d, want the biggest pool (1)", vm)
 	}
-	if _, ok := (WorstFit{}).Choose(resource.Uniform(99), strategyCandidates(), resource.Uniform(10)); ok {
+	if _, ok := (WorstFit{}).Choose(uniform(99), strategyCandidates(), uniform(10)); ok {
 		t.Error("oversized demand should not fit")
 	}
 }
@@ -131,7 +128,7 @@ func TestRandomFitStrategy(t *testing.T) {
 	r := RandomFit{Rng: rand.New(rand.NewSource(1))}
 	counts := map[int]int{}
 	for i := 0; i < 300; i++ {
-		vm, ok := r.Choose(resource.Uniform(1), strategyCandidates(), resource.Uniform(10))
+		vm, ok := r.Choose(uniform(1), strategyCandidates(), uniform(10))
 		if !ok {
 			t.Fatal("should fit")
 		}
@@ -143,7 +140,7 @@ func TestRandomFitStrategy(t *testing.T) {
 		}
 	}
 	// Nil RNG degrades to first fit.
-	vm, ok := (RandomFit{}).Choose(resource.Uniform(1), strategyCandidates(), resource.Uniform(10))
+	vm, ok := (RandomFit{}).Choose(uniform(1), strategyCandidates(), uniform(10))
 	if !ok || vm != 0 {
 		t.Errorf("nil-rng random fit chose %d", vm)
 	}
@@ -152,7 +149,7 @@ func TestRandomFitStrategy(t *testing.T) {
 // Property: every strategy returns only candidates that fit.
 func TestStrategiesOnlyReturnFits(t *testing.T) {
 	strategies := []Strategy{MostMatched{}, FirstFit{}, WorstFit{}, RandomFit{Rng: rand.New(rand.NewSource(2))}}
-	ref := resource.Uniform(10)
+	ref := uniform(10)
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		var candidates []Candidate
@@ -162,14 +159,14 @@ func TestStrategiesOnlyReturnFits(t *testing.T) {
 				Available: resource.New(rng.Float64()*8, rng.Float64()*8, rng.Float64()*8),
 			})
 		}
-		demand := resource.Uniform(rng.Float64() * 8)
+		demand := uniform(rng.Float64() * 8)
 		for _, s := range strategies {
 			vm, ok := s.Choose(demand, candidates, ref)
 			if !ok {
 				continue
 			}
 			if !demand.FitsIn(candidates[vm].Available) {
-				t.Fatalf("%s returned VM %d that does not fit", s.Name(), vm)
+				t.Fatalf("%T returned VM %d that does not fit", s, vm)
 			}
 		}
 	}

@@ -1,9 +1,7 @@
 package predict
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -200,16 +198,6 @@ func NewCorpBrain(cfg CorpConfig) (*CorpBrain, error) {
 
 // InputSlots returns Δ, the per-kind network's input width.
 func (b *CorpBrain) InputSlots() int { return b.cfg.InputSlots }
-
-// TrainSteps returns the number of SGD updates performed so far, summed
-// over resource kinds.
-func (b *CorpBrain) TrainSteps() int {
-	n := 0
-	for k := range b.kinds {
-		n += b.kinds[k].steps
-	}
-	return n
-}
 
 // TrainErrors returns how many online training calls were rejected,
 // summed over resource kinds.
@@ -448,7 +436,7 @@ func (p *CorpPredictor) FlushShared(k resource.Kind) {
 
 // TrainErrors returns how many of this predictor's training samples the
 // shared brain rejected. The count is brain-wide (shared across the VMs
-// feeding it), matching how TrainSteps is accounted.
+// feeding it).
 func (p *CorpPredictor) TrainErrors() int { return p.brain.TrainErrors() }
 
 // Per-kind estimate modes carried from PredictPrepare to PredictFinish.
@@ -574,10 +562,6 @@ func (p *CorpPredictor) PredictFinish(outs *[resource.NumKinds]float64) Predicti
 	return Prediction{Unused: out, Unlocked: unlocked}
 }
 
-// Brain exposes the shared CORP brain so the batched refresh engine can
-// run the per-kind forwards between PredictPrepare and PredictFinish.
-func (p *CorpPredictor) Brain() *CorpBrain { return p.brain }
-
 // TierCounters returns how many per-kind estimates the first tier served
 // and how many escalated to the full DNN path while the tier was enabled.
 // Both stay zero with TierEnabled off.
@@ -663,43 +647,4 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-// Save writes the brain's per-kind networks as JSON, enabling the offline
-// train → save → deploy split (pair with PretrainBrain and Load).
-func (b *CorpBrain) Save(w io.Writer) error {
-	for _, k := range resource.Kinds() {
-		if err := b.kinds[k].net.Save(w); err != nil {
-			return fmt.Errorf("predict: save kind %v: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// LoadCorpBrain reads per-kind networks written by Save into a brain with
-// the given configuration. The stored topologies must match the config.
-func LoadCorpBrain(cfg CorpConfig, r io.Reader) (*CorpBrain, error) {
-	b, err := NewCorpBrain(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(r)
-	for _, k := range resource.Kinds() {
-		net, err := dnn.LoadFrom(dec)
-		if err != nil {
-			return nil, fmt.Errorf("predict: load kind %v: %w", k, err)
-		}
-		want := b.kinds[k].net.LayerSizes()
-		got := net.LayerSizes()
-		if len(want) != len(got) {
-			return nil, fmt.Errorf("predict: kind %v topology %v, want %v", k, got, want)
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				return nil, fmt.Errorf("predict: kind %v topology %v, want %v", k, got, want)
-			}
-		}
-		b.kinds[k].net = net
-	}
-	return b, nil
 }

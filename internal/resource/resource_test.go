@@ -36,15 +36,6 @@ func TestNewAndAt(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	v := Uniform(2.5)
-	for _, k := range Kinds() {
-		if v.At(k) != 2.5 {
-			t.Errorf("Uniform(2.5)[%v] = %v", k, v.At(k))
-		}
-	}
-}
-
 func TestAddSubScale(t *testing.T) {
 	a := New(1, 2, 3)
 	b := New(4, 5, 6)
@@ -150,19 +141,6 @@ func TestDefaultWeightsSumToOne(t *testing.T) {
 	}
 }
 
-func TestNormalizeWeights(t *testing.T) {
-	w := Weights{2, 2, 1}.Normalize()
-	if !almostEqual(w[0], 0.4) || !almostEqual(w[2], 0.2) {
-		t.Errorf("Normalize = %v", w)
-	}
-	u := Weights{}.Normalize()
-	for _, x := range u {
-		if !almostEqual(x, 1.0/NumKinds) {
-			t.Errorf("zero weights should normalize to uniform, got %v", u)
-		}
-	}
-}
-
 func TestDominant(t *testing.T) {
 	ref := New(25, 2, 30) // paper Fig. 5 reference capacities
 	// CPU-heavy job: 20/25 = 0.8 dominates.
@@ -173,8 +151,8 @@ func TestDominant(t *testing.T) {
 	if d := New(5, 1, 25).Dominant(ref); d != Storage {
 		t.Errorf("dominant = %v, want STO", d)
 	}
-	// Raw comparison with Uniform(1) reference.
-	if d := New(1, 9, 3).Dominant(Uniform(1)); d != Memory {
+	// Raw comparison with an all-ones reference.
+	if d := New(1, 9, 3).Dominant(New(1, 1, 1)); d != Memory {
 		t.Errorf("dominant = %v, want MEM", d)
 	}
 }
@@ -283,7 +261,7 @@ func TestQuickVolumeMonotone(t *testing.T) {
 		if math.IsInf(d, 0) || math.IsNaN(d) {
 			return true
 		}
-		grown := v.Add(Uniform(d))
+		grown := v.Add(New(d, d, d))
 		return grown.Volume(ref) >= v.Volume(ref)
 	}
 	if err := quick.Check(f, nil); err != nil {

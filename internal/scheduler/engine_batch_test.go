@@ -215,14 +215,15 @@ func TestBatchedRefreshSteadyStateAllocs(t *testing.T) {
 // serial Predict and another through the explicit Prepare/forward/Finish
 // split the engine uses, pinning the outputs identical.
 func TestCorpPredictorSerialMatchesSplit(t *testing.T) {
-	mkPred := func() *predict.CorpPredictor {
+	mkPred := func() (*predict.CorpPredictor, *predict.CorpBrain) {
 		brain, err := predict.NewCorpBrain(predict.CorpConfig{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return predict.NewCorpPredictor(brain, resource.New(8, 16, 100), 5)
+		return predict.NewCorpPredictor(brain, resource.New(8, 16, 100), 5), brain
 	}
-	serial, split := mkPred(), mkPred()
+	serial, _ := mkPred()
+	split, splitBrain := mkPred()
 	rows := [resource.NumKinds][]float64{
 		make([]float64, 12), make([]float64, 12), make([]float64, 12),
 	}
@@ -241,7 +242,7 @@ func TestCorpPredictorSerialMatchesSplit(t *testing.T) {
 			if !need[k] {
 				continue
 			}
-			batch, err := split.Brain().ForwardBatchKind(k, rows[k])
+			batch, err := splitBrain.ForwardBatchKind(k, rows[k])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,9 +31,9 @@ func TestClusterUtilizationCountsFreshOnce(t *testing.T) {
 
 	// VM 0 hosts a fresh short job (entity 0) from guaranteed headroom;
 	// VM 1 hosts an opportunistic one (entity 1) from predicted-unused.
-	fresh := job.NewRuntime(spec(1))
+	fresh := job.NewRuntimeAt(spec(1), 0)
 	fresh.Allocated = one(3)
-	opp := job.NewRuntime(spec(2))
+	opp := job.NewRuntimeAt(spec(2), 0)
 	opp.Allocated = one(1)
 	opp.Entity = 1
 	vms := []vmState{

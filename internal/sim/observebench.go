@@ -64,9 +64,6 @@ func NewObserveBench(snap *workload.Snapshot, disableTables bool) (*ObserveBench
 	return &ObserveBench{rs: rs}, nil
 }
 
-// UsingTables reports whether the table rows are armed.
-func (ob *ObserveBench) UsingTables() bool { return ob.rs.tables != nil }
-
 // Run drives iters consecutive telemetry slots (continuing from the last
 // call, so repeated calls walk the period instead of re-observing slot 0)
 // and returns a checksum over the computed unused vectors so the work

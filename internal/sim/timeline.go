@@ -2,7 +2,6 @@ package sim
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -48,50 +47,6 @@ func WriteTimelineCSV(w io.Writer, points []TimelinePoint) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadTimelineCSV parses a timeline written by WriteTimelineCSV.
-func ReadTimelineCSV(r io.Reader) ([]TimelinePoint, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("sim: timeline header: %w", err)
-	}
-	if len(header) != 7 {
-		return nil, fmt.Errorf("sim: timeline header has %d columns", len(header))
-	}
-	var out []TimelinePoint
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		ints := make([]int, 0, 3)
-		for _, idx := range []int{0, 5, 6} {
-			v, err := strconv.Atoi(row[idx])
-			if err != nil {
-				return nil, fmt.Errorf("sim: timeline column %d: %w", idx, err)
-			}
-			ints = append(ints, v)
-		}
-		floats := make([]float64, 0, 4)
-		for _, idx := range []int{1, 2, 3, 4} {
-			v, err := strconv.ParseFloat(row[idx], 64)
-			if err != nil {
-				return nil, fmt.Errorf("sim: timeline column %d: %w", idx, err)
-			}
-			floats = append(floats, v)
-		}
-		out = append(out, TimelinePoint{
-			Slot: ints[0], ShortUtil: floats[0], ClusterUtil: floats[1],
-			UnusedCPU: floats[2], OppInUseCPU: floats[3],
-			RunningShort: ints[1], Queued: ints[2],
-		})
-	}
-	return out, nil
 }
 
 // snapshotTimeline builds one slot's point from the loop's ledgers.

@@ -3,44 +3,7 @@ package stats
 // Exponential smoothing (ETS) forecasters. The RCCR baseline of the paper
 // "used a time series forecasting technique, i.e., Exponential Smoothing
 // (ETS), to predict the amount of unused resource of VMs" (Section IV).
-// Both simple exponential smoothing and Holt's linear-trend method are
-// provided; RCCR uses Holt so it can track drifting baselines.
-
-// SimpleETS is simple exponential smoothing: level only, no trend.
-type SimpleETS struct {
-	alpha float64
-	level float64
-	ready bool
-}
-
-// NewSimpleETS returns a simple exponential smoother. Alpha is clamped to
-// (0, 1].
-func NewSimpleETS(alpha float64) *SimpleETS {
-	if alpha <= 0 {
-		alpha = 0.3
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return &SimpleETS{alpha: alpha}
-}
-
-// Observe folds one sample into the level.
-func (s *SimpleETS) Observe(x float64) {
-	if !s.ready {
-		s.level = x
-		s.ready = true
-		return
-	}
-	s.level = s.alpha*x + (1-s.alpha)*s.level
-}
-
-// Forecast returns the h-step-ahead forecast. For simple smoothing the
-// forecast is flat: the current level for any horizon h ≥ 1.
-func (s *SimpleETS) Forecast(h int) float64 { return s.level }
-
-// Ready reports whether at least one sample has been observed.
-func (s *SimpleETS) Ready() bool { return s.ready }
+// RCCR uses Holt's linear-trend method so it can track drifting baselines.
 
 // HoltETS is Holt's linear-trend double exponential smoothing.
 type HoltETS struct {
@@ -100,13 +63,3 @@ func (h *HoltETS) Forecast(k int) float64 {
 // Ready reports whether the forecaster has seen at least two samples (so
 // the trend is initialized).
 func (h *HoltETS) Ready() bool { return h.seen >= 2 }
-
-// FitHolt runs a Holt forecaster over the whole series and returns the
-// 1-step-ahead forecast past its end. Convenience for batch callers.
-func FitHolt(series []float64, alpha, beta float64) float64 {
-	h := NewHoltETS(alpha, beta)
-	for _, x := range series {
-		h.Observe(x)
-	}
-	return h.Forecast(1)
-}

@@ -2,11 +2,9 @@ package stats
 
 import "math"
 
-// FFT support. The direct DFT in signature.go is fine for the prediction
-// windows the schedulers use (tens of samples); offline trace analysis
-// (cmd/tracegen, long resident series) benefits from the O(n log n)
-// transform, and PeriodogramFFT produces the same spectrum as Periodogram
-// on power-of-two inputs.
+// FFT support: PeriodScratch takes the O(n log n) transform for
+// power-of-two series lengths and the direct DFT otherwise; both produce
+// the same spectrum.
 
 // FFT computes the in-place radix-2 Cooley–Tukey transform of the complex
 // sequence given as separate real and imaginary slices. Both slices must
@@ -45,80 +43,4 @@ func FFT(re, im []float64) bool {
 		}
 	}
 	return true
-}
-
-// PeriodogramFFT computes the same power spectrum as Periodogram using the
-// FFT. The series length must be a power of two ≥ 4; it returns nil
-// otherwise.
-func PeriodogramFFT(series []float64) []float64 {
-	n := len(series)
-	if n < 4 || n&(n-1) != 0 {
-		return nil
-	}
-	m := Mean(series)
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for i, x := range series {
-		re[i] = x - m
-	}
-	if !FFT(re, im) {
-		return nil
-	}
-	half := n / 2
-	power := make([]float64, half)
-	for k := 1; k <= half; k++ {
-		power[k-1] = (re[k]*re[k] + im[k]*im[k]) / float64(n)
-	}
-	return power
-}
-
-// Autocorrelation returns the normalized autocorrelation r(lag) for
-// lag = 0..maxLag (r(0) = 1). It returns nil when the series is shorter
-// than 2 or has zero variance.
-func Autocorrelation(series []float64, maxLag int) []float64 {
-	n := len(series)
-	if n < 2 || maxLag < 0 {
-		return nil
-	}
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	m := Mean(series)
-	var denom float64
-	for _, x := range series {
-		d := x - m
-		denom += d * d
-	}
-	if denom == 0 {
-		return nil
-	}
-	out := make([]float64, maxLag+1)
-	for lag := 0; lag <= maxLag; lag++ {
-		var num float64
-		for t := 0; t+lag < n; t++ {
-			num += (series[t] - m) * (series[t+lag] - m)
-		}
-		out[lag] = num / denom
-	}
-	return out
-}
-
-// DominantLag returns the lag ≥ minLag with the highest autocorrelation,
-// and whether it exceeds the threshold — a time-domain alternative to
-// DominantPeriod for signature detection.
-func DominantLag(series []float64, minLag int, threshold float64) (int, bool) {
-	if minLag < 1 {
-		minLag = 1
-	}
-	ac := Autocorrelation(series, len(series)/2)
-	if ac == nil || len(ac) <= minLag {
-		return 0, false
-	}
-	best := minLag
-	for lag := minLag; lag < len(ac); lag++ {
-		if ac[lag] > ac[best] {
-			best = lag
-		}
-	}
-	return best, ac[best] >= threshold
 }

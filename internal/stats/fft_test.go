@@ -107,151 +107,6 @@ func TestPeriodogramFFTMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	if Autocorrelation([]float64{1}, 4) != nil {
-		t.Error("too-short series should be nil")
-	}
-	if Autocorrelation([]float64{2, 2, 2, 2}, 2) != nil {
-		t.Error("zero-variance series should be nil")
-	}
-	// Period-4 signal: r(4) should be strongly positive, r(2) negative.
-	var series []float64
-	for i := 0; i < 40; i++ {
-		series = append(series, math.Sin(2*math.Pi*float64(i)/4))
-	}
-	ac := Autocorrelation(series, 8)
-	if math.Abs(ac[0]-1) > 1e-12 {
-		t.Errorf("r(0) = %v, want 1", ac[0])
-	}
-	if ac[4] < 0.8 {
-		t.Errorf("r(4) = %v, want strong positive", ac[4])
-	}
-	if ac[2] > -0.8 {
-		t.Errorf("r(2) = %v, want strong negative", ac[2])
-	}
-	// maxLag clamping.
-	if got := Autocorrelation([]float64{1, 2, 3}, 10); len(got) != 3 {
-		t.Errorf("clamped lags = %d, want 3", len(got))
-	}
-}
-
-func TestDominantLag(t *testing.T) {
-	var series []float64
-	for i := 0; i < 48; i++ {
-		series = append(series, math.Sin(2*math.Pi*float64(i)/6))
-	}
-	lag, ok := DominantLag(series, 2, 0.5)
-	if !ok || lag != 6 {
-		t.Errorf("DominantLag = (%d, %v), want (6, true)", lag, ok)
-	}
-	if _, ok := DominantLag([]float64{1, 2}, 1, 0.5); ok {
-		t.Error("tiny series should not detect a lag")
-	}
-}
-
-func TestHoltWintersSeasonal(t *testing.T) {
-	// Level 10 + seasonal pattern {+2, 0, −2, 0} with period 4.
-	season := []float64{2, 0, -2, 0}
-	h := NewHoltWintersETS(0.3, 0.05, 0.2, 4)
-	for i := 0; i < 60; i++ {
-		h.Observe(10 + season[i%4])
-	}
-	if !h.Ready() {
-		t.Fatal("should be initialized")
-	}
-	// One-step forecast: next index is 60 % 4 = 0 → ≈ 12.
-	if got := h.Forecast(1); math.Abs(got-12) > 0.3 {
-		t.Errorf("Forecast(1) = %v, want ≈ 12", got)
-	}
-	// Three steps ahead: index 62 % 4 = 2 → ≈ 8.
-	if got := h.Forecast(3); math.Abs(got-8) > 0.3 {
-		t.Errorf("Forecast(3) = %v, want ≈ 8", got)
-	}
-}
-
-func TestHoltWintersBeforeReady(t *testing.T) {
-	h := NewHoltWintersETS(0.3, 0.1, 0.2, 4)
-	h.Observe(5)
-	h.Observe(7)
-	if h.Ready() {
-		t.Error("not enough data to initialize")
-	}
-	if got := h.Forecast(1); math.Abs(got-6) > 1e-12 {
-		t.Errorf("pre-init forecast = %v, want buffered mean 6", got)
-	}
-}
-
-func TestHoltWintersClamping(t *testing.T) {
-	h := NewHoltWintersETS(-1, 2, 0, 1)
-	if h.alpha <= 0 || h.beta > 1 || h.gamma <= 0 || h.period != 2 {
-		t.Errorf("clamping failed: %+v", h)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(4, 0, 8)
-	for _, x := range []float64{-1, 0.5, 2.5, 4.5, 6.5, 9} {
-		h.Observe(x)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	// Bins: [-1, 0.5]→bin0 ×2, 2.5→bin1, 4.5→bin2, [6.5, 9]→bin3 ×2.
-	want := []int{2, 1, 1, 2}
-	for b, w := range want {
-		if h.Count(b) != w {
-			t.Errorf("bin %d = %d, want %d", b, h.Count(b), w)
-		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(10, 0, 10)
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i%10) + 0.5)
-	}
-	if q := h.Quantile(0.5); math.Abs(q-5) > 1.1 {
-		t.Errorf("median = %v, want ≈ 5", q)
-	}
-	if q := h.Quantile(0); q > 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q < 9 {
-		t.Errorf("q1 = %v", q)
-	}
-	empty := NewHistogram(4, 0, 1)
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty quantile should be lo")
-	}
-	// Degenerate construction.
-	d := NewHistogram(0, 5, 5)
-	d.Observe(5)
-	if d.Total() != 1 {
-		t.Error("degenerate histogram should still count")
-	}
-}
-
-// Property: histogram quantiles are monotone in q.
-func TestQuickHistogramQuantileMonotone(t *testing.T) {
-	h := NewHistogram(16, 0, 1)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		h.Observe(rng.Float64())
-	}
-	f := func(a, b float64) bool {
-		qa := math.Abs(math.Mod(a, 1))
-		qb := math.Abs(math.Mod(b, 1))
-		if math.IsNaN(qa) || math.IsNaN(qb) {
-			return true
-		}
-		lo, hi := math.Min(qa, qb), math.Max(qa, qb)
-		return h.Quantile(lo) <= h.Quantile(hi)+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkFFT1024(b *testing.B) {
 	n := 1024
 	x := make([]float64, n)

@@ -20,15 +20,16 @@ func (ps *PeriodScratch) growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// DominantPeriod is the package-level DominantPeriod running on scratch
-// buffers: identical spectrum (FFT for power-of-two lengths ≥ 4, direct
-// DFT otherwise) and identical decision rule.
+// DominantPeriod finds the period (in samples) whose spectral peak carries
+// at least minShare of the total spectral energy. It returns (period, true)
+// when such a signature exists and (0, false) otherwise. The spectrum is
+// the FFT's for power-of-two lengths ≥ 4 and the direct DFT's otherwise.
 func (ps *PeriodScratch) DominantPeriod(series []float64, minShare float64) (int, bool) {
 	return dominantFromPower(ps.periodogram(series), len(series), minShare)
 }
 
-// periodogram computes the k = 1..n/2 power spectrum into ps.power,
-// matching Periodogram / PeriodogramFFT bit for bit.
+// periodogram computes the power spectrum |X(k)|² / n of the series for
+// k = 1..n/2 (the DC component is excluded) into ps.power.
 func (ps *PeriodScratch) periodogram(series []float64) []float64 {
 	n := len(series)
 	if n < 4 {
@@ -76,11 +77,12 @@ func (ps *PeriodScratch) periodogramFFT(series []float64) []float64 {
 	return power
 }
 
-// SignatureMean returns Mean(SignaturePredict(series, period, h)) — the
-// CloudScale window forecast — without allocating: the per-phase signature
-// accumulates into scratch and the replayed values are summed in the same
-// order Mean would visit them. The boolean is false exactly when
-// SignaturePredict would return nil.
+// SignatureMean is the CloudScale window forecast: the mean of the next h
+// values when the per-phase signature (element i is the mean of all samples
+// at phase i) is replayed from the phase that follows the series end. The
+// signature accumulates into scratch, so nothing allocates. The boolean is
+// false when the period does not fit in the series at least twice or
+// h < 1.
 func (ps *PeriodScratch) SignatureMean(series []float64, period, h int) (float64, bool) {
 	if period < 1 || len(series) < 2*period || h < 1 {
 		return 0, false

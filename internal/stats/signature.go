@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // PRESS-style signature detection, used by the CloudScale baseline.
 //
 // CloudScale builds on PRESS (Gong et al., CNSM 2010): it computes a
@@ -11,47 +9,6 @@ import "math"
 // Markov chain over binned usage levels. Short-lived jobs rarely exhibit a
 // dominant period, which is precisely why CloudScale underperforms CORP in
 // the paper's evaluation — this implementation preserves that behaviour.
-
-// Periodogram returns the power spectrum |X(k)|² / n of the series for
-// k = 1..n/2 (the DC component is excluded), computed with a direct DFT.
-// A direct O(n²) transform is deliberate: prediction windows are tens of
-// samples, so an FFT would add complexity without measurable benefit.
-func Periodogram(series []float64) []float64 {
-	n := len(series)
-	if n < 4 {
-		return nil
-	}
-	m := Mean(series)
-	half := n / 2
-	power := make([]float64, half)
-	for k := 1; k <= half; k++ {
-		var re, im float64
-		for t, x := range series {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			c := x - m
-			re += c * math.Cos(angle)
-			im += c * math.Sin(angle)
-		}
-		power[k-1] = (re*re + im*im) / float64(n)
-	}
-	return power
-}
-
-// DominantPeriod finds the period (in samples) whose spectral peak carries
-// at least minShare of the total spectral energy. It returns (period, true)
-// when such a signature exists and (0, false) otherwise. Power-of-two
-// series lengths ≥ 4 go through the O(n log n) PeriodogramFFT; other
-// lengths fall back to the direct DFT.
-func DominantPeriod(series []float64, minShare float64) (int, bool) {
-	n := len(series)
-	var power []float64
-	if n >= 4 && n&(n-1) == 0 {
-		power = PeriodogramFFT(series)
-	} else {
-		power = Periodogram(series)
-	}
-	return dominantFromPower(power, n, minShare)
-}
 
 // dominantFromPower applies the signature decision rule to a power
 // spectrum over a length-n series: the spectral peak must carry minShare
@@ -87,40 +44,6 @@ func dominantFromPower(power []float64, n int, minShare float64) (int, bool) {
 		return 0, false
 	}
 	return period, true
-}
-
-// Signature extracts the average per-phase pattern for the given period:
-// element i is the mean of all samples at phase i. It returns nil when the
-// period does not fit in the series at least twice.
-func Signature(series []float64, period int) []float64 {
-	if period < 1 || len(series) < 2*period {
-		return nil
-	}
-	sig := make([]float64, period)
-	count := make([]int, period)
-	for t, x := range series {
-		p := t % period
-		sig[p] += x
-		count[p]++
-	}
-	for i := range sig {
-		sig[i] /= float64(count[i])
-	}
-	return sig
-}
-
-// SignaturePredict forecasts the next h values by replaying the signature
-// starting at the phase that follows the series end.
-func SignaturePredict(series []float64, period, h int) []float64 {
-	sig := Signature(series, period)
-	if sig == nil || h < 1 {
-		return nil
-	}
-	out := make([]float64, h)
-	for i := 0; i < h; i++ {
-		out[i] = sig[(len(series)+i)%period]
-	}
-	return out
 }
 
 // MarkovChain is a first-order discrete-time Markov chain over usage levels
@@ -191,24 +114,10 @@ func (mc *MarkovChain) Observe(x float64) {
 	mc.seen++
 }
 
-// Fit observes an entire series.
-func (mc *MarkovChain) Fit(series []float64) {
-	for _, x := range series {
-		mc.Observe(x)
-	}
-}
-
-// TransitionRow returns the smoothed transition distribution out of bin b
-// (additive smoothing of 0.1 so unseen transitions keep nonzero mass
-// without drowning short histories in prior probability).
-func (mc *MarkovChain) TransitionRow(b int) []float64 {
-	row := make([]float64, mc.bins)
-	mc.transitionRowInto(row, b)
-	return row
-}
-
-// transitionRowInto writes the smoothed row into a caller-owned slice of
-// length mc.bins, preserving TransitionRow's accumulation order exactly.
+// transitionRowInto writes the smoothed transition distribution out of bin
+// b into a caller-owned slice of length mc.bins (additive smoothing of 0.1
+// so unseen transitions keep nonzero mass without drowning short histories
+// in prior probability).
 func (mc *MarkovChain) transitionRowInto(row []float64, b int) {
 	var total float64
 	for j, c := range mc.counts[b] {

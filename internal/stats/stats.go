@@ -11,7 +11,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by estimators that need at least one sample.
@@ -27,22 +26,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (0 for fewer than one
-// sample).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n)
 }
 
 // SampleStdDev returns the unbiased (n−1) sample standard deviation, the σ̂
@@ -62,11 +45,6 @@ func SampleStdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(n-1))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // MinMax returns the minimum and maximum of xs. It returns ErrEmpty for an
 // empty slice.
 func MinMax(xs []float64) (lo, hi float64, err error) {
@@ -83,31 +61,6 @@ func MinMax(xs []float64) (lo, hi float64, err error) {
 		}
 	}
 	return lo, hi, nil
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between closest ranks. It returns ErrEmpty for an empty
-// slice.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0], nil
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
 // NormalQuantile returns the p-quantile of the standard normal distribution
@@ -171,9 +124,6 @@ func (e *EWMA) Observe(x float64) float64 {
 // Value returns the current average (0 before any observation).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Ready reports whether at least one sample has been observed.
-func (e *EWMA) Ready() bool { return e.ready }
-
 // Window is a fixed-capacity sliding window of float64 samples. It is the
 // backing store for the paper's per-window prediction-error statistics
 // (Eq. 20) and for HMM observation histories.
@@ -212,29 +162,9 @@ func (w *Window) Push(x float64) {
 	}
 }
 
-// Len returns the number of stored samples.
-func (w *Window) Len() int { return w.n }
-
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
-// At returns the i-th oldest sample (0 = oldest). It panics when i is out
-// of range, matching slice semantics.
-func (w *Window) At(i int) float64 {
-	if i < 0 || i >= w.n {
-		panic("stats: Window index out of range")
-	}
-	return w.buf[(w.head+i)%len(w.buf)]
-}
-
-// Values copies the samples oldest-first into a fresh slice.
-func (w *Window) Values() []float64 {
-	return w.AppendValues(nil)
-}
-
 // AppendValues appends the samples oldest-first to dst and returns the
 // extended slice. Callers on hot paths pass a reused buffer (dst[:0]) to
-// avoid the per-call allocation of Values.
+// avoid a per-call allocation.
 func (w *Window) AppendValues(dst []float64) []float64 {
 	if w.n == 0 {
 		return dst
@@ -272,21 +202,4 @@ func (w *Window) TailMean(n int) float64 {
 		}
 	}
 	return s / float64(n)
-}
-
-// Last returns the newest sample; ok is false when empty.
-func (w *Window) Last() (v float64, ok bool) {
-	if w.n == 0 {
-		return 0, false
-	}
-	return w.At(w.n - 1), true
-}
-
-// Mean returns the mean of the stored samples (0 when empty).
-func (w *Window) Mean() float64 { return Mean(w.Values()) }
-
-// Reset drops all samples.
-func (w *Window) Reset() {
-	w.head = 0
-	w.n = 0
 }

@@ -15,16 +15,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); math.Abs(got-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestSampleStdDev(t *testing.T) {
 	if SampleStdDev([]float64{5}) != 0 {
 		t.Error("SampleStdDev of one sample should be 0")
@@ -43,29 +33,6 @@ func TestMinMax(t *testing.T) {
 	lo, hi, err := MinMax([]float64{3, -1, 7, 2})
 	if err != nil || lo != -1 || hi != 7 {
 		t.Errorf("MinMax = (%v, %v, %v)", lo, hi, err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Error("Percentile(nil) should return ErrEmpty")
-	}
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, c := range []struct{ p, want float64 }{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4},
-	} {
-		got, err := Percentile(xs, c.p)
-		if err != nil || math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Percentile must not mutate its input.
-	ys := []float64{5, 1, 3}
-	if _, err := Percentile(ys, 50); err != nil {
-		t.Fatal(err)
-	}
-	if ys[0] != 5 || ys[1] != 1 || ys[2] != 3 {
-		t.Error("Percentile mutated its input")
 	}
 }
 
@@ -124,11 +91,11 @@ func TestQuickNormalQuantile(t *testing.T) {
 
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Ready() {
-		t.Error("fresh EWMA should not be ready")
+	if e.Value() != 0 {
+		t.Error("fresh EWMA should read 0")
 	}
 	e.Observe(10)
-	if !e.Ready() || e.Value() != 10 {
+	if e.Value() != 10 {
 		t.Errorf("first observation should set value, got %v", e.Value())
 	}
 	e.Observe(20)
@@ -143,57 +110,41 @@ func TestEWMA(t *testing.T) {
 
 func TestWindowBasics(t *testing.T) {
 	w := NewWindow(3)
-	if w.Cap() != 3 || w.Len() != 0 {
-		t.Fatalf("fresh window cap=%d len=%d", w.Cap(), w.Len())
+	if got := w.AppendValues(nil); len(got) != 0 {
+		t.Fatalf("fresh window holds %v", got)
 	}
-	if _, ok := w.Last(); ok {
-		t.Error("empty window should have no last")
+	if w.TailMean(2) != 0 {
+		t.Error("empty window should have a zero tail mean")
 	}
 	w.Push(1)
 	w.Push(2)
 	w.Push(3)
 	w.Push(4) // evicts 1
-	if w.Len() != 3 {
-		t.Fatalf("Len = %d", w.Len())
-	}
-	got := w.Values()
+	got := w.AppendValues(nil)
 	want := []float64{2, 3, 4}
+	if len(got) != len(want) {
+		t.Fatalf("AppendValues = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Values = %v, want %v", got, want)
+			t.Errorf("AppendValues = %v, want %v", got, want)
 			break
 		}
 	}
-	if last, ok := w.Last(); !ok || last != 4 {
-		t.Errorf("Last = %v, %v", last, ok)
+	if w.TailMean(1) != 4 {
+		t.Errorf("TailMean(1) = %v, want the newest sample", w.TailMean(1))
 	}
-	if w.Mean() != 3 {
-		t.Errorf("Mean = %v", w.Mean())
+	if w.TailMean(9) != 3 {
+		t.Errorf("TailMean(9) = %v, want the mean of all three", w.TailMean(9))
 	}
-	w.Reset()
-	if w.Len() != 0 {
-		t.Error("Reset should empty the window")
-	}
-}
-
-func TestWindowAtPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("At out of range should panic")
-		}
-	}()
-	NewWindow(2).At(0)
 }
 
 func TestWindowMinCapacity(t *testing.T) {
 	w := NewWindow(0)
-	if w.Cap() != 1 {
-		t.Errorf("Cap = %d, want 1", w.Cap())
-	}
 	w.Push(1)
 	w.Push(2)
-	if v, _ := w.Last(); v != 2 {
-		t.Errorf("Last = %v", v)
+	if got := w.AppendValues(nil); len(got) != 1 || got[0] != 2 {
+		t.Errorf("capacity raised to 1 should keep only the newest sample, got %v", got)
 	}
 }
 
@@ -211,7 +162,7 @@ func TestQuickWindowRetention(t *testing.T) {
 		if keep > capacity {
 			keep = capacity
 		}
-		got := w.Values()
+		got := w.AppendValues(nil)
 		if len(got) != keep {
 			return false
 		}
@@ -224,22 +175,6 @@ func TestQuickWindowRetention(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSimpleETS(t *testing.T) {
-	s := NewSimpleETS(0.5)
-	if s.Ready() {
-		t.Error("fresh smoother should not be ready")
-	}
-	s.Observe(10)
-	s.Observe(20)
-	if got := s.Forecast(1); got != 15 {
-		t.Errorf("Forecast = %v, want 15", got)
-	}
-	// Flat forecast regardless of horizon.
-	if s.Forecast(10) != s.Forecast(1) {
-		t.Error("simple ETS forecast should be flat in horizon")
 	}
 }
 
@@ -270,17 +205,6 @@ func TestHoltETSConstantSeries(t *testing.T) {
 	}
 	if got := h.Forecast(3); math.Abs(got-7) > 1e-9 {
 		t.Errorf("constant series forecast = %v, want 7", got)
-	}
-}
-
-func TestFitHolt(t *testing.T) {
-	series := make([]float64, 20)
-	for i := range series {
-		series[i] = float64(i)
-	}
-	got := FitHolt(series, 0.8, 0.8)
-	if math.Abs(got-20) > 1.0 {
-		t.Errorf("FitHolt ramp forecast = %v, want ≈ 20", got)
 	}
 }
 
@@ -407,9 +331,12 @@ func TestMarkovChainPredictBeforeData(t *testing.T) {
 
 func TestMarkovChainTransitionRowNormalized(t *testing.T) {
 	mc := NewMarkovChain(3, 0, 3)
-	mc.Fit([]float64{0.5, 1.5, 2.5, 0.5, 1.5})
+	for _, x := range []float64{0.5, 1.5, 2.5, 0.5, 1.5} {
+		mc.Observe(x)
+	}
+	row := make([]float64, 3)
 	for b := 0; b < 3; b++ {
-		row := mc.TransitionRow(b)
+		mc.transitionRowInto(row, b)
 		var sum float64
 		for _, p := range row {
 			if p <= 0 {

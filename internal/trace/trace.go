@@ -534,18 +534,6 @@ func demandSeries(rng *rand.Rand, n int, base resource.Vector, amp float64) []re
 	return series
 }
 
-// smoothSeries builds resident usage the way the paper's own trace was
-// built: a coarse 5-minute-granularity process (mean-reverting level with
-// persistent peak/valley burst regimes) is transformed to 10-second slots
-// by interpolation with small multiplicative jitter — exactly the paper's
-// "we transformed the ... 5-minute trace into [a] 10-second trace". The
-// result fluctuates at the multi-minute scale (what the HMM corrects for)
-// while staying smooth at the slot scale (as a resampled trace is).
-func smoothSeries(rng *rand.Rand, n int, base resource.Vector, amp, jumpProb float64) []resource.Vector {
-	var scratch seriesScratch
-	return scratch.smoothSeries(rng, n, base, amp, jumpProb)
-}
-
 // seriesScratch holds the transient buffers smoothSeries needs (coarse
 // process, jump flags, jitter RNG) so generators looping over many series
 // pay for them once instead of per series. Only the returned fine series
@@ -556,6 +544,13 @@ type seriesScratch struct {
 	jitter *rand.Rand
 }
 
+// smoothSeries builds resident usage the way the paper's own trace was
+// built: a coarse 5-minute-granularity process (mean-reverting level with
+// persistent peak/valley burst regimes) is transformed to 10-second slots
+// by interpolation with small multiplicative jitter — exactly the paper's
+// "we transformed the ... 5-minute trace into [a] 10-second trace". The
+// result fluctuates at the multi-minute scale (what the HMM corrects for)
+// while staying smooth at the slot scale (as a resampled trace is).
 func (sc *seriesScratch) smoothSeries(rng *rand.Rand, n int, base resource.Vector, amp, jumpProb float64) []resource.Vector {
 	nCoarse := n/CoarseSlots + 2
 	if cap(sc.coarse) < nCoarse {

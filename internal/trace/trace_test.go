@@ -144,6 +144,7 @@ func TestNoDominantPeriodInDemands(t *testing.T) {
 	}
 	withPattern := 0
 	checked := 0
+	var ps stats.PeriodScratch
 	for _, j := range jobs {
 		if j.Duration < 16 {
 			continue
@@ -153,7 +154,7 @@ func TestNoDominantPeriodInDemands(t *testing.T) {
 			series[k] = j.Usage[k].At(resource.CPU)
 		}
 		checked++
-		if _, ok := stats.DominantPeriod(series, 0.5); ok {
+		if _, ok := ps.DominantPeriod(series, 0.5); ok {
 			withPattern++
 		}
 	}

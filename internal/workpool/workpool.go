@@ -38,16 +38,6 @@ func InUse() int {
 	return n
 }
 
-// Available returns how many slots are currently unclaimed (never
-// negative).
-func Available() int {
-	free := Limit() - int(claimed.Load())
-	if free < 0 {
-		return 0
-	}
-	return free
-}
-
 // ClaimUpTo claims up to n slots and returns how many were actually
 // granted (possibly zero). Callers must Release exactly the granted count
 // when done.

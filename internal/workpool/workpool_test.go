@@ -11,22 +11,22 @@ func reset() { claimed.Store(0) }
 func TestClaimUpToBounds(t *testing.T) {
 	reset()
 	limit := Limit()
-	if Available() != limit {
-		t.Fatalf("fresh budget: available %d, want %d", Available(), limit)
+	if InUse() != 0 {
+		t.Fatalf("fresh budget: %d in use, want 0", InUse())
 	}
 	got := ClaimUpTo(limit + 5)
 	if got != limit {
 		t.Fatalf("over-claim granted %d, want %d", got, limit)
 	}
-	if Available() != 0 {
-		t.Fatalf("available %d after full claim", Available())
+	if InUse() != limit {
+		t.Fatalf("%d in use after full claim, want %d", InUse(), limit)
 	}
 	if extra := ClaimUpTo(1); extra != 0 {
 		t.Fatalf("claim on empty budget granted %d", extra)
 	}
 	Release(got)
-	if Available() != limit {
-		t.Fatalf("release did not restore budget: %d", Available())
+	if InUse() != 0 {
+		t.Fatalf("release did not restore budget: %d in use", InUse())
 	}
 }
 
@@ -38,9 +38,6 @@ func TestInUseTracksClaims(t *testing.T) {
 	got := ClaimUpTo(1)
 	if InUse() != got {
 		t.Fatalf("in use %d after claiming %d", InUse(), got)
-	}
-	if InUse()+Available() != Limit() {
-		t.Fatalf("in use %d + available %d != limit %d", InUse(), Available(), Limit())
 	}
 	Release(got)
 	if InUse() != 0 {
@@ -55,8 +52,8 @@ func TestClaimZeroAndNegative(t *testing.T) {
 	}
 	Release(0)
 	Release(-2)
-	if Available() != Limit() {
-		t.Fatalf("no-op releases changed the budget: %d", Available())
+	if InUse() != 0 {
+		t.Fatalf("no-op releases changed the budget: %d in use", InUse())
 	}
 }
 
@@ -80,7 +77,7 @@ func TestConcurrentClaims(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if Available() != Limit() {
-		t.Fatalf("budget leaked: available %d, want %d", Available(), Limit())
+	if InUse() != 0 {
+		t.Fatalf("budget leaked: %d still in use", InUse())
 	}
 }
