@@ -30,7 +30,21 @@ var cachedCampaign struct {
 	once  sync.Once
 	figs  map[cluster.Profile][]*Figure
 	stats map[cluster.Profile]workload.Stats
+	// extra holds the figures outside the campaign, run on the cluster
+	// profile after the stats were taken.
+	extra []*Figure
 	err   error
+}
+
+// extraFigures are the figures no campaign runs: Table II, the ablation
+// study and the four extensions without a fault injector.
+var extraFigures = []func(Options) (*Figure, error){
+	func(Options) (*Figure, error) { return TableII(), nil },
+	AblationStudy,
+	ExtensionPlacementStrategies,
+	ExtensionPackK,
+	ExtensionMixedWorkload,
+	ExtensionOracleGap,
 }
 
 func runCachedCampaign() (map[cluster.Profile][]*Figure, map[cluster.Profile]workload.Stats, error) {
@@ -52,6 +66,14 @@ func runCachedCampaign() (map[cluster.Profile][]*Figure, map[cluster.Profile]wor
 			}
 			c.figs[profile] = figs
 			c.stats[profile] = workload.Default.Stats()
+		}
+		for _, run := range extraFigures {
+			f, err := run(goldenOptions)
+			if err != nil {
+				c.err = err
+				return
+			}
+			c.extra = append(c.extra, f)
 		}
 	})
 	return c.figs, c.stats, c.err
@@ -123,6 +145,9 @@ func TestFigureGolden(t *testing.T) {
 			digests[f.ID] = figureDigest(f)
 		}
 		got[profile.String()] = digests
+	}
+	for _, f := range cachedCampaign.extra {
+		got[goldenOptions.Profile.String()][f.ID] = figureDigest(f)
 	}
 	ok := true
 	for profile, digests := range want {
