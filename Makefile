@@ -127,5 +127,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/...
 
 # bench-figs regenerates every figure once — the end-to-end sweep suite.
+# The root package's BenchmarkFigures has one sub-benchmark per registry ID
+# (`corpbench -list`); `go test -run '^$' -bench 'Figures/fig08$' -benchtime
+# 1x .` regenerates one.
 bench-figs:
 	$(GO) test -bench . -benchtime 1x ./...

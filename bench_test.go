@@ -1,9 +1,9 @@
 package corp
 
-// One benchmark per table and figure of the paper's evaluation, plus the
-// ablation benches DESIGN.md calls out. Each bench iteration regenerates
-// the corresponding figure's series; run with -v (benches b.Log the series
-// once) or use cmd/corpbench for the full text output.
+// BenchmarkFigures has one sub-benchmark per registry ID: every table and
+// figure of the paper's evaluation, the ablation study and the extensions.
+// Each iteration regenerates the figure's series; run with -v (benches
+// b.Log the series once) or use cmd/corpbench for the full text output.
 //
 // Benches default to quick mode (small cluster, 3-point sweeps) so the
 // whole suite completes in minutes; set CORP_BENCH_FULL=1 for the paper's
@@ -12,6 +12,7 @@ package corp
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/scheduler"
@@ -67,70 +68,29 @@ func TestTableIIDefaults(t *testing.T) {
 	}
 }
 
-// benchFigure runs one figure per iteration and logs it once.
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
+// BenchmarkFigures regenerates one registry figure per sub-benchmark
+// (-bench 'Figures/fig08$' picks one) and logs it once.
+func BenchmarkFigures(b *testing.B) {
 	o := benchOptions(1)
-	var fig *Figure
-	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = ReproduceFigure(id, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if fig != nil {
-		b.Log("\n" + fig.String())
+	for _, id := range FigureIDs() {
+		b.Run(id, func(b *testing.B) {
+			var fig *Figure
+			for i := 0; i < b.N; i++ {
+				var err error
+				if fig, err = ReproduceFigure(id, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Log("\n" + fig.String())
+		})
 	}
 }
-
-// BenchmarkFig06PredictionError regenerates Fig. 6 (prediction error rate
-// vs number of jobs, cluster).
-func BenchmarkFig06PredictionError(b *testing.B) { benchFigure(b, "fig06") }
-
-// BenchmarkFig07Utilization regenerates Fig. 7 (per-resource utilization
-// vs number of jobs, cluster).
-func BenchmarkFig07Utilization(b *testing.B) { benchFigure(b, "fig07") }
-
-// BenchmarkFig08UtilVsSLO regenerates Fig. 8 (overall utilization vs SLO
-// violation rate, cluster).
-func BenchmarkFig08UtilVsSLO(b *testing.B) { benchFigure(b, "fig08") }
-
-// BenchmarkFig09SLOVsConfidence regenerates Fig. 9 (SLO violation rate vs
-// confidence level, cluster).
-func BenchmarkFig09SLOVsConfidence(b *testing.B) { benchFigure(b, "fig09") }
-
-// BenchmarkFig10Overhead regenerates Fig. 10 (allocation overhead,
-// cluster).
-func BenchmarkFig10Overhead(b *testing.B) { benchFigure(b, "fig10") }
-
-// BenchmarkFig11UtilizationEC2 regenerates Fig. 11 (per-resource
-// utilization vs number of jobs, EC2).
-func BenchmarkFig11UtilizationEC2(b *testing.B) { benchFigure(b, "fig11") }
-
-// BenchmarkFig12UtilVsSLOEC2 regenerates Fig. 12 (overall utilization vs
-// SLO violation rate, EC2).
-func BenchmarkFig12UtilVsSLOEC2(b *testing.B) { benchFigure(b, "fig12") }
-
-// BenchmarkFig13SLOVsConfidenceEC2 regenerates Fig. 13 (SLO violation rate
-// vs confidence level, EC2).
-func BenchmarkFig13SLOVsConfidenceEC2(b *testing.B) { benchFigure(b, "fig13") }
-
-// BenchmarkFig14OverheadEC2 regenerates Fig. 14 (allocation overhead,
-// EC2).
-func BenchmarkFig14OverheadEC2(b *testing.B) { benchFigure(b, "fig14") }
-
-// BenchmarkAblations regenerates the ablation study: full CORP, CORP
-// without the HMM correction, without packing, without the confidence
-// interval, and with RCCR's ETS predictor, side by side.
-func BenchmarkAblations(b *testing.B) { benchFigure(b, "ablations") }
 
 // BenchmarkSimulationPerScheme measures one full simulation run per
 // scheme at bench scale — the end-to-end cost comparison behind
 // Figs. 10/14.
 func BenchmarkSimulationPerScheme(b *testing.B) {
 	for _, sc := range scheduler.Schemes() {
-		sc := sc
 		b.Run(sc.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := SimConfig{
@@ -145,22 +105,39 @@ func BenchmarkSimulationPerScheme(b *testing.B) {
 	}
 }
 
-// TestReproduceFigureUnknownID covers the facade's error path.
+// TestReproduceFigureUnknownID: an unknown ID fails, and its error lists
+// every valid one.
 func TestReproduceFigureUnknownID(t *testing.T) {
-	if _, err := ReproduceFigure("fig99", QuickOptions(1)); err == nil {
-		t.Error("unknown figure should fail")
+	_, err := ReproduceFigure("fig99", QuickOptions(1))
+	if err == nil {
+		t.Fatal("unknown figure should fail")
+	}
+	for _, id := range FigureIDs() {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error does not list %q: %v", id, err)
+		}
 	}
 }
 
-// TestFigureIDsAllRunnable checks every listed ID resolves to a runner.
+// TestFigureIDsAllRunnable runs every listed ID through ReproduceFigure,
+// its simulations stubbed out: each must resolve to a runner that returns
+// the figure of that ID (internal/experiments' TestFigureGolden runs them
+// for real).
 func TestFigureIDsAllRunnable(t *testing.T) {
-	for _, id := range FigureIDs() {
-		if id == "tableII" {
-			continue // runs instantly, exercised in TestTableIIDefaults
+	o := QuickOptions(1)
+	o.RunBatch = func(cfgs []SimConfig) ([]*SimResult, error) {
+		results := make([]*SimResult, len(cfgs))
+		for i := range results {
+			results[i] = &SimResult{}
 		}
-		// Resolution only — running all would repeat the bench suite.
-		if _, err := ReproduceFigure(id+"-missing", QuickOptions(1)); err == nil {
-			t.Error("suffixed ID should not resolve")
+		return results, nil
+	}
+	for _, id := range FigureIDs() {
+		f, err := ReproduceFigure(id, o)
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+		} else if f.ID != id || len(f.Series) == 0 {
+			t.Errorf("%s: got figure %q with %d series", id, f.ID, len(f.Series))
 		}
 	}
 }
@@ -183,23 +160,6 @@ func TestFacadeWorkload(t *testing.T) {
 		t.Errorf("got %d jobs", len(jobs))
 	}
 }
-
-// BenchmarkExtensionStrategies compares CORP placement strategies on a
-// heterogeneous contended cluster.
-func BenchmarkExtensionStrategies(b *testing.B) { benchFigure(b, "ext-strategies") }
-
-// BenchmarkExtensionPackK compares entity sizes k = 1, 2, 3.
-func BenchmarkExtensionPackK(b *testing.B) { benchFigure(b, "ext-packk") }
-
-// BenchmarkExtensionMixedWorkload measures the cooperative long+short mode.
-func BenchmarkExtensionMixedWorkload(b *testing.B) { benchFigure(b, "ext-mixed") }
-
-// BenchmarkExtensionOracleGap measures the CORP-to-oracle headroom.
-func BenchmarkExtensionOracleGap(b *testing.B) { benchFigure(b, "ext-oracle") }
-
-// BenchmarkExtensionFaults sweeps the failure rate through the fault
-// injector.
-func BenchmarkExtensionFaults(b *testing.B) { benchFigure(b, "ext-faults") }
 
 // TestReproduceExtFaultsQuick runs the fault-tolerance extension through
 // the public facade (the acceptance path for the fault subsystem).

@@ -5,7 +5,10 @@
 //
 //	corpbench [flags]
 //
-//	-fig        figure id (tableII, fig06..fig14, ablations) or "all"
+//	-fig        figure id, or "all" for every one in this order: tableII,
+//	            fig06 fig07 fig08 fig09 fig10 (cluster), fig11 fig12 fig13
+//	            fig14 (EC2), ablations, ext-strategies, ext-packk,
+//	            ext-mixed, ext-oracle, ext-faults
 //	-seed       workload seed (default 1)
 //	-quick      small cluster and 3-point sweeps (default true)
 //	-workers    intra-run prediction-engine workers per simulation
@@ -15,7 +18,7 @@
 //	            (default off; off is bit-identical to the single-tier
 //	            pipeline — see the batch-equivalence test)
 //	-progress   print per-batch sweep progress to stderr
-//	-list       print the available figure ids and exit
+//	-list       print the figure ids, one per line in that order, and exit
 //	-md         render the output as a Markdown report
 //	-cpuprofile write a pprof CPU profile of the run to the given file
 //	-memprofile write a pprof heap profile at exit to the given file

@@ -6,18 +6,22 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
+// -list prints exactly the registry's IDs, one per line in its order.
 func TestRunList(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-list"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, id := range []string{"tableII", "fig06", "fig14", "ablations", "ext-mixed"} {
-		if !strings.Contains(out, id) {
-			t.Errorf("list output missing %q", id)
-		}
+	var want strings.Builder
+	for _, s := range experiments.Registry() {
+		want.WriteString(s.ID + "\n")
+	}
+	if buf.String() != want.String() {
+		t.Errorf("-list printed:\n%swant the registry order:\n%s", buf.String(), want.String())
 	}
 }
 

@@ -11,8 +11,9 @@
 //
 //	-addr     dispatcher listen address            (default 127.0.0.1:8423;
 //	          use :0 for an ephemeral port)
-//	-figs     comma-separated figure IDs, or "campaign" for the full
-//	          two-profile figure campaign           (default campaign)
+//	-figs     comma-separated figure IDs (those `corpbench -list` prints),
+//	          or "campaign" for the full two-profile figure campaign
+//	                                                (default campaign)
 //	-quick    quick mode (small cluster, fewer sweep points)
 //	-seed     base workload seed                    (default 1)
 //	-local    in-process worker loops to run        (default 1 when
@@ -81,6 +82,16 @@ func run(args []string, out *os.File) error {
 	}
 	if *forecastTier != "off" && *forecastTier != "auto" {
 		return fmt.Errorf("forecast-tier: want off or auto, got %q", *forecastTier)
+	}
+	var specs []experiments.Spec // empty: the campaign
+	if *figs != "campaign" {
+		for _, id := range strings.Split(*figs, ",") {
+			s, err := experiments.Lookup(strings.TrimSpace(id))
+			if err != nil {
+				return fmt.Errorf("-figs: %w", err)
+			}
+			specs = append(specs, s)
+		}
 	}
 
 	d := farm.NewDispatcher(farm.Config{
@@ -168,20 +179,17 @@ func run(args []string, out *os.File) error {
 	}
 
 	var figures []*corp.Figure
-	if *figs == "campaign" {
-		figures, err = experiments.Campaign(o)
-	} else {
-		for _, id := range strings.Split(*figs, ",") {
-			f, ferr := corp.ReproduceFigure(strings.TrimSpace(id), o)
-			if ferr != nil {
-				err = ferr
-				break
-			}
-			figures = append(figures, f)
+	if len(specs) == 0 {
+		if figures, err = experiments.Campaign(o); err != nil {
+			return err
 		}
 	}
-	if err != nil {
-		return err
+	for _, s := range specs {
+		f, err := s.Reproduce(o)
+		if err != nil {
+			return err
+		}
+		figures = append(figures, f)
 	}
 	for _, f := range figures {
 		fmt.Fprint(out, f.String())

@@ -23,8 +23,6 @@
 package corp
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -153,52 +151,23 @@ func FullOptions(seed int64) Options {
 	return Options{Seed: seed}
 }
 
-// figureRunners maps figure IDs to their runners with the profile set.
-func figureRunners() map[string]func(Options) (*Figure, error) {
-	ec2 := func(run func(Options) (*Figure, error)) func(Options) (*Figure, error) {
-		return func(o Options) (*Figure, error) {
-			o.Profile = ProfileEC2
-			return run(o)
-		}
-	}
-	return map[string]func(Options) (*Figure, error){
-		"fig06": experiments.Fig06PredictionError,
-		"fig07": experiments.Fig07Utilization,
-		"fig08": experiments.Fig08UtilVsSLO,
-		"fig09": experiments.Fig09SLOVsConfidence,
-		"fig10": experiments.Fig10Overhead,
-		"fig11": ec2(experiments.Fig07Utilization),
-		"fig12": ec2(experiments.Fig08UtilVsSLO),
-		"fig13": ec2(experiments.Fig09SLOVsConfidence),
-		"fig14": ec2(experiments.Fig10Overhead),
-		"tableII": func(Options) (*Figure, error) {
-			return experiments.TableII(), nil
-		},
-		"ablations":      experiments.AblationStudy,
-		"ext-strategies": experiments.ExtensionPlacementStrategies,
-		"ext-packk":      experiments.ExtensionPackK,
-		"ext-mixed":      experiments.ExtensionMixedWorkload,
-		"ext-oracle":     experiments.ExtensionOracleGap,
-		"ext-faults":     experiments.ExtensionFaultTolerance,
-	}
-}
-
-// FigureIDs lists the reproducible figure identifiers in paper order.
+// FigureIDs lists the reproducible figure identifiers in paper order: the
+// IDs of experiments.Registry.
 func FigureIDs() []string {
-	return []string{
-		"tableII", "fig06", "fig07", "fig08", "fig09", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "ablations",
-		"ext-strategies", "ext-packk", "ext-mixed", "ext-oracle",
-		"ext-faults",
+	var ids []string
+	for _, s := range experiments.Registry() {
+		ids = append(ids, s.ID)
 	}
+	return ids
 }
 
 // ReproduceFigure runs the harness for one of the paper's tables/figures.
-// Valid IDs are those returned by FigureIDs.
+// Valid IDs are those returned by FigureIDs; fig06–fig14 run on the testbed
+// the paper's figure of that number used, whatever o.Profile says.
 func ReproduceFigure(id string, o Options) (*Figure, error) {
-	run, ok := figureRunners()[id]
-	if !ok {
-		return nil, fmt.Errorf("corp: unknown figure %q (valid: %v)", id, FigureIDs())
+	s, err := experiments.Lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	return run(o)
+	return s.Reproduce(o)
 }

@@ -126,19 +126,10 @@ func (c *Controller) ObserveSlot(unused []resource.Vector) ([]Grant, error) {
 			return nil, fmt.Errorf("core: negative unused %v on VM %d", u, v)
 		}
 	}
-	if bo, ok := c.sched.(scheduler.BatchObserver); ok {
-		// The engine fans the per-VM predictor updates across its
-		// workers; down VMs produce no telemetry and their predictor
-		// state stays frozen until recovery.
-		bo.ObserveAll(unused, c.down)
-	} else {
-		for v, u := range unused {
-			if c.down[v] {
-				continue
-			}
-			c.sched.Observe(v, u)
-		}
-	}
+	// The engine fans the per-VM predictor updates across its workers;
+	// down VMs produce no telemetry and their predictor state stays frozen
+	// until recovery.
+	c.sched.ObserveAll(unused, c.down)
 	if c.slot%c.window == 0 {
 		c.sched.Refresh()
 		c.adjustActive()

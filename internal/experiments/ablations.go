@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
@@ -78,10 +77,7 @@ func ablationConfig(o Options, a Ablation, jobs int) sim.Config {
 // AblationStudy runs every variant and reports utilization, SLO violation
 // rate and prediction error rate side by side.
 func AblationStudy(o Options) (*Figure, error) {
-	jobs := 300
-	if o.Quick {
-		jobs = 120
-	}
+	jobs := o.scale(300, 120)
 	f := &Figure{
 		ID:     "ablations",
 		Title:  "CORP ablation study (" + o.Profile.String() + ")",
@@ -98,11 +94,7 @@ func AblationStudy(o Options) (*Figure, error) {
 	}
 	for i, a := range Ablations() {
 		r := results[i]
-		s := &metrics.Series{Label: a.String()}
-		s.Append(0, r.Overall)
-		s.Append(1, r.SLORate)
-		s.Append(2, r.PredictionErrorRate)
-		f.Series = append(f.Series, s)
+		f.Series = append(f.Series, metricRow(a.String(), results[i:i+1], overall, sloRate, predErrorRate))
 		f.Notes = append(f.Notes, fmt.Sprintf("%s: opp=%d fresh=%d never=%d",
 			a, r.PlacedOpportunistic, r.PlacedFresh, r.NeverPlaced))
 	}

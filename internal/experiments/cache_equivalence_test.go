@@ -49,12 +49,14 @@ func TestWorkloadCacheEquivalence(t *testing.T) {
 	}
 }
 
-// wallClockFigures measure real scheduler decision wall time (the paper's
-// overhead Figs. 10/14), so their Y values differ between any two runs of
-// the same binary — cache or no cache. For these the test pins structure
-// (series labels, point counts, X values) and leaves Y alone; every other
-// figure is deterministic and compared bitwise.
-var wallClockFigures = map[string]bool{"fig10": true, "fig14": true}
+// wallClock reports whether the registry marks the figure's Y as measured
+// wall time (the paper's overhead Figs. 10/14). For these the tests pin
+// structure (series labels, point counts, X values) and leave Y alone;
+// every other figure is deterministic and compared bitwise.
+func wallClock(id string) bool {
+	s, err := Lookup(id)
+	return err == nil && s.WallClock
+}
 
 // compareFigures asserts two figures carry exactly equal series: same
 // labels, same point counts, and float64-bitwise-equal (==) X and Y values
@@ -79,7 +81,7 @@ func compareFigures(t *testing.T, profile string, a, b *Figure) {
 				profile, a.ID, sa.Label, len(sa.X), len(sa.Y), len(sb.X), len(sb.Y))
 			continue
 		}
-		compareY := !wallClockFigures[a.ID]
+		compareY := !wallClock(a.ID)
 		for i := range sa.X {
 			if sa.X[i] != sb.X[i] || (compareY && sa.Y[i] != sb.Y[i]) {
 				t.Errorf("%s %s %s: point %d differs: (%v,%v) cached vs (%v,%v) uncached",

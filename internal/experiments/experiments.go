@@ -1,20 +1,9 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (Section IV). Each runner executes the required
 // parameter sweep through the simulator and returns labeled series shaped
-// like the paper's plots; cmd/corpbench prints them and bench_test.go wraps
-// them in testing.B benchmarks.
-//
-// Figure index (see DESIGN.md for the full mapping):
-//
-//	Fig. 6  — prediction error rate vs number of jobs (cluster)
-//	Fig. 7  — per-resource utilization vs number of jobs (cluster)
-//	Fig. 8  — overall utilization vs SLO violation rate (cluster)
-//	Fig. 9  — SLO violation rate vs confidence level (cluster)
-//	Fig. 10 — scheduling overhead for 300 jobs (cluster)
-//	Fig. 11 — per-resource utilization vs number of jobs (EC2)
-//	Fig. 12 — overall utilization vs SLO violation rate (EC2)
-//	Fig. 13 — SLO violation rate vs confidence level (EC2)
-//	Fig. 14 — scheduling overhead for 300 jobs (EC2)
+// like the paper's plots. Registry lists them all once; the façade's
+// FigureIDs/ReproduceFigure, the campaign, cmd/corpbench, cmd/corpfarm,
+// the root figure benchmarks and the figure goldens all read it.
 package experiments
 
 import (
@@ -92,21 +81,69 @@ func (o Options) clusterSize() (pms, vms int) {
 }
 
 // seeds returns the replication seeds for averaged experiments (the SLO
-// figures count rare events, so single runs are noisy). Seeds are derived
-// with a splitmix64 finalizer per replication stream: the old additive
-// scheme (Seed, Seed+101, Seed+202) silently reused workloads whenever a
-// caller swept base seeds 101 apart.
-func (o Options) seeds() []int64 {
-	n := 3
-	if o.Quick {
-		n = 2
-	}
-	out := make([]int64, n)
+// figures count rare events, so single runs are noisy): three at full
+// scale, two in quick mode, plus extra. Seeds are derived with a splitmix64
+// finalizer per replication stream: the old additive scheme (Seed,
+// Seed+101, Seed+202) silently reused workloads whenever a caller swept
+// base seeds 101 apart.
+func (o Options) seeds(extra int) []int64 {
+	out := make([]int64, o.scale(3, 2)+extra)
 	for i := range out {
 		out[i] = deriveSeed(o.Seed, i)
 	}
 	return out
 }
+
+// scale picks a sweep parameter: the paper's value, or the quick one.
+func (o Options) scale(full, quick int) int {
+	if o.Quick {
+		return quick
+	}
+	return full
+}
+
+// replicate is the one sweep primitive: it runs every variant once per seed
+// as a single batch and returns cells[variant][replication], replications
+// in seed order. build returns variant v's config for one replication;
+// replicate itself seeds the run and its scheduler.
+func (o Options) replicate(seeds []int64, variants int, build func(v int, seed int64) sim.Config) ([][]*sim.Result, error) {
+	cfgs := make([]sim.Config, 0, variants*len(seeds))
+	for v := 0; v < variants; v++ {
+		for _, seed := range seeds {
+			cfg := build(v, seed)
+			cfg.Seed, cfg.Scheduler.Seed = seed, seed
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	results, err := o.runBatch(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([][]*sim.Result, variants)
+	for v := range cells {
+		cells[v] = results[v*len(seeds) : (v+1)*len(seeds)]
+	}
+	return cells, nil
+}
+
+// mean averages one metric over a cell's replications: the sum in seed
+// order, divided once (Σx / n). That is the order Figs. 8/9/12/13 have
+// always used; the extension figures used to add x/n terms, which agrees
+// bit for bit at n = 2 and to the last ulp at n = 3 (EXPERIMENTS.md,
+// "One sweep primitive").
+func mean(cell []*sim.Result, metric func(*sim.Result) float64) float64 {
+	var sum float64
+	for _, r := range cell {
+		sum += metric(r)
+	}
+	return sum / float64(len(cell))
+}
+
+// The metrics the figures average.
+func overall(r *sim.Result) float64       { return r.Overall }
+func sloRate(r *sim.Result) float64       { return r.SLORate }
+func predErrorRate(r *sim.Result) float64 { return r.PredictionErrorRate }
+func opportunistic(r *sim.Result) float64 { return float64(r.PlacedOpportunistic) }
 
 // deriveSeed maps (base seed, replication stream) onto a well-mixed
 // non-negative seed. splitmix64 is a bijection on uint64, so distinct
@@ -243,42 +280,105 @@ var schemeOrder = []scheduler.Scheme{
 	scheduler.CORP, scheduler.RCCR, scheduler.CloudScale, scheduler.DRA,
 }
 
-// runAll executes one simulation per scheme (concurrently) with a
-// per-scheme config hook.
-func runAll(o Options, jobs int, mutate func(*sim.Config)) (map[scheduler.Scheme]*sim.Result, error) {
-	cfgs := make([]sim.Config, len(schemeOrder))
-	for i, sc := range schemeOrder {
-		cfg := o.baseConfig(sc, jobs)
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		cfgs[i] = cfg
-	}
-	results, err := o.runBatch(cfgs)
+// runSchemes runs one simulation per scheme on one workload instance and
+// returns the results in comparison order.
+func (o Options) runSchemes(seed int64, jobs int) ([]*sim.Result, error) {
+	cells, err := o.replicate([]int64{seed}, len(schemeOrder), func(v int, _ int64) sim.Config {
+		return o.baseConfig(schemeOrder[v], jobs)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %d jobs: %w", jobs, err)
 	}
-	out := make(map[scheduler.Scheme]*sim.Result, len(schemeOrder))
-	for i, sc := range schemeOrder {
-		out[sc] = results[i]
+	results := make([]*sim.Result, len(cells))
+	for v, cell := range cells {
+		results[v] = cell[0]
 	}
-	return out, nil
+	return results, nil
 }
 
-// FigureSet runs every figure for the options' profile plus the
-// fault-tolerance extension, in a fixed order — the per-profile campaign
-// unit shared by the figure goldens and the cache- and farm-equivalence
-// suites.
+// AnyProfile in Spec.Profile marks a figure that runs on whichever testbed
+// the caller's Options name.
+const AnyProfile cluster.Profile = -1
+
+// Spec is one row of the figure registry.
+type Spec struct {
+	ID string
+	// Profile is the testbed the ID names — the paper numbers a cluster
+	// figure and its EC2 rerun apart, so fig07 and fig11 are one runner —
+	// or AnyProfile.
+	Profile cluster.Profile
+	// Campaign marks the figures FigureSet runs on Profile.
+	Campaign bool
+	// WallClock marks a figure whose Y is measured scheduler decision time
+	// and so differs between any two runs of the same binary: goldens and
+	// equivalence checks cover its labels, point counts and X only.
+	WallClock bool
+	run       func(Options) (*Figure, error)
+}
+
+// Reproduce runs the figure, on the testbed its ID names if it names one.
+func (s Spec) Reproduce(o Options) (*Figure, error) {
+	if s.Profile != AnyProfile {
+		o.Profile = s.Profile
+	}
+	return s.run(o)
+}
+
+// Registry lists every reproducible table and figure once, in the order
+// the paper (then DESIGN.md §4) presents them.
+func Registry() []Spec {
+	const cl, ec2 = cluster.ProfileCluster, cluster.ProfileEC2
+	return []Spec{
+		{ID: "tableII", Profile: AnyProfile, run: func(Options) (*Figure, error) { return TableII(), nil }},
+		{ID: "fig06", Profile: cl, Campaign: true, run: Fig06PredictionError},
+		{ID: "fig07", Profile: cl, Campaign: true, run: Fig07Utilization},
+		{ID: "fig08", Profile: cl, Campaign: true, run: Fig08UtilVsSLO},
+		{ID: "fig09", Profile: cl, Campaign: true, run: Fig09SLOVsConfidence},
+		{ID: "fig10", Profile: cl, Campaign: true, WallClock: true, run: Fig10Overhead},
+		// EC2 reruns Figs. 7–10 as Figs. 11–14 (no Fig. 6 twin in the paper).
+		{ID: "fig11", Profile: ec2, Campaign: true, run: Fig07Utilization},
+		{ID: "fig12", Profile: ec2, Campaign: true, run: Fig08UtilVsSLO},
+		{ID: "fig13", Profile: ec2, Campaign: true, run: Fig09SLOVsConfidence},
+		{ID: "fig14", Profile: ec2, Campaign: true, WallClock: true, run: Fig10Overhead},
+		{ID: "ablations", Profile: AnyProfile, run: AblationStudy},
+		{ID: "ext-strategies", Profile: AnyProfile, run: ExtensionPlacementStrategies},
+		{ID: "ext-packk", Profile: AnyProfile, run: ExtensionPackK},
+		{ID: "ext-mixed", Profile: AnyProfile, run: ExtensionMixedWorkload},
+		{ID: "ext-oracle", Profile: AnyProfile, run: ExtensionOracleGap},
+		{ID: "ext-faults", Profile: AnyProfile, Campaign: true, run: ExtensionFaultTolerance},
+	}
+}
+
+// Lookup returns the registry row for an ID; the error of an unknown ID
+// lists the valid ones.
+func Lookup(id string) (Spec, error) {
+	var ids []string
+	for _, s := range Registry() {
+		if s.ID == id {
+			return s, nil
+		}
+		ids = append(ids, s.ID)
+	}
+	return Spec{}, fmt.Errorf("experiments: unknown figure %q (valid: %v)", id, ids)
+}
+
+// FigureSet runs the campaign figures of the options' profile — the
+// paper's figures for that testbed plus the fault-tolerance extension — in
+// registry order: the per-profile campaign unit shared by the figure
+// goldens and the cache- and farm-equivalence suites.
 func FigureSet(o Options) ([]*Figure, error) {
-	figs, err := AllFigures(o)
-	if err != nil {
-		return nil, err
+	var figs []*Figure
+	for _, s := range Registry() {
+		if !s.Campaign || (s.Profile != AnyProfile && s.Profile != o.Profile) {
+			continue
+		}
+		f, err := s.run(o)
+		if err != nil {
+			return nil, err
+		}
+		figs = append(figs, f)
 	}
-	faulted, err := ExtensionFaultTolerance(o)
-	if err != nil {
-		return nil, err
-	}
-	return append(figs, faulted), nil
+	return figs, nil
 }
 
 // Campaign runs the full two-profile figure campaign: the cluster-profile

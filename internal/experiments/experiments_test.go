@@ -76,7 +76,7 @@ func TestOptionsShapes(t *testing.T) {
 	if pms != 30 || vms != 30 {
 		t.Errorf("ec2 cluster = %d/%d", pms, vms)
 	}
-	if len(quick.seeds()) != 2 || len(full.seeds()) != 3 {
+	if len(quick.seeds(0)) != 2 || len(full.seeds(0)) != 3 || len(full.seeds(1)) != 4 {
 		t.Error("seed replication counts wrong")
 	}
 	if len(riskLevels(true)) != 3 || len(riskLevels(false)) != 6 {

@@ -11,6 +11,16 @@ import (
 // Extension experiments beyond the paper's figures: the design-space
 // studies DESIGN.md lists under ablations/extensions.
 
+// metricRow is one series of a metric-index figure: point i is the cell's
+// mean of metrics[i].
+func metricRow(label string, cell []*sim.Result, metric ...func(*sim.Result) float64) *metrics.Series {
+	s := &metrics.Series{Label: label}
+	for i, m := range metric {
+		s.Append(float64(i), mean(cell, m))
+	}
+	return s
+}
+
 // ExtensionPlacementStrategies compares CORP's Eq. 22 most-matched
 // placement against first-fit, worst-fit and random selection on a
 // heterogeneous, contended cluster — the regime where the "most matched
@@ -22,42 +32,18 @@ func ExtensionPlacementStrategies(o Options) (*Figure, error) {
 		XLabel: "metric index (0=overall util, 1=SLO rate, 2=placed opportunistically)",
 		YLabel: "value",
 	}
-	jobs := 300
-	if o.Quick {
-		jobs = 150
-	}
-	// One batch covers the whole strategy × seed grid; results come back
-	// positionally, so the per-strategy seed-order float accumulation is
-	// unchanged from the old one-run-at-a-time loop.
 	strategies := []string{"most-matched", "first-fit", "worst-fit", "random"}
-	var cfgs []sim.Config
-	for _, name := range strategies {
-		for _, seed := range o.seeds() {
-			cfg := o.hotConfig(scheduler.CORP, jobs)
-			cfg.Heterogeneous = true
-			cfg.Seed = seed
-			cfg.Scheduler.Seed = seed
-			cfg.Scheduler.CorpPlacement = name
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results, err := o.runBatch(cfgs)
+	cells, err := o.replicate(o.seeds(0), len(strategies), func(v int, _ int64) sim.Config {
+		cfg := o.hotConfig(scheduler.CORP, o.scale(300, 150))
+		cfg.Heterogeneous = true
+		cfg.Scheduler.CorpPlacement = strategies[v]
+		return cfg
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: strategies: %w", err)
 	}
-	n := float64(len(o.seeds()))
-	for si, name := range strategies {
-		var util, slo, opp float64
-		for _, r := range results[si*len(o.seeds()) : (si+1)*len(o.seeds())] {
-			util += r.Overall / n
-			slo += r.SLORate / n
-			opp += float64(r.PlacedOpportunistic) / n
-		}
-		s := &metrics.Series{Label: name}
-		s.Append(0, util)
-		s.Append(1, slo)
-		s.Append(2, opp)
-		f.Series = append(f.Series, s)
+	for v, name := range strategies {
+		f.Series = append(f.Series, metricRow(name, cells[v], overall, sloRate, opportunistic))
 	}
 	return f, nil
 }
@@ -71,41 +57,18 @@ func ExtensionPackK(o Options) (*Figure, error) {
 		XLabel: "metric index (0=overall util, 1=SLO rate, 2=placed opportunistically)",
 		YLabel: "value",
 	}
-	jobs := 300
-	if o.Quick {
-		jobs = 150
-	}
 	ks := []int{1, 2, 3}
-	var cfgs []sim.Config
-	for _, k := range ks {
-		for _, seed := range o.seeds() {
-			cfg := o.hotConfig(scheduler.CORP, jobs)
-			cfg.Seed = seed
-			cfg.Scheduler.Seed = seed
-			cfg.Scheduler.CorpPackK = k
-			if k == 1 {
-				cfg.Scheduler.DisablePacking = true
-			}
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results, err := o.runBatch(cfgs)
+	cells, err := o.replicate(o.seeds(0), len(ks), func(v int, _ int64) sim.Config {
+		cfg := o.hotConfig(scheduler.CORP, o.scale(300, 150))
+		cfg.Scheduler.CorpPackK = ks[v]
+		cfg.Scheduler.DisablePacking = ks[v] == 1
+		return cfg
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: packK: %w", err)
 	}
-	n := float64(len(o.seeds()))
-	for ki, k := range ks {
-		var util, slo, opp float64
-		for _, r := range results[ki*len(o.seeds()) : (ki+1)*len(o.seeds())] {
-			util += r.Overall / n
-			slo += r.SLORate / n
-			opp += float64(r.PlacedOpportunistic) / n
-		}
-		s := &metrics.Series{Label: fmt.Sprintf("k=%d", k)}
-		s.Append(0, util)
-		s.Append(1, slo)
-		s.Append(2, opp)
-		f.Series = append(f.Series, s)
+	for v, k := range ks {
+		f.Series = append(f.Series, metricRow(fmt.Sprintf("k=%d", k), cells[v], overall, sloRate, opportunistic))
 	}
 	return f, nil
 }
@@ -119,10 +82,7 @@ func ExtensionMixedWorkload(o Options) (*Figure, error) {
 		XLabel: "long-lived jobs",
 		YLabel: "value",
 	}
-	jobs := 200
-	if o.Quick {
-		jobs = 100
-	}
+	jobs := o.scale(200, 100)
 	util := &metrics.Series{Label: "short-job util"}
 	cluster := &metrics.Series{Label: "cluster util"}
 	slo := &metrics.Series{Label: "SLO rate"}
@@ -169,37 +129,15 @@ func ExtensionOracleGap(o Options) (*Figure, error) {
 		XLabel: "metric index (0=overall util, 1=SLO rate, 2=pred error rate)",
 		YLabel: "value",
 	}
-	jobs := 300
-	if o.Quick {
-		jobs = 150
-	}
 	schemes := []scheduler.Scheme{scheduler.Oracle, scheduler.CORP, scheduler.RCCR}
-	var cfgs []sim.Config
-	for _, sc := range schemes {
-		for _, seed := range o.seeds() {
-			cfg := o.hotConfig(sc, jobs)
-			cfg.Seed = seed
-			cfg.Scheduler.Seed = seed
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results, err := o.runBatch(cfgs)
+	cells, err := o.replicate(o.seeds(0), len(schemes), func(v int, _ int64) sim.Config {
+		return o.hotConfig(schemes[v], o.scale(300, 150))
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: oracle gap: %w", err)
 	}
-	n := float64(len(o.seeds()))
-	for si, sc := range schemes {
-		var util, slo, errRate float64
-		for _, r := range results[si*len(o.seeds()) : (si+1)*len(o.seeds())] {
-			util += r.Overall / n
-			slo += r.SLORate / n
-			errRate += r.PredictionErrorRate / n
-		}
-		s := &metrics.Series{Label: sc.String()}
-		s.Append(0, util)
-		s.Append(1, slo)
-		s.Append(2, errRate)
-		f.Series = append(f.Series, s)
+	for v, sc := range schemes {
+		f.Series = append(f.Series, metricRow(sc.String(), cells[v], overall, sloRate, predErrorRate))
 	}
 	return f, nil
 }

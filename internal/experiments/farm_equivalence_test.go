@@ -42,19 +42,24 @@ func startFarm(t *testing.T, cfg farm.Config, n int) (*farm.Dispatcher, func()) 
 // TestFarmCampaignEquivalence is the farm's acceptance gate: the full
 // two-profile figure campaign (including the faulted extension figure)
 // merged from 1, 2, and 4 local workers over real HTTP is bit-identical
-// to the single-process sim.RunMany result. Only the wall-clock overhead
-// figures (fig10/fig14) have their Y values exempted — they measure real
-// scheduler wall time and differ between any two runs of the same binary,
-// distributed or not (same exemption as the cache/core equivalence
-// suites).
+// to the single-process sim.RunMany result — the cached campaign the
+// golden and cache-equivalence tests share, which is Campaign(goldenOptions)
+// profile by profile. Only the wall-clock overhead figures (fig10/fig14)
+// have their Y values exempted — they measure real scheduler wall time and
+// differ between any two runs of the same binary, distributed or not (same
+// exemption as the cache/core equivalence suites).
 func TestFarmCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-campaign equivalence sweep is slow; run without -short")
 	}
-	o := Options{Seed: 11, Quick: true}
-	want, err := Campaign(o)
+	o := goldenOptions
+	figs, _, err := runCachedCampaign()
 	if err != nil {
 		t.Fatalf("in-process campaign: %v", err)
+	}
+	var want []*Figure
+	for _, profile := range goldenProfiles {
+		want = append(want, figs[profile]...)
 	}
 
 	for _, n := range []int{1, 2, 4} {

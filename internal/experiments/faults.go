@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
 
@@ -52,54 +51,35 @@ func ExtensionFaultTolerance(o Options) (*Figure, error) {
 		XLabel: "per-VM per-slot crash probability",
 		YLabel: "value",
 	}
-	jobs := 300
-	if o.Quick {
-		jobs = 120
-	}
-	sloSeries := make(map[scheduler.Scheme]*metrics.Series, len(schemeOrder))
-	utilSeries := make(map[scheduler.Scheme]*metrics.Series, len(schemeOrder))
+	jobs := o.scale(300, 120)
 	for _, sc := range schemeOrder {
-		sloSeries[sc] = &metrics.Series{Label: sc.String() + "/slo"}
-		utilSeries[sc] = &metrics.Series{Label: sc.String() + "/util"}
-		f.Series = append(f.Series, sloSeries[sc], utilSeries[sc])
+		f.Series = append(f.Series,
+			&metrics.Series{Label: sc.String() + "/slo"}, &metrics.Series{Label: sc.String() + "/util"})
 	}
 	for _, rate := range failureRates(o.Quick) {
-		var cfgs []sim.Config
-		var order []scheduler.Scheme
-		for _, seed := range o.seeds() {
-			for _, sc := range schemeOrder {
-				cfg := o.baseConfig(sc, jobs)
-				cfg.Seed = seed
-				cfg.Scheduler.Seed = seed
-				cfg.Faults = faultProfile(rate, seed)
-				cfg.Clock = faultsClock()
-				cfgs = append(cfgs, cfg)
-				order = append(order, sc)
-			}
-		}
-		results, err := o.runBatch(cfgs)
+		cells, err := o.replicate(o.seeds(0), len(schemeOrder), func(v int, seed int64) sim.Config {
+			cfg := o.baseConfig(schemeOrder[v], jobs)
+			cfg.Faults = faultProfile(rate, seed)
+			cfg.Clock = faultsClock()
+			return cfg
+		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: faults rate %g: %w", rate, err)
 		}
-		n := float64(len(o.seeds()))
-		slo := map[scheduler.Scheme]float64{}
-		util := map[scheduler.Scheme]float64{}
 		var rec metrics.RecoveryStats // pooled over schemes and seeds
-		for i, r := range results {
-			slo[order[i]] += r.SLORate / n
-			util[order[i]] += r.Overall / n
-			rec.VMCrashes += r.Recovery.VMCrashes
-			rec.Evictions += r.Recovery.Evictions
-			rec.Retries += r.Recovery.Retries
-			rec.RetriesExhausted += r.Recovery.RetriesExhausted
-			rec.Replaced += r.Recovery.Replaced
-			rec.ReplaceSlots += r.Recovery.ReplaceSlots
-			rec.ViolationsFailure += r.Recovery.ViolationsFailure
-			rec.ViolationsStarvation += r.Recovery.ViolationsStarvation
-		}
-		for _, sc := range schemeOrder {
-			sloSeries[sc].Append(rate, slo[sc])
-			utilSeries[sc].Append(rate, util[sc])
+		for v, cell := range cells {
+			f.Series[2*v].Append(rate, mean(cell, sloRate))
+			f.Series[2*v+1].Append(rate, mean(cell, overall))
+			for _, r := range cell {
+				rec.VMCrashes += r.Recovery.VMCrashes
+				rec.Evictions += r.Recovery.Evictions
+				rec.Retries += r.Recovery.Retries
+				rec.RetriesExhausted += r.Recovery.RetriesExhausted
+				rec.Replaced += r.Recovery.Replaced
+				rec.ReplaceSlots += r.Recovery.ReplaceSlots
+				rec.ViolationsFailure += r.Recovery.ViolationsFailure
+				rec.ViolationsStarvation += r.Recovery.ViolationsStarvation
+			}
 		}
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"rate=%g: %d VM crashes, %d evictions, %d retries (%d exhausted), %d replaced (mean %.1f slots), violations failure/starvation %d/%d",
@@ -107,6 +87,5 @@ func ExtensionFaultTolerance(o Options) (*Figure, error) {
 			rec.Replaced, rec.MeanTimeToReplace(),
 			rec.ViolationsFailure, rec.ViolationsStarvation))
 	}
-	sortSeriesByX(f)
 	return f, nil
 }

@@ -34,8 +34,8 @@ func TestDeriveSeedNoCollisions(t *testing.T) {
 }
 
 func TestSeedsUseDerivation(t *testing.T) {
-	a := Options{Seed: 1}.seeds()
-	b := Options{Seed: 102}.seeds()
+	a := Options{Seed: 1}.seeds(0)
+	b := Options{Seed: 102}.seeds(0)
 	for _, x := range a {
 		for _, y := range b {
 			if x == y {
@@ -44,8 +44,8 @@ func TestSeedsUseDerivation(t *testing.T) {
 		}
 	}
 	// Same base twice → identical streams (experiments stay reproducible).
-	if !reflect.DeepEqual(a, Options{Seed: 1}.seeds()) {
-		t.Error("seeds() not deterministic")
+	if !reflect.DeepEqual(a, Options{Seed: 1}.seeds(0)) {
+		t.Error("seeds(0) not deterministic")
 	}
 }
 

@@ -3,11 +3,26 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/resource"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
+
+// paperFigure starts one of the four experiments the paper runs on both
+// testbeds: Fig. n on the cluster is Fig. n+4 on EC2 (7–10 → 11–14).
+func (o Options) paperFigure(n int, title, xlabel, ylabel string) *Figure {
+	if o.Profile == cluster.ProfileEC2 {
+		n += 4
+	}
+	return &Figure{
+		ID:     fmt.Sprintf("fig%02d", n),
+		Title:  fmt.Sprintf("Fig. %d: %s (%s)", n, title, o.Profile),
+		XLabel: xlabel,
+		YLabel: ylabel,
+	}
+}
 
 // Fig06PredictionError reproduces Fig. 6: CPU prediction error rate versus
 // the number of jobs, for all four schemes on the cluster profile.
@@ -22,21 +37,16 @@ func Fig06PredictionError(o Options) (*Figure, error) {
 	}
 	series := newSchemeSeries(f)
 	for _, jobs := range o.jobCounts() {
-		jobs := jobs
 		// Each x point uses its own workload instance, as rerunning the
 		// testbed with a different job count would.
-		results, err := runAll(o, jobs, func(cfg *sim.Config) {
-			cfg.Seed = o.Seed + int64(jobs)
-			cfg.Scheduler.Seed = cfg.Seed
-		})
+		results, err := o.runSchemes(o.Seed+int64(jobs), jobs)
 		if err != nil {
 			return nil, err
 		}
-		for sc, r := range results {
-			series[sc].Append(float64(jobs), r.PredictionErrorRate)
+		for v, r := range results {
+			series[v].Append(float64(jobs), r.PredictionErrorRate)
 		}
 	}
-	sortSeriesByX(f)
 	return f, nil
 }
 
@@ -45,48 +55,27 @@ func Fig06PredictionError(o Options) (*Figure, error) {
 // are "<scheme>/<kind>" plus "<scheme>/overall". Expected shape:
 // CORP > RCCR > CloudScale > DRA per kind.
 func Fig07Utilization(o Options) (*Figure, error) {
-	id, num := "fig07", "7"
-	if o.Profile.String() == "ec2" {
-		id, num = "fig11", "11"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  "Fig. " + num + ": resource utilization vs number of jobs (" + o.Profile.String() + ")",
-		XLabel: "number of jobs",
-		YLabel: "utilization",
-	}
-	type key struct {
-		sc   scheduler.Scheme
-		kind string
-	}
-	series := map[key]*metrics.Series{}
+	f := o.paperFigure(7, "resource utilization vs number of jobs", "number of jobs", "utilization")
+	kinds := resource.Kinds()
 	for _, sc := range schemeOrder {
-		for _, k := range resource.Kinds() {
-			s := &metrics.Series{Label: sc.String() + "/" + k.String()}
-			series[key{sc, k.String()}] = s
-			f.Series = append(f.Series, s)
+		for _, k := range kinds {
+			f.Series = append(f.Series, &metrics.Series{Label: sc.String() + "/" + k.String()})
 		}
-		s := &metrics.Series{Label: sc.String() + "/overall"}
-		series[key{sc, "overall"}] = s
-		f.Series = append(f.Series, s)
+		f.Series = append(f.Series, &metrics.Series{Label: sc.String() + "/overall"})
 	}
 	for _, jobs := range o.jobCounts() {
-		jobs := jobs
-		results, err := runAll(o, jobs, func(cfg *sim.Config) {
-			cfg.Seed = o.Seed + int64(jobs)
-			cfg.Scheduler.Seed = cfg.Seed
-		})
+		results, err := o.runSchemes(o.Seed+int64(jobs), jobs)
 		if err != nil {
 			return nil, err
 		}
-		for sc, r := range results {
-			for _, k := range resource.Kinds() {
-				series[key{sc, k.String()}].Append(float64(jobs), r.Utilization[k])
+		for v, r := range results {
+			series := f.Series[v*(len(kinds)+1):]
+			for i, k := range kinds {
+				series[i].Append(float64(jobs), r.Utilization[k])
 			}
-			series[key{sc, "overall"}].Append(float64(jobs), r.Overall)
+			series[len(kinds)].Append(float64(jobs), r.Overall)
 		}
 	}
-	sortSeriesByX(f)
 	return f, nil
 }
 
@@ -129,61 +118,32 @@ func riskLevels(quick bool) []riskLevel {
 // tolerated SLO violation rate, and at any SLO level
 // CORP > RCCR > CloudScale > DRA.
 func Fig08UtilVsSLO(o Options) (*Figure, error) {
-	id, num := "fig08", "8"
-	if o.Profile.String() == "ec2" {
-		id, num = "fig12", "12"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  "Fig. " + num + ": overall utilization vs SLO violation rate (" + o.Profile.String() + ")",
-		XLabel: "SLO violation rate",
-		YLabel: "overall utilization",
-	}
+	f := o.paperFigure(8, "overall utilization vs SLO violation rate", "SLO violation rate", "overall utilization")
 	series := newSchemeSeries(f)
-	jobs := 300
-	if o.Quick {
-		jobs = 200
-	}
+	jobs := o.scale(300, 200)
 	for _, lvl := range riskLevels(o.Quick) {
-		lvl := lvl
-		var cfgs []sim.Config
-		var order []scheduler.Scheme
-		for _, seed := range o.seeds() {
-			for _, sc := range schemeOrder {
-				cfg := o.hotConfig(sc, jobs)
-				cfg.Seed = seed
-				cfg.Scheduler.Seed = seed
-				cfg.Scheduler.AllocTightness = lvl.tightness
-				switch sc {
-				case scheduler.CORP:
-					cfg.Scheduler.Corp.Pth = lvl.corpPth
-					cfg.Scheduler.Corp.Eta = lvl.corpEta
-				case scheduler.RCCR:
-					cfg.Scheduler.RCCR.Eta = lvl.rccrEta
-				case scheduler.CloudScale:
-					cfg.Scheduler.CloudScale.PadFactor = lvl.csPad
-					cfg.Scheduler.CloudScalePad = lvl.csAllocPad
-				case scheduler.DRA:
-					cfg.Scheduler.DRABulk = lvl.draBulk
-				}
-				cfgs = append(cfgs, cfg)
-				order = append(order, sc)
+		cells, err := o.replicate(o.seeds(0), len(schemeOrder), func(v int, _ int64) sim.Config {
+			cfg := o.hotConfig(schemeOrder[v], jobs)
+			cfg.Scheduler.AllocTightness = lvl.tightness
+			switch schemeOrder[v] {
+			case scheduler.CORP:
+				cfg.Scheduler.Corp.Pth = lvl.corpPth
+				cfg.Scheduler.Corp.Eta = lvl.corpEta
+			case scheduler.RCCR:
+				cfg.Scheduler.RCCR.Eta = lvl.rccrEta
+			case scheduler.CloudScale:
+				cfg.Scheduler.CloudScale.PadFactor = lvl.csPad
+				cfg.Scheduler.CloudScalePad = lvl.csAllocPad
+			case scheduler.DRA:
+				cfg.Scheduler.DRABulk = lvl.draBulk
 			}
-		}
-		results, err := o.runBatch(cfgs)
+			return cfg
+		})
 		if err != nil {
 			return nil, err
 		}
-		sums := map[scheduler.Scheme][2]float64{}
-		for i, r := range results {
-			acc := sums[order[i]]
-			acc[0] += r.SLORate
-			acc[1] += r.Overall
-			sums[order[i]] = acc
-		}
-		n := float64(len(o.seeds()))
-		for sc, acc := range sums {
-			series[sc].Append(acc[0]/n, acc[1]/n)
+		for v, cell := range cells {
+			series[v].Append(mean(cell, sloRate), mean(cell, overall))
 		}
 	}
 	sortSeriesByX(f)
@@ -208,62 +168,33 @@ func confidenceLevels(quick bool) []float64 {
 // prediction-conservatism mechanism at all, so its line is flat — and the
 // highest, as in the paper.
 func Fig09SLOVsConfidence(o Options) (*Figure, error) {
-	id, num := "fig09", "9"
-	if o.Profile.String() == "ec2" {
-		id, num = "fig13", "13"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  "Fig. " + num + ": SLO violation rate vs confidence level (" + o.Profile.String() + ")",
-		XLabel: "confidence level",
-		YLabel: "SLO violation rate",
-	}
+	f := o.paperFigure(9, "SLO violation rate vs confidence level", "confidence level", "SLO violation rate")
 	series := newSchemeSeries(f)
-	jobs := 300
-	if o.Quick {
-		jobs = 200
-	}
-	// SLO violations are rare events; use an extra replication beyond
-	// the default seed set.
-	seeds := o.seeds()
-	seeds = append(seeds, deriveSeed(o.Seed, len(seeds)))
+	jobs := o.scale(300, 200)
 	for _, eta := range confidenceLevels(o.Quick) {
-		eta := eta
-		var cfgs []sim.Config
-		var order []scheduler.Scheme
-		for _, seed := range seeds {
-			for _, sc := range schemeOrder {
-				cfg := o.hotConfig(sc, jobs)
-				cfg.Seed = seed
-				cfg.Scheduler.Seed = seed
-				switch sc {
-				case scheduler.CORP:
-					cfg.Scheduler.Corp.Eta = eta
-					cfg.Scheduler.Corp.Pth = eta
-				case scheduler.RCCR:
-					cfg.Scheduler.RCCR.Eta = eta
-				case scheduler.CloudScale:
-					// Map η ∈ [0.5, 0.9] onto padding ∈ [0.1, 1.0].
-					cfg.Scheduler.CloudScale.PadFactor = 0.1 + (eta-0.5)/0.4*0.9
-				}
-				cfgs = append(cfgs, cfg)
-				order = append(order, sc)
+		// SLO violations are rare events; use an extra replication beyond
+		// the default seed set.
+		cells, err := o.replicate(o.seeds(1), len(schemeOrder), func(v int, _ int64) sim.Config {
+			cfg := o.hotConfig(schemeOrder[v], jobs)
+			switch schemeOrder[v] {
+			case scheduler.CORP:
+				cfg.Scheduler.Corp.Eta = eta
+				cfg.Scheduler.Corp.Pth = eta
+			case scheduler.RCCR:
+				cfg.Scheduler.RCCR.Eta = eta
+			case scheduler.CloudScale:
+				// Map η ∈ [0.5, 0.9] onto padding ∈ [0.1, 1.0].
+				cfg.Scheduler.CloudScale.PadFactor = 0.1 + (eta-0.5)/0.4*0.9
 			}
-		}
-		results, err := o.runBatch(cfgs)
+			return cfg
+		})
 		if err != nil {
 			return nil, err
 		}
-		sums := map[scheduler.Scheme]float64{}
-		for i, r := range results {
-			sums[order[i]] += r.SLORate
-		}
-		n := float64(len(seeds))
-		for sc := range sums {
-			series[sc].Append(eta, sums[sc]/n)
+		for v, cell := range cells {
+			series[v].Append(eta, mean(cell, sloRate))
 		}
 	}
-	sortSeriesByX(f)
 	return f, nil
 }
 
@@ -273,31 +204,17 @@ func Fig09SLOVsConfidence(o Options) (*Figure, error) {
 // slightly highest (DNN compute), all EC2 numbers above their cluster
 // twins (communication).
 func Fig10Overhead(o Options) (*Figure, error) {
-	id, num := "fig10", "10"
-	if o.Profile.String() == "ec2" {
-		id, num = "fig14", "14"
-	}
-	f := &Figure{
-		ID:     id,
-		Title:  "Fig. " + num + ": overhead of allocating resources to 300 jobs (" + o.Profile.String() + ")",
-		XLabel: "scheme index (CORP, RCCR, CloudScale, DRA)",
-		YLabel: "latency (ms)",
-	}
-	jobs := 300
-	if o.Quick {
-		jobs = 150
-	}
-	results, err := runAll(o, jobs, nil)
+	f := o.paperFigure(10, "overhead of allocating resources to 300 jobs",
+		"scheme index (CORP, RCCR, CloudScale, DRA)", "latency (ms)")
+	results, err := o.runSchemes(o.Seed, o.scale(300, 150))
 	if err != nil {
 		return nil, err
 	}
-	for i, sc := range schemeOrder {
-		s := &metrics.Series{Label: sc.String()}
-		s.Append(float64(i), results[sc].Overhead.TotalMillis())
-		f.Series = append(f.Series, s)
+	for v, s := range newSchemeSeries(f) {
+		oh := results[v].Overhead
+		s.Append(float64(v), oh.TotalMillis())
 		f.Notes = append(f.Notes, fmt.Sprintf("%s: compute %.1fms, comm %.1fms, %d ops",
-			sc, results[sc].Overhead.ComputeMicros/1000,
-			results[sc].Overhead.CommMicros/1000, results[sc].Overhead.Operations))
+			s.Label, oh.ComputeMicros/1000, oh.CommMicros/1000, oh.Operations))
 	}
 	return f, nil
 }
@@ -335,37 +252,10 @@ func TableII() *Figure {
 }
 
 // newSchemeSeries registers one series per scheme on the figure and
-// returns them keyed by scheme.
-func newSchemeSeries(f *Figure) map[scheduler.Scheme]*metrics.Series {
-	out := make(map[scheduler.Scheme]*metrics.Series, len(schemeOrder))
+// returns them in comparison order.
+func newSchemeSeries(f *Figure) []*metrics.Series {
 	for _, sc := range schemeOrder {
-		s := &metrics.Series{Label: sc.String()}
-		out[sc] = s
-		f.Series = append(f.Series, s)
+		f.Series = append(f.Series, &metrics.Series{Label: sc.String()})
 	}
-	return out
-}
-
-// AllFigures runs every figure for the given profile in paper order.
-func AllFigures(o Options) ([]*Figure, error) {
-	runners := []func(Options) (*Figure, error){
-		Fig06PredictionError,
-		Fig07Utilization,
-		Fig08UtilVsSLO,
-		Fig09SLOVsConfidence,
-		Fig10Overhead,
-	}
-	if o.Profile.String() == "ec2" {
-		// EC2 reproduces Figs. 11–14 (no Fig. 6 twin in the paper).
-		runners = runners[1:]
-	}
-	var figs []*Figure
-	for _, run := range runners {
-		f, err := run(o)
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
+	return f.Series[len(f.Series)-len(schemeOrder):]
 }

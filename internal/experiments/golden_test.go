@@ -24,8 +24,8 @@ var goldenProfiles = []cluster.Profile{cluster.ProfileCluster, cluster.ProfileEC
 
 // cachedCampaign is the workload-cache-on side of goldenOptions, run once
 // per test binary: TestWorkloadCacheEquivalence compares it with a
-// cache-off run and TestFigureGolden hashes it, so `make check-perf` pays
-// for four quick figure sets, not six.
+// cache-off run, TestFarmCampaignEquivalence with farm runs, and
+// TestFigureGolden hashes it.
 var cachedCampaign struct {
 	once  sync.Once
 	figs  map[cluster.Profile][]*Figure
@@ -34,17 +34,6 @@ var cachedCampaign struct {
 	// profile after the stats were taken.
 	extra []*Figure
 	err   error
-}
-
-// extraFigures are the figures no campaign runs: Table II, the ablation
-// study and the four extensions without a fault injector.
-var extraFigures = []func(Options) (*Figure, error){
-	func(Options) (*Figure, error) { return TableII(), nil },
-	AblationStudy,
-	ExtensionPlacementStrategies,
-	ExtensionPackK,
-	ExtensionMixedWorkload,
-	ExtensionOracleGap,
 }
 
 func runCachedCampaign() (map[cluster.Profile][]*Figure, map[cluster.Profile]workload.Stats, error) {
@@ -67,8 +56,11 @@ func runCachedCampaign() (map[cluster.Profile][]*Figure, map[cluster.Profile]wor
 			c.figs[profile] = figs
 			c.stats[profile] = workload.Default.Stats()
 		}
-		for _, run := range extraFigures {
-			f, err := run(goldenOptions)
+		for _, s := range Registry() {
+			if s.Campaign {
+				continue
+			}
+			f, err := s.Reproduce(goldenOptions)
 			if err != nil {
 				c.err = err
 				return
@@ -81,8 +73,7 @@ func runCachedCampaign() (map[cluster.Profile][]*Figure, map[cluster.Profile]wor
 
 // figureDigest is the SHA-256 of a figure's series: ID, then per series
 // the label, point count and the IEEE-754 bits of every X and Y. The
-// wall-clock overhead figures (fig10/fig14) hash X only — their Y is real
-// scheduler decision time.
+// registry's WallClock figures hash X only.
 func figureDigest(f *Figure) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -100,19 +91,23 @@ func figureDigest(f *Figure) string {
 		}
 	}
 	str(f.ID)
+	hashY := !wallClock(f.ID)
 	for _, s := range f.Series {
 		str(s.Label)
 		floats(s.X)
-		if !wallClockFigures[f.ID] {
+		if hashY {
 			floats(s.Y)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestFigureGolden pins every quick figure series of both profiles,
-// including the faulted extension figure, to the digests committed in
-// testdata/figure_golden.json (profile → figure ID → SHA-256). The file was
+// TestFigureGolden pins the quick series of every registry figure — both
+// profiles' campaign sets, and the figures outside the campaign on the
+// cluster profile — to the digests committed in
+// testdata/figure_golden.json (profile → figure ID → SHA-256): a registry
+// row without a digest, a digest without a row, and a runner that returns
+// another ID than its row's all fail. The file was
 // recorded before the reference slot loop and the per-VM refresh left
 // production, so it is what holds the figures still across refactors of the
 // simulator core; on a mismatch the test logs the digests it computed in
@@ -150,6 +145,16 @@ func TestFigureGolden(t *testing.T) {
 		got[goldenOptions.Profile.String()][f.ID] = figureDigest(f)
 	}
 	ok := true
+	for _, s := range Registry() {
+		profile := s.Profile
+		if profile == AnyProfile {
+			profile = goldenOptions.Profile
+		}
+		if got[profile.String()][s.ID] == "" {
+			t.Errorf("%s %s: the registry's runner returned no figure of that ID", profile, s.ID)
+			ok = false
+		}
+	}
 	for profile, digests := range want {
 		if len(got[profile]) != len(digests) {
 			t.Errorf("%s: %d figures, golden has %d", profile, len(got[profile]), len(digests))

@@ -154,12 +154,10 @@ func TestBaselinePredictDoesNotAllocate(t *testing.T) {
 	}
 	var out []ErrorSample
 	for _, p := range preds {
-		p := p
-		oa := p.(OutcomeAppender)
 		if avg := testing.AllocsPerRun(64, func() {
 			p.Observe(fluctVector(i))
 			p.Predict()
-			out = oa.AppendOutcomes(out[:0])
+			out = p.AppendOutcomes(out[:0])
 			i++
 		}); avg != 0 {
 			t.Errorf("%s observe+predict+drain allocates %.2f/op after warmup", p.Name(), avg)

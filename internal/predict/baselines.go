@@ -114,7 +114,7 @@ func (p *RCCRPredictor) DrainOutcomes() []ErrorSample {
 	return p.track.drainOutcomes()
 }
 
-// AppendOutcomes implements OutcomeAppender.
+// AppendOutcomes implements Predictor.
 func (p *RCCRPredictor) AppendOutcomes(dst []ErrorSample) []ErrorSample {
 	return p.track.appendOutcomes(dst)
 }
@@ -288,7 +288,7 @@ func (p *CloudScalePredictor) DrainOutcomes() []ErrorSample {
 	return p.track.drainOutcomes()
 }
 
-// AppendOutcomes implements OutcomeAppender.
+// AppendOutcomes implements Predictor.
 func (p *CloudScalePredictor) AppendOutcomes(dst []ErrorSample) []ErrorSample {
 	return p.track.appendOutcomes(dst)
 }
@@ -365,7 +365,7 @@ func (p *DRAPredictor) DrainOutcomes() []ErrorSample {
 	return p.track.drainOutcomes()
 }
 
-// AppendOutcomes implements OutcomeAppender.
+// AppendOutcomes implements Predictor.
 func (p *DRAPredictor) AppendOutcomes(dst []ErrorSample) []ErrorSample {
 	return p.track.appendOutcomes(dst)
 }
@@ -430,7 +430,7 @@ func (p *OraclePredictor) DrainOutcomes() []ErrorSample {
 	return p.track.drainOutcomes()
 }
 
-// AppendOutcomes implements OutcomeAppender.
+// AppendOutcomes implements Predictor.
 func (p *OraclePredictor) AppendOutcomes(dst []ErrorSample) []ErrorSample {
 	return p.track.appendOutcomes(dst)
 }

@@ -135,10 +135,9 @@ type brainKind struct {
 	replayPos int
 	batchIn   []float64 // (1+ReplaySteps) rows × InputSlots
 	batchTgt  []float64 // (1+ReplaySteps) targets
-	// fwd backs the brain's own single-sample forward; fwdBatch backs
-	// ForwardBatchKind (grown on demand). Per-kind ownership keeps the
-	// kinds fully independent for the engine's per-kind concurrency.
-	fwd      *dnn.FwdScratch
+	// fwdBatch backs ForwardBatchKind (grown on demand). Per-kind
+	// ownership keeps the kinds fully independent for the engine's
+	// per-kind concurrency.
 	fwdBatch *dnn.BatchScratch
 	// steps counts SGD updates; errs counts rejected online training
 	// calls (malformed samples) so a broken feed cannot masquerade as a
@@ -191,7 +190,6 @@ func NewCorpBrain(cfg CorpConfig) (*CorpBrain, error) {
 		kk.replayTgt = make([]float64, replayCap)
 		kk.batchIn = make([]float64, (1+cfg.ReplaySteps)*cfg.InputSlots)
 		kk.batchTgt = make([]float64, 1+cfg.ReplaySteps)
-		kk.fwd = net.NewFwdScratch()
 	}
 	return b, nil
 }
@@ -255,22 +253,6 @@ func (b *CorpBrain) train(k resource.Kind, input []float64, target float64) erro
 	return nil
 }
 
-// forward evaluates the kind-k network into brain-owned per-kind scratch
-// via ForwardInto, so no forward path allocates per call (the network's
-// Forward would reuse its training activations, which is safe serially but
-// shares scratch with trainOne; the dedicated FwdScratch keeps evaluation
-// and training buffers disjoint). Not safe for concurrent use on one kind;
-// the engine's parallel Refresh goes through forwardInto with per-caller
-// scratch.
-func (b *CorpBrain) forward(k resource.Kind, input []float64) (float64, error) {
-	kk := &b.kinds[k]
-	out, err := kk.net.ForwardInto(kk.fwd, input)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
 // ForwardBatchKind evaluates the kind-k network on a flat row-major batch
 // of input rows (len(inputs)/Δ rows) and returns one output per row,
 // bit-identical per row to forwardInto. The scratch is brain-owned per
@@ -290,8 +272,9 @@ func (b *CorpBrain) ForwardBatchKind(k resource.Kind, inputs []float64) ([]float
 	return kk.net.ForwardBatchInto(kk.fwdBatch, inputs)
 }
 
-// forwardInto evaluates the kind-k network into caller-owned scratch,
-// bit-identical to forward. With weights read-only (no concurrent train),
+// forwardInto evaluates the kind-k network into caller-owned scratch (the
+// network's Forward would reuse its training activations and so share
+// scratch with trainOne). With weights read-only (no concurrent train),
 // any number of goroutines may call this with distinct scratch.
 func (b *CorpBrain) forwardInto(k resource.Kind, s *dnn.FwdScratch, input []float64) (float64, error) {
 	out, err := b.kinds[k].net.ForwardInto(s, input)
@@ -632,7 +615,7 @@ func (p *CorpPredictor) DrainOutcomes() []ErrorSample {
 	return p.track.drainOutcomes()
 }
 
-// AppendOutcomes implements OutcomeAppender: it appends the matured
+// AppendOutcomes implements Predictor: it appends the matured
 // samples to dst and clears them while keeping the internal buffer's
 // capacity for reuse.
 func (p *CorpPredictor) AppendOutcomes(dst []ErrorSample) []ErrorSample {

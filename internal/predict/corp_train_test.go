@@ -143,10 +143,15 @@ func TestBrainTrainDeterministic(t *testing.T) {
 	}
 }
 
+// forward evaluates the kind-k network on one sample through forwardInto,
+// the production single-sample path, with scratch of its own.
+func (b *CorpBrain) forward(k resource.Kind, input []float64) (float64, error) {
+	return b.forwardInto(k, b.kinds[k].net.NewFwdScratch(), input)
+}
+
 // TestBrainForwardNotRetained is the satellite-2 regression test at the
-// predict layer: brain.forward copies the scalar out of the DNN's
-// network-owned output buffer, so successive calls cannot corrupt earlier
-// results.
+// predict layer: forwardInto copies the scalar out of the scratch's output
+// buffer, so successive calls cannot corrupt earlier results.
 func TestBrainForwardNotRetained(t *testing.T) {
 	b, err := NewCorpBrain(tinyCorpConfig(3))
 	if err != nil {

@@ -50,6 +50,10 @@ type Predictor interface {
 	// call; the experiment harness aggregates them into Fig. 6's
 	// prediction error rate.
 	DrainOutcomes() []ErrorSample
+	// AppendOutcomes is DrainOutcomes into a caller-owned buffer, letting
+	// the scheduler reuse one slice across the whole fleet instead of
+	// allocating per predictor.
+	AppendOutcomes(dst []ErrorSample) []ErrorSample
 }
 
 // Sharded is implemented by predictors whose Observe splits into two
@@ -64,14 +68,6 @@ type Predictor interface {
 type Sharded interface {
 	ObserveLocal(actual resource.Vector)
 	FlushShared(k resource.Kind)
-}
-
-// OutcomeAppender is implemented by predictors that can drain matured
-// errors into a caller-owned buffer, letting the scheduler reuse one slice
-// across the whole fleet instead of allocating per predictor. The appended
-// samples are cleared from the predictor, like DrainOutcomes.
-type OutcomeAppender interface {
-	AppendOutcomes(dst []ErrorSample) []ErrorSample
 }
 
 // ErrorSample is one matured prediction error δ = actual − predicted for

@@ -2,11 +2,10 @@ package scheduler
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/predict"
 	"repro/internal/resource"
+	"repro/internal/workpool"
 )
 
 // This file is the intra-run parallel prediction engine: it shards the
@@ -36,70 +35,25 @@ type SpanObserver interface {
 	ObserveSpan(rows [][]resource.Vector, skip []bool)
 }
 
-// observeChunk is how many consecutive indices one work-stealing grab
-// covers: large enough to amortize the atomic, small enough to balance
-// uneven per-VM costs (HMM refits, signature refreshes).
+// observeChunk is how many consecutive VMs one work-stealing grab of the
+// engine's fan-outs covers; per-VM costs are uneven (HMM refits, signature
+// refreshes), so it is kept small.
 const observeChunk = 4
 
-// parallelFor runs fn(i) for i in [0, n) on up to `workers` goroutines,
-// handing out index chunks through an atomic cursor. With workers <= 1 it
-// degrades to a plain loop. fn must only write state owned by index i;
-// the engine relies on that for order-independent results.
-func parallelFor(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(cursor.Add(observeChunk)) - observeChunk
-				if start >= n {
-					return
-				}
-				end := start + observeChunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // initEngine wires the parallel engine after the per-VM predictors exist:
-// it caches the Sharded/OutcomeAppender views of each predictor (so the
-// hot loops skip per-call type assertions) and allocates the dirty bits.
+// it caches the Sharded view of each predictor (so the hot loops skip
+// per-call type assertions) and allocates the dirty bits.
 // All VMs start dirty so the first Refresh predicts everywhere.
 func (b *base) initEngine(workers int) {
 	b.workers = workers
 	b.dirty = make([]bool, len(b.preds))
 	b.sharded = make([]predict.Sharded, len(b.preds))
-	b.appenders = make([]predict.OutcomeAppender, len(b.preds))
 	anySharded := false
 	for i, p := range b.preds {
 		b.dirty[i] = true
 		if s, ok := p.(predict.Sharded); ok {
 			b.sharded[i] = s
 			anySharded = true
-		}
-		if a, ok := p.(predict.OutcomeAppender); ok {
-			b.appenders[i] = a
 		}
 	}
 	b.anySharded = anySharded
@@ -155,13 +109,10 @@ func (s *corpScheduler) Refresh() {
 	}
 	idx := s.refreshIdx[:0]
 	for i := range s.preds {
-		if s.dirty != nil {
-			if !s.dirty[i] {
-				continue
-			}
+		if s.dirty[i] {
 			s.dirty[i] = false
+			idx = append(idx, i)
 		}
-		idx = append(idx, i)
 	}
 	s.refreshIdx = idx
 	d := len(idx)
@@ -184,7 +135,7 @@ func (s *corpScheduler) Refresh() {
 		s.stageRows[k] = s.stageRows[k][:d*delta]
 	}
 	nan := math.NaN()
-	parallelFor(s.workers, d, func(pos int) {
+	workpool.For(s.workers, d, observeChunk, func(pos int) {
 		// rows[pos] is reused scratch owned by this position; a
 		// function-local array would escape through PredictPrepare and
 		// cost one heap allocation per dirty VM per refresh.
@@ -195,10 +146,10 @@ func (s *corpScheduler) Refresh() {
 		need[pos] = s.corpPreds[idx[pos]].PredictPrepare(r)
 		outs[pos] = [resource.NumKinds]float64{nan, nan, nan}
 	})
-	parallelFor(s.workers, resource.NumKinds, func(k int) {
+	workpool.For(s.workers, resource.NumKinds, observeChunk, func(k int) {
 		s.forwardKindBatched(resource.Kind(k), delta, need, outs)
 	})
-	parallelFor(s.workers, d, func(pos int) {
+	workpool.For(s.workers, d, observeChunk, func(pos int) {
 		s.latest[idx[pos]] = s.corpPreds[idx[pos]].PredictFinish(&outs[pos])
 	})
 }
@@ -252,7 +203,7 @@ func (s *corpScheduler) forwardKindBatched(k resource.Kind, delta int, need [][r
 // is bit-identical to serial per-VM Observe calls at any worker count.
 func (b *base) ObserveAll(actualUnused []resource.Vector, skip []bool) {
 	n := len(b.preds)
-	parallelFor(b.workers, n, func(i int) {
+	workpool.For(b.workers, n, observeChunk, func(i int) {
 		if skip != nil && skip[i] {
 			return
 		}
@@ -266,7 +217,7 @@ func (b *base) ObserveAll(actualUnused []resource.Vector, skip []bool) {
 	if !b.anySharded {
 		return
 	}
-	parallelFor(b.workers, resource.NumKinds, func(k int) {
+	workpool.For(b.workers, resource.NumKinds, observeChunk, func(k int) {
 		kind := resource.Kind(k)
 		for i := 0; i < n; i++ {
 			if skip != nil && skip[i] {
@@ -301,7 +252,7 @@ func (b *base) ObserveSpan(rows [][]resource.Vector, skip []bool) {
 		}
 		return
 	}
-	parallelFor(b.workers, len(b.preds), func(i int) {
+	workpool.For(b.workers, len(b.preds), observeChunk, func(i int) {
 		if skip != nil && skip[i] {
 			return
 		}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/packing"
 	"repro/internal/predict"
 	"repro/internal/resource"
+	"repro/internal/workpool"
 )
 
 // Scheme selects a provisioning scheme.
@@ -185,15 +186,20 @@ func New(cfg Config, cl *cluster.Cluster) (Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every scheme embeds base; wire its parallel prediction engine now
-	// that the per-VM predictors exist.
-	if eng, ok := s.(interface{ initEngine(workers int) }); ok {
-		eng.initEngine(cfg.Workers)
-	}
+	// Wire the parallel prediction engine now that the per-VM predictors
+	// exist.
+	s.initEngine(cfg.Workers)
 	return s, nil
 }
 
-func build(cfg Config, cl *cluster.Cluster) (Scheduler, error) {
+// unwired is a Scheduler as build returns it: every scheme embeds base,
+// whose prediction engine New still has to wire.
+type unwired interface {
+	Scheduler
+	initEngine(workers int)
+}
+
+func build(cfg Config, cl *cluster.Cluster) (unwired, error) {
 	caps := make([]resource.Vector, len(cl.VMs))
 	for i, vm := range cl.VMs {
 		caps[i] = vm.Capacity
@@ -361,12 +367,11 @@ type base struct {
 	// Parallel prediction engine state (see engine.go). dirty[i] is set
 	// when VM i has seen a new observation since its last Predict, so
 	// Refresh can skip VMs with nothing new (down VMs keep their last
-	// forecast). sharded/appenders cache optional-interface views of the
+	// forecast). sharded caches the optional-interface view of the
 	// predictors; drainBuf is the reused DrainOutcomes output.
 	workers    int
 	dirty      []bool
 	sharded    []predict.Sharded
-	appenders  []predict.OutcomeAppender
 	anySharded bool
 	drainBuf   []predict.ErrorSample
 
@@ -382,9 +387,7 @@ func (b *base) Window() int { return b.window }
 func (b *base) predictors() []predict.Predictor { return b.preds }
 
 func (b *base) Observe(vm int, actualUnused resource.Vector) {
-	if b.dirty != nil {
-		b.dirty[vm] = true
-	}
+	b.dirty[vm] = true
 	b.preds[vm].Observe(actualUnused)
 }
 
@@ -395,14 +398,11 @@ func (b *base) Observe(vm int, actualUnused resource.Vector) {
 // last Predict (down VMs under fault injection) are skipped and keep
 // their previous forecast.
 func (b *base) Refresh() {
-	parallelFor(b.workers, len(b.preds), func(i int) {
-		if b.dirty != nil {
-			if !b.dirty[i] {
-				return
-			}
+	workpool.For(b.workers, len(b.preds), observeChunk, func(i int) {
+		if b.dirty[i] {
 			b.dirty[i] = false
+			b.latest[i] = b.preds[i].Predict()
 		}
-		b.latest[i] = b.preds[i].Predict()
 	})
 }
 
@@ -411,12 +411,8 @@ func (b *base) Refresh() {
 // call; callers that retain samples must copy them out.
 func (b *base) DrainOutcomes() []predict.ErrorSample {
 	out := b.drainBuf[:0]
-	for i, p := range b.preds {
-		if b.appenders != nil && b.appenders[i] != nil {
-			out = b.appenders[i].AppendOutcomes(out)
-		} else {
-			out = append(out, p.DrainOutcomes()...)
-		}
+	for _, p := range b.preds {
+		out = p.AppendOutcomes(out)
 	}
 	b.drainBuf = out
 	return out

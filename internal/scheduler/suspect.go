@@ -115,13 +115,6 @@ func (x *suspectIndex) noteUpdate(q *[3][]float64, lane int) {
 	}
 }
 
-// gated reports whether demand may use the suspect path: every kind at or
-// below the threshold (a NaN demand fails the comparison and takes the
-// flat scan).
-func (x *suspectIndex) gated(d0, d1, d2 float64) bool {
-	return d0 <= x.t[0] && d1 <= x.t[1] && d2 <= x.t[2]
-}
-
 // scan computes the gated demand's exact candidate count: non-suspect
 // lanes all fit; dense suspects run through the same fitScan kernel the
 // flat path uses (over the packed copies); overflow lanes are checked

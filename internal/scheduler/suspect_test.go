@@ -61,8 +61,8 @@ func TestSuspectIndexMatchesFlat(t *testing.T) {
 				gatedSeen, selChecks := 0, 0
 				for step := 0; step < 400; step++ {
 					d := demands[rng.Intn(len(demands))]
-					if !idx.gated(d[0], d[1], d[2]) {
-						continue // production takes the flat path here
+					if !(d[0] <= tq[0] && d[1] <= tq[1] && d[2] <= tq[2]) {
+						continue // randomFit's gate: production takes the flat path here
 					}
 					gatedSeen++
 					want := flatOracle(&q, d[0], d[1], d[2])

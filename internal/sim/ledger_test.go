@@ -116,3 +116,26 @@ func TestRefreshWindowSkipsDownVMs(t *testing.T) {
 			got, want, cl.CommLatencyMicros)
 	}
 }
+
+// rebuildHot reconstructs the dense hot array from the running list. The
+// simulator maintains the pair incrementally (placement appends, execute
+// compacts, crashes clear); tests that assemble vmStates directly call
+// this.
+func (st *vmState) rebuildHot() {
+	st.hot = st.hot[:0]
+	for _, rt := range st.running {
+		h := hotShort{
+			alloc:    rt.Allocated,
+			progress: rt.Progress,
+			duration: float64(rt.Spec.Duration),
+			usage:    rt.Spec.Usage,
+			slots:    int32(rt.Slots),
+			opp:      rt.Entity == 1,
+		}
+		if len(h.usage) > 0 {
+			h.uidx = h.slots % int32(len(h.usage))
+			h.d = h.usage[h.uidx]
+		}
+		st.hot = append(st.hot, h)
+	}
+}

@@ -11,7 +11,13 @@ import (
 	"repro/internal/resource"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
+	"repro/internal/workpool"
 )
+
+// shardChunk is how many consecutive VMs one work-stealing grab of the
+// simulator's per-VM phases (telemetry sampling, slot execution) covers: a
+// VM with a deep running list can sit next to idle ones.
+const shardChunk = 8
 
 // pendingRetry is an evicted job waiting out its backoff before re-entering
 // the arrival queue.
@@ -334,7 +340,7 @@ func (rs *runState) observe(t int) {
 	if rs.surgeHits == nil {
 		rs.surgeHits = make([]int, len(rs.vms))
 	}
-	shardIndexes(rs.workers, len(rs.vms), func(v int) {
+	workpool.For(rs.workers, len(rs.vms), shardChunk, func(v int) {
 		st := &rs.vms[v]
 		rs.surgeHits[v] = 0
 		if rs.downMask[v] {
@@ -589,7 +595,7 @@ func (rs *runState) executeSlot(t int) {
 			rs.executeVM(t, v, &acc)
 		}
 	} else {
-		shardIndexes(rs.workers, len(rs.vms), func(v int) {
+		workpool.For(rs.workers, len(rs.vms), shardChunk, func(v int) {
 			if rs.activeJobs[v] == 0 && !rs.execDirty[v] {
 				return
 			}
@@ -738,29 +744,6 @@ type vmExecRecord struct {
 	// before the record can be replayed for an idle VM).
 	shortFinished int
 	shorts        []shortExecRec
-}
-
-// rebuildHot reconstructs the dense hot array from the running list. The
-// simulator maintains the pair incrementally (placement appends, execute
-// compacts, crashes clear); this exists for tests that assemble vmStates
-// directly.
-func (st *vmState) rebuildHot() {
-	st.hot = st.hot[:0]
-	for _, rt := range st.running {
-		h := hotShort{
-			alloc:    rt.Allocated,
-			progress: rt.Progress,
-			duration: float64(rt.Spec.Duration),
-			usage:    rt.Spec.Usage,
-			slots:    int32(rt.Slots),
-			opp:      rt.Entity == 1,
-		}
-		if len(h.usage) > 0 {
-			h.uidx = h.slots % int32(len(h.usage))
-			h.d = h.usage[h.uidx]
-		}
-		st.hot = append(st.hot, h)
-	}
 }
 
 // executeVM runs slot t on VM v: advance long then short jobs, apply the

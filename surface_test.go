@@ -1,12 +1,13 @@
 package corp
 
-// The surface gate (ROADMAP item 4): an exported identifier under internal/
-// stays iff a figure, CLI flag, example or bench workload executes it. The
-// test type-checks the module from source with the standard library alone,
-// walks what the packages outside internal/ can reach — this façade with
-// the exported methods of the types it aliases, cmd/*, examples/*, bench/,
-// non-test files only — and fails on every exported function, type,
-// variable, constant or method under internal/ the walk never touched.
+// The surface gate (ROADMAP item 4): nothing stays in a non-test file under
+// internal/ that only tests reach. A declaration stays iff a figure, CLI
+// flag, example or bench workload executes it. The test type-checks the
+// module from source with the standard library alone, walks what the
+// packages outside internal/ can reach — this façade with the exported
+// methods of the types it aliases, cmd/*, examples/*, bench/, non-test
+// files only — and fails on every function, type, variable, constant or
+// method under internal/, exported or not, the walk never touched.
 //
 // A method is reached by a direct reference, or through an interface: its
 // receiver type is reached, the type satisfies an interface in play, and
@@ -33,8 +34,8 @@ import (
 
 const surfaceModule = "repro"
 
-// surfaceExempt lists the exported identifiers that stay although only
-// tests reach them. An entry that is reachable, or no longer declared, is
+// surfaceExempt lists the identifiers that stay although only tests reach
+// them. An entry that is reachable, or no longer declared, is
 // stale and fails the test like a new dead export does.
 var surfaceExempt = map[string]string{
 	"workload.Cache.SetEnabled": "test seam: TestWorkloadCacheEquivalence and sim's workload tests run with the snapshot cache off",
@@ -297,9 +298,7 @@ func TestInternalSurfaceReachable(t *testing.T) {
 		}
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() {
-				idents = append(idents, ident{p.types.Name() + "." + name, obj, nil})
-			}
+			idents = append(idents, ident{p.types.Name() + "." + name, obj, nil})
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
@@ -316,9 +315,7 @@ func TestInternalSurfaceReachable(t *testing.T) {
 				}
 			}
 			for _, m := range methods {
-				if m.Exported() {
-					idents = append(idents, ident{p.types.Name() + "." + name + "." + m.Name(), m, obj})
-				}
+				idents = append(idents, ident{p.types.Name() + "." + name + "." + m.Name(), m, obj})
 			}
 		}
 	}
@@ -351,9 +348,10 @@ func TestInternalSurfaceReachable(t *testing.T) {
 	}
 	if len(bad) > 0 {
 		sort.Strings(bad)
-		t.Errorf("%d problems with the internal/ surface. An exported identifier no figure, CLI, example or bench "+
-			"workload reaches is deleted with its tests or, where a test needs it as the reference for reachable "+
-			"code, moved into that package's _test.go; a stale exemption is removed:\n%s",
+		t.Errorf("%d problems with the internal/ surface. An identifier, exported or not, that no figure, CLI, "+
+			"example or bench workload reaches is deleted with its tests or, where a test needs it as the reference "+
+			"for reachable code or to assemble state, moved into that package's _test.go; a stale exemption is "+
+			"removed:\n%s",
 			len(bad), strings.Join(bad, "\n"))
 	}
 }
