@@ -110,16 +110,18 @@ fuzz-smoke:
 # profile-scale captures pprof CPU+heap profiles of one warm scale-profile
 # run (the workload is prepared outside the timer but inside the profile):
 # the calm 20000-VM unit by default, `make profile-scale
-# SCALE_BENCH=BenchmarkScaleRCCRChurn` for the churned fleet. Inspect with
-# `go tool pprof cpu-scale.pprof`. This is where every scale-profile
-# optimisation starts; see EXPERIMENTS.md.
+# SCALE_BENCH=BenchmarkScaleRCCRChurn` for the churned fleet,
+# `SCALE_BENCH=BenchmarkScaleCORP` for the paper's own scheme on it (minutes,
+# not seconds: the recipe sets the CORP_SCALE=1 that unit is gated on, which
+# `make bench` does not). Inspect with `go tool pprof cpu-scale.pprof`. This
+# is where every scale-profile optimisation starts; see EXPERIMENTS.md.
 SCALE_BENCH ?= BenchmarkScaleRCCR
 profile-scale:
-	$(GO) test -run '^$$' -bench '^$(SCALE_BENCH)$$' -benchtime 1x \
+	CORP_SCALE=1 $(GO) test -run '^$$' -bench '^$(SCALE_BENCH)$$' -benchtime 1x -timeout 60m \
 		-cpuprofile cpu-scale.pprof -memprofile mem-scale.pprof ./internal/sim
 
 # bench runs every in-package benchmark under internal/ once: kernels, small
-# runs and the two scale units (the root package's figure benches are
+# runs and the two RCCR scale units (the root package's figure benches are
 # bench-figs). Narrow it the way any Go benchmark is narrowed, e.g.
 # `go test -run '^$' -bench TableII -count 5 -benchmem ./internal/dnn`.
 BENCHTIME ?= 2s

@@ -14,9 +14,6 @@
 //	-workers    intra-run prediction-engine workers per simulation
 //	            (0 = auto from the shared budget, 1 = serial; figures
 //	            are identical at any value)
-//	-forecast-tier  off | auto: CORP two-tier predictor for figure runs
-//	            (default off; off is bit-identical to the single-tier
-//	            pipeline — see the batch-equivalence test)
 //	-progress   print per-batch sweep progress to stderr
 //	-list       print the figure ids, one per line in that order, and exit
 //	-md         render the output as a Markdown report
@@ -56,7 +53,6 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	quick := fs.Bool("quick", true, "small cluster and 3-point sweeps")
 	workers := fs.Int("workers", 0, "intra-run prediction-engine workers per simulation (0 = auto, 1 = serial)")
-	forecastTier := fs.String("forecast-tier", "off", "CORP two-tier predictor for figure runs: off or auto")
 	progress := fs.Bool("progress", false, "print per-batch sweep progress to stderr")
 	list := fs.Bool("list", false, "print the available figure ids and exit")
 	md := fs.Bool("md", false, "render the output as a Markdown report")
@@ -102,12 +98,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	switch *forecastTier {
-	case "off", "auto":
-	default:
-		return fmt.Errorf("forecast-tier: want off or auto, got %q", *forecastTier)
-	}
-	opts := corp.Options{Seed: *seed, Quick: *quick, Workers: *workers, ForecastTier: *forecastTier}
+	opts := corp.Options{Seed: *seed, Quick: *quick, Workers: *workers}
 	if *progress {
 		opts.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "corpbench: batch %d/%d runs done\n", done, total)

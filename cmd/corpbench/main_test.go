@@ -61,7 +61,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench-diff", "a,b"},
 		{"-bench-filter", "x"},
 		{"-workload-cache", "off"},
-		{"-list", "stray"}, // the flags after a non-flag word would be dropped silently
+		{"-forecast-tier", "auto"}, // there is one CORP predictor
+		{"-list", "stray"},         // the flags after a non-flag word would be dropped silently
 	} {
 		var buf bytes.Buffer
 		if err := run(append(args, "-list"), &buf); err == nil {

@@ -24,7 +24,6 @@
 //	-slots    slots per spawned/local worker        (default 1)
 //	-lease    job lease duration                    (default 2m)
 //	-retries  attempts per job before permanent failure (default 3)
-//	-forecast-tier  off | auto CORP two-tier predictor (default off)
 //	-progress print per-batch sweep progress to stderr
 //	-serve    keep serving after the campaign (for external workers
 //	          joining late; terminate with SIGINT)
@@ -71,7 +70,6 @@ func run(args []string, out *os.File) error {
 	slots := fs.Int("slots", 1, "concurrent runs per worker")
 	lease := fs.Duration("lease", 2*time.Minute, "job lease duration")
 	retries := fs.Int("retries", 3, "attempts per job before permanent failure")
-	forecastTier := fs.String("forecast-tier", "off", "CORP two-tier predictor: off or auto")
 	progress := fs.Bool("progress", false, "print per-batch sweep progress to stderr")
 	serve := fs.Bool("serve", false, "keep serving after the campaign for late workers")
 	if err := fs.Parse(args); err != nil {
@@ -79,9 +77,6 @@ func run(args []string, out *os.File) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (flags stop at the first non-flag word)", fs.Arg(0))
-	}
-	if *forecastTier != "off" && *forecastTier != "auto" {
-		return fmt.Errorf("forecast-tier: want off or auto, got %q", *forecastTier)
 	}
 	var specs []experiments.Spec // empty: the campaign
 	if *figs != "campaign" {
@@ -157,10 +152,9 @@ func run(args []string, out *os.File) error {
 	}
 
 	o := corp.Options{
-		Seed:         *seed,
-		Quick:        *quick,
-		ForecastTier: *forecastTier,
-		RunBatch:     d.RunBatch,
+		Seed:     *seed,
+		Quick:    *quick,
+		RunBatch: d.RunBatch,
 	}
 	if *progress {
 		// Progress/ETA from the dispatcher's own accounting: batch-local

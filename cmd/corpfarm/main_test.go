@@ -17,7 +17,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-figs", "fig06,,fig07"},         // an empty ID among valid ones
 		{"-core", "slot"},                 // there is one simulator core; the selector flag is gone
 		{"-quick", "fig06", "-seed", "7"}, // the flags after a non-flag word would be dropped silently
-		{"-forecast-tier", "sometimes"},
+		{"-forecast-tier", "auto"},        // there is one CORP predictor; its selector flag is gone
 	} {
 		err := run(append(args, "-addr", "not-an-address"), os.Stdout)
 		if err == nil {

@@ -10,8 +10,8 @@
 //	-pms      physical machines (0 = profile default)
 //	-vms      virtual machines  (0 = profile default)
 //	-seed     workload seed                          (default 1)
-//	-pth      CORP Eq. 21 gate (0 = default)
-//	-eta      confidence level (0 = default)
+//	-pth      CORP Eq. 21 gate, in (0, 1]             (0 = default)
+//	-eta      confidence level, in (0, 1)            (0 = default)
 //	-json     emit the result as JSON
 //	-long     long-lived service jobs (cooperative mixed workload)
 //	-hetero   carve unequal VM sizes (exercises Eq. 22)
@@ -22,10 +22,9 @@
 //	-det      deterministic virtual clock for the overhead metric
 //	-workers  intra-run prediction-engine workers (0 = auto from the
 //	          shared budget, 1 = serial; results identical either way)
-//	-forecast-tier  off | auto: CORP two-tier predictor — auto serves
-//	          flat VMs from a cheap persistence+ridge forecaster and
-//	          escalates to the full DNN+HMM on drift (default off;
-//	          off is bit-identical to the single-tier pipeline)
+//
+// A value no run can honour (-eta 1, -faults 2, -jobs -5, ...) is an error
+// naming the field, not a silent run of something else.
 //
 // Example:
 //
@@ -61,8 +60,8 @@ func run(args []string, out *os.File) error {
 	pms := fs.Int("pms", 0, "physical machines (0 = profile default)")
 	vms := fs.Int("vms", 0, "virtual machines (0 = profile default)")
 	seed := fs.Int64("seed", 1, "workload seed")
-	pth := fs.Float64("pth", 0, "CORP Eq. 21 probability threshold (0 = default)")
-	eta := fs.Float64("eta", 0, "confidence level (0 = default)")
+	pth := fs.Float64("pth", 0, "CORP Eq. 21 probability threshold in (0, 1] (0 = default)")
+	eta := fs.Float64("eta", 0, "confidence level in (0, 1) (0 = default)")
 	asJSON := fs.Bool("json", false, "emit the result as JSON")
 	longJobs := fs.Int("long", 0, "long-lived service jobs (cooperative mixed workload)")
 	hetero := fs.Bool("hetero", false, "carve unequal VM sizes (exercises Eq. 22)")
@@ -72,7 +71,6 @@ func run(args []string, out *os.File) error {
 	surge := fs.Float64("surge", 0, "per-VM per-slot resident demand-surge probability")
 	det := fs.Bool("det", false, "deterministic virtual clock for the overhead metric")
 	workers := fs.Int("workers", 0, "intra-run prediction-engine workers (0 = auto, 1 = serial)")
-	forecastTier := fs.String("forecast-tier", "off", "CORP two-tier predictor: off or auto")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -102,13 +100,6 @@ func run(args []string, out *os.File) error {
 	}
 	cfg.Scheduler.Corp.Pth = *pth
 	cfg.Scheduler.Corp.Eta = *eta
-	switch *forecastTier {
-	case "off":
-	case "auto":
-		cfg.Scheduler.Corp.TierEnabled = true
-	default:
-		return fmt.Errorf("forecast-tier: want off or auto, got %q", *forecastTier)
-	}
 	cfg.Scheduler.RCCR.Eta = *eta
 	cfg.LongJobs = *longJobs
 	cfg.Heterogeneous = *hetero
@@ -187,11 +178,6 @@ func printResult(out *os.File, r *sim.Result) {
 	fmt.Fprintf(out, " overall=%.3f\n", r.ClusterOverall)
 	fmt.Fprintf(out, "prediction  error rate %.3f over %d samples (ε band)\n",
 		r.PredictionErrorRate, r.PredictionSamples)
-	if r.TierHits+r.TierEscalations > 0 {
-		total := float64(r.TierHits + r.TierEscalations)
-		fmt.Fprintf(out, "forecast    tier served %d, escalated %d (%.1f%% first-tier)\n",
-			r.TierHits, r.TierEscalations, 100*float64(r.TierHits)/total)
-	}
 	fmt.Fprintf(out, "SLO         violation rate %.3f (finished %d, violated %d, unfinished %d)\n",
 		r.SLORate, r.SLO.Finished, r.SLO.Violated, r.SLO.Unfinished)
 	fmt.Fprintf(out, "placement   opportunistic %d, fresh %d, never placed %d, mean response %.1f slots (P50 %d, P95 %d)\n",

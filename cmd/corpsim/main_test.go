@@ -99,6 +99,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-workload-cache", "off"}, os.Stdout); err == nil {
 		t.Error("-workload-cache accepted")
 	}
+	// There is one CORP predictor; the two-tier forecaster's flag is gone.
+	if err := run([]string{"-forecast-tier", "auto"}, os.Stdout); err == nil {
+		t.Error("-forecast-tier accepted")
+	}
 	// flag stops parsing at the first non-flag word: without the check the
 	// flags after it would be dropped silently.
 	if err := run([]string{"-jobs", "10", "-pms", "2", "-vms", "4", "quick", "-scheme", "RCCR"}, os.Stdout); err == nil {

@@ -31,10 +31,6 @@ type Options struct {
 	// (sim.Config.Workers): 0 claims from the shared budget, 1 is serial.
 	// Figures are identical at any value; only wall time changes.
 	Workers int
-	// ForecastTier enables CORP's two-tier predictor ("auto"); "" or
-	// "off" keeps the single-tier pipeline. Figures are pinned
-	// bit-identical with the tier off.
-	ForecastTier string
 	// RunBatch, when non-nil, executes a batch of independent simulation
 	// configs and returns results positionally (results[i] for cfgs[i],
 	// nil on failure, errors joined) — the sim.RunMany contract. The farm
@@ -207,7 +203,6 @@ func (o Options) baseConfig(sc scheduler.Scheme, jobs int) sim.Config {
 	// Fleet runs feed the shared DNN from every VM each slot; a light
 	// replay factor keeps accuracy without quadratic training cost.
 	cfg.Scheduler.Corp.ReplaySteps = 2
-	cfg.Scheduler.Corp.TierEnabled = o.ForecastTier == "auto"
 	return cfg
 }
 

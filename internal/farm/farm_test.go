@@ -475,11 +475,11 @@ func TestFarmDuplicateSubmitDeterminismAlarm(t *testing.T) {
 // the fuzzer's raw values: a NaN or infinity makes the spec unencodable,
 // which Keys must report as an error, never a panic or a silent key.
 func FuzzRunSpecKeys(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(8), uint16(10), uint8(1), uint8(0), 0.0, 0.0, 0.0, 0.0, uint8(0), false, false)
-	f.Add(int64(11), uint8(0), uint8(0), uint16(300), uint8(0), uint8(1), 150.0, 0.01, 0.02, 0.7, uint8(8), true, true)
-	f.Add(int64(-3), uint8(2), uint8(1), uint16(0), uint8(3), uint8(2), -0.0, 1e-300, math.Inf(1), math.NaN(), uint8(0), false, true)
+	f.Add(int64(1), uint8(4), uint8(8), uint16(10), uint8(1), uint8(0), 0.0, 0.0, 0.0, 0.0, uint8(0), false)
+	f.Add(int64(11), uint8(0), uint8(0), uint16(300), uint8(0), uint8(1), 150.0, 0.01, 0.02, 0.7, uint8(8), true)
+	f.Add(int64(-3), uint8(2), uint8(1), uint16(0), uint8(3), uint8(2), -0.0, 1e-300, math.Inf(1), math.NaN(), uint8(0), false)
 	f.Fuzz(func(t *testing.T, seed int64, pms, vms uint8, jobs uint16, scheme, profile uint8,
-		clockStep, crashProb, surgeProb, pth float64, longJobs uint8, hetero, tier bool) {
+		clockStep, crashProb, surgeProb, pth float64, longJobs uint8, hetero bool) {
 		cfg := sim.Config{
 			Profile: cluster.Profile(profile % 3), NumPMs: int(pms), NumVMs: int(vms),
 			Heterogeneous: hetero, NumJobs: int(jobs), Seed: seed, LongJobs: int(longJobs),
@@ -487,7 +487,6 @@ func FuzzRunSpecKeys(f *testing.F) {
 			Faults:    faults.Config{Seed: seed, VMCrashProb: crashProb, SurgeProb: surgeProb},
 		}
 		cfg.Scheduler.Corp.Pth = pth
-		cfg.Scheduler.Corp.TierEnabled = tier
 		if clockStep != 0 {
 			cfg.Clock = &sim.VirtualClock{StepMicros: clockStep}
 		}

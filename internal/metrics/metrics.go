@@ -64,14 +64,15 @@ type PredictionOutcome struct {
 // PredictionErrorRate returns the fraction of jobs whose error falls
 // OUTSIDE [0, ε) — the complement of the paper's "ratio of the correctly
 // predicted jobs", so lower is better, matching Fig. 6's ordering
-// CORP < RCCR < CloudScale < DRA.
+// CORP < RCCR < CloudScale < DRA. The band is tested positively so a
+// non-finite error counts as outside it.
 func PredictionErrorRate(outcomes []PredictionOutcome, epsilon float64) float64 {
 	if len(outcomes) == 0 {
 		return 0
 	}
 	bad := 0
 	for _, o := range outcomes {
-		if o.Error < 0 || o.Error >= epsilon {
+		if !(o.Error >= 0 && o.Error < epsilon) {
 			bad++
 		}
 	}

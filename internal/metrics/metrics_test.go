@@ -63,6 +63,10 @@ func TestPredictionErrorRate(t *testing.T) {
 	if PredictionErrorRate(nil, 0.1) != 0 {
 		t.Error("empty outcomes should be 0")
 	}
+	// A NaN error (a predictor that produced no number) is never in band.
+	if got := PredictionErrorRate([]PredictionOutcome{{Error: math.NaN()}, {Error: 0.05}}, 0.1); got != 0.5 {
+		t.Errorf("error rate with a NaN sample = %v, want 0.5", got)
+	}
 }
 
 func TestSLOStats(t *testing.T) {

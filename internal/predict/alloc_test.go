@@ -110,34 +110,6 @@ func TestSplitPredictPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestTierPredictPathDoesNotAllocate pins the two-tier pipeline — shadow
-// scoring, the persistence+ridge forecast, and both the tier-served and
-// escalated branches — allocation-free once warm.
-func TestTierPredictPathDoesNotAllocate(t *testing.T) {
-	brain, err := NewCorpBrain(CorpConfig{Seed: 1, TierEnabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewCorpPredictor(brain, resource.Vector{8, 16, 100}, 1)
-	i := 0
-	for ; i < 160; i++ {
-		p.Observe(fluctVector(i))
-		p.Predict()
-	}
-	var out []ErrorSample
-	if avg := testing.AllocsPerRun(64, func() {
-		p.Observe(fluctVector(i))
-		p.Predict()
-		out = p.AppendOutcomes(out[:0])
-		i++
-	}); avg != 0 {
-		t.Errorf("tiered observe+predict+drain allocates %.2f/op after warmup", avg)
-	}
-	if hits, escal := p.TierCounters(); hits+escal == 0 {
-		t.Error("tier enabled but no tier decisions recorded")
-	}
-}
-
 func TestBaselinePredictDoesNotAllocate(t *testing.T) {
 	capacity := resource.Vector{8, 16, 100}
 	rccr := NewRCCRPredictor(RCCRConfig{}, capacity)

@@ -50,26 +50,6 @@ type CorpConfig struct {
 	// the confidence-interval adjustment; used by the ablation benches.
 	DisableHMM bool
 	DisableCI  bool
-
-	// TierEnabled turns on the two-tier forecaster (tier.go): VMs whose
-	// first-tier rolling error stays under TierThreshold are served by a
-	// near-free persistence/ridge forecast instead of the DNN+HMM path.
-	// Off by default — the single-tier pipeline is bit-identical to the
-	// pre-tier implementation.
-	TierEnabled bool
-	// TierThreshold is the capacity-relative EWMA error below which the
-	// first tier serves; zero defaults to 0.05 (half of Epsilon's default
-	// tolerance, so tier-served VMs stay well inside the Eq. 21 band).
-	TierThreshold float64
-	// TierMinScored is how many matured shadow forecasts the tier needs
-	// before it may serve; zero defaults to 4 (mirroring coldSkip).
-	TierMinScored int
-	// TierRidgeWindow is how many recent slots feed the first tier's
-	// ridge trend; zero defaults to 2×Window (the Δ of the DNN input).
-	TierRidgeWindow int
-	// TierLambda is the ridge regularizer on the trend slope; zero
-	// defaults to 4.0.
-	TierLambda float64
 }
 
 func (c CorpConfig) withDefaults() CorpConfig {
@@ -105,18 +85,6 @@ func (c CorpConfig) withDefaults() CorpConfig {
 	}
 	if c.ReplaySteps <= 0 {
 		c.ReplaySteps = 5
-	}
-	if c.TierThreshold <= 0 {
-		c.TierThreshold = 0.05
-	}
-	if c.TierMinScored <= 0 {
-		c.TierMinScored = 4
-	}
-	if c.TierRidgeWindow <= 0 {
-		c.TierRidgeWindow = 2 * c.Window
-	}
-	if c.TierLambda <= 0 {
-		c.TierLambda = 4.0
 	}
 	return c
 }
@@ -307,17 +275,12 @@ type CorpPredictor struct {
 	predictions int
 	fwd         *dnn.FwdScratch
 
-	// Two-tier forecaster state (tier.go) and its per-run counters.
-	tier      [resource.NumKinds]tierState
-	tierHits  int
-	tierEscal int
-
 	// Split-prediction state carried from PredictPrepare to
-	// PredictFinish: how each kind's estimate is produced this refresh,
-	// the tier's value when it serves, and the serial path's own DNN
-	// input rows (the engine supplies its staging slab instead).
-	mode     [resource.NumKinds]uint8
-	tierVal  [resource.NumKinds]float64
+	// PredictFinish: which kinds get a DNN estimate this refresh (the
+	// others are cold and fall back to the historical mean), and the
+	// serial path's own DNN input rows (the engine supplies its staging
+	// slab instead).
+	need     [resource.NumKinds]bool
 	predRows [resource.NumKinds][]float64
 
 	// Symbolization scratch for hmmCorrect, reused across kinds and
@@ -422,22 +385,11 @@ func (p *CorpPredictor) FlushShared(k resource.Kind) {
 // feeding it).
 func (p *CorpPredictor) TrainErrors() int { return p.brain.TrainErrors() }
 
-// Per-kind estimate modes carried from PredictPrepare to PredictFinish.
-const (
-	// refreshFallback: cold start (or degenerate capacity) — the
-	// historical mean stands in for the DNN estimate.
-	refreshFallback uint8 = iota
-	// refreshDNN: the full path; the kind needs a DNN forward.
-	refreshDNN
-	// refreshTier: the first-tier forecast serves (tier.go).
-	refreshTier
-)
-
-// Predict implements Predictor: DNN estimate (or first-tier forecast),
-// HMM peak/valley correction, confidence-interval adjustment, Eq. 21
-// gate. It is PredictPrepare + per-kind forwards + PredictFinish; the
-// parallel engine runs the same halves around one batched forward per
-// kind instead, so both paths share every line of pipeline logic.
+// Predict implements Predictor: DNN estimate, HMM peak/valley correction,
+// confidence-interval adjustment, Eq. 21 gate. It is PredictPrepare +
+// per-kind forwards + PredictFinish; the parallel engine runs the same
+// halves around one batched forward per kind instead, so both paths share
+// every line of pipeline logic.
 func (p *CorpPredictor) Predict() Prediction {
 	need := p.PredictPrepare(&p.predRows)
 	var outs [resource.NumKinds]float64
@@ -454,12 +406,12 @@ func (p *CorpPredictor) Predict() Prediction {
 	return p.PredictFinish(&outs)
 }
 
-// PredictPrepare is the first half of a split prediction: it decides how
-// each kind's estimate will be produced and, for kinds that need a DNN
-// forward, writes the normalized Δ-slot input into rows[k] (caller-owned,
-// each at least InputSlots long) and sets need[k]. The caller must run
-// the forwards for the needed kinds and hand the raw normalized outputs
-// to PredictFinish; kinds with need[k] false ignore their output slot.
+// PredictPrepare is the first half of a split prediction: for every kind
+// with enough history for a DNN forward it writes the normalized Δ-slot
+// input into rows[k] (caller-owned, each at least InputSlots long) and
+// sets need[k]. The caller must run the forwards for the needed kinds and
+// hand the raw normalized outputs to PredictFinish; kinds with need[k]
+// false (cold start, or a degenerate capacity) ignore their output slot.
 // The batched refresh path gathers rows from many VMs into contiguous
 // per-kind staging and runs one batched forward per kind.
 func (p *CorpPredictor) PredictPrepare(rows *[resource.NumKinds][]float64) (need [resource.NumKinds]bool) {
@@ -468,64 +420,43 @@ func (p *CorpPredictor) PredictPrepare(rows *[resource.NumKinds][]float64) (need
 		vals := p.track.histValues(k)
 		capK := p.track.capacity[k]
 		if len(vals) < p.cfg.InputSlots || capK <= 0 {
-			// Cold start: PredictFinish falls back to the historical mean.
-			p.mode[k] = refreshFallback
-			continue
+			continue // PredictFinish falls back to the historical mean
 		}
-		if p.cfg.TierEnabled {
-			ts := &p.tier[k]
-			ts.score(vals, p.track.slot, p.cfg.Window, capK)
-			f := tierForecast(vals, p.cfg.Window, p.cfg.TierRidgeWindow, p.cfg.TierLambda, capK)
-			ts.record(p.track.slot, f)
-			if ts.trusted(p.cfg.TierMinScored, p.cfg.TierThreshold) {
-				p.mode[k] = refreshTier
-				p.tierVal[k] = f
-				p.tierHits++
-				continue
-			}
-			p.tierEscal++
-		}
-		p.mode[k] = refreshDNN
 		row := rows[k]
 		for i := 0; i < p.cfg.InputSlots; i++ {
 			row[i] = clamp01(vals[len(vals)-p.cfg.InputSlots+i] / capK)
 		}
 		need[k] = true
 	}
+	p.need = need
 	return need
 }
 
 // PredictFinish is the second half of a split prediction: given the raw
 // normalized DNN outputs for the kinds PredictPrepare marked as needing a
 // forward (NaN means the forward failed and the historical-mean fallback
-// applies), it runs the rest of the pipeline — HMM correction for
-// DNN/fallback estimates, the Eq. 19 confidence-interval adjustment, and
-// the Eq. 21 gate — exactly as the single-call Predict always has.
-// Tier-served kinds skip the HMM correction (the tier replaces the
-// DNN+HMM estimate) but keep the CI adjustment and the gate.
+// applies), it runs the rest of the pipeline — HMM correction, the Eq. 19
+// confidence-interval adjustment, and the Eq. 21 gate — exactly as the
+// single-call Predict always has.
 func (p *CorpPredictor) PredictFinish(outs *[resource.NumKinds]float64) Prediction {
 	var out resource.Vector
 	unlocked := true
 	z := stats.ZForConfidence(p.cfg.Eta)
 	for _, k := range resource.Kinds() {
 		capK := p.track.capacity[k]
+		vals := p.track.histValues(k)
 		var yhat float64
-		if p.mode[k] == refreshTier {
-			yhat = p.tierVal[k]
+		if !p.need[k] {
+			yhat = stats.Mean(vals)
 		} else {
-			vals := p.track.histValues(k)
-			if p.mode[k] == refreshFallback {
-				yhat = stats.Mean(vals)
-			} else {
-				norm := outs[k]
-				if math.IsNaN(norm) {
-					norm = clamp01(stats.Mean(vals) / capK)
-				}
-				yhat = norm * capK
+			norm := outs[k]
+			if math.IsNaN(norm) {
+				norm = clamp01(stats.Mean(vals) / capK)
 			}
-			if !p.cfg.DisableHMM {
-				yhat = p.hmmCorrect(k, vals, yhat)
-			}
+			yhat = norm * capK
+		}
+		if !p.cfg.DisableHMM {
+			yhat = p.hmmCorrect(k, vals, yhat)
 		}
 		if !p.cfg.DisableCI {
 			yhat -= p.track.errStdDev(k) * z // Eq. 19 lower bound
@@ -543,13 +474,6 @@ func (p *CorpPredictor) PredictFinish(outs *[resource.NumKinds]float64) Predicti
 	out = p.track.clampToCapacity(out)
 	p.track.recordPrediction(out)
 	return Prediction{Unused: out, Unlocked: unlocked}
-}
-
-// TierCounters returns how many per-kind estimates the first tier served
-// and how many escalated to the full DNN path while the tier was enabled.
-// Both stay zero with TierEnabled off.
-func (p *CorpPredictor) TierCounters() (hits, escalations int) {
-	return p.tierHits, p.tierEscal
 }
 
 // hmmCorrect applies the Section III-A-1b fluctuation correction for one

@@ -87,10 +87,9 @@ const refreshBatchRows = 256
 //     normalized per-kind DNN input rows into a contiguous per-kind
 //     staging slab at its own position;
 //  3. per resource kind (kinds in parallel, each kind serial): compact
-//     the rows that actually need a forward — tier-served and cold kinds
-//     drop out here, so first-tier hits save real work — into a chunk
-//     buffer and run one ForwardBatchKind per chunk, scattering outputs
-//     back by recorded position;
+//     the rows that actually need a forward (cold kinds drop out here)
+//     into a chunk buffer and run one ForwardBatchKind per chunk,
+//     scattering outputs back by recorded position;
 //  4. PredictFinish every dirty VM in parallel (HMM correction, CI
 //     adjustment, Eq. 21 gate) into b.latest positionally.
 //

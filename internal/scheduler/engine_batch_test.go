@@ -126,47 +126,6 @@ func TestBatchedRefreshWorkerEquivalence(t *testing.T) {
 	driveFleet(t, serial, wide, wide.Refresh, cl, 40)
 }
 
-// TestBatchedRefreshTierEquivalence pins the batched path and the per-VM
-// reference identical with the two-tier forecaster enabled as well: tier
-// decisions are VM-local state, so they must not depend on the forward
-// batching.
-func TestBatchedRefreshTierEquivalence(t *testing.T) {
-	cl := batchTestCluster(t, 64)
-	cfg := Config{Seed: 7, Workers: 1}
-	cfg.Corp.TierEnabled = true
-	batched, pervm := newCorp(t, cfg, cl), newCorp(t, cfg, cl)
-	driveFleet(t, batched, pervm, func() { perVMRefresh(pervm) }, cl, 60)
-	bh, be := batched.TierCounters()
-	ph, pe := pervm.TierCounters()
-	if bh != ph || be != pe {
-		t.Fatalf("tier counters diverge: batched %d/%d vs per-VM %d/%d", bh, be, ph, pe)
-	}
-	if bh == 0 && be == 0 {
-		t.Fatal("tier enabled but neither hits nor escalations recorded")
-	}
-}
-
-// TestTierCountersOffByDefault checks the default pipeline records no
-// tier activity and the oracle variant tolerates the counter query.
-func TestTierCountersOffByDefault(t *testing.T) {
-	cl := batchTestCluster(t, 8)
-	s, err := New(Config{Scheme: CORP, Seed: 1, Workers: 1}, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedAndRefresh(s, cl, resource.New(2, 4, 30), 30)
-	if h, e := s.(*corpScheduler).TierCounters(); h != 0 || e != 0 {
-		t.Fatalf("tier off: counters %d/%d, want 0/0", h, e)
-	}
-	o, err := New(Config{Scheme: Oracle, Seed: 1}, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, e := o.(*corpScheduler).TierCounters(); h != 0 || e != 0 {
-		t.Fatalf("oracle: counters %d/%d, want 0/0", h, e)
-	}
-}
-
 // TestBatchedRefreshSteadyStateAllocs pins the batched Refresh machinery
 // (staging, gather, scatter) as adding no steady-state allocations over
 // the per-VM reference loop: the measured cycle includes the predictors'

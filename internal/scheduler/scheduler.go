@@ -500,21 +500,6 @@ func (s *corpScheduler) TrainErrors() int {
 	return s.brain.TrainErrors()
 }
 
-// TierCounters sums the per-VM two-tier forecaster counters: how many
-// per-kind estimates the cheap first tier served and how many escalated
-// to the full DNN path. Both stay zero with the tier disabled (and for
-// the oracle variant). The simulator surfaces them through Result.
-func (s *corpScheduler) TierCounters() (hits, escalations int) {
-	for _, p := range s.preds {
-		if tc, ok := p.(interface{ TierCounters() (int, int) }); ok {
-			h, e := tc.TierCounters()
-			hits += h
-			escalations += e
-		}
-	}
-	return hits, escalations
-}
-
 // AdjustAlloc implements Adjuster: the corrected amount tracks the job's
 // observed demand with the margin, floored at the mean-based initial
 // sizing and capped at the declared peak.

@@ -978,8 +978,5 @@ func (rs *runState) finalize() *Result {
 	if te, ok := rs.sched.(interface{ TrainErrors() int }); ok {
 		res.DNNTrainErrors = te.TrainErrors()
 	}
-	if tc, ok := rs.sched.(interface{ TierCounters() (int, int) }); ok {
-		res.TierHits, res.TierEscalations = tc.TierCounters()
-	}
 	return res
 }

@@ -96,23 +96,13 @@ func BenchmarkScaleRCCRChurn(b *testing.B) {
 
 // BenchmarkScaleCORP is the paper's own scheme on the same 20000-VM unit:
 // 60000 online-trained per-VM forecasts a slot, minutes where RCCR takes
-// seconds, so it only runs when CORP_SCALE=1 is set (`make bench` skips
-// it). The two sub-benchmarks are the two-tier forecaster's verdict pair
-// (EXPERIMENTS.md).
+// seconds, so it only runs when CORP_SCALE=1 is set (`make bench` skips it;
+// `make profile-scale SCALE_BENCH=BenchmarkScaleCORP` sets it).
 func BenchmarkScaleCORP(b *testing.B) {
 	if os.Getenv("CORP_SCALE") == "" {
 		b.Skip("set CORP_SCALE=1 to run the 20000-VM CORP unit (minutes)")
 	}
-	for _, tier := range []bool{false, true} {
-		name := "tier-off"
-		if tier {
-			name = "tier-auto"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := scaleProfileConfig()
-			cfg.Scheduler.Scheme = scheduler.CORP
-			cfg.Scheduler.Corp.TierEnabled = tier
-			benchWarmRun(b, cfg)
-		})
-	}
+	cfg := scaleProfileConfig()
+	cfg.Scheduler.Scheme = scheduler.CORP
+	benchWarmRun(b, cfg)
 }

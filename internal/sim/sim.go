@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cluster"
@@ -153,6 +154,56 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects settings no run can honour, before withDefaults turns
+// zeros into defaults: a confidence level of 1 makes Eq. 19's z infinite
+// (and σ̂·z NaN on a cold VM, which then scores as a perfect forecast); a
+// probability outside [0, 1] or a negative count would run silently as
+// something else. Zero always means "default". Every entry point passes
+// through here: the CLIs, the façade, farm workers decoding a wire spec.
+// The comparisons are written so that NaN fails them.
+func (c Config) validate() error {
+	type check struct {
+		field string
+		v     float64
+		ok    bool
+		want  string
+	}
+	level := func(field string, v float64) check {
+		return check{field, v, v >= 0 && v < 1, "in (0, 1), or 0 for the default"}
+	}
+	prob := func(field string, v float64) check {
+		return check{field, v, v >= 0 && v <= 1, "in [0, 1]"}
+	}
+	for _, f := range []check{
+		level("Scheduler.Corp.Eta", c.Scheduler.Corp.Eta),
+		level("Scheduler.RCCR.Eta", c.Scheduler.RCCR.Eta),
+		{"Scheduler.Corp.Pth", c.Scheduler.Corp.Pth, c.Scheduler.Corp.Pth >= 0 && c.Scheduler.Corp.Pth <= 1, "in (0, 1], or 0 for the default"},
+		{"Epsilon", c.Epsilon, c.Epsilon >= 0 && !math.IsInf(c.Epsilon, 1), "finite and >= 0 (0 for the default)"},
+		prob("Faults.VMCrashProb", c.Faults.VMCrashProb),
+		prob("Faults.PMCrashProb", c.Faults.PMCrashProb),
+		prob("Faults.SurgeProb", c.Faults.SurgeProb),
+		prob("Faults.DelayProb", c.Faults.DelayProb),
+	} {
+		if !f.ok {
+			return fmt.Errorf("sim: config %s = %v, want %s", f.field, f.v, f.want)
+		}
+	}
+	for _, f := range []struct {
+		field string
+		v     int
+	}{
+		{"NumJobs", c.NumJobs},
+		{"LongJobs", c.LongJobs},
+		{"Faults.MeanDowntime", c.Faults.MeanDowntime},
+		{"Workers", c.Workers},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sim: config %s = %d, want >= 0 (0 for the default)", f.field, f.v)
+		}
+	}
+	return nil
+}
+
 // Result aggregates one run's metrics.
 type Result struct {
 	Scheme  string
@@ -219,10 +270,8 @@ type Result struct {
 	// Zero for schemes without an online DNN.
 	DNNTrainErrors int
 
-	// TierHits and TierEscalations count per-kind forecasts the CORP
-	// two-tier predictor served from the cheap first tier versus ones
-	// that escalated to the full DNN+HMM path. Both zero unless the
-	// scheduler ran with the tier enabled (-forecast-tier=auto).
+	// Never written, always zero: bench/golden.json digests
+	// json.Marshal(Result), so the next benchmark PR drops them.
 	TierHits        int
 	TierEscalations int
 
@@ -282,6 +331,9 @@ func (rs *runState) release() {
 // through runEventLoop and finalize; the equivalence tests drive the same
 // state through their reference loop instead. The caller must release().
 func newRunState(cfg Config) (rs *runState, err error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	// Size the intra-run prediction engine from the shared worker budget.
 	// Auto (0) claims the remaining budget — RunMany claims its outer

@@ -466,25 +466,3 @@ func TestRunSurfacesDNNTrainErrors(t *testing.T) {
 		}
 	}
 }
-
-// TestRunSurfacesTierCounters checks the Result plumbing for the
-// two-tier predictor: with the tier off (the default) both counters stay
-// zero, and with it on a CORP run records tier decisions.
-func TestRunSurfacesTierCounters(t *testing.T) {
-	off, err := Run(small(scheduler.CORP, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.TierHits != 0 || off.TierEscalations != 0 {
-		t.Errorf("tier off: counters %d/%d, want 0/0", off.TierHits, off.TierEscalations)
-	}
-	cfg := small(scheduler.CORP, 3)
-	cfg.Scheduler.Corp.TierEnabled = true
-	on, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.TierHits+on.TierEscalations == 0 {
-		t.Error("tier on: no tier decisions recorded over a full run")
-	}
-}
