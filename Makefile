@@ -53,12 +53,14 @@ fma-off:
 # multi-worker equivalence tests drive the gather/forward/scatter phases
 # across goroutines), and the farm dispatcher/worker pair (leases,
 # heartbeats, and result submission race by design). In internal/sim the
-# equivalence suites run production sim.Run at several worker counts
-# against the test-side oracles (oracle_test.go: the reference slot loop
-# and the recompute-telemetry run, entered through newRunState), so the
-# sharded execute, observe and span replay all run under the detector —
-# the patched-row telemetry path included, through the 4-worker runs of
-# TestObserveTableEquivalence's fault and long-job scenarios.
+# equivalence suites run production sim.Run and the recompute-telemetry
+# run at several worker counts against the reference slot loop
+# (oracle_test.go, entered through newRunState), so the run's two fan-outs
+# — the prediction engine's per-VM observe/refresh/span-replay passes and
+# the telemetry recompute — run under the detector
+# (TestCoreEquivalenceParallel, TestObserveTableEquivalence,
+# TestSpanFastForwardWorkersAndCores). The execute phase is one serial
+# pass and has nothing to race.
 # -short skips the heavyweight single-threaded determinism tests (they add
 # minutes under the race detector and no concurrency coverage).
 # internal/sim alone runs ~10 minutes on a one-core box, right at go

@@ -61,7 +61,7 @@ func coreScenarios() []coreScenario {
 		}},
 		// Surge-heavy: most slots run with surged resident demand, so the
 		// observe fast path must stand down for long stretches and the
-		// active-set executor sees surge-driven eviction/retry churn.
+		// execute pass sees surge-driven eviction/retry churn.
 		coreScenario{"surged", func() Config {
 			cfg := base(scheduler.RCCR, 13)
 			cfg.Faults = faults.Config{
@@ -97,16 +97,21 @@ func TestCoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoreEquivalenceParallel repeats the pin with the sharded executor
-// running wide: slot loop at 1 worker versus production Run at several
-// worker counts. The positional merge means worker count can only change wall
-// time, never a figure; running under -race also exercises the shard for
-// data races (the race Make target covers this package).
+// TestCoreEquivalenceParallel repeats the pin with the run's two fan-outs
+// wide: the prediction engine's per-VM observe/refresh passes (production
+// Run) and the telemetry recompute (the same run with the resident tables
+// dropped), each at several worker counts against the slot loop at 1
+// worker. Both merge positionally, so worker count can only change wall
+// time, never a figure; under -race (the race Make target covers this
+// package) the shards are also checked for data races. Scenarios are picked
+// by name, so adding one to the matrix cannot change what runs wide.
 func TestCoreEquivalenceParallel(t *testing.T) {
 	counts := []int{2, 4, runtime.GOMAXPROCS(0)}
-	all := coreScenarios()
-	for _, sc := range []coreScenario{all[0], all[5], all[6], all[9]} {
-		sc := sc
+	wide := map[string]bool{"CORP": true, "faulted": true, "mixed-long": true, "surged": true}
+	for _, sc := range coreScenarios() {
+		if !wide[sc.name] {
+			continue
+		}
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
 			want, _, err := oracle{slotLoop: true}.run(sc.cfg())
@@ -114,14 +119,16 @@ func TestCoreEquivalenceParallel(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range counts {
-				cfg := sc.cfg()
-				cfg.Workers = w
-				got, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("event loop (workers=%d) diverged from serial slot loop", w)
+				for _, o := range []oracle{{}, {recompute: true}} {
+					cfg := sc.cfg()
+					cfg.Workers = w
+					got, _, err := o.run(cfg)
+					if err != nil {
+						t.Fatalf("workers=%d %+v: %v", w, o, err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Errorf("event loop (workers=%d, %+v) diverged from serial slot loop", w, o)
+					}
 				}
 			}
 		})

@@ -7,10 +7,11 @@ import (
 	"repro/internal/job"
 	"repro/internal/resource"
 	"repro/internal/scheduler"
+	"repro/internal/trace"
 )
 
 // TestClusterUtilizationCountsFreshOnce is the regression pin for the
-// cluster-utilization double-count: the reducer's per-VM ledger sum
+// cluster-utilization double-count: the execute pass's per-VM ledger sum
 // already includes freshInUse, so only the opportunistic share of short
 // allocations may be added on top. The intended identity, checked against
 // the collector's exported accumulators:
@@ -75,6 +76,68 @@ func TestClusterUtilizationCountsFreshOnce(t *testing.T) {
 	// Cluster demand: residents (1+1) + granted short demand (1+1).
 	if want := one(4); rs.clusterCollector.Demand != want {
 		t.Errorf("cluster demand = %v, want %v", rs.clusterCollector.Demand, want)
+	}
+}
+
+// fixedPlacer is the no-op scheduler with a canned placement list, so a test
+// can place jobs through the production placeQueued phase.
+type fixedPlacer struct {
+	nullScheduler
+	placements []scheduler.Placement
+}
+
+func (f fixedPlacer) Place([]*job.Job, []scheduler.VMView) []scheduler.Placement {
+	return f.placements
+}
+
+// TestExecuteSlotDoesNotAllocate is the execute phase's allocation gate: on
+// busy slots — two opportunistic jobs and a fresh one sharing VM 0's pool,
+// a long job, nothing finishing — executeSlot advances every job and folds
+// the slot sums without touching the heap. The jobs enter through the
+// production placement phases; the scheduler is the no-op one, since all
+// execute asks of it is DrainOutcomes.
+func TestExecuteSlotDoesNotAllocate(t *testing.T) {
+	req := resource.Vector{0.4, 1.6, 4}
+	usage := []resource.Vector{{0.2, 0.8, 2}, {0.5, 1.2, 3}, {0.3, 0.4, 1}}
+	jobs := make([]*job.Job, 3)
+	for i := range jobs {
+		jobs[i] = &job.Job{ID: job.ID(i), Duration: 1000, SLOFactor: 10, Request: req, Usage: usage}
+	}
+	rs, err := newRunState(Config{
+		NumPMs: 6, NumVMs: 24, Seed: 7,
+		Scheduler:    scheduler.Config{Scheme: scheduler.RCCR, Seed: 7},
+		Workers:      1,
+		ExplicitJobs: jobs,
+		LongJobs:     1,
+		Long:         trace.LongJobConfig{MinDuration: 500},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.release()
+	rs.sched = fixedPlacer{placements: []scheduler.Placement{
+		{Jobs: jobs[:2], Allocs: []resource.Vector{req, req}, VM: 0, Opportunistic: true},
+		{Jobs: jobs[2:], Allocs: []resource.Vector{req}, VM: 0},
+	}}
+	rs.queue = append(rs.queue, rs.runtimes...)
+	if err := rs.placeQueued(0); err != nil {
+		t.Fatal(err)
+	}
+	rs.placeLongArrivals(rs.longRuntimes[0].Arrival)
+	if rs.shortActive != 3 || rs.longActive != 1 {
+		t.Fatalf("placed %d short and %d long jobs, want 3 and 1", rs.shortActive, rs.longActive)
+	}
+	rs.observe(0)
+	slot := 0
+	if n := testing.AllocsPerRun(100, func() {
+		rs.executeSlot(slot)
+		slot++
+	}); n != 0 {
+		t.Errorf("executeSlot allocates %v times per busy slot, want 0", n)
+	}
+	if rs.shortActive != 3 || rs.longActive != 1 || rs.collector.Slots != slot {
+		t.Errorf("after %d slots: %d short and %d long jobs running, %d collector slots; want 3, 1, %d",
+			slot, rs.shortActive, rs.longActive, rs.collector.Slots, slot)
 	}
 }
 

@@ -46,7 +46,6 @@ func (rs *runState) placeLongReference(t int) (ties int) {
 		rt.Started = t
 		rt.Allocated = need
 		st.longRunning = append(st.longRunning, rt)
-		rs.activeJobs[bestVM]++
 		rs.longActive++
 		rs.res.LongPlaced++
 	}

@@ -15,8 +15,7 @@ import (
 )
 
 // shardChunk is how many consecutive VMs one work-stealing grab of the
-// simulator's per-VM phases (telemetry sampling, slot execution) covers: a
-// VM with a deep running list can sit next to idle ones.
+// telemetry recompute covers.
 const shardChunk = 8
 
 // pendingRetry is an evicted job waiting out its backoff before re-entering
@@ -72,17 +71,12 @@ type runState struct {
 	surgeHits        []int // recompute path only, sized on first use
 	headVol          []float64
 	views            []scheduler.VMView
-	exec             []vmExecRecord
 	spanRows         [][]resource.Vector
 	// pendingScratch is placeQueued's reused spec-offer buffer. byID maps
-	// every short job's ID to its runtime, built once per run; dupIDs
-	// falls placeQueued back to a per-slot queue-only map (dupScratch)
-	// when explicit specs carry duplicate IDs, preserving the historical
-	// last-queued-wins lookup.
+	// every short job's ID to its runtime, built once per run (IDs are
+	// unique: newRunState rejects duplicate explicit IDs).
 	pendingScratch []*job.Job
 	byID           map[job.ID]*job.Runtime
-	dupScratch     map[job.ID]*job.Runtime
-	dupIDs         bool
 
 	// Activity-proportional state (DESIGN.md §5f). tables holds the
 	// snapshot's precomputed periodic resident vectors (nil for a
@@ -91,19 +85,14 @@ type runState struct {
 	// are maintained incrementally at their transition points
 	// (advanceFaults, long placement/finish) so no phase rescans the fleet
 	// to learn them.
-	// activeJobs counts running short+long jobs per VM; execDirty marks
-	// VMs whose cached exec record no longer matches what a full
-	// executeVM pass would produce (job finished, fault transition).
 	tables     *workload.ResidentTables
 	downCount  int
 	longActive int
 	// shortActive counts running short jobs fleet-wide: incremented at
-	// placement, decremented through the execute reduction's
-	// rec.shortFinished replay and the fault-eviction path. The span
-	// fast-forward's quiescence check reads it instead of scanning VMs.
+	// placement, decremented at finish (executeVM) and on eviction
+	// (advanceFaults). The span fast-forward's quiescence check reads it
+	// instead of scanning VMs.
 	shortActive int
-	activeJobs  []int32
-	execDirty   []bool
 
 	// Event-loop state.
 	events       eventQueue
@@ -133,24 +122,10 @@ func (rs *runState) initScratch() {
 		rs.headVol = make([]float64, n)
 	}
 	rs.views = make([]scheduler.VMView, n)
-	rs.exec = make([]vmExecRecord, n)
-	rs.activeJobs = make([]int32, n)
-	rs.execDirty = make([]bool, n)
-	for v := range rs.execDirty {
-		// Every VM starts dirty: the first executeSlot must run a full
-		// pass to seed the cached records.
-		rs.execDirty[v] = true
-	}
 	rs.placeArmedAt = -1
 	rs.byID = make(map[job.ID]*job.Runtime, len(rs.runtimes))
 	for _, rt := range rs.runtimes {
-		if _, dup := rs.byID[rt.Spec.ID]; dup {
-			rs.dupIDs = true
-		}
 		rs.byID[rt.Spec.ID] = rt
-	}
-	if rs.dupIDs {
-		rs.dupScratch = make(map[job.ID]*job.Runtime)
 	}
 }
 
@@ -190,7 +165,6 @@ func (rs *runState) advanceFaults(t int) {
 		res.LongFailed += len(st.longRunning)
 		rs.longActive -= len(st.longRunning)
 		rs.shortActive -= len(st.running)
-		rs.activeJobs[v] = 0
 		st.running = nil
 		st.hot = nil
 		st.longRunning = nil
@@ -206,11 +180,9 @@ func (rs *runState) advanceFaults(t int) {
 	rs.surge = ev.Surge
 }
 
-// setDown records VM v's up/down transition: the mask, the incremental
-// up-VM count the refresh window charges from, and the execute cache (a
-// cached exec record from before the transition no longer reflects the
-// VM's ledgers — force a full pass). Every downMask transition must go
-// through here so downCount never drifts from the mask.
+// setDown records VM v's up/down transition: the mask and the incremental
+// up-VM count the refresh window charges from. Every downMask transition
+// must go through here so downCount never drifts from the mask.
 func (rs *runState) setDown(v int, down bool) {
 	if rs.downMask[v] != down {
 		if down {
@@ -220,7 +192,6 @@ func (rs *runState) setDown(v int, down bool) {
 		}
 	}
 	rs.downMask[v] = down
-	rs.execDirty[v] = true
 }
 
 // placeLongArrivals is phase 1: place arriving long-lived jobs with the
@@ -258,7 +229,6 @@ func (rs *runState) placeLongArrivals(t int) {
 		rt.Started = t
 		rt.Allocated = need
 		st.longRunning = append(st.longRunning, rt)
-		rs.activeJobs[bestVM]++
 		rs.longActive++
 		rs.res.LongPlaced++
 	}
@@ -286,7 +256,7 @@ func (rs *runState) setHeadVol(v int) {
 // scratch slices alias the read-only rows (see the aliasing contract on
 // workload.ResidentTables) and are re-pointed at the run-owned buffers when
 // the first VM needs a patch; every downstream consumer — predictor feeds,
-// the execute reduction, timeline snapshots — only reads them. Without
+// the execute pass, timeline snapshots — only reads them. Without
 // tables (a non-periodic population) every VM is recomputed, sharded across
 // the worker budget with positional writes. Which branch runs depends on
 // the population alone, never on run state.
@@ -480,16 +450,8 @@ func (rs *runState) placeQueued(t int) error {
 		rs.pendingScratch = make([]*job.Job, len(rs.queue))
 	}
 	pending := rs.pendingScratch[:len(rs.queue)]
-	byID := rs.byID
-	if rs.dupIDs {
-		clear(rs.dupScratch)
-		byID = rs.dupScratch
-	}
 	for i, rt := range rs.queue {
 		pending[i] = rt.Spec
-		if rs.dupIDs {
-			byID[rt.Spec.ID] = rt
-		}
 	}
 	start := rs.clk.Now()
 	placements := rs.sched.Place(pending, rs.views)
@@ -501,7 +463,7 @@ func (rs *runState) placeQueued(t int) error {
 			return fmt.Errorf("sim: placement has %d allocs for %d jobs", len(p.Allocs), len(p.Jobs))
 		}
 		for idx, spec := range p.Jobs {
-			rt := byID[spec.ID]
+			rt := rs.byID[spec.ID]
 			if rt == nil {
 				return fmt.Errorf("sim: scheduler placed unknown job %d", spec.ID)
 			}
@@ -528,7 +490,6 @@ func (rs *runState) placeQueued(t int) error {
 				usage:    rt.Spec.Usage,
 				opp:      p.Opportunistic,
 			})
-			rs.activeJobs[p.VM]++
 			rs.shortActive++
 			anyPlaced = true
 			if rt.EvictedAt >= 0 {
@@ -559,55 +520,15 @@ func (rs *runState) placeQueued(t int) error {
 // ledger sums into the collectors, snapshot the timeline, and drain matured
 // prediction errors.
 //
-// The per-VM work — demand lookups, grant scaling, runtime advancement and
-// ledger updates — is VM-local, so it shards across the worker budget with
-// each VM writing its contribution into a positional record. The records
-// are then reduced serially in VM index order, replaying the exact
-// per-value addition sequence of the original monolithic loop; since
-// floating-point addition is not associative, this positional-merge recipe
-// (not per-shard partial sums) is what keeps any worker count bit-identical
-// to the serial run.
-// Idle VMs — no running short or long job and no pending fault/finish
-// transition — are skipped entirely: their cached vmExecRecord from the
-// last full pass still holds exactly the values a fresh pass would produce
-// (ledger snapshots only change through placements, adjustments, finishes
-// and faults, all of which either imply activeJobs > 0 or set execDirty),
-// and the per-slot resident demand is read live from rs.residentUse in the
-// reduction rather than from the record. The reduction still walks every
-// record in VM index order, so the collector sums see identical values in
-// an identical order at any worker count.
+// One serial pass visits the up VMs in index order, and each executeVM folds
+// its contributions into the slot sums as it produces them. Floating-point
+// addition is not associative, so that one fixed order is what makes the
+// sums reproducible.
 func (rs *runState) executeSlot(t int) {
 	var acc slotAccum
-	if rs.workers <= 1 {
-		// Fused serial pass: execute and fold each VM in index order in one
-		// sweep. Active VMs fold their contributions inside executeVM as the
-		// values are produced (no shortExecRec materialization); idle VMs
-		// replay their cached record through the same fold the sharded
-		// reduction uses. Per accumulator the added values and their order
-		// are identical to the shard-then-reduce path, so both are
-		// bit-identical at any worker count.
-		for v := range rs.vms {
-			if rs.activeJobs[v] == 0 && !rs.execDirty[v] {
-				rs.foldExecRec(v, &rs.exec[v], &acc)
-				continue
-			}
-			rs.execDirty[v] = false
+	for v, down := range rs.downMask {
+		if !down {
 			rs.executeVM(t, v, &acc)
-		}
-	} else {
-		workpool.For(rs.workers, len(rs.vms), shardChunk, func(v int) {
-			if rs.activeJobs[v] == 0 && !rs.execDirty[v] {
-				return
-			}
-			rs.execDirty[v] = false
-			rs.executeVM(t, v, nil)
-		})
-		// Serial reduction in VM index order, matching the monolithic
-		// loop's interleaving: cluster ledger adds, resident demand, long
-		// grants, then the short jobs' allocation/served/demand triple,
-		// per VM.
-		for v := range rs.exec {
-			rs.foldExecRec(v, &rs.exec[v], &acc)
 		}
 	}
 	slotAllocated := acc.allocated
@@ -645,52 +566,14 @@ func (rs *runState) executeSlot(t int) {
 	}
 }
 
-// shortExecRec is one short job's slot contribution to the positional merge.
-type shortExecRec struct {
-	alloc   resource.Vector
-	granted resource.Vector
-	opp     bool
-}
-
 // slotAccum carries one slot's running collector sums. Each field is an
-// independent floating-point addition chain; keeping the added values and
-// their order fixed across execution strategies is what keeps every worker
-// count bit-identical.
+// independent floating-point addition chain, added to in VM index order.
 type slotAccum struct {
 	allocated     resource.Vector // short-job allocations
 	demand        resource.Vector // short-job served demand
 	oppAlloc      resource.Vector // opportunistic share of allocated
 	clusterAlloc  resource.Vector
 	clusterDemand resource.Vector
-}
-
-// foldExecRec adds VM v's execution record into the slot sums — the per-VM
-// body of the serial reduction, also used by the fused serial pass to
-// replay idle VMs' cached records.
-func (rs *runState) foldExecRec(v int, rec *vmExecRecord, acc *slotAccum) {
-	if rec.skip {
-		return
-	}
-	acc.clusterAlloc = acc.clusterAlloc.Add(rec.reserved).Add(rec.freshInUse).Add(rec.longReserved)
-	acc.clusterDemand = acc.clusterDemand.Add(rs.residentUse[v])
-	for _, g := range rec.longGrants {
-		acc.clusterDemand = acc.clusterDemand.Add(g)
-	}
-	for i := range rec.shorts {
-		s := &rec.shorts[i]
-		acc.allocated = acc.allocated.Add(s.alloc)
-		if s.opp {
-			acc.oppAlloc = acc.oppAlloc.Add(s.alloc)
-		}
-		acc.demand = acc.demand.Add(s.granted)
-		acc.clusterDemand = acc.clusterDemand.Add(s.granted)
-	}
-	rs.res.LongFinished += rec.longFinished
-	// rec.longFinished/shortFinished are non-zero only on the finishing
-	// slot's record: the finish marks the VM dirty, and the forced full
-	// pass next slot resets them to zero before the record can be reused.
-	rs.longActive -= rec.longFinished
-	rs.shortActive -= rec.shortFinished
 }
 
 // hotShort is one running short job's execution state, packed into the
@@ -726,72 +609,31 @@ type hotShort struct {
 	opp      bool
 }
 
-// vmExecRecord is one VM's slot contribution: ledger snapshots taken before
-// job advancement plus the per-job grant sequence, in running-list order.
-// For an idle VM the record is reused verbatim across slots (see
-// executeSlot); the per-slot resident demand deliberately lives outside it,
-// read from rs.residentUse at reduction time.
-type vmExecRecord struct {
-	skip         bool
-	reserved     resource.Vector
-	freshInUse   resource.Vector
-	longReserved resource.Vector
-	longGrants   []resource.Vector
-	longFinished int
-	// shortFinished counts short jobs that completed this slot; like
-	// longFinished it is non-zero only on the finishing slot's record
-	// (the finish marks the VM dirty, forcing a resetting full pass
-	// before the record can be replayed for an idle VM).
-	shortFinished int
-	shorts        []shortExecRec
-}
-
-// executeVM runs slot t on VM v: advance long then short jobs, apply the
-// opportunistic-pool scale factor, update the VM's ledgers, and record the
-// contribution sequence for the serial reduction. Everything touched here
-// is owned by VM v (its state, its runtimes), so the shard is race-free.
-//
-// With a non-nil acc (the fused serial pass) the contributions are folded
-// into the slot sums directly, at exactly the points the reduction's
-// per-VM replay would add them, and the per-job record slices are left
-// empty — a VM only becomes idle (cached-record replay) with no running
-// jobs, so an empty shorts/longGrants is exactly what a fresh pass would
-// record for it.
+// executeVM runs slot t on up VM v and folds its contributions into acc,
+// in this order: the VM's ledgers (before any finish releases them) and
+// its resident demand, each long job's grant, then each short job's
+// allocation and served demand in running-list order. An idle VM stops
+// after the first two; they are its live vmState ledgers, which only
+// placements, adjustments, finishes and crashes write.
 func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 	st := &rs.vms[v]
-	rec := &rs.exec[v]
-	rec.longGrants = rec.longGrants[:0]
-	rec.shorts = rec.shorts[:0]
-	rec.longFinished = 0
-	rec.shortFinished = 0
-	rec.skip = rs.downMask[v]
-	if rec.skip {
+	acc.clusterAlloc = acc.clusterAlloc.Add(st.reserved).Add(st.freshInUse).Add(st.longReserved)
+	acc.clusterDemand = acc.clusterDemand.Add(rs.residentUse[v])
+	if len(st.longRunning) == 0 && len(st.hot) == 0 {
 		return
-	}
-	// Ledger snapshot before completions release reservations: the
-	// monolithic loop added these before advancing any job.
-	rec.reserved, rec.freshInUse, rec.longReserved = st.reserved, st.freshInUse, st.longReserved
-	if acc != nil {
-		acc.clusterAlloc = acc.clusterAlloc.Add(rec.reserved).Add(rec.freshInUse).Add(rec.longReserved)
-		acc.clusterDemand = acc.clusterDemand.Add(rs.residentUse[v])
 	}
 
 	// Long-lived jobs run with guaranteed allocations.
 	keptLong := st.longRunning[:0]
 	for _, rt := range st.longRunning {
 		granted := rt.Spec.DemandAt(rt.Slots).Min(rt.Allocated)
-		if acc != nil {
-			acc.clusterDemand = acc.clusterDemand.Add(granted)
-		} else {
-			rec.longGrants = append(rec.longGrants, granted)
-		}
+		acc.clusterDemand = acc.clusterDemand.Add(granted)
 		rt.Advance(granted)
 		if rt.Progress >= float64(rt.Spec.Duration)-1e-9 {
 			rt.Finished = t
 			st.longReserved = st.longReserved.Sub(rt.Allocated).ClampNonNegative()
-			rec.longFinished++
-			rs.activeJobs[v]--
-			rs.execDirty[v] = true
+			rs.res.LongFinished++
+			rs.longActive--
 		} else {
 			keptLong = append(keptLong, rt)
 		}
@@ -819,17 +661,10 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 			scale[k] = pool[k] / wantOpp[k]
 		}
 	}
-	// Advance in place with positional record writes (no append/struct-copy
-	// per job-slot); the running/hot arrays are only compacted afterwards,
-	// on the rare slots where a job actually finished. The fused pass folds
-	// each job's contribution straight into the slot sums instead of
-	// materializing it.
-	if acc == nil {
-		if cap(rec.shorts) < len(hot) {
-			rec.shorts = make([]shortExecRec, len(hot))
-		}
-		rec.shorts = rec.shorts[:len(hot)]
-	}
+	// Advance in place (no append/struct-copy per job-slot); the running/hot
+	// arrays are only compacted afterwards, on the rare slots where a job
+	// actually finished.
+	finished := 0
 	for i := range hot {
 		h := &hot[i]
 		d := h.d
@@ -837,19 +672,12 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 		if h.opp {
 			granted = granted.Mul(scale)
 		}
-		if acc != nil {
-			acc.allocated = acc.allocated.Add(h.alloc)
-			if h.opp {
-				acc.oppAlloc = acc.oppAlloc.Add(h.alloc)
-			}
-			acc.demand = acc.demand.Add(granted)
-			acc.clusterDemand = acc.clusterDemand.Add(granted)
-		} else {
-			s := &rec.shorts[i]
-			s.alloc = h.alloc
-			s.granted = granted
-			s.opp = h.opp
+		acc.allocated = acc.allocated.Add(h.alloc)
+		if h.opp {
+			acc.oppAlloc = acc.oppAlloc.Add(h.alloc)
 		}
+		acc.demand = acc.demand.Add(granted)
+		acc.clusterDemand = acc.clusterDemand.Add(granted)
 		h.progress += job.ProgressRate(granted, d)
 		h.slots++
 		if h.uidx++; int(h.uidx) == len(h.usage) {
@@ -866,12 +694,11 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 			} else {
 				st.freshInUse = st.freshInUse.Sub(h.alloc).ClampNonNegative()
 			}
-			rs.activeJobs[v]--
-			rs.execDirty[v] = true
-			rec.shortFinished++
+			finished++
 		}
 	}
-	if rec.shortFinished > 0 {
+	if finished > 0 {
+		rs.shortActive -= finished
 		// Order-preserving compaction of both parallel arrays. The finish
 		// predicate is stable: progress only grew past the threshold for
 		// the jobs marked above.
@@ -885,12 +712,6 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 		}
 		st.running = kept
 		st.hot = keptHot
-	}
-	if acc != nil {
-		// The integer bookkeeping foldExecRec would have replayed.
-		rs.res.LongFinished += rec.longFinished
-		rs.longActive -= rec.longFinished
-		rs.shortActive -= rec.shortFinished
 	}
 }
 

@@ -394,10 +394,17 @@ func newRunState(cfg Config) (rs *runState, err error) {
 	var shortJobs []*job.Job
 	if cfg.ExplicitJobs != nil {
 		shortJobs = make([]*job.Job, len(cfg.ExplicitJobs))
+		// A placement names its job by ID, so two specs sharing one would
+		// make it ambiguous which runtime the scheduler placed.
+		ids := make(map[job.ID]bool, len(cfg.ExplicitJobs))
 		for i, j := range cfg.ExplicitJobs {
 			if err := j.Validate(); err != nil {
 				return nil, fmt.Errorf("sim: explicit job: %w", err)
 			}
+			if ids[j.ID] {
+				return nil, fmt.Errorf("sim: explicit job: duplicate ID %d", j.ID)
+			}
+			ids[j.ID] = true
 			shortJobs[i] = j
 		}
 		sort.SliceStable(shortJobs, func(a, b int) bool {

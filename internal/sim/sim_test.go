@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -416,10 +417,26 @@ func TestExplicitJobsDriveTheRun(t *testing.T) {
 }
 
 func TestExplicitJobsValidated(t *testing.T) {
-	cfg := small(scheduler.RCCR, 41)
-	cfg.ExplicitJobs = []*job.Job{{ID: 1}} // invalid spec
-	if _, err := Run(cfg); err == nil {
-		t.Error("invalid explicit job accepted")
+	spec := func(id job.ID, arrival int) *job.Job {
+		return &job.Job{
+			ID: id, Arrival: arrival, Duration: 2, SLOFactor: 10,
+			Request: resource.Vector{0.4, 1.6, 4}, Usage: []resource.Vector{{0.2, 0.8, 2}},
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		jobs       []*job.Job
+	}{
+		{"invalid spec", "non-positive duration", []*job.Job{{ID: 1}}},
+		// Non-adjacent repeats, as trace.ReadCSV emits for a file whose rows
+		// repeat a job_id: a placement of ID 7 could attach to either.
+		{"duplicate ID", "duplicate ID 7", []*job.Job{spec(7, 0), spec(8, 1), spec(7, 2)}},
+	} {
+		cfg := small(scheduler.RCCR, 41)
+		cfg.ExplicitJobs = tc.jobs
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

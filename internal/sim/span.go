@@ -6,15 +6,14 @@ import "repro/internal/resource"
 // event queue's next real event is k > 1 slots away and the fleet is
 // quiescent, the event loop replays the whole span in one tight loop
 // instead of k full slot iterations. "Quiescent" means every slot in the
-// span would be a pure telemetry+execute no-op slot:
+// span would be a pure telemetry+execute slot with nothing running:
 //
 //   - the resident tables are armed and no surge is active, so observe(t)
 //     would serve the table rows unpatched and its output depends only on
 //     t mod Period;
-//   - no long or short job is running and no VM carries a pending
-//     fault/finish transition (execDirty), so executeSlot(t) would skip
-//     every VM and its reduction would fold exactly the cached ledger
-//     records plus the phase's resident-demand row;
+//   - no VM is down and no long or short job is running, so executeSlot(t)
+//     would fold only every VM's ledgers and resident demand, and the
+//     ledgers cannot change until a job is placed;
 //   - no job queues and no event (arrival, retry, fault draw, refresh,
 //     long-job transition, placement) is due before the span's end. A
 //     fault injector re-arms evFault every slot, so faulted runs never
@@ -27,13 +26,13 @@ import "repro/internal/resource"
 // perform — one collector.Observe with zero vectors and one
 // clusterCollector.Observe per slot, with the cluster demand taken from
 // the table's precomputed per-phase row sum (itself folded in ascending VM
-// order, the reduction's exact addition sequence) and the cluster
-// allocation from one per-span fold of the cached exec records (the
-// ledgers are constant across the span, so each slot's fold would produce
-// the identical bits). Predictor ring feeds go through the engine's
-// ObserveSpan, which replays the same per-VM appends sharded across the
-// worker budget with positional writes (internal/workpool supplies the
-// budget), so any worker count stays bit-identical.
+// order, executeSlot's exact addition sequence) and the cluster allocation
+// from one per-span fold of the live vmState ledgers in VM order (constant
+// across the span, so each slot's fold would produce the identical bits).
+// Predictor ring feeds go through the engine's ObserveSpan, which replays
+// the same per-VM appends sharded across the worker budget with positional
+// writes (internal/workpool supplies the budget), so any worker count stays
+// bit-identical.
 //
 // In-span slots drain no prediction outcomes: predictions are recorded
 // only during Refresh and mature exactly at the next refresh slot's
@@ -55,8 +54,8 @@ func (rs *runState) spanEnd(t int) int {
 	if rs.tables == nil || rs.cfg.RecordTimeline {
 		return t
 	}
-	// Activity checks, cheapest first: any running or queued work, an
-	// armed surge, or a down VM disqualifies the span.
+	// Any running or queued work, an armed surge, or a down VM disqualifies
+	// the span; all are counters, so no check scans the fleet.
 	if rs.shortActive != 0 || rs.longActive != 0 || len(rs.queue) != 0 ||
 		rs.surge != nil || rs.downCount != 0 {
 		return t
@@ -73,15 +72,6 @@ func (rs *runState) spanEnd(t int) int {
 	if end <= t+1 {
 		return t
 	}
-	// A VM whose cached exec record is stale (a job finished or a fault
-	// transitioned last slot) still needs one full executeVM pass; stand
-	// down for this slot and re-check at the next. Scanned last — it is
-	// the only O(VMs) check.
-	for _, d := range rs.execDirty {
-		if d {
-			return t
-		}
-	}
 	return end
 }
 
@@ -91,15 +81,15 @@ func (rs *runState) spanEnd(t int) int {
 func (rs *runState) fastForwardSpan(t0, end int) {
 	rs.spanSlots += end - t0
 	tab := rs.tables
-	// The cluster-allocation side of the execute reduction folds the
-	// cached ledger records in ascending VM order. The records are
-	// untouched across the span, so one fold yields every slot's bits;
-	// the trailing Add of the (zero) opportunistic share replays the
-	// slotClusterAlloc.Add(slotOppAlloc) the reduction performs.
+	// The cluster-allocation side of executeSlot folds every VM's ledgers
+	// in ascending VM order. Nothing writes them across the span, so one
+	// fold yields every slot's bits; the trailing Add of the (zero)
+	// opportunistic share replays executeSlot's
+	// slotClusterAlloc.Add(slotOppAlloc).
 	var clusterAlloc resource.Vector
-	for v := range rs.exec {
-		rec := &rs.exec[v]
-		clusterAlloc = clusterAlloc.Add(rec.reserved).Add(rec.freshInUse).Add(rec.longReserved)
+	for v := range rs.vms {
+		st := &rs.vms[v]
+		clusterAlloc = clusterAlloc.Add(st.reserved).Add(st.freshInUse).Add(st.longReserved)
 	}
 	var zero resource.Vector
 	clusterAlloc = clusterAlloc.Add(zero)

@@ -128,6 +128,45 @@ func TestSpanFastForwardEquivalence(t *testing.T) {
 	}
 }
 
+// TestSpanBeginsRightAfterFinish pins where a span starts after the last
+// running job finishes: at the very next slot. One explicit short job
+// arrives at slot a and finishes at slot f; with a refresh window wider
+// than the run nothing else is ever queued, so the quiet stretches [1, a)
+// and [f+1, horizon) must each be replayed as one span, and the result
+// must still match the slot loop bit for bit.
+func TestSpanBeginsRightAfterFinish(t *testing.T) {
+	const arrival = 5
+	mk := func() Config {
+		cfg := spanQuietConfig(scheduler.RCCR, 31)
+		cfg.Scheduler.RCCR.Window = 1000
+		cfg.ExplicitJobs = []*job.Job{{
+			ID: 1, Arrival: arrival, Duration: 4, SLOFactor: 10,
+			Request: resource.Vector{0.4, 1.6, 4}, Usage: []resource.Vector{{0.2, 0.8, 2}},
+		}}
+		return cfg
+	}
+	got, pc, err := oracle{}.run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SLO.Finished != 1 {
+		t.Fatalf("the job did not finish (%+v); the scenario pins nothing", got.SLO)
+	}
+	a := arrival + mk().Warmup
+	f := a + got.ResponseP50 - 1
+	if want := (a - 1) + (got.Slots - (f + 1)); pc.spanSlots != want {
+		t.Errorf("replayed %d span slots, want %d: spans [1, %d) and [%d, %d)",
+			pc.spanSlots, want, a, f+1, got.Slots)
+	}
+	want, _, err := oracle{slotLoop: true}.run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("span replay diverged from the slot loop:\n slot: %+v\n span: %+v", want, got)
+	}
+}
+
 // TestSpanFastForwardWorkersAndCores pins the span path's other two axes:
 // the engine's sharded ObserveSpan replay is bit-identical at any worker
 // budget, and the event loop with spans matches the reference slot loop at

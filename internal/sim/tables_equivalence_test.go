@@ -220,8 +220,8 @@ func runScaleSmoke(t *testing.T, cfg Config) (*Result, pathCounters) {
 
 // TestScaleProfileSmoke runs the calm scale burst. With TestScaleChurnSmoke
 // it is the only tier-1 test that exercises the 20k-VM fast paths (SoA scan
-// blocks, table rows, active-set shards) at their real width. A calm fleet
-// must serve every telemetry slot from the untouched rows.
+// blocks, table rows, idle-VM early return in execute) at their real width.
+// A calm fleet must serve every telemetry slot from the untouched rows.
 func TestScaleProfileSmoke(t *testing.T) {
 	_, pc := runScaleSmoke(t, scaleSmokeConfig())
 	if pc.slotsPatched != 0 || pc.slotsRecomputed != 0 || pc.slotsAliased == 0 {
