@@ -49,17 +49,17 @@ fma-off:
 
 # The race subset covers the packages with real concurrency: the parallel
 # sweep runner, the shared workload-snapshot cache, the DNN's shared
-# training state, the scheduler's batched-refresh engine (the
-# multi-worker equivalence tests drive the gather/forward/scatter phases
-# across goroutines), and the farm dispatcher/worker pair (leases,
-# heartbeats, and result submission race by design). In internal/sim the
-# equivalence suites run production sim.Run and the recompute-telemetry
-# run at several worker counts against the reference slot loop
-# (oracle_test.go, entered through newRunState), so the run's two fan-outs
-# — the prediction engine's per-VM observe/refresh/span-replay passes and
-# the telemetry recompute — run under the detector
-# (TestCoreEquivalenceParallel, TestObserveTableEquivalence,
-# TestSpanFastForwardWorkersAndCores). The execute phase is one serial
+# training state, the scheduler's per-kind training fan-out
+# (TestTrainKindsRunsKindsConcurrently holds all three kinds in flight at
+# once; TestBatchedRefreshWorkerEquivalence trains them concurrently at
+# Workers 4), and the farm dispatcher/worker pair (leases, heartbeats, and
+# result submission race by design). A run has one fan-out: CORP's three
+# resource kinds training the shared brain on goroutines of their own. In
+# internal/sim the equivalence suites run CORP at Workers 2, 4 and
+# GOMAXPROCS against the reference slot loop (oracle_test.go, entered
+# through newRunState), so that fan-out runs under the detector inside
+# whole runs (TestCoreEquivalenceParallel, TestRunWorkerCountEquivalence,
+# TestSpanFastForwardWorkersAndCores). Every other phase is one serial
 # pass and has nothing to race.
 # -short skips the heavyweight single-threaded determinism tests (they add
 # minutes under the race detector and no concurrency coverage).

@@ -11,9 +11,9 @@
 //	            ext-mixed, ext-oracle, ext-faults
 //	-seed       workload seed (default 1)
 //	-quick      small cluster and 3-point sweeps (default true)
-//	-workers    intra-run prediction-engine workers per simulation
-//	            (0 = auto from the shared budget, 1 = serial; figures
-//	            are identical at any value)
+//	-workers    per-kind training goroutines per simulation, at most 3
+//	            (0 = auto from the shared budget, 1 = serial); results
+//	            identical at any count
 //	-progress   print per-batch sweep progress to stderr
 //	-list       print the figure ids, one per line in that order, and exit
 //	-md         render the output as a Markdown report
@@ -52,7 +52,7 @@ func run(args []string, out io.Writer) error {
 	fig := fs.String("fig", "all", "figure id or \"all\"")
 	seed := fs.Int64("seed", 1, "workload seed")
 	quick := fs.Bool("quick", true, "small cluster and 3-point sweeps")
-	workers := fs.Int("workers", 0, "intra-run prediction-engine workers per simulation (0 = auto, 1 = serial)")
+	workers := fs.Int("workers", 0, "per-kind training goroutines per simulation, at most 3; results identical at any count (0 = auto, 1 = serial)")
 	progress := fs.Bool("progress", false, "print per-batch sweep progress to stderr")
 	list := fs.Bool("list", false, "print the available figure ids and exit")
 	md := fs.Bool("md", false, "render the output as a Markdown report")

@@ -14,8 +14,8 @@
 //	-dispatcher  dispatcher base URL (required)
 //	-id          worker name in leases/status    (default host-pid)
 //	-slots       concurrent pull→run→submit loops (default 1; the shared
-//	             workpool budget keeps intra-run engines from
-//	             oversubscribing the machine)
+//	             workpool budget keeps CORP's per-kind training
+//	             goroutines from oversubscribing the machine)
 //	-poll        idle re-poll interval            (default 500ms)
 //	-heartbeat   lease-extension interval         (default 5s)
 //	-v           verbose event logging

@@ -20,8 +20,9 @@
 //	-mttr     mean VM repair time in slots (with -faults)
 //	-surge    per-VM per-slot resident demand-surge probability
 //	-det      deterministic virtual clock for the overhead metric
-//	-workers  intra-run prediction-engine workers (0 = auto from the
-//	          shared budget, 1 = serial; results identical either way)
+//	-workers  per-kind training goroutines, at most 3 (0 = auto from
+//	          the shared budget, 1 = serial); results identical at any
+//	          count
 //
 // A value no run can honour (-eta 1, -faults 2, -jobs -5, ...) is an error
 // naming the field, not a silent run of something else.
@@ -70,7 +71,7 @@ func run(args []string, out *os.File) error {
 	mttr := fs.Int("mttr", 0, "mean VM repair time in slots (0 = default)")
 	surge := fs.Float64("surge", 0, "per-VM per-slot resident demand-surge probability")
 	det := fs.Bool("det", false, "deterministic virtual clock for the overhead metric")
-	workers := fs.Int("workers", 0, "intra-run prediction-engine workers (0 = auto, 1 = serial)")
+	workers := fs.Int("workers", 0, "per-kind training goroutines, at most 3; results identical at any count (0 = auto, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

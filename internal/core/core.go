@@ -42,9 +42,10 @@ type Config struct {
 	AllocMargin float64
 	// Seed drives deterministic initialization.
 	Seed int64
-	// Workers sizes the parallel prediction engine that shards the
-	// per-VM Observe/Refresh work; <= 1 runs serially. Grants are
-	// bit-identical at any worker count.
+	// Workers switches on the per-kind training goroutines, at most 3:
+	// above 1 the shared brain's resource kinds train concurrently on
+	// every ObserveSlot; <= 1 runs serially. Grants are identical at any
+	// count.
 	Workers int
 }
 
@@ -126,9 +127,9 @@ func (c *Controller) ObserveSlot(unused []resource.Vector) ([]Grant, error) {
 			return nil, fmt.Errorf("core: negative unused %v on VM %d", u, v)
 		}
 	}
-	// The engine fans the per-VM predictor updates across its workers;
-	// down VMs produce no telemetry and their predictor state stays frozen
-	// until recovery.
+	// One serial pass updates the per-VM predictors, then the brain's
+	// kinds train (concurrently above Workers 1); down VMs produce no
+	// telemetry and their predictor state stays frozen until recovery.
 	c.sched.ObserveAll(unused, c.down)
 	if c.slot%c.window == 0 {
 		c.sched.Refresh()

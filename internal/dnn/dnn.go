@@ -200,8 +200,8 @@ func (n *Network) Forward(input []float64) ([]float64, error) {
 }
 
 // FwdScratch holds caller-owned activation buffers for ForwardInto, so
-// many goroutines can evaluate one (read-only) network concurrently — the
-// intra-run prediction engine gives each per-VM predictor its own scratch.
+// many goroutines can evaluate one (read-only) network concurrently; each
+// per-VM predictor owns one.
 // A scratch is tied to a topology, not a specific network: it works with
 // any network whose LayerSizes match the one that created it.
 type FwdScratch struct {

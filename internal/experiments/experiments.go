@@ -27,9 +27,9 @@ type Options struct {
 	// Quick shrinks the cluster and the sweep for fast test/bench runs;
 	// full runs reproduce the paper's scale (Table II).
 	Quick bool
-	// Workers sets each run's intra-run prediction-engine worker count
+	// Workers sets each run's per-kind training goroutines, at most 3
 	// (sim.Config.Workers): 0 claims from the shared budget, 1 is serial.
-	// Figures are identical at any value; only wall time changes.
+	// Results are identical at any count; only wall time changes.
 	Workers int
 	// RunBatch, when non-nil, executes a batch of independent simulation
 	// configs and returns results positionally (results[i] for cfgs[i],

@@ -76,8 +76,8 @@ type WorkerStatus struct {
 	Completed int64          `json:"completed"`
 	Cache     workload.Stats `json:"cache"`
 	// BudgetInUse/BudgetLimit mirror the worker process's workpool
-	// occupancy from its last heartbeat: how saturated its intra-run
-	// engines are, independent of lease count.
+	// occupancy from its last heartbeat: how many slots its runs' training
+	// fan-outs have claimed, independent of lease count.
 	BudgetInUse int `json:"budget_in_use"`
 	BudgetLimit int `json:"budget_limit"`
 }

@@ -38,8 +38,8 @@ type SubmitRequest struct {
 
 // HeartbeatRequest extends the worker's leases and streams its progress:
 // the job IDs still running, the worker's workload-cache counters, and
-// its process-wide workpool budget occupancy (how many engine slots its
-// in-flight runs have claimed, out of the process's limit).
+// its process-wide workpool budget occupancy (how many slots its in-flight
+// runs have claimed, out of the process's limit).
 type HeartbeatRequest struct {
 	Worker      string         `json:"worker"`
 	IDs         []int64        `json:"ids"`

@@ -26,8 +26,9 @@ type Worker struct {
 	// ID names this worker in leases and status reports.
 	ID string
 	// Slots is the number of concurrent pull→run→submit loops. Zero
-	// defaults to 1; the process-wide workpool budget keeps intra-run
-	// engines from oversubscribing the machine regardless.
+	// defaults to 1; the process-wide workpool budget keeps CORP runs'
+	// per-kind training goroutines from oversubscribing the machine
+	// regardless.
 	Slots int
 	// Poll is the idle re-poll interval. Zero defaults to 500ms.
 	Poll time.Duration
@@ -178,7 +179,7 @@ func (w *Worker) setRunning(id int64, on bool) {
 
 // heartbeat extends leases for the jobs currently running and streams the
 // worker's workload-cache counters (for the dispatcher's dedup
-// accounting) and workpool occupancy (engine saturation).
+// accounting) and workpool occupancy (budget saturation).
 func (w *Worker) heartbeat(ctx context.Context) {
 	w.mu.Lock()
 	ids := make([]int64, 0, len(w.running))

@@ -73,6 +73,31 @@ func TestViterbiDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestViterbiGrowingHistoryAmortizes pins the scratch's geometric growth:
+// with the observation sequence one symbol longer on every call (a VM's HMM
+// history filling up), the trellis, backpointers and path reallocate only
+// when the length passes a capacity doubling, so over 200 calls the
+// per-call average rounds down to zero. Growing each buffer to exactly T
+// cost three allocations on every call.
+func TestViterbiGrowingHistoryAmortizes(t *testing.T) {
+	model := NewPaperModel(1)
+	base := allocObs(t, allocSeries())
+	obs := make([]Symbol, 256)
+	for i := range obs {
+		obs[i] = base[i%len(base)]
+	}
+	s := NewScratch()
+	T := 5
+	if n := testing.AllocsPerRun(200, func() {
+		T++
+		if _, _, err := model.ViterbiInto(s, obs[:T]); err != nil {
+			t.Fatalf("ViterbiInto at T=%d: %v", T, err)
+		}
+	}); n != 0 {
+		t.Fatalf("ViterbiInto over a growing history allocates %v times per call, want 0", n)
+	}
+}
+
 func TestBaumWelchDoesNotAllocate(t *testing.T) {
 	model := NewPaperModel(1)
 	obs := allocObs(t, allocSeries())

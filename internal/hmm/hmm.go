@@ -191,16 +191,13 @@ func (m *Model) scratch() *Scratch {
 	return m.scr
 }
 
-func growF(buf []float64, n int) []float64 {
+// grow returns buf resized to n. Contents are not preserved: every kernel
+// writes what it reads. A reallocation at least doubles the capacity, so a
+// history that grows by one slot per call (a VM's HMM observations filling
+// up) reallocates O(log n) times instead of on every call.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growI(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }
@@ -210,9 +207,9 @@ func growI(buf []int32, n int) []int32 {
 // through the row pointers.
 func (s *Scratch) pack(m *Model) {
 	h, mm := m.H, m.M
-	s.a = growF(s.a, h*h)
-	s.b = growF(s.b, h*mm)
-	s.pi = growF(s.pi, h)
+	s.a = grow(s.a, h*h)
+	s.b = grow(s.b, h*mm)
+	s.pi = grow(s.pi, h)
 	for i := 0; i < h; i++ {
 		copy(s.a[i*h:(i+1)*h], m.A[i])
 		copy(s.b[i*mm:(i+1)*mm], m.B[i])
@@ -226,8 +223,8 @@ func (m *Model) forwardInto(s *Scratch, obs []Symbol) (logProb float64) {
 	h := m.H
 	mm := m.M
 	T := len(obs)
-	s.alpha = growF(s.alpha, T*h)
-	s.scale = growF(s.scale, T)
+	s.alpha = grow(s.alpha, T*h)
+	s.scale = grow(s.scale, T)
 	a, b, pi := s.a, s.b, s.pi
 	alpha, scale := s.alpha, s.scale
 
@@ -279,7 +276,7 @@ func (m *Model) backwardInto(s *Scratch, obs []Symbol, scale []float64) {
 	h := m.H
 	mm := m.M
 	T := len(obs)
-	s.beta = growF(s.beta, T*h)
+	s.beta = grow(s.beta, T*h)
 	a, b := s.a, s.b
 	beta := s.beta
 
@@ -318,19 +315,17 @@ func (m *Model) ViterbiInto(s *Scratch, obs []Symbol) ([]State, float64, error) 
 	h := m.H
 	mm := m.M
 	T := len(obs)
-	s.logA = growF(s.logA, h*h)
-	s.logB = growF(s.logB, h*mm)
+	s.logA = grow(s.logA, h*h)
+	s.logB = grow(s.logB, h*mm)
 	for i, p := range s.a[:h*h] {
 		s.logA[i] = safeLog(p)
 	}
 	for i, p := range s.b[:h*mm] {
 		s.logB[i] = safeLog(p)
 	}
-	s.delta = growF(s.delta, T*h)
-	s.psi = growI(s.psi, T*h)
-	if cap(s.path) < T {
-		s.path = make([]State, T)
-	}
+	s.delta = grow(s.delta, T*h)
+	s.psi = grow(s.psi, T*h)
+	s.path = grow(s.path, T)
 	logA, logB := s.logA, s.logB
 	delta, psi := s.delta, s.psi
 
@@ -361,7 +356,7 @@ func (m *Model) ViterbiInto(s *Scratch, obs []Symbol) ([]State, float64, error) 
 			best, bestI = delta[last+i], i
 		}
 	}
-	path := s.path[:T]
+	path := s.path
 	path[T-1] = State(bestI)
 	for t := T - 2; t >= 0; t-- {
 		path[t] = State(psi[(t+1)*h+int(path[t+1])])
@@ -399,9 +394,9 @@ func (m *Model) BaumWelchInto(s *Scratch, obs []Symbol, maxIters int, tol float6
 	h := m.H
 	mm := m.M
 	T := len(obs)
-	s.gamma = growF(s.gamma, T*h)
+	s.gamma = grow(s.gamma, T*h)
 	if T > 1 {
-		s.xi = growF(s.xi, (T-1)*h*h)
+		s.xi = grow(s.xi, (T-1)*h*h)
 	}
 	prevLog := math.Inf(-1)
 	var logProb float64
@@ -540,7 +535,7 @@ func (m *Model) PredictNextSymbolInto(s *Scratch, lastState State) (Symbol, []fl
 	if int(lastState) < 0 || int(lastState) >= m.H {
 		return 0, nil, fmt.Errorf("hmm: state %d outside [0,%d)", lastState, m.H)
 	}
-	s.dist = growF(s.dist, m.M)
+	s.dist = grow(s.dist, m.M)
 	dist := s.dist
 	for k := 0; k < m.M; k++ {
 		dist[k] = 0

@@ -91,7 +91,7 @@ func (c CorpConfig) withDefaults() CorpConfig {
 
 // brainKind is one resource kind's complete training state: its network,
 // replay ring, batch-assembly buffers, replay RNG, and counters. Kinds
-// share nothing, so the engine's shared training phase can run the kinds
+// share nothing, so the scheduler's training fan-out can run the kinds
 // concurrently (each kind's stream still serialized in VM order) without
 // changing any figure.
 type brainKind struct {
@@ -104,8 +104,7 @@ type brainKind struct {
 	batchIn   []float64 // (1+ReplaySteps) rows × InputSlots
 	batchTgt  []float64 // (1+ReplaySteps) targets
 	// fwdBatch backs ForwardBatchKind (grown on demand). Per-kind
-	// ownership keeps the kinds fully independent for the engine's
-	// per-kind concurrency.
+	// ownership keeps the kinds fully independent.
 	fwdBatch *dnn.BatchScratch
 	// steps counts SGD updates; errs counts rejected online training
 	// calls (malformed samples) so a broken feed cannot masquerade as a
@@ -118,8 +117,9 @@ type brainKind struct {
 // VMs feed training samples into the same networks, mirroring the paper's
 // single model trained on the whole trace. Each resource kind's state is
 // fully independent (own network, replay ring, RNG), so distinct kinds may
-// train concurrently; within a kind, calls must stay serialized in a fixed
-// VM order for reproducibility. Each incoming sample is also pushed into
+// train concurrently (the scheduler's per-kind training goroutines); within
+// a kind, calls must stay serialized in a fixed VM order for
+// reproducibility. Each incoming sample is also pushed into
 // the kind's replay ring; every online step additionally replays a few
 // past samples, approximating the paper's multi-epoch training loop
 // without buffering the whole trace.
@@ -260,12 +260,11 @@ func (b *CorpBrain) newFwdScratch() *dnn.FwdScratch {
 
 // CorpPredictor is one VM's CORP prediction pipeline.
 //
-// Observe splits into two phases for the parallel engine: ObserveLocal
-// touches only this predictor's state (tracker plus staged training
-// samples) and may run concurrently across VMs; FlushShared feeds the
-// staged sample for one kind into the shared brain and must run in a fixed
-// VM order per kind. Observe performs both phases, so serial callers see
-// unchanged semantics.
+// Observe splits into two phases so the scheduler can train the brain's
+// kinds concurrently: ObserveLocal touches only this predictor's state
+// (tracker plus staged training samples); FlushShared feeds the staged
+// sample for one kind into the shared brain and must run in a fixed VM
+// order per kind. Observe performs both phases.
 type CorpPredictor struct {
 	cfg   CorpConfig
 	brain *CorpBrain
@@ -277,9 +276,9 @@ type CorpPredictor struct {
 
 	// Split-prediction state carried from PredictPrepare to
 	// PredictFinish: which kinds get a DNN estimate this refresh (the
-	// others are cold and fall back to the historical mean), and the
-	// serial path's own DNN input rows (the engine supplies its staging
-	// slab instead).
+	// others are cold and fall back to the historical mean), and Predict's
+	// own DNN input rows (the scheduler's batched Refresh supplies its
+	// staging slab instead).
 	need     [resource.NumKinds]bool
 	predRows [resource.NumKinds][]float64
 
@@ -336,10 +335,9 @@ func (p *CorpPredictor) Observe(actual resource.Vector) {
 	}
 }
 
-// ObserveLocal implements Sharded: the VM-local half of Observe. It
-// records the sample in the tracker and stages one training sample per
-// kind (once enough history exists) without touching the shared brain, so
-// concurrent calls on distinct predictors are safe.
+// ObserveLocal is the VM-local half of Observe. It records the sample in
+// the tracker and stages one training sample per kind (once enough history
+// exists) without touching the shared brain.
 func (p *CorpPredictor) ObserveLocal(actual resource.Vector) {
 	p.track.observe(actual)
 	need := p.cfg.InputSlots + p.cfg.Window
@@ -364,8 +362,8 @@ func (p *CorpPredictor) ObserveLocal(actual resource.Vector) {
 	}
 }
 
-// FlushShared implements Sharded: feeds the staged kind-k sample (if any)
-// into the shared brain. Callers must serialize calls for the same kind in
+// FlushShared is the shared half of Observe: it feeds the staged kind-k
+// sample (if any) into the shared brain. Callers must serialize calls for the same kind in
 // a fixed VM order; calls for distinct kinds may run concurrently because
 // the brain's per-kind state is independent.
 func (p *CorpPredictor) FlushShared(k resource.Kind) {
@@ -387,9 +385,9 @@ func (p *CorpPredictor) TrainErrors() int { return p.brain.TrainErrors() }
 
 // Predict implements Predictor: DNN estimate, HMM peak/valley correction,
 // confidence-interval adjustment, Eq. 21 gate. It is PredictPrepare +
-// per-kind forwards + PredictFinish; the parallel engine runs the same
-// halves around one batched forward per kind instead, so both paths share
-// every line of pipeline logic.
+// per-kind forwards + PredictFinish; the scheduler's batched Refresh runs
+// the same halves around one batched forward per kind instead, so both
+// paths share every line of pipeline logic.
 func (p *CorpPredictor) Predict() Prediction {
 	need := p.PredictPrepare(&p.predRows)
 	var outs [resource.NumKinds]float64

@@ -56,20 +56,6 @@ type Predictor interface {
 	AppendOutcomes(dst []ErrorSample) []ErrorSample
 }
 
-// Sharded is implemented by predictors whose Observe splits into two
-// phases so a parallel engine can shard the fleet: ObserveLocal touches
-// only the predictor's own state and is safe to call concurrently on
-// distinct predictors, while FlushShared feeds the staged sample for one
-// resource kind into shared state (e.g. the common CORP brain). For a
-// given kind, FlushShared calls must be serialized in a fixed VM order so
-// the shared training stream is reproducible; calls for distinct kinds may
-// proceed concurrently. Observe must behave exactly like ObserveLocal
-// followed by FlushShared for every kind.
-type Sharded interface {
-	ObserveLocal(actual resource.Vector)
-	FlushShared(k resource.Kind)
-}
-
 // ErrorSample is one matured prediction error δ = actual − predicted for
 // one resource kind (Eq. 20, evaluated at window end).
 type ErrorSample struct {

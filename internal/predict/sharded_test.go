@@ -7,8 +7,8 @@ import (
 	"repro/internal/resource"
 )
 
-// TestShardedObserveEquivalence pins the engine's phase-split contract at
-// the predict layer: feeding a fleet through ObserveLocal (in any VM
+// TestShardedObserveEquivalence pins the scheduler's phase-split contract
+// at the predict layer: feeding a fleet through ObserveLocal (in any VM
 // order) followed by per-kind FlushShared in a fixed VM order must leave
 // the shared brain and every predictor bit-identical to plain per-VM
 // Observe calls.
@@ -38,7 +38,7 @@ func TestShardedObserveEquivalence(t *testing.T) {
 		for i, p := range fleetA {
 			p.Observe(sample(i, s))
 		}
-		// Sharded path: local phase in reverse VM order (order must not
+		// Split path: local phase in reverse VM order (order must not
 		// matter), shared phase per kind in forward VM order (must).
 		for i := len(fleetB) - 1; i >= 0; i-- {
 			fleetB[i].ObserveLocal(sample(i, s))

@@ -2,22 +2,23 @@ package scheduler
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/predict"
 	"repro/internal/resource"
-	"repro/internal/workpool"
 )
 
-// This file is the intra-run parallel prediction engine: it shards the
-// per-VM predictor fleet across a bounded worker pool for the per-slot
-// Observe fan-out and the per-window Refresh pass. Results are written
-// positionally (b.latest[i], b.dirty[i]), and the only shared mutable
-// state — the CORP brain — is only ever touched from the ordered per-kind
-// flush phase, so any worker count yields bit-identical figures.
+// This file is the prediction engine: the per-slot observe pass, the
+// per-window batched Refresh, and the one place a run goes concurrent. Every
+// per-VM pass is a serial loop in ascending VM order. The exception is CORP's
+// training feed: the shared brain keeps one network, replay ring and RNG per
+// resource kind, and the kinds share nothing, so at Workers > 1 each kind's
+// staged samples are fed on a goroutine of its own (trainKinds), still in
+// ascending VM order within the kind. Any worker count yields bit-identical
+// figures.
 
 // BatchObserver is the part of Scheduler that ingests a whole slot's
-// observations at once, fanning the per-VM predictor updates across the
-// engine's workers. skip[i] (optional, may be nil) marks VMs
+// observations at once. skip[i] (optional, may be nil) marks VMs
 // whose sample must not be fed this slot (e.g. down VMs); semantics are
 // identical to calling Observe(i, actualUnused[i]) for every non-skipped
 // VM in ascending order.
@@ -35,33 +36,21 @@ type SpanObserver interface {
 	ObserveSpan(rows [][]resource.Vector, skip []bool)
 }
 
-// observeChunk is how many consecutive VMs one work-stealing grab of the
-// engine's fan-outs covers; per-VM costs are uneven (HMM refits, signature
-// refreshes), so it is kept small.
-const observeChunk = 4
-
-// initEngine wires the parallel engine after the per-VM predictors exist:
-// it caches the Sharded view of each predictor (so the hot loops skip
-// per-call type assertions) and allocates the dirty bits.
+// initEngine wires the engine after the per-VM predictors exist: it records
+// the training fan-out's worker count and allocates the dirty bits.
 // All VMs start dirty so the first Refresh predicts everywhere.
 func (b *base) initEngine(workers int) {
 	b.workers = workers
 	b.dirty = make([]bool, len(b.preds))
-	b.sharded = make([]predict.Sharded, len(b.preds))
-	anySharded := false
-	for i, p := range b.preds {
+	for i := range b.dirty {
 		b.dirty[i] = true
-		if s, ok := p.(predict.Sharded); ok {
-			b.sharded[i] = s
-			anySharded = true
-		}
 	}
-	b.anySharded = anySharded
 }
 
 // initEngine (corpScheduler override) wires the base engine, then caches
-// the concrete *CorpPredictor views the batched Refresh needs. The oracle
-// variant (nil brain, oracle predictors) keeps the per-VM base path.
+// the concrete *CorpPredictor views the split observe and the batched
+// Refresh need. The oracle variant (nil brain, oracle predictors) keeps the
+// per-VM base path.
 func (s *corpScheduler) initEngine(workers int) {
 	s.base.initEngine(workers)
 	if s.brain == nil {
@@ -70,6 +59,80 @@ func (s *corpScheduler) initEngine(workers int) {
 	s.corpPreds = make([]*predict.CorpPredictor, len(s.preds))
 	for i, p := range s.preds {
 		s.corpPreds[i] = p.(*predict.CorpPredictor)
+	}
+}
+
+// kindTrainer is the training fan-out's callback: trainKind(k) feeds
+// resource kind k's staged samples into the shared brain, touching only
+// kind-k state.
+type kindTrainer interface {
+	trainKind(k resource.Kind)
+}
+
+// trainKinds runs trainKind for every resource kind. At workers <= 1 the
+// kinds run one after another on the calling goroutine; above that each kind
+// gets its own goroutine, so widths above resource.NumKinds buy nothing.
+// Kinds share no state and each kind's stream keeps its own fixed order, so
+// no merge is needed and the result is the same at any width.
+func trainKinds(workers int, t kindTrainer) {
+	if workers <= 1 {
+		for k := range resource.NumKinds {
+			t.trainKind(resource.Kind(k))
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(resource.NumKinds)
+	for k := range resource.NumKinds {
+		go func() {
+			defer wg.Done()
+			t.trainKind(resource.Kind(k))
+		}()
+	}
+	wg.Wait()
+}
+
+// trainKind implements kindTrainer: every VM's staged kind-k sample enters
+// the brain in ascending VM order. A VM that was not observed this slot has
+// nothing staged, so FlushShared returns at once.
+func (s *corpScheduler) trainKind(k resource.Kind) {
+	for _, p := range s.corpPreds {
+		p.FlushShared(k)
+	}
+}
+
+// ObserveAll (corpScheduler override) implements BatchObserver in two
+// steps: a serial ObserveLocal pass in VM order (tracker updates plus one
+// staged training sample per kind), then trainKinds feeding the staged
+// samples into the shared brain. Each VM's predictor sees exactly what
+// Observe would do, and each kind's training stream runs in VM order, so the
+// result is bit-identical to serial per-VM Observe calls at any worker count.
+func (s *corpScheduler) ObserveAll(actualUnused []resource.Vector, skip []bool) {
+	if s.corpPreds == nil {
+		s.base.ObserveAll(actualUnused, skip)
+		return
+	}
+	for i, p := range s.corpPreds {
+		if skip != nil && skip[i] {
+			continue
+		}
+		s.dirty[i] = true
+		p.ObserveLocal(actualUnused[i])
+	}
+	trainKinds(s.workers, s)
+}
+
+// ObserveSpan (corpScheduler override) implements SpanObserver with one
+// ObserveAll per slot: the shared training stream is slot-major (every VM's
+// slot-s sample trains before any slot-s+1 sample), and ObserveLocal stages
+// one sample per kind at a time.
+func (s *corpScheduler) ObserveSpan(rows [][]resource.Vector, skip []bool) {
+	if s.corpPreds == nil {
+		s.base.ObserveSpan(rows, skip)
+		return
+	}
+	for _, row := range rows {
+		s.ObserveAll(row, skip)
 	}
 }
 
@@ -82,22 +145,20 @@ const refreshBatchRows = 256
 
 // Refresh (corpScheduler override) runs the batched prediction pipeline:
 //
-//  1. collect the dirty VM indices (serial, cheap);
-//  2. PredictPrepare every dirty VM in parallel, each writing its
-//     normalized per-kind DNN input rows into a contiguous per-kind
-//     staging slab at its own position;
-//  3. per resource kind (kinds in parallel, each kind serial): compact
-//     the rows that actually need a forward (cold kinds drop out here)
-//     into a chunk buffer and run one ForwardBatchKind per chunk,
-//     scattering outputs back by recorded position;
-//  4. PredictFinish every dirty VM in parallel (HMM correction, CI
-//     adjustment, Eq. 21 gate) into b.latest positionally.
+//  1. collect the dirty VM indices;
+//  2. PredictPrepare every dirty VM, each writing its normalized per-kind
+//     DNN input rows into a contiguous per-kind staging slab at its own
+//     position;
+//  3. per resource kind: compact the rows that actually need a forward
+//     (cold kinds drop out here) into a chunk buffer and run one
+//     ForwardBatchKind per chunk, scattering outputs back by recorded
+//     position;
+//  4. PredictFinish every dirty VM (HMM correction, CI adjustment, Eq. 21
+//     gate) into b.latest.
 //
-// Every write in phases 2–4 lands at an index owned by one VM (or, in
-// phase 3, one (VM, kind) slot), and each VM's own pipeline runs in the
-// same order as a per-VM Predict, so results are bit-identical to the
-// per-VM path at any worker count. Outputs are pre-filled with NaN so a
-// failed batch forward degrades to PredictFinish's historical-mean
+// Each VM's own pipeline runs in the same order as a per-VM Predict, so
+// results are bit-identical to the per-VM path. Outputs are pre-filled with
+// NaN so a failed batch forward degrades to PredictFinish's historical-mean
 // fallback — the same fallback the per-VM path uses on a forward error.
 // All staging buffers are reused across calls; steady-state refreshes
 // perform no heap allocations.
@@ -134,7 +195,7 @@ func (s *corpScheduler) Refresh() {
 		s.stageRows[k] = s.stageRows[k][:d*delta]
 	}
 	nan := math.NaN()
-	workpool.For(s.workers, d, observeChunk, func(pos int) {
+	for pos, i := range idx {
 		// rows[pos] is reused scratch owned by this position; a
 		// function-local array would escape through PredictPrepare and
 		// cost one heap allocation per dirty VM per refresh.
@@ -142,22 +203,21 @@ func (s *corpScheduler) Refresh() {
 		for k := range r {
 			r[k] = s.stageRows[k][pos*delta : (pos+1)*delta]
 		}
-		need[pos] = s.corpPreds[idx[pos]].PredictPrepare(r)
+		need[pos] = s.corpPreds[i].PredictPrepare(r)
 		outs[pos] = [resource.NumKinds]float64{nan, nan, nan}
-	})
-	workpool.For(s.workers, resource.NumKinds, observeChunk, func(k int) {
+	}
+	for k := range resource.NumKinds {
 		s.forwardKindBatched(resource.Kind(k), delta, need, outs)
-	})
-	workpool.For(s.workers, d, observeChunk, func(pos int) {
-		s.latest[idx[pos]] = s.corpPreds[idx[pos]].PredictFinish(&outs[pos])
-	})
+	}
+	for pos, i := range idx {
+		s.latest[i] = s.corpPreds[i].PredictFinish(&outs[pos])
+	}
 }
 
 // forwardKindBatched is phase 3 of the batched Refresh for one kind:
 // compact the staged rows that need a forward into the kind's chunk
 // buffer, run one batched forward per full chunk, and scatter each output
-// back to its position's slot. Touches only kind-k brain state and
-// kind-k/per-position slots, so distinct kinds run concurrently.
+// back to its position's slot.
 func (s *corpScheduler) forwardKindBatched(k resource.Kind, delta int, need [][resource.NumKinds]bool, outs [][resource.NumKinds]float64) {
 	if cap(s.gatherIn[k]) < refreshBatchRows*delta {
 		s.gatherIn[k] = make([]float64, refreshBatchRows*delta)
@@ -193,72 +253,34 @@ func (s *corpScheduler) forwardKindBatched(k resource.Kind, delta int, need [][r
 	flush()
 }
 
-// ObserveAll implements BatchObserver. The work splits into two phases:
-// a VM-local phase (tracker updates plus staged training samples) that
-// runs concurrently because each predictor's state is disjoint, and a
-// shared phase that feeds staged samples into shared state (the CORP
-// brain) — sharded per resource kind, each kind's stream serialized in
-// ascending VM order. Both phases visit VMs positionally, so the result
-// is bit-identical to serial per-VM Observe calls at any worker count.
+// ObserveAll implements BatchObserver for fleets of independent predictors:
+// one serial pass in VM order.
 func (b *base) ObserveAll(actualUnused []resource.Vector, skip []bool) {
-	n := len(b.preds)
-	workpool.For(b.workers, n, observeChunk, func(i int) {
+	for i, p := range b.preds {
 		if skip != nil && skip[i] {
-			return
+			continue
 		}
 		b.dirty[i] = true
-		if s := b.sharded[i]; s != nil {
-			s.ObserveLocal(actualUnused[i])
-		} else {
-			b.preds[i].Observe(actualUnused[i])
-		}
-	})
-	if !b.anySharded {
-		return
+		p.Observe(actualUnused[i])
 	}
-	workpool.For(b.workers, resource.NumKinds, observeChunk, func(k int) {
-		kind := resource.Kind(k)
-		for i := 0; i < n; i++ {
-			if skip != nil && skip[i] {
-				continue
-			}
-			if s := b.sharded[i]; s != nil {
-				s.FlushShared(kind)
-			}
-		}
-	})
 }
 
-// ObserveSpan implements SpanObserver. For a fleet of independent
-// predictors the span is fed VM-major: one parallel pass hands each
-// predictor its k samples back to back (better cache locality than k
-// slot-major sweeps, and one work-stealing dispatch instead of k). Each
-// predictor's own observation sequence is unchanged, and predictors share
-// no state, so the result is bit-identical to k ObserveAll calls.
-//
-// A sharded fleet (the CORP brain) is the exception: FlushShared calls for
-// one kind must stay serialized slot-major in VM order, and ObserveLocal
-// stages exactly one pending sample, so the span falls back to per-slot
-// ObserveAll — the shared training stream is order-sensitive and the
-// per-slot dispatch is what guarantees its order.
+// ObserveSpan implements SpanObserver for fleets of independent predictors.
+// The span is fed VM-major: each predictor gets its k samples back to back
+// (better cache locality than k slot-major sweeps). Each predictor's own
+// observation sequence is unchanged and predictors share no state, so the
+// result is bit-identical to k ObserveAll calls.
 func (b *base) ObserveSpan(rows [][]resource.Vector, skip []bool) {
 	if len(rows) == 0 {
 		return
 	}
-	if b.anySharded {
-		for _, row := range rows {
-			b.ObserveAll(row, skip)
-		}
-		return
-	}
-	workpool.For(b.workers, len(b.preds), observeChunk, func(i int) {
+	for i, p := range b.preds {
 		if skip != nil && skip[i] {
-			return
+			continue
 		}
 		b.dirty[i] = true
-		p := b.preds[i]
 		for _, row := range rows {
 			p.Observe(row[i])
 		}
-	})
+	}
 }

@@ -2,7 +2,11 @@ package scheduler
 
 import (
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/predict"
@@ -126,47 +130,132 @@ func TestBatchedRefreshWorkerEquivalence(t *testing.T) {
 	driveFleet(t, serial, wide, wide.Refresh, cl, 40)
 }
 
-// TestBatchedRefreshSteadyStateAllocs pins the batched Refresh machinery
-// (staging, gather, scatter) as adding no steady-state allocations over
-// the per-VM reference loop: the measured cycle includes the predictors'
-// own pre-existing costs (training, HMM refits), so the batched and per-VM
-// totals are compared rather than pinned at zero. A clean Refresh (no
-// dirty VMs) must be exactly allocation-free. The pure prediction path
-// is pinned at zero allocs in internal/predict and internal/dnn.
+// TestBatchedRefreshSteadyStateAllocs pins CORP's whole per-window cycle
+// at Workers 1 — six ObserveAll slots (ObserveLocal plus the serial kind
+// training pass), the batched Refresh (staging, gather, batched forward,
+// HMM refits, scatter) and DrainOutcomes — as allocation-free once every
+// VM's history window is full and the scratch has grown. A clean Refresh
+// (no dirty VMs) must be allocation-free from the start.
 func TestBatchedRefreshSteadyStateAllocs(t *testing.T) {
-	measure := func(perVM bool) float64 {
-		cl := batchTestCluster(t, 64)
-		s := newCorp(t, Config{Seed: 3, Workers: 1}, cl)
-		refresh := s.Refresh
-		if perVM {
-			refresh = func() { perVMRefresh(s) }
+	cl := batchTestCluster(t, 64)
+	s := newCorp(t, Config{Seed: 3, Workers: 1}, cl)
+	unused := make([]resource.Vector, len(cl.VMs))
+	slot := 0
+	observe := func() {
+		for v := range unused {
+			unused[v] = batchTelemetry(cl, v, slot)
+		}
+		s.ObserveAll(unused, nil)
+		slot++
+	}
+	cycle := func() {
+		for j := 0; j < s.Window(); j++ {
+			observe()
+		}
+		s.Refresh()
+		s.DrainOutcomes()
+	}
+	s.Refresh()
+	if clean := testing.AllocsPerRun(10, s.Refresh); clean > 0 {
+		t.Fatalf("batched Refresh with nothing dirty allocates %v times", clean)
+	}
+	// 50 windows (300 slots) fill the 120-slot history, the HMM
+	// observation sequences it symbolizes and the 40-sample error windows
+	// (which start filling only after the first few matured forecasts).
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(20, observe); n != 0 {
+		t.Errorf("CORP ObserveAll allocates %v times per slot at Workers 1, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("steady-state CORP observe/Refresh cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestObserveAllDoesNotAllocate pins the independent-predictor schemes'
+// observe pass: at Workers 1 it is a plain loop, and a warm fleet's
+// predictors observe without touching the heap.
+func TestObserveAllDoesNotAllocate(t *testing.T) {
+	cl := batchTestCluster(t, 64)
+	for _, sc := range []Scheme{RCCR, CloudScale, DRA} {
+		s, err := New(Config{Scheme: sc, Seed: 3, Workers: 1}, cl)
+		if err != nil {
+			t.Fatal(err)
 		}
 		unused := make([]resource.Vector, len(cl.VMs))
 		slot := 0
-		cycle := func() {
-			for j := 0; j < 6; j++ {
-				for v := range unused {
-					unused[v] = batchTelemetry(cl, v, slot)
-				}
-				s.ObserveAll(unused, nil)
-				slot++
+		observe := func() {
+			for v := range unused {
+				unused[v] = batchTelemetry(cl, v, slot)
 			}
-			refresh()
-			s.DrainOutcomes()
+			s.ObserveAll(unused, nil)
+			slot++
 		}
-		for i := 0; i < 10; i++ {
-			cycle()
+		for i := 0; i < 200; i++ {
+			observe()
 		}
-		// The batched path bails before building any closure when nothing
-		// is dirty.
-		if clean := testing.AllocsPerRun(10, s.Refresh); clean > 0 {
-			t.Fatalf("batched Refresh with nothing dirty allocates %v times", clean)
+		if n := testing.AllocsPerRun(20, observe); n != 0 {
+			t.Errorf("%v ObserveAll allocates %v times per slot at Workers 1, want 0", sc, n)
 		}
-		return testing.AllocsPerRun(30, cycle)
 	}
-	batched, pervm := measure(false), measure(true)
-	if batched > pervm+8 {
-		t.Fatalf("batched refresh cycle allocates %v/op vs per-VM %v/op: staging machinery is not steady-state alloc-free", batched, pervm)
+}
+
+// kindBarrier is a kindTrainer whose every trainKind call waits until all
+// resource kinds are in flight at once, or until a timeout passes.
+type kindBarrier struct {
+	arrived  sync.WaitGroup
+	timeouts atomic.Int32
+	calls    [resource.NumKinds]atomic.Int32
+}
+
+func (b *kindBarrier) trainKind(k resource.Kind) {
+	b.calls[k].Add(1)
+	b.arrived.Done()
+	all := make(chan struct{})
+	go func() {
+		b.arrived.Wait()
+		close(all)
+	}()
+	select {
+	case <-all:
+	case <-time.After(2 * time.Second):
+		b.timeouts.Add(1)
+	}
+}
+
+// TestTrainKindsRunsKindsConcurrently pins the training fan-out's width:
+// at Workers 2 all three kinds must be in flight at the same time (a
+// fan-out that ran them one after another, or two at a time, would leave
+// the barrier waiting), and each kind trains exactly once.
+func TestTrainKindsRunsKindsConcurrently(t *testing.T) {
+	b := &kindBarrier{}
+	b.arrived.Add(resource.NumKinds)
+	trainKinds(2, b)
+	if n := b.timeouts.Load(); n != 0 {
+		t.Fatalf("%d kinds waited out the barrier: the kinds did not train concurrently", n)
+	}
+	for k := range b.calls {
+		if n := b.calls[k].Load(); n != 1 {
+			t.Errorf("kind %d trained %d times, want 1", k, n)
+		}
+	}
+}
+
+// kindRecorder is a kindTrainer that records the order kinds train in.
+type kindRecorder []resource.Kind
+
+func (r *kindRecorder) trainKind(k resource.Kind) { *r = append(*r, k) }
+
+// TestTrainKindsSerialAtOneWorker pins Workers <= 1 as the kinds trained
+// in order on the calling goroutine.
+func TestTrainKindsSerialAtOneWorker(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		var r kindRecorder
+		trainKinds(w, &r)
+		if !slices.Equal(r, []resource.Kind{resource.CPU, resource.Memory, resource.Storage}) {
+			t.Errorf("workers=%d: kinds trained in order %v", w, r)
+		}
 	}
 }
 

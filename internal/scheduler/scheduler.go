@@ -27,7 +27,6 @@ import (
 	"repro/internal/packing"
 	"repro/internal/predict"
 	"repro/internal/resource"
-	"repro/internal/workpool"
 )
 
 // Scheme selects a provisioning scheme.
@@ -117,10 +116,12 @@ type Config struct {
 	// k-way extension.
 	CorpPackK int
 
-	// Workers sizes the intra-run prediction engine: how many goroutines
-	// shard the per-VM Observe fan-out and the per-window Refresh pass.
-	// Values <= 1 run serially. Results are bit-identical at any worker
-	// count; Workers affects wall time only.
+	// Workers switches CORP's per-kind training goroutines on: above 1,
+	// the shared brain's three resource kinds train concurrently, one
+	// goroutine each, so widths above 3 buy nothing; values <= 1 train
+	// them one after another. Every other pass is serial, and the other
+	// schemes ignore it. Results are identical at any count; Workers
+	// affects wall time only.
 	Workers int
 }
 
@@ -186,8 +187,7 @@ func New(cfg Config, cl *cluster.Cluster) (Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Wire the parallel prediction engine now that the per-VM predictors
-	// exist.
+	// Wire the prediction engine now that the per-VM predictors exist.
 	s.initEngine(cfg.Workers)
 	return s, nil
 }
@@ -364,16 +364,14 @@ type base struct {
 	latest []predict.Prediction
 	tight  float64
 
-	// Parallel prediction engine state (see engine.go). dirty[i] is set
-	// when VM i has seen a new observation since its last Predict, so
-	// Refresh can skip VMs with nothing new (down VMs keep their last
-	// forecast). sharded caches the optional-interface view of the
-	// predictors; drainBuf is the reused DrainOutcomes output.
-	workers    int
-	dirty      []bool
-	sharded    []predict.Sharded
-	anySharded bool
-	drainBuf   []predict.ErrorSample
+	// Prediction engine state (see engine.go). workers is the CORP
+	// training fan-out's width. dirty[i] is set when VM i has seen a new
+	// observation since its last Predict, so Refresh can skip VMs with
+	// nothing new (down VMs keep their last forecast). drainBuf is the
+	// reused DrainOutcomes output.
+	workers  int
+	dirty    []bool
+	drainBuf []predict.ErrorSample
 
 	// Reused per-Place pool copies (oppPool/freshPool) so placement does
 	// not reallocate them every slot.
@@ -391,19 +389,16 @@ func (b *base) Observe(vm int, actualUnused resource.Vector) {
 	b.preds[vm].Observe(actualUnused)
 }
 
-// Refresh recomputes the per-VM forecasts, fanning the fleet across the
-// engine's workers. Each worker writes only b.latest[i]/b.dirty[i] for
-// the indices it grabbed, so the merged result is positional and
-// bit-identical at any worker count. VMs with no observation since their
-// last Predict (down VMs under fault injection) are skipped and keep
-// their previous forecast.
+// Refresh recomputes the per-VM forecasts in VM order. VMs with no
+// observation since their last Predict (down VMs under fault injection)
+// are skipped and keep their previous forecast.
 func (b *base) Refresh() {
-	workpool.For(b.workers, len(b.preds), observeChunk, func(i int) {
+	for i, p := range b.preds {
 		if b.dirty[i] {
 			b.dirty[i] = false
-			b.latest[i] = b.preds[i].Predict()
+			b.latest[i] = p.Predict()
 		}
-	})
+	}
 }
 
 // DrainOutcomes gathers matured prediction errors across all VMs into one
@@ -465,9 +460,10 @@ type corpScheduler struct {
 	// reuses this scheduler without learned predictions).
 	brain *predict.CorpBrain
 
-	// Batched-refresh state (engine.go): corpPreds are the concrete per-VM
-	// predictors cached by initEngine (nil for the oracle variant, which
-	// routes Refresh through the per-VM base path). The remaining slices
+	// Split-observe and batched-refresh state (engine.go): corpPreds are
+	// the concrete per-VM predictors cached by initEngine (nil for the
+	// oracle variant, which routes ObserveAll, ObserveSpan and Refresh
+	// through the per-VM base path). The remaining slices
 	// are the reused staging buffers of the gather → batched forward →
 	// scatter pipeline.
 	corpPreds   []*predict.CorpPredictor

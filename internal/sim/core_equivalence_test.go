@@ -97,14 +97,15 @@ func TestCoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoreEquivalenceParallel repeats the pin with the run's two fan-outs
-// wide: the prediction engine's per-VM observe/refresh passes (production
-// Run) and the telemetry recompute (the same run with the resident tables
-// dropped), each at several worker counts against the slot loop at 1
-// worker. Both merge positionally, so worker count can only change wall
-// time, never a figure; under -race (the race Make target covers this
-// package) the shards are also checked for data races. Scenarios are picked
-// by name, so adding one to the matrix cannot change what runs wide.
+// TestCoreEquivalenceParallel repeats the pin with the run's one fan-out
+// wide — CORP's per-kind training goroutines — in production Run and in the
+// same run with the resident tables dropped (serial telemetry recompute),
+// each at several worker counts against the slot loop at 1 worker. Each
+// kind's training stream keeps its serial order and the kinds share no
+// state, so worker count can only change wall time, never a figure; under
+// -race (the race Make target covers this package) the concurrent kinds are
+// also checked for data races. Scenarios are picked by name, so adding one
+// to the matrix cannot change what runs wide.
 func TestCoreEquivalenceParallel(t *testing.T) {
 	counts := []int{2, 4, runtime.GOMAXPROCS(0)}
 	wide := map[string]bool{"CORP": true, "faulted": true, "mixed-long": true, "surged": true}

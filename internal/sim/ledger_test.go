@@ -53,7 +53,7 @@ func TestClusterUtilizationCountsFreshOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := &runState{cfg: Config{Warmup: 1}, sched: sched, res: &Result{}, workers: 1, vms: vms}
+	rs := &runState{cfg: Config{Warmup: 1}, sched: sched, res: &Result{}, vms: vms}
 	rs.initScratch()
 	// Ample opportunistic pool so the grant scale factor stays 1.
 	rs.unused[0], rs.unused[1] = one(5), one(5)
@@ -159,12 +159,11 @@ func TestRefreshWindowSkipsDownVMs(t *testing.T) {
 		vms[i] = vmState{capacity: resource.Vector{4, 16, 180}}
 	}
 	rs := &runState{
-		cl:      cl,
-		sched:   sched,
-		clk:     &VirtualClock{StepMicros: 50},
-		res:     &Result{},
-		workers: 1,
-		vms:     vms,
+		cl:    cl,
+		sched: sched,
+		clk:   &VirtualClock{StepMicros: 50},
+		res:   &Result{},
+		vms:   vms,
 	}
 	rs.initScratch()
 	rs.setDown(1, true)

@@ -59,7 +59,7 @@ func (rs *runState) placeLongReference(t int) (ties int) {
 // only an empty VM can hold, and one nothing can hold.
 func longFleet(seed int64, n int) *runState {
 	rng := rand.New(rand.NewSource(seed))
-	rs := &runState{res: &Result{}, workers: 1, vms: make([]vmState, n)}
+	rs := &runState{res: &Result{}, vms: make([]vmState, n)}
 	for v := range rs.vms {
 		q := float64(rng.Intn(3))
 		rs.vms[v] = vmState{
@@ -150,7 +150,7 @@ func TestPlaceLongMatchesReference(t *testing.T) {
 // order, skip a down VM, and wrap once every VM holds one.
 func TestPlaceLongTieBreakLowestIndex(t *testing.T) {
 	one := func(x float64) resource.Vector { return resource.Vector{x, x, x} }
-	rs := &runState{res: &Result{}, workers: 1, vms: make([]vmState, 4), maxVMCap: one(10)}
+	rs := &runState{res: &Result{}, vms: make([]vmState, 4), maxVMCap: one(10)}
 	for v := range rs.vms {
 		rs.vms[v] = vmState{capacity: one(10), reserved: one(2)}
 	}

@@ -13,7 +13,7 @@ import (
 // ObserveBench drives the telemetry phase (runState.observe) in isolation
 // over a synthetic idle fleet, for the perf suite's sim/slot-observe-*
 // entries: the same per-slot work the full scale run pays on every quiet
-// slot, with the predictor fan-out stubbed out so the measurement isolates
+// slot, with the predictor feed stubbed out so the measurement isolates
 // the resident-demand computation (periodic-table rows versus per-VM
 // recomputation).
 type ObserveBench struct {
@@ -51,9 +51,8 @@ func NewObserveBench(snap *workload.Snapshot, disableTables bool) (*ObserveBench
 		vms[i] = vmState{capacity: caps[i], reserved: r.Request, resident: r}
 	}
 	rs := &runState{
-		sched:   nullScheduler{},
-		vms:     vms,
-		workers: 1,
+		sched: nullScheduler{},
+		vms:   vms,
 	}
 	if !disableTables {
 		if tab := snap.Tables(); tab != nil && tab.NumVMs == len(vms) {

@@ -19,8 +19,8 @@ import (
 //
 // Workers ≤ 0 defaults to GOMAXPROCS. The pool claims its worker count
 // from the shared budget (internal/workpool) for the duration of the
-// sweep, so auto-sized intra-run prediction engines (Config.Workers == 0)
-// see only the remaining slots and outer×inner parallelism never
+// sweep, so auto-sized runs' per-kind training goroutines (Config.Workers
+// == 0) see only the remaining slots and outer×inner parallelism never
 // oversubscribes the machine. A run that fails — including one
 // that panics; panics are recovered per run so a single bad configuration
 // cannot take down a whole sweep — leaves results[i] nil, with the
@@ -57,7 +57,7 @@ func runMany(cfgs []Config, workers int, progress ProgressFunc, run func(Config)
 		return results, nil
 	}
 	// Account the outer pool against the shared worker budget so inner
-	// engines auto-size from the remainder. The claim is advisory: even
+	// training fan-outs auto-size from the remainder. The claim is advisory: even
 	// when the budget is exhausted the sweep still runs at its requested
 	// width (worker counts never change results, only wall time).
 	if claimed := workpool.ClaimUpTo(workers); claimed > 0 {

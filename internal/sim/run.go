@@ -11,12 +11,7 @@ import (
 	"repro/internal/resource"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
-	"repro/internal/workpool"
 )
-
-// shardChunk is how many consecutive VMs one work-stealing grab of the
-// telemetry recompute covers.
-const shardChunk = 8
 
 // pendingRetry is an evicted job waiting out its backoff before re-entering
 // the arrival queue.
@@ -39,7 +34,6 @@ type runState struct {
 	res     *Result
 	horizon int
 	window  int
-	workers int
 	claimed int // worker-budget slots to hand back in release
 
 	vms          []vmState
@@ -68,7 +62,6 @@ type runState struct {
 	unusedOwned      []resource.Vector
 	residentUseOwned []resource.Vector
 	downMask         []bool
-	surgeHits        []int // recompute path only, sized on first use
 	headVol          []float64
 	views            []scheduler.VMView
 	spanRows         [][]resource.Vector
@@ -257,9 +250,9 @@ func (rs *runState) setHeadVol(v int) {
 // workload.ResidentTables) and are re-pointed at the run-owned buffers when
 // the first VM needs a patch; every downstream consumer — predictor feeds,
 // the execute pass, timeline snapshots — only reads them. Without
-// tables (a non-periodic population) every VM is recomputed, sharded across
-// the worker budget with positional writes. Which branch runs depends on
-// the population alone, never on run state.
+// tables (a non-periodic population) every VM is recomputed in one serial
+// pass. Which branch runs depends on the population alone, never on run
+// state.
 func (rs *runState) observe(t int) {
 	surge := rs.surge
 	if tab := rs.tables; tab != nil {
@@ -307,33 +300,24 @@ func (rs *runState) observe(t int) {
 	}
 	rs.slotsRecomputed++
 	rs.residentUse, rs.unused = rs.residentUseOwned, rs.unusedOwned
-	if rs.surgeHits == nil {
-		rs.surgeHits = make([]int, len(rs.vms))
-	}
-	workpool.For(rs.workers, len(rs.vms), shardChunk, func(v int) {
-		st := &rs.vms[v]
-		rs.surgeHits[v] = 0
+	for v := range rs.vms {
 		if rs.downMask[v] {
 			rs.unused[v] = resource.Vector{}
 			rs.residentUse[v] = resource.Vector{}
-			return
+			continue
 		}
+		st := &rs.vms[v]
 		rs.residentUse[v] = st.resident.DemandAt(t)
 		u := st.resident.UnusedAt(t)
 		if surge != nil && surge[v] > 1 {
 			rs.residentUse[v] = rs.residentUse[v].Scale(surge[v]).Min(st.reserved)
 			u = st.reserved.Sub(rs.residentUse[v]).ClampNonNegative()
-			rs.surgeHits[v] = 1
+			rs.res.Recovery.SurgeSlots++
 		}
 		for _, rt := range st.longRunning {
 			u = u.Add(rt.Spec.Request.Sub(rt.Spec.DemandAt(rt.Slots)).ClampNonNegative())
 		}
 		rs.unused[v] = u
-	})
-	if rs.inj != nil {
-		for _, hit := range rs.surgeHits {
-			rs.res.Recovery.SurgeSlots += hit
-		}
 	}
 	rs.sched.ObserveAll(rs.unused, rs.downMask)
 }

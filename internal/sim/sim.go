@@ -110,13 +110,15 @@ type Config struct {
 	// Long overrides the long-job generator.
 	Long trace.LongJobConfig
 
-	// Workers sizes the intra-run parallel prediction engine. 0 (the
-	// default) auto-sizes from the shared worker budget: the run claims
-	// whatever slots RunMany's outer pool has not already taken, so
-	// sweeps and intra-run parallelism compose without oversubscription.
-	// 1 forces a serial run; values > 1 are honored as given. Results
-	// are bit-identical at any worker count — Workers affects wall time
-	// only. Run overwrites Scheduler.Workers with the resolved count.
+	// Workers sizes CORP's per-kind training goroutines, the one
+	// intra-run fan-out: above 1 the shared brain's three resource kinds
+	// train concurrently, so the effective width is min(Workers, 3). 0
+	// (the default) auto-sizes from the shared worker budget: a CORP run
+	// claims up to 3 of the slots RunMany's outer pool has not already
+	// taken, so sweeps and intra-run parallelism compose without
+	// oversubscription. 1 forces a serial run. Results are bit-identical
+	// at any worker count — Workers affects wall time only. Run overwrites
+	// Scheduler.Workers with the resolved count.
 	Workers int
 }
 
@@ -335,21 +337,24 @@ func newRunState(cfg Config) (rs *runState, err error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	// Size the intra-run prediction engine from the shared worker budget.
-	// Auto (0) claims the remaining budget — RunMany claims its outer
-	// slots first, so nested parallelism never oversubscribes; an
-	// explicit count > 1 runs at the requested width and the claim is
-	// advisory accounting for any sibling auto-sized runs.
+	// Size CORP's per-kind training fan-out from the shared worker budget.
+	// It is the run's only concurrency, at most one goroutine per resource
+	// kind, so only a CORP run claims, and never more than NumKinds slots.
+	// Auto (0) claims from what remains — RunMany claims its outer slots
+	// first, so nested parallelism never oversubscribes; an explicit count
+	// > 1 runs at the requested width and the claim is advisory accounting
+	// for any sibling auto-sized runs.
 	workers := cfg.Workers
 	claimed := 0
-	if workers == 0 {
-		claimed = workpool.ClaimUpTo(workpool.Limit())
-		workers = claimed
-		if workers < 1 {
-			workers = 1
+	if cfg.Scheduler.Scheme == scheduler.CORP {
+		if workers == 0 {
+			claimed = workpool.ClaimUpTo(resource.NumKinds)
+		} else if workers > 1 {
+			claimed = workpool.ClaimUpTo(min(workers, resource.NumKinds))
 		}
-	} else if workers > 1 {
-		claimed = workpool.ClaimUpTo(workers)
+	}
+	if workers == 0 {
+		workers = max(claimed, 1)
 	}
 	defer func() {
 		if err != nil && claimed > 0 {
@@ -515,7 +520,6 @@ func newRunState(cfg Config) (rs *runState, err error) {
 		res:          res,
 		horizon:      horizon,
 		window:       sched.Window(),
-		workers:      workers,
 		claimed:      claimed,
 		vms:          vms,
 		runtimes:     runtimes,

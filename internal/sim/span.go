@@ -29,10 +29,10 @@ import "repro/internal/resource"
 // order, executeSlot's exact addition sequence) and the cluster allocation
 // from one per-span fold of the live vmState ledgers in VM order (constant
 // across the span, so each slot's fold would produce the identical bits).
-// Predictor ring feeds go through the engine's ObserveSpan, which replays
-// the same per-VM appends sharded across the worker budget with positional
-// writes (internal/workpool supplies the budget), so any worker count stays
-// bit-identical.
+// Predictor ring feeds go through the scheduler's ObserveSpan, which replays
+// the same per-VM appends in the same per-predictor order (CORP's, one
+// ObserveAll per slot, keeps its shared training stream slot-major), so any
+// worker count stays bit-identical.
 //
 // In-span slots drain no prediction outcomes: predictions are recorded
 // only during Refresh and mature exactly at the next refresh slot's
@@ -103,8 +103,8 @@ func (rs *runState) fastForwardSpan(t0, end int) {
 	}
 	rs.spanRows = rows
 
-	// Predictor feeds: the engine's ObserveSpan replays the identical
-	// per-VM appends (sharded, positional).
+	// Predictor feeds: the scheduler's ObserveSpan replays the identical
+	// per-VM appends.
 	rs.sched.ObserveSpan(rows, rs.downMask)
 
 	// Collector folds, one slot at a time in slot order (repeated

@@ -247,32 +247,33 @@ func TestScaleChurnSmoke(t *testing.T) {
 // TestObserveCalmSlotDoesNotAllocate is the telemetry phase's allocation
 // gate: on a calm table-backed fleet (nothing down, surged or hosting long
 // jobs) observe aliases the two table rows for the slot and hands them to
-// the scheduler, and none of that may touch the heap. The scheduler's own
-// fan-out is not observe's (it allocates one closure per call), so the run
-// state gets the no-op scheduler ObserveBench uses.
+// the real scheduler's ObserveAll, and at Workers 1 none of that may touch
+// the heap — for RCCR's independent predictors and for CORP's split observe
+// with its serial per-kind training pass.
 func TestObserveCalmSlotDoesNotAllocate(t *testing.T) {
-	rs, err := newRunState(Config{
-		NumPMs: 6, NumVMs: 24, NumJobs: 40, Seed: 7,
-		Scheduler: scheduler.Config{Scheme: scheduler.RCCR, Seed: 7},
-		Workers:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.release()
-	if rs.tables == nil {
-		t.Fatal("periodic resident population built no tables")
-	}
-	rs.sched = nullScheduler{}
-	slot := 0
-	if n := testing.AllocsPerRun(100, func() {
-		rs.observe(slot)
-		slot++
-	}); n != 0 {
-		t.Errorf("observe allocates %v times per calm slot, want 0", n)
-	}
-	if rs.slotsAliased != slot || rs.slotsPatched+rs.slotsRecomputed != 0 {
-		t.Errorf("aliased %d of %d slots (patched %d, recomputed %d): the calm path was not taken",
-			rs.slotsAliased, slot, rs.slotsPatched, rs.slotsRecomputed)
+	for _, sc := range []scheduler.Scheme{scheduler.RCCR, scheduler.CORP} {
+		rs, err := newRunState(Config{
+			NumPMs: 6, NumVMs: 24, NumJobs: 40, Seed: 7,
+			Scheduler: scheduler.Config{Scheme: sc, Seed: 7},
+			Workers:   1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.tables == nil {
+			t.Fatal("periodic resident population built no tables")
+		}
+		slot := 0
+		if n := testing.AllocsPerRun(100, func() {
+			rs.observe(slot)
+			slot++
+		}); n != 0 {
+			t.Errorf("%v: observe allocates %v times per calm slot, want 0", sc, n)
+		}
+		if rs.slotsAliased != slot || rs.slotsPatched+rs.slotsRecomputed != 0 {
+			t.Errorf("%v: aliased %d of %d slots (patched %d, recomputed %d): the calm path was not taken",
+				sc, rs.slotsAliased, slot, rs.slotsPatched, rs.slotsRecomputed)
+		}
+		rs.release()
 	}
 }

@@ -2,7 +2,6 @@ package workpool
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -80,26 +79,5 @@ func TestConcurrentClaims(t *testing.T) {
 	wg.Wait()
 	if InUse() != 0 {
 		t.Fatalf("budget leaked: %d still in use", InUse())
-	}
-}
-
-// TestForVisitsEachIndexOnce: at any worker count and chunk size, every
-// index in [0, n) is visited exactly once, and nothing runs for n <= 0.
-func TestForVisitsEachIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		for _, chunk := range []int{1, 4, 8} {
-			for _, n := range []int{-1, 0, 1, 7, 8, 100} {
-				var visits []atomic.Int32
-				if n > 0 {
-					visits = make([]atomic.Int32, n)
-				}
-				For(workers, n, chunk, func(i int) { visits[i].Add(1) })
-				for i := range visits {
-					if got := visits[i].Load(); got != 1 {
-						t.Fatalf("workers=%d chunk=%d n=%d: index %d visited %d times", workers, chunk, n, i, got)
-					}
-				}
-			}
-		}
 	}
 }
