@@ -110,7 +110,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSpecKeys$$' -fuzztime $(FUZZTIME) ./internal/farm
 
 # profile-scale captures pprof CPU+heap profiles of one warm scale-profile
-# run (the workload is prepared outside the timer but inside the profile):
+# run. The workload, its resident tables and (for CORP) its pretraining
+# history are built outside the timer, so B/op and allocs/op are the run's
+# own, but the profiles still contain that set-up:
 # the calm 20000-VM unit by default, `make profile-scale
 # SCALE_BENCH=BenchmarkScaleRCCRChurn` for the churned fleet,
 # `SCALE_BENCH=BenchmarkScaleCORP` for the paper's own scheme on it (minutes,

@@ -193,11 +193,12 @@ func newCluster(cfg Config) (*Cluster, error) {
 	pmCap := resource.New(16, 64, 720) // SL230: 16 cores, 64 GB, 720 GB
 	vmCap := pmCap.Scale(1 / float64(perPM))
 
-	c := &Cluster{CommLatencyMicros: 50} // LAN-class fabric
-	for p := 0; p < numPMs; p++ {
-		c.PMs = append(c.PMs, &PM{ID: p, Capacity: pmCap})
+	c := newSlabs(numPMs, numVMs)
+	c.CommLatencyMicros = 50 // LAN-class fabric
+	for p, pm := range c.PMs {
+		pm.ID, pm.Capacity = p, pmCap
 	}
-	for i := 0; i < numVMs; i++ {
+	for i := range c.VMs {
 		pm := i % numPMs
 		cap := vmCap
 		if cfg.Heterogeneous {
@@ -218,11 +219,31 @@ func newCluster(cfg Config) (*Cluster, error) {
 				cap = vmCap
 			}
 		}
-		vm := &VM{ID: i, PM: pm, Capacity: cap}
-		c.VMs = append(c.VMs, vm)
+		*c.VMs[i] = VM{ID: i, PM: pm, Capacity: cap}
 		c.PMs[pm].VMs = append(c.PMs[pm].VMs, i)
 	}
 	return c, c.Validate()
+}
+
+// newSlabs returns a cluster whose numPMs PMs and numVMs VMs are carved from
+// one PM slab and one VM slab, with the PMs' VM lists carved from one index
+// slab — empty, each with room for numVMs/numPMs entries, so appending a
+// PM's VMs writes in place: a constant number of allocations at any fleet
+// size.
+func newSlabs(numPMs, numVMs int) *Cluster {
+	pms := make([]PM, numPMs)
+	vms := make([]VM, numVMs)
+	idx := make([]int, numVMs)
+	per := numVMs / numPMs
+	c := &Cluster{PMs: make([]*PM, numPMs), VMs: make([]*VM, numVMs)}
+	for p := range pms {
+		pms[p].VMs = idx[p*per : p*per : (p+1)*per]
+		c.PMs[p] = &pms[p]
+	}
+	for i := range vms {
+		c.VMs[i] = &vms[i]
+	}
+	return c
 }
 
 func newEC2(cfg Config) (*Cluster, error) {
@@ -231,13 +252,13 @@ func newEC2(cfg Config) (*Cluster, error) {
 		numNodes = 30
 	}
 	// "each node is simulated as a VM": one pass-through PM per VM.
-	vmCap := resource.New(2, 4, 720)      // ML110 G5-class: 2 cores, 4 GB, 720 GB
-	c := &Cluster{CommLatencyMicros: 800} // wide-area RTT budget (Fig. 14 ≫ Fig. 10)
-	for i := 0; i < numNodes; i++ {
-		c.PMs = append(c.PMs, &PM{ID: i, Capacity: vmCap})
-		vm := &VM{ID: i, PM: i, Capacity: vmCap}
-		c.VMs = append(c.VMs, vm)
-		c.PMs[i].VMs = []int{i}
+	vmCap := resource.New(2, 4, 720) // ML110 G5-class: 2 cores, 4 GB, 720 GB
+	c := newSlabs(numNodes, numNodes)
+	c.CommLatencyMicros = 800 // wide-area RTT budget (Fig. 14 ≫ Fig. 10)
+	for i := range c.VMs {
+		c.PMs[i].ID, c.PMs[i].Capacity = i, vmCap
+		c.PMs[i].VMs = append(c.PMs[i].VMs, i)
+		*c.VMs[i] = VM{ID: i, PM: i, Capacity: vmCap}
 	}
 	return c, c.Validate()
 }

@@ -208,11 +208,12 @@ type Runtime struct {
 	EvictedAt int
 }
 
-// NewRuntimeAt returns a fresh runtime for the spec arriving at the given
+// RuntimeAt returns a fresh runtime for the spec arriving at the given
 // run-local slot. Use this to apply timeline offsets (warmup shifts)
-// without writing through the shared, immutable spec.
-func NewRuntimeAt(spec *Job, arrival int) *Runtime {
-	return &Runtime{Spec: spec, Arrival: arrival, VM: -1, Started: -1, Finished: -1, EvictedAt: -1}
+// without writing through the shared, immutable spec. It returns a value so
+// a simulator can lay a run's runtimes out in one slab.
+func RuntimeAt(spec *Job, arrival int) Runtime {
+	return Runtime{Spec: spec, Arrival: arrival, VM: -1, Started: -1, Finished: -1, EvictedAt: -1}
 }
 
 // Evict resets the runtime after its hosting VM failed at the given slot:

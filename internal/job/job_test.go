@@ -146,7 +146,7 @@ func TestDominant(t *testing.T) {
 
 func TestRuntimeLifecycle(t *testing.T) {
 	j := spec()
-	r := NewRuntimeAt(j, j.Arrival)
+	r := RuntimeAt(j, j.Arrival)
 	if r.Started != -1 || r.Done() {
 		t.Error("fresh runtime should be neither started nor done")
 	}
@@ -179,7 +179,7 @@ func TestRuntimeLifecycle(t *testing.T) {
 
 func TestAdvanceFullAllocation(t *testing.T) {
 	j := spec()
-	r := NewRuntimeAt(j, j.Arrival)
+	r := RuntimeAt(j, j.Arrival)
 	r.Started = j.Arrival
 	for k := 0; k < j.Duration; k++ {
 		rate := r.Advance(j.DemandAt(k))
@@ -194,7 +194,7 @@ func TestAdvanceFullAllocation(t *testing.T) {
 
 func TestAdvanceStarved(t *testing.T) {
 	j := spec()
-	r := NewRuntimeAt(j, j.Arrival)
+	r := RuntimeAt(j, j.Arrival)
 	// Grant half the CPU demanded in slot 0 (<4,1,2> demanded).
 	rate := r.Advance(resource.New(2, 1, 2))
 	if math.Abs(rate-0.5) > 1e-12 {
@@ -215,7 +215,7 @@ func TestAdvanceZeroDemandKindIgnored(t *testing.T) {
 		ID: 2, Duration: 1, SLOFactor: 1,
 		Usage: []resource.Vector{resource.New(4, 0, 0)},
 	}
-	r := NewRuntimeAt(j, j.Arrival)
+	r := RuntimeAt(j, j.Arrival)
 	// MEM/storage demand is zero; granting zero of them must not starve.
 	if rate := r.Advance(resource.New(4, 0, 0)); rate != 1 {
 		t.Errorf("rate = %v, want 1", rate)
@@ -232,7 +232,7 @@ func TestQuickAdvanceRateBounded(t *testing.T) {
 			math.Abs(math.Mod(grantSto, 100)),
 		)
 		j := spec()
-		r := NewRuntimeAt(j, j.Arrival)
+		r := RuntimeAt(j, j.Arrival)
 		before := r.Progress
 		rate := r.Advance(g)
 		return rate >= 0 && rate <= 1 && r.Progress >= before

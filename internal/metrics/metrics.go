@@ -4,8 +4,8 @@
 //   - weighted overall utilization U_{a,t} (Eq. 2),
 //   - per-resource wastage ratio w_{j,t} (Eq. 3),
 //   - weighted overall wastage ratio w_{a,t} (Eq. 4),
-//   - the prediction error rate of Fig. 6 (the fraction of jobs whose
-//     prediction error falls outside [0, ε)),
+//   - the prediction error rate of Fig. 6 (the fraction of predictions
+//     whose error falls outside [0, ε)),
 //   - the SLO violation rate, and
 //   - time-keeping for the scheduling-overhead figures (Figs. 10/14).
 package metrics
@@ -54,29 +54,34 @@ func (c *UtilizationCollector) Overall(w resource.Weights) float64 {
 	return c.Demand.Weighted(w) / den
 }
 
-// PredictionOutcome records one job's prediction quality: the signed error
-// actual − predicted, evaluated against the tolerance ε of Eq. 21.
-type PredictionOutcome struct {
-	JobID int
-	Error float64
-}
-
-// PredictionErrorRate returns the fraction of jobs whose error falls
+// PredictionTally streams Fig. 6's prediction error rate: the fraction of
+// matured predictions whose error δ = actual − predicted (Eq. 20) falls
 // OUTSIDE [0, ε) — the complement of the paper's "ratio of the correctly
 // predicted jobs", so lower is better, matching Fig. 6's ordering
-// CORP < RCCR < CloudScale < DRA. The band is tested positively so a
-// non-finite error counts as outside it.
-func PredictionErrorRate(outcomes []PredictionOutcome, epsilon float64) float64 {
-	if len(outcomes) == 0 {
+// CORP < RCCR < CloudScale < DRA. It keeps the two counts the rate needs,
+// not the samples. The band is tested positively so a non-finite error
+// counts as outside it.
+type PredictionTally struct {
+	// Epsilon is the tolerance ε, in the errors' own units.
+	Epsilon float64
+	Samples int
+	Outside int
+}
+
+// Add counts one matured prediction error.
+func (t *PredictionTally) Add(err float64) {
+	t.Samples++
+	if !(err >= 0 && err < t.Epsilon) {
+		t.Outside++
+	}
+}
+
+// Rate returns Outside / Samples, or 0 before any sample.
+func (t PredictionTally) Rate() float64 {
+	if t.Samples == 0 {
 		return 0
 	}
-	bad := 0
-	for _, o := range outcomes {
-		if !(o.Error >= 0 && o.Error < epsilon) {
-			bad++
-		}
-	}
-	return float64(bad) / float64(len(outcomes))
+	return float64(t.Outside) / float64(t.Samples)
 }
 
 // SLOStats tallies finished jobs against their response-time thresholds.

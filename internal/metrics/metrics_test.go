@@ -50,21 +50,29 @@ func TestUtilizationCollector(t *testing.T) {
 	}
 }
 
+// tally counts errs against tolerance eps.
+func tally(eps float64, errs ...float64) PredictionTally {
+	t := PredictionTally{Epsilon: eps}
+	for _, e := range errs {
+		t.Add(e)
+	}
+	return t
+}
+
 func TestPredictionErrorRate(t *testing.T) {
-	outcomes := []PredictionOutcome{
-		{JobID: 0, Error: 0.0},  // in [0, ε) → correct
-		{JobID: 1, Error: 0.05}, // correct
-		{JobID: 2, Error: -0.1}, // negative → wrong (overestimate)
-		{JobID: 3, Error: 0.2},  // ≥ ε → wrong
+	// 0 and 0.05 are in [0, ε); -0.1 (an overestimate) and 0.2 (≥ ε) are not.
+	if got := tally(0.1, 0.0, 0.05, -0.1, 0.2); got.Rate() != 0.5 || got.Samples != 4 || got.Outside != 2 {
+		t.Errorf("tally = %+v, rate %v; want 4 samples, 2 outside, rate 0.5", got, got.Rate())
 	}
-	if got := PredictionErrorRate(outcomes, 0.1); got != 0.5 {
-		t.Errorf("error rate = %v, want 0.5", got)
+	// The band is half-open: an error of exactly ε is outside it.
+	if got := tally(0.25, 0.25, 0.0).Rate(); got != 0.5 {
+		t.Errorf("error rate with an error of exactly ε = %v, want 0.5", got)
 	}
-	if PredictionErrorRate(nil, 0.1) != 0 {
-		t.Error("empty outcomes should be 0")
+	if empty := tally(0.1); empty.Rate() != 0 || empty.Samples != 0 {
+		t.Errorf("empty tally = %+v, rate %v; want 0", empty, empty.Rate())
 	}
 	// A NaN error (a predictor that produced no number) is never in band.
-	if got := PredictionErrorRate([]PredictionOutcome{{Error: math.NaN()}, {Error: 0.05}}, 0.1); got != 0.5 {
+	if got := tally(0.1, math.NaN(), 0.05).Rate(); got != 0.5 {
 		t.Errorf("error rate with a NaN sample = %v, want 0.5", got)
 	}
 }
@@ -147,16 +155,15 @@ func TestQuickUtilizationBounds(t *testing.T) {
 	}
 }
 
-// Property: PredictionErrorRate is within [0, 1] and monotone
-// non-increasing in ε.
+// Property: the tally's rate is within [0, 1] and monotone non-increasing
+// in ε.
 func TestQuickErrorRateMonotoneInEpsilon(t *testing.T) {
 	f := func(errs []float64, e1, e2 float64) bool {
-		outcomes := make([]PredictionOutcome, len(errs))
 		for i, e := range errs {
 			if math.IsNaN(e) {
 				e = 0
 			}
-			outcomes[i] = PredictionOutcome{JobID: i, Error: math.Mod(e, 10)}
+			errs[i] = math.Mod(e, 10)
 		}
 		a := math.Abs(math.Mod(e1, 5))
 		b := math.Abs(math.Mod(e2, 5))
@@ -164,8 +171,7 @@ func TestQuickErrorRateMonotoneInEpsilon(t *testing.T) {
 			return true
 		}
 		lo, hi := math.Min(a, b), math.Max(a, b)
-		rLo := PredictionErrorRate(outcomes, lo)
-		rHi := PredictionErrorRate(outcomes, hi)
+		rLo, rHi := tally(lo, errs...).Rate(), tally(hi, errs...).Rate()
 		return rLo >= 0 && rLo <= 1 && rHi >= 0 && rHi <= 1 && rHi <= rLo
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -12,35 +12,52 @@ import (
 // the ablation benches to quantify how much each of the paper's choices
 // contributes.
 
+// Packer runs PackK with scratch it keeps between calls, so a scheduler
+// that packs every slot allocates nothing once warm. The zero value is
+// ready. The entities PackK returns, and their Jobs, live in that scratch:
+// they are valid until the next call.
+type Packer struct {
+	used     []bool
+	dominant []resource.Kind
+	peaks    []resource.Vector
+	members  []*job.Job
+	entities []Entity
+}
+
 // PackK generalizes Pack to entities of up to k jobs: each anchor greedily
 // absorbs the highest-deviation partner with a dominant resource not yet
 // in the entity, until k members or no candidate remains. PackK(jobs, ref,
 // 2) matches Pack. k < 2 yields singletons.
-func PackK(jobs []*job.Job, reference resource.Vector, k int) []Entity {
-	if k < 2 {
-		var out []Entity
-		for _, j := range jobs {
-			out = append(out, NewEntity(j))
-		}
-		return out
+func (p *Packer) PackK(jobs []*job.Job, reference resource.Vector, k int) []Entity {
+	n := len(jobs)
+	if cap(p.used) < n {
+		p.used = make([]bool, n)
+		p.dominant = make([]resource.Kind, n)
+		p.peaks = make([]resource.Vector, n)
+		// Every job joins exactly one entity, so members never regrows
+		// within a call and the entities' Jobs stay on one backing array.
+		p.members = make([]*job.Job, 0, n)
 	}
-	used := make([]bool, len(jobs))
-	dominant := make([]resource.Kind, len(jobs))
-	peaks := make([]resource.Vector, len(jobs))
+	used, dominant, peaks := p.used[:n], p.dominant[:n], p.peaks[:n]
+	clear(used)
+	p.members = p.members[:0]
+	p.entities = p.entities[:0]
 	for i, j := range jobs {
 		peaks[i] = j.PeakDemand()
 		dominant[i] = peaks[i].Dominant(reference)
 	}
-	var entities []Entity
 	for i, j := range jobs {
 		if used[i] {
 			continue
 		}
 		used[i] = true
-		members := []*job.Job{j}
-		have := map[resource.Kind]bool{dominant[i]: true}
-		sum := peaks[i]
-		for len(members) < k {
+		start := len(p.members)
+		p.members = append(p.members, j)
+		// Summed from zero in member order: NewEntity's Demand bits.
+		sum := resource.Vector{}.Add(peaks[i])
+		var have [resource.NumKinds]bool
+		have[dominant[i]] = true
+		for k >= 2 && len(p.members)-start < k {
 			best := -1
 			bestDV := -1.0
 			for cand := range jobs {
@@ -56,13 +73,14 @@ func PackK(jobs []*job.Job, reference resource.Vector, k int) []Entity {
 				break
 			}
 			used[best] = true
-			members = append(members, jobs[best])
+			p.members = append(p.members, jobs[best])
 			have[dominant[best]] = true
 			sum = sum.Add(peaks[best])
 		}
-		entities = append(entities, NewEntity(members...))
+		end := len(p.members)
+		p.entities = append(p.entities, Entity{Jobs: p.members[start:end:end], Demand: sum})
 	}
-	return entities
+	return p.entities
 }
 
 // Strategy selects a VM for a demand among candidates. Implementations

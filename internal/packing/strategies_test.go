@@ -8,9 +8,15 @@ import (
 	"repro/internal/resource"
 )
 
+// packK packs with a fresh Packer.
+func packK(jobs []*job.Job, reference resource.Vector, k int) []Entity {
+	var p Packer
+	return p.PackK(jobs, reference, k)
+}
+
 func TestPackKSingletons(t *testing.T) {
 	jobs := []*job.Job{mkJob(0, 8, 1, 1), mkJob(1, 1, 8, 1)}
-	out := PackK(jobs, uniform(10), 1)
+	out := packK(jobs, uniform(10), 1)
 	if len(out) != 2 {
 		t.Fatalf("k=1 should yield singletons, got %d entities", len(out))
 	}
@@ -22,7 +28,7 @@ func TestPackKMatchesPackForPairs(t *testing.T) {
 		mkJob(0, 8, 1, 1), mkJob(1, 1, 8, 1), mkJob(2, 7, 1, 1), mkJob(3, 1, 1, 8),
 	}
 	a := Pack(jobs, ref)
-	b := PackK(jobs, ref, 2)
+	b := packK(jobs, ref, 2)
 	if len(a) != len(b) {
 		t.Fatalf("Pack %d entities vs PackK %d", len(a), len(b))
 	}
@@ -35,6 +41,48 @@ func TestPackKMatchesPackForPairs(t *testing.T) {
 				t.Errorf("entity %d member %d: %d vs %d", i, j, a[i].Jobs[j].ID, b[i].Jobs[j].ID)
 			}
 		}
+		if a[i].Demand != b[i].Demand {
+			t.Errorf("entity %d demand: Pack %v vs PackK %v", i, a[i].Demand, b[i].Demand)
+		}
+	}
+}
+
+// TestPackerReuse pins the scratch reuse: a Packer that has packed larger
+// and smaller batches before returns exactly what a fresh one does, and once
+// warm it packs without allocating.
+func TestPackerReuse(t *testing.T) {
+	ref := uniform(10)
+	rng := rand.New(rand.NewSource(3))
+	batch := func(n int) []*job.Job {
+		jobs := make([]*job.Job, n)
+		for i := range jobs {
+			jobs[i] = mkJob(i, 9*rng.Float64(), 9*rng.Float64(), 9*rng.Float64())
+		}
+		return jobs
+	}
+	var warm Packer
+	for _, n := range []int{40, 7, 25, 0, 40} {
+		jobs := batch(n)
+		for _, k := range []int{1, 2, 3} {
+			got, want := warm.PackK(jobs, ref, k), packK(jobs, ref, k)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d k=%d: %d entities, fresh packer %d", n, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Demand != want[i].Demand || len(got[i].Jobs) != len(want[i].Jobs) {
+					t.Fatalf("n=%d k=%d: entity %d differs from a fresh packer's", n, k, i)
+				}
+				for m := range want[i].Jobs {
+					if got[i].Jobs[m] != want[i].Jobs[m] {
+						t.Fatalf("n=%d k=%d: entity %d member %d differs", n, k, i, m)
+					}
+				}
+			}
+		}
+	}
+	jobs := batch(40)
+	if avg := testing.AllocsPerRun(20, func() { warm.PackK(jobs, ref, 2) }); avg != 0 {
+		t.Errorf("warm PackK allocates %.1f times per call", avg)
 	}
 }
 
@@ -45,7 +93,7 @@ func TestPackKTriples(t *testing.T) {
 		mkJob(1, 1, 8, 1), // MEM
 		mkJob(2, 1, 1, 8), // STO
 	}
-	out := PackK(jobs, ref, 3)
+	out := packK(jobs, ref, 3)
 	if len(out) != 1 {
 		t.Fatalf("three complementary jobs should form one entity, got %d", len(out))
 	}
@@ -54,7 +102,7 @@ func TestPackKTriples(t *testing.T) {
 	}
 	// A fourth CPU job cannot join (dominant already present).
 	jobs = append(jobs, mkJob(3, 7, 1, 1))
-	out = PackK(jobs, ref, 3)
+	out = packK(jobs, ref, 3)
 	if len(out) != 2 {
 		t.Fatalf("got %d entities, want 2", len(out))
 	}
@@ -69,7 +117,7 @@ func TestPackKPartition(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 3} {
 		seen := map[job.ID]int{}
-		for _, e := range PackK(jobs, ref, k) {
+		for _, e := range packK(jobs, ref, k) {
 			if len(e.Jobs) < 1 || (k >= 2 && len(e.Jobs) > k) || (k < 2 && len(e.Jobs) != 1) {
 				t.Fatalf("k=%d: entity size %d", k, len(e.Jobs))
 			}

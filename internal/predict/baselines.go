@@ -53,20 +53,29 @@ func (c RCCRConfig) withDefaults() RCCRConfig {
 // fluctuation handling, no preemption gate (its opportunism is ungated).
 type RCCRPredictor struct {
 	cfg    RCCRConfig
-	track  *tracker
-	holt   [resource.NumKinds]*stats.HoltETS
+	track  tracker
+	holt   []stats.HoltETS // one per kind
 	calls  int
 	cached resource.Vector
 }
 
-// NewRCCRPredictor builds an RCCR predictor for one VM.
+// NewRCCRPredictor builds an RCCR predictor for one VM: a fleet of one.
 func NewRCCRPredictor(cfg RCCRConfig, capacity resource.Vector) *RCCRPredictor {
+	return &NewRCCRFleet(cfg, []resource.Vector{capacity})[0]
+}
+
+// NewRCCRFleet builds one RCCR predictor per VM capacity, carving the
+// predictors, their trackers and their Holt forecasters from a few slabs.
+func NewRCCRFleet(cfg RCCRConfig, caps []resource.Vector) []RCCRPredictor {
 	cfg = cfg.withDefaults()
-	p := &RCCRPredictor{cfg: cfg, track: newTracker(cfg.Window, cfg.HistoryLen, capacity)}
-	for k := range p.holt {
-		p.holt[k] = stats.NewHoltETS(cfg.Alpha, cfg.Beta)
+	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, false)
+	holt := stats.NewHoltETSFleet(len(caps)*resource.NumKinds, cfg.Alpha, cfg.Beta)
+	fleet := make([]RCCRPredictor, len(caps))
+	for i, c := range caps {
+		k0, k1 := i*resource.NumKinds, (i+1)*resource.NumKinds
+		fleet[i] = RCCRPredictor{cfg: cfg, track: slab.tracker(i, c), holt: holt[k0:k1:k1]}
 	}
-	return p
+	return fleet
 }
 
 // Name implements Predictor.
@@ -94,7 +103,7 @@ func (p *RCCRPredictor) Predict() Prediction {
 			if p.holt[k].Ready() {
 				yhat = p.holt[k].Forecast(horizon)
 			} else {
-				yhat = stats.Mean(p.track.histValues(k))
+				yhat = p.track.histMean(k)
 			}
 			yhat -= p.track.errStdDev(k) * z
 			if yhat < 0 {
@@ -169,9 +178,9 @@ func (c CloudScaleConfig) withDefaults() CloudScaleConfig {
 // explanation for CloudScale's weaker accuracy here.
 type CloudScalePredictor struct {
 	cfg    CloudScaleConfig
-	track  *tracker
-	chains [resource.NumKinds]*stats.MarkovChain
-	errEW  [resource.NumKinds]*stats.EWMA
+	track  tracker
+	chains []stats.MarkovChain // one per kind
+	errEW  [resource.NumKinds]stats.EWMA
 
 	// Signature detection is quadratic, and CloudScale's premise is that
 	// patterns are stable, so the detected (period, ok) pair is cached
@@ -188,19 +197,33 @@ type CloudScalePredictor struct {
 // sigRefresh is how many Predict calls reuse one signature detection.
 const sigRefresh = 4
 
-// NewCloudScalePredictor builds a CloudScale predictor for one VM.
+// NewCloudScalePredictor builds a CloudScale predictor for one VM: a fleet
+// of one.
 func NewCloudScalePredictor(cfg CloudScaleConfig, capacity resource.Vector) *CloudScalePredictor {
+	return &NewCloudScaleFleet(cfg, []resource.Vector{capacity})[0]
+}
+
+// NewCloudScaleFleet builds one CloudScale predictor per VM capacity,
+// carving the predictors, their trackers and their Markov chains (one per
+// kind, over [0, capacity]) from a few slabs.
+func NewCloudScaleFleet(cfg CloudScaleConfig, caps []resource.Vector) []CloudScalePredictor {
 	cfg = cfg.withDefaults()
-	p := &CloudScalePredictor{cfg: cfg, track: newTracker(cfg.Window, cfg.HistoryLen, capacity)}
-	for k := range p.chains {
-		hi := capacity[k]
-		if hi <= 0 {
-			hi = 1
-		}
-		p.chains[k] = stats.NewMarkovChain(cfg.MarkovBins, 0, hi)
-		p.errEW[k] = stats.NewEWMA(0.3)
+	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, true)
+	his := make([]float64, 0, len(caps)*resource.NumKinds)
+	for _, c := range caps {
+		his = append(his, c[:]...) // a zero capacity widens to [0, 1]
 	}
-	return p
+	chains := stats.NewMarkovChains(cfg.MarkovBins, 0, his)
+	fleet := make([]CloudScalePredictor, len(caps))
+	for i, c := range caps {
+		k0, k1 := i*resource.NumKinds, (i+1)*resource.NumKinds
+		p := &fleet[i]
+		*p = CloudScalePredictor{cfg: cfg, track: slab.tracker(i, c), chains: chains[k0:k1:k1]}
+		for k := range p.errEW {
+			p.errEW[k] = stats.NewEWMA(0.3)
+		}
+	}
+	return fleet
 }
 
 // Name implements Predictor.
@@ -330,15 +353,26 @@ func (c DRAConfig) withDefaults() DRAConfig {
 // reallocate allocated-but-unused resources opportunistically.
 type DRAPredictor struct {
 	cfg    DRAConfig
-	track  *tracker
+	track  tracker
 	calls  int
 	cached resource.Vector
 }
 
-// NewDRAPredictor builds a DRA estimator for one VM.
+// NewDRAPredictor builds a DRA estimator for one VM: a fleet of one.
 func NewDRAPredictor(cfg DRAConfig, capacity resource.Vector) *DRAPredictor {
+	return &NewDRAFleet(cfg, []resource.Vector{capacity})[0]
+}
+
+// NewDRAFleet builds one DRA estimator per VM capacity, carving the
+// estimators and their trackers from a few slabs.
+func NewDRAFleet(cfg DRAConfig, caps []resource.Vector) []DRAPredictor {
 	cfg = cfg.withDefaults()
-	return &DRAPredictor{cfg: cfg, track: newTracker(cfg.Window, cfg.HistoryLen, capacity)}
+	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, false)
+	fleet := make([]DRAPredictor, len(caps))
+	for i, c := range caps {
+		fleet[i] = DRAPredictor{cfg: cfg, track: slab.tracker(i, c)}
+	}
+	return fleet
 }
 
 // Name implements Predictor.
@@ -375,17 +409,23 @@ func (p *DRAPredictor) AppendOutcomes(dst []ErrorSample) []ErrorSample {
 // series in via SetFuture; the experiment harness uses the oracle to
 // measure how much headroom remains above CORP.
 type OraclePredictor struct {
-	track  *tracker
+	track  tracker
 	future []resource.Vector
 	window int
 }
 
-// NewOraclePredictor builds an oracle for one VM.
-func NewOraclePredictor(window int, capacity resource.Vector) *OraclePredictor {
+// NewOracleFleet builds one oracle per VM capacity, carving the oracles and
+// their trackers from a few slabs.
+func NewOracleFleet(window int, caps []resource.Vector) []OraclePredictor {
 	if window < 1 {
 		window = 6
 	}
-	return &OraclePredictor{track: newTracker(window, 120, capacity), window: window}
+	slab := newTrackerSlab(len(caps), window, 120, false)
+	fleet := make([]OraclePredictor, len(caps))
+	for i, c := range caps {
+		fleet[i] = OraclePredictor{track: slab.tracker(i, c), window: window}
+	}
+	return fleet
 }
 
 // SetFuture provides the full actual unused series, indexed by slot.

@@ -268,11 +268,14 @@ func (b *CorpBrain) newFwdScratch() *dnn.FwdScratch {
 type CorpPredictor struct {
 	cfg   CorpConfig
 	brain *CorpBrain
-	track *tracker
+	track tracker
 
 	hmms        [resource.NumKinds]*hmm.Model
 	predictions int
-	fwd         *dnn.FwdScratch
+	// fwd is Predict's own forward scratch, made on its first call: the
+	// scheduler's batched Refresh runs brain-owned batch forwards instead,
+	// so a fleet it drives never needs one.
+	fwd *dnn.FwdScratch
 
 	// Split-prediction state carried from PredictPrepare to
 	// PredictFinish: which kinds get a DNN estimate this refresh (the
@@ -303,23 +306,35 @@ type CorpPredictor struct {
 }
 
 // NewCorpPredictor builds a predictor for a VM of the given capacity,
-// sharing the brain's networks.
+// sharing the brain's networks: a fleet of one.
 func NewCorpPredictor(brain *CorpBrain, capacity resource.Vector, seed int64) *CorpPredictor {
+	return &NewCorpFleet(brain, []resource.Vector{capacity}, seed)[0]
+}
+
+// NewCorpFleet builds one CORP predictor per VM capacity, all sharing the
+// brain's networks; VM i's HMMs are seeded from seed + i. The predictors,
+// their trackers and their staged-sample and prediction rows are carved
+// from a few slabs.
+func NewCorpFleet(brain *CorpBrain, caps []resource.Vector, seed int64) []CorpPredictor {
 	cfg := brain.cfg
-	p := &CorpPredictor{
-		cfg:   cfg,
-		brain: brain,
-		track: newTracker(cfg.Window, cfg.HistoryLen, capacity),
-		fwd:   brain.newFwdScratch(),
+	in := cfg.InputSlots
+	per := 2 * resource.NumKinds * in // stageIn then predRows, per kind
+	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, true)
+	rows := make([]float64, len(caps)*per)
+	fleet := make([]CorpPredictor, len(caps))
+	for i, c := range caps {
+		p := &fleet[i]
+		*p = CorpPredictor{cfg: cfg, brain: brain, track: slab.tracker(i, c)}
+		own := rows[i*per : (i+1)*per]
+		for k := range p.stageIn {
+			p.stageIn[k] = own[(2*k)*in : (2*k+1)*in : (2*k+1)*in]
+			p.predRows[k] = own[(2*k+1)*in : (2*k+2)*in : (2*k+2)*in]
+		}
+		for k := range p.hmms {
+			p.hmms[k] = hmm.NewPaperModel(seed + int64(i) + int64(k))
+		}
 	}
-	for k := range p.stageIn {
-		p.stageIn[k] = make([]float64, cfg.InputSlots)
-		p.predRows[k] = make([]float64, cfg.InputSlots)
-	}
-	for k := range p.hmms {
-		p.hmms[k] = hmm.NewPaperModel(seed + int64(k))
-	}
-	return p
+	return fleet
 }
 
 // Name implements Predictor.
@@ -390,6 +405,9 @@ func (p *CorpPredictor) TrainErrors() int { return p.brain.TrainErrors() }
 // paths share every line of pipeline logic.
 func (p *CorpPredictor) Predict() Prediction {
 	need := p.PredictPrepare(&p.predRows)
+	if p.fwd == nil {
+		p.fwd = p.brain.newFwdScratch()
+	}
 	var outs [resource.NumKinds]float64
 	for _, k := range resource.Kinds() {
 		if !need[k] {

@@ -19,6 +19,8 @@
 package predict
 
 import (
+	"math"
+
 	"repro/internal/resource"
 	"repro/internal/stats"
 )
@@ -61,9 +63,6 @@ type Predictor interface {
 type ErrorSample struct {
 	Kind  resource.Kind
 	Error float64
-	// Relative is the error normalized by capacity, used with a relative
-	// tolerance ε.
-	Relative float64
 }
 
 // pendingPred is a forecast waiting for its window to elapse.
@@ -72,15 +71,15 @@ type pendingPred struct {
 	value  resource.Vector
 }
 
-// tracker is the shared bookkeeping every predictor embeds: per-kind
+// tracker is the shared bookkeeping every predictor embeds by value: per-kind
 // history windows, matured prediction errors (Eq. 20), and the pending
-// prediction queue.
+// prediction queue. A fleet's trackers are carved from one trackerSlab.
 type tracker struct {
 	window   int // L
 	capacity resource.Vector
 	slot     int
-	hist     [resource.NumKinds]*stats.Window
-	errs     [resource.NumKinds]*stats.Window
+	hist     []stats.Window // one per kind
+	errs     []stats.Window // one per kind
 	pending  []pendingPred
 	matured  []ErrorSample
 	// maturedPreds counts matured predictions; the first coldSkip of
@@ -89,31 +88,74 @@ type tracker struct {
 	// confidence-interval width for its whole duration).
 	maturedPreds int
 
-	// Reused linearization buffers for the ring windows: histValues and
-	// the error-statistics helpers run once per kind per slot across the
-	// whole cluster, so per-call Values() allocations dominated the
-	// observe path's heap traffic.
-	histScratch [resource.NumKinds][]float64
-	errScratch  []float64
+	// linear is the reused linearization buffer histValues and errValues
+	// copy a ring into: they run once per kind per slot across the whole
+	// cluster, so a per-call allocation would dominate the observe path's
+	// heap traffic.
+	linear []float64
 }
 
 // coldSkip is how many initial matured predictions are kept out of the
 // error-statistics windows.
 const coldSkip = 4
 
-func newTracker(window, histLen int, capacity resource.Vector) *tracker {
+// errLen is the capacity of each kind's matured-error window.
+const errLen = 40
+
+// trackerSlab holds the slabs a fleet's trackers are carved from: the
+// history and error rings, the linearization buffers, and the matured and
+// pending queues, each one allocation for the whole fleet. Carved slices
+// are full-capacity subslices, so a queue that outgrows its share
+// reallocates on its own instead of writing into a neighbour's.
+type trackerSlab struct {
+	window, linearLen int
+	hist, errs        []stats.Window
+	linear            []float64
+	matured           []ErrorSample
+	pending           []pendingPred
+}
+
+// newTrackerSlab sizes the slabs for n trackers with prediction window L
+// and histLen slots of history (raised to 2L). linearizeHist says whether
+// the fleet's predictors read their history linearized (histValues), which
+// needs a history-sized buffer; otherwise it only has to hold an error
+// window. Each tracker's queues hold what a predictor refreshed once per
+// window needs: one pending forecast and one matured sample per kind
+// between drains.
+func newTrackerSlab(n, window, histLen int, linearizeHist bool) trackerSlab {
 	if window < 1 {
 		window = 1
 	}
 	if histLen < 2*window {
 		histLen = 2 * window
 	}
-	t := &tracker{window: window, capacity: capacity}
-	for k := range t.hist {
-		t.hist[k] = stats.NewWindow(histLen)
-		t.errs[k] = stats.NewWindow(40)
+	linearLen := errLen
+	if linearizeHist {
+		linearLen = max(histLen, errLen)
 	}
-	return t
+	return trackerSlab{
+		window: window, linearLen: linearLen,
+		hist:    stats.NewWindows(n*resource.NumKinds, histLen),
+		errs:    stats.NewWindows(n*resource.NumKinds, errLen),
+		linear:  make([]float64, n*linearLen),
+		matured: make([]ErrorSample, n*resource.NumKinds),
+		pending: make([]pendingPred, n),
+	}
+}
+
+// tracker returns the fleet's i-th tracker, for a VM of the given capacity.
+func (s *trackerSlab) tracker(i int, capacity resource.Vector) tracker {
+	k0, k1 := i*resource.NumKinds, (i+1)*resource.NumKinds
+	l0 := i * s.linearLen
+	return tracker{
+		window:   s.window,
+		capacity: capacity,
+		hist:     s.hist[k0:k1:k1],
+		errs:     s.errs[k0:k1:k1],
+		pending:  s.pending[i : i : i+1],
+		matured:  s.matured[k0:k0:k1],
+		linear:   s.linear[l0 : l0 : l0+s.linearLen],
+	}
 }
 
 // observe records one actual sample and matures any due predictions.
@@ -137,13 +179,7 @@ func (t *tracker) observe(actual resource.Vector) {
 			if t.maturedPreds > coldSkip {
 				t.errs[k].Push(delta)
 			}
-			rel := delta
-			if t.capacity[k] > 0 {
-				rel = delta / t.capacity[k]
-			}
-			t.matured = append(t.matured, ErrorSample{
-				Kind: resource.Kind(k), Error: delta, Relative: rel,
-			})
+			t.matured = append(t.matured, ErrorSample{Kind: resource.Kind(k), Error: delta})
 		}
 	}
 	t.pending = keep
@@ -184,19 +220,26 @@ func (t *tracker) appendOutcomes(dst []ErrorSample) []ErrorSample {
 }
 
 // histValues returns the full per-kind history, oldest first. The slice
-// is tracker-owned scratch overwritten by the next call for the same kind;
-// callers must consume it before re-entering the tracker and must not
-// retain it.
+// is the tracker's linearization buffer, overwritten by the next histValues
+// or errValues call; callers must consume it before re-entering the tracker
+// and must not retain it.
 func (t *tracker) histValues(k resource.Kind) []float64 {
-	t.histScratch[k] = t.hist[k].AppendValues(t.histScratch[k][:0])
-	return t.histScratch[k]
+	t.linear = t.hist[k].AppendValues(t.linear[:0])
+	return t.linear
 }
 
-// errValues linearizes kind k's matured-error window into shared scratch
+// histMean returns the mean of kind k's whole history: the bits
+// stats.Mean(t.histValues(k)) gives (TailMean folds the same samples in the
+// same order), without linearizing the ring.
+func (t *tracker) histMean(k resource.Kind) float64 {
+	return t.hist[k].TailMean(math.MaxInt)
+}
+
+// errValues linearizes kind k's matured-error window into the same buffer
 // (the same ownership rules as histValues).
 func (t *tracker) errValues(k resource.Kind) []float64 {
-	t.errScratch = t.errs[k].AppendValues(t.errScratch[:0])
-	return t.errScratch
+	t.linear = t.errs[k].AppendValues(t.linear[:0])
+	return t.linear
 }
 
 // errStdDev returns σ̂ for kind k, the sample standard deviation of the

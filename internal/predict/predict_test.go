@@ -12,6 +12,14 @@ import (
 
 var testCap = resource.New(4, 16, 180)
 
+// newTracker returns a tracker of one, with a history-sized linearization
+// buffer.
+func newTracker(window, histLen int, capacity resource.Vector) *tracker {
+	slab := newTrackerSlab(1, window, histLen, true)
+	tr := slab.tracker(0, capacity)
+	return &tr
+}
+
 func TestTrackerMaturation(t *testing.T) {
 	tr := newTracker(3, 30, testCap)
 	// Observe 5 slots of constant unused <2,8,90>.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/predict"
 	"repro/internal/resource"
 )
 
@@ -34,32 +33,6 @@ type BatchObserver interface {
 // resident telemetry without re-entering the per-slot dispatch.
 type SpanObserver interface {
 	ObserveSpan(rows [][]resource.Vector, skip []bool)
-}
-
-// initEngine wires the engine after the per-VM predictors exist: it records
-// the training fan-out's worker count and allocates the dirty bits.
-// All VMs start dirty so the first Refresh predicts everywhere.
-func (b *base) initEngine(workers int) {
-	b.workers = workers
-	b.dirty = make([]bool, len(b.preds))
-	for i := range b.dirty {
-		b.dirty[i] = true
-	}
-}
-
-// initEngine (corpScheduler override) wires the base engine, then caches
-// the concrete *CorpPredictor views the split observe and the batched
-// Refresh need. The oracle variant (nil brain, oracle predictors) keeps the
-// per-VM base path.
-func (s *corpScheduler) initEngine(workers int) {
-	s.base.initEngine(workers)
-	if s.brain == nil {
-		return
-	}
-	s.corpPreds = make([]*predict.CorpPredictor, len(s.preds))
-	for i, p := range s.preds {
-		s.corpPreds[i] = p.(*predict.CorpPredictor)
-	}
 }
 
 // kindTrainer is the training fan-out's callback: trainKind(k) feeds
@@ -96,8 +69,8 @@ func trainKinds(workers int, t kindTrainer) {
 // the brain in ascending VM order. A VM that was not observed this slot has
 // nothing staged, so FlushShared returns at once.
 func (s *corpScheduler) trainKind(k resource.Kind) {
-	for _, p := range s.corpPreds {
-		p.FlushShared(k)
+	for i := range s.corpFleet {
+		s.corpFleet[i].FlushShared(k)
 	}
 }
 
@@ -108,16 +81,16 @@ func (s *corpScheduler) trainKind(k resource.Kind) {
 // Observe would do, and each kind's training stream runs in VM order, so the
 // result is bit-identical to serial per-VM Observe calls at any worker count.
 func (s *corpScheduler) ObserveAll(actualUnused []resource.Vector, skip []bool) {
-	if s.corpPreds == nil {
+	if s.corpFleet == nil {
 		s.base.ObserveAll(actualUnused, skip)
 		return
 	}
-	for i, p := range s.corpPreds {
+	for i := range s.corpFleet {
 		if skip != nil && skip[i] {
 			continue
 		}
 		s.dirty[i] = true
-		p.ObserveLocal(actualUnused[i])
+		s.corpFleet[i].ObserveLocal(actualUnused[i])
 	}
 	trainKinds(s.workers, s)
 }
@@ -127,7 +100,7 @@ func (s *corpScheduler) ObserveAll(actualUnused []resource.Vector, skip []bool) 
 // slot-s sample trains before any slot-s+1 sample), and ObserveLocal stages
 // one sample per kind at a time.
 func (s *corpScheduler) ObserveSpan(rows [][]resource.Vector, skip []bool) {
-	if s.corpPreds == nil {
+	if s.corpFleet == nil {
 		s.base.ObserveSpan(rows, skip)
 		return
 	}
@@ -163,7 +136,7 @@ const refreshBatchRows = 256
 // All staging buffers are reused across calls; steady-state refreshes
 // perform no heap allocations.
 func (s *corpScheduler) Refresh() {
-	if s.corpPreds == nil {
+	if s.corpFleet == nil {
 		s.base.Refresh()
 		return
 	}
@@ -203,14 +176,14 @@ func (s *corpScheduler) Refresh() {
 		for k := range r {
 			r[k] = s.stageRows[k][pos*delta : (pos+1)*delta]
 		}
-		need[pos] = s.corpPreds[i].PredictPrepare(r)
+		need[pos] = s.corpFleet[i].PredictPrepare(r)
 		outs[pos] = [resource.NumKinds]float64{nan, nan, nan}
 	}
 	for k := range resource.NumKinds {
 		s.forwardKindBatched(resource.Kind(k), delta, need, outs)
 	}
 	for pos, i := range idx {
-		s.latest[i] = s.corpPreds[i].PredictFinish(&outs[pos])
+		s.latest[i] = s.corpFleet[i].PredictFinish(&outs[pos])
 	}
 }
 

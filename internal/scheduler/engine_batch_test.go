@@ -54,7 +54,7 @@ func newCorp(t *testing.T, cfg Config, cl *cluster.Cluster) *corpScheduler {
 		t.Fatal(err)
 	}
 	c := s.(*corpScheduler)
-	if c.corpPreds == nil {
+	if c.corpFleet == nil {
 		t.Fatal("CORP scheduler did not cache corp predictors for the batched refresh")
 	}
 	return c

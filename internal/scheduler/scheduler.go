@@ -183,23 +183,6 @@ type Scheduler interface {
 
 // New builds the scheduler for the scheme over the given cluster.
 func New(cfg Config, cl *cluster.Cluster) (Scheduler, error) {
-	s, err := build(cfg, cl)
-	if err != nil {
-		return nil, err
-	}
-	// Wire the prediction engine now that the per-VM predictors exist.
-	s.initEngine(cfg.Workers)
-	return s, nil
-}
-
-// unwired is a Scheduler as build returns it: every scheme embeds base,
-// whose prediction engine New still has to wire.
-type unwired interface {
-	Scheduler
-	initEngine(workers int)
-}
-
-func build(cfg Config, cl *cluster.Cluster) (unwired, error) {
 	caps := make([]resource.Vector, len(cl.VMs))
 	for i, vm := range cl.VMs {
 		caps[i] = vm.Capacity
@@ -208,50 +191,43 @@ func build(cfg Config, cl *cluster.Cluster) (unwired, error) {
 	if tight <= 0 {
 		tight = 1.0
 	}
-	base := base{
-		caps:   caps,
-		maxCap: cl.MaxVMCapacity(),
-		rng:    rand.New(rand.NewSource(cfg.Seed ^ 0xc0ffee)),
-		preds:  make([]predict.Predictor, len(caps)),
-		latest: make([]predict.Prediction, len(caps)),
-		tight:  tight,
+	// All VMs start dirty so the first Refresh predicts everywhere.
+	dirty := make([]bool, len(caps))
+	for i := range dirty {
+		dirty[i] = true
 	}
+	base := base{
+		caps:    caps,
+		maxCap:  cl.MaxVMCapacity(),
+		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0xc0ffee)),
+		latest:  make([]predict.Prediction, len(caps)),
+		tight:   tight,
+		workers: cfg.Workers,
+		dirty:   dirty,
+	}
+	// Each scheme's predictors come from its fleet constructor, one slab
+	// per kind of predictor state; preds points into the fleet.
 	switch cfg.Scheme {
 	case CORP:
 		brain, err := predict.NewCorpBrain(cfg.Corp)
 		if err != nil {
 			return nil, err
 		}
-		for i, cap := range caps {
-			base.preds[i] = predict.NewCorpPredictor(brain, cap, cfg.Seed+int64(i))
-		}
+		fleet := predict.NewCorpFleet(brain, caps, cfg.Seed)
+		base.preds = predictorsOf(fleet)
 		base.window = windowOf(cfg.Corp.Window)
-		margin := cfg.CorpAllocMargin
-		if margin <= 0 {
-			margin = 1.15
-		}
-		strategy, err := placementStrategy(cfg.CorpPlacement, base.rng)
+		s, err := newCorpScheduler(base, "CORP", cfg)
 		if err != nil {
 			return nil, err
 		}
-		packK := cfg.CorpPackK
-		if packK <= 0 {
-			packK = 2
-		}
-		return &corpScheduler{
-			base: base, name: "CORP", packing: !cfg.DisablePacking,
-			margin: margin, strategy: strategy, packK: packK, brain: brain,
-		}, nil
+		s.brain, s.corpFleet = brain, fleet
+		return s, nil
 	case RCCR:
-		for i, cap := range caps {
-			base.preds[i] = predict.NewRCCRPredictor(cfg.RCCR, cap)
-		}
+		base.preds = predictorsOf(predict.NewRCCRFleet(cfg.RCCR, caps))
 		base.window = windowOf(cfg.RCCR.Window)
 		return &randomScheduler{base: base, name: "RCCR", allocFactor: 1.0}, nil
 	case CloudScale:
-		for i, cap := range caps {
-			base.preds[i] = predict.NewCloudScalePredictor(cfg.CloudScale, cap)
-		}
+		base.preds = predictorsOf(predict.NewCloudScaleFleet(cfg.CloudScale, caps))
 		base.window = windowOf(cfg.CloudScale.Window)
 		pad := cfg.CloudScalePad
 		if pad <= 0 {
@@ -259,9 +235,7 @@ func build(cfg Config, cl *cluster.Cluster) (unwired, error) {
 		}
 		return &randomScheduler{base: base, name: "CloudScale", allocFactor: pad}, nil
 	case DRA:
-		for i, cap := range caps {
-			base.preds[i] = predict.NewDRAPredictor(cfg.DRA, cap)
-		}
+		base.preds = predictorsOf(predict.NewDRAFleet(cfg.DRA, caps))
 		base.window = windowOf(cfg.DRA.Window)
 		bulk := cfg.DRABulk
 		if bulk <= 0 {
@@ -270,30 +244,47 @@ func build(cfg Config, cl *cluster.Cluster) (unwired, error) {
 		return newDRAScheduler(base, bulk), nil
 	case Oracle:
 		base.window = windowOf(0)
-		for i, cap := range caps {
-			base.preds[i] = predict.NewOraclePredictor(base.window, cap)
-		}
-		margin := cfg.CorpAllocMargin
-		if margin <= 0 {
-			margin = 1.15
-		}
-		strategy, err := placementStrategy(cfg.CorpPlacement, base.rng)
-		if err != nil {
-			return nil, err
-		}
-		packK := cfg.CorpPackK
-		if packK <= 0 {
-			packK = 2
-		}
+		base.preds = predictorsOf(predict.NewOracleFleet(base.window, caps))
 		// The oracle reuses CORP's packing and placement machinery; only
 		// the predictions differ.
-		return &corpScheduler{
-			base: base, name: "Oracle", packing: !cfg.DisablePacking,
-			margin: margin, strategy: strategy, packK: packK,
-		}, nil
+		return newCorpScheduler(base, "Oracle", cfg)
 	default:
 		return nil, fmt.Errorf("scheduler: unknown scheme %v", cfg.Scheme)
 	}
+}
+
+// newCorpScheduler builds CORP's packing and placement machinery over b,
+// with no brain: the CORP case adds its brain and fleet.
+func newCorpScheduler(b base, name string, cfg Config) (*corpScheduler, error) {
+	margin := cfg.CorpAllocMargin
+	if margin <= 0 {
+		margin = 1.15
+	}
+	strategy, err := placementStrategy(cfg.CorpPlacement, b.rng)
+	if err != nil {
+		return nil, err
+	}
+	packK := cfg.CorpPackK
+	if packK <= 0 {
+		packK = 2
+	}
+	if cfg.DisablePacking {
+		packK = 1 // singletons
+	}
+	return &corpScheduler{base: b, name: name, margin: margin, strategy: strategy, packK: packK}, nil
+}
+
+// predictorsOf lists a fleet's members as the per-VM Predictors, each
+// pointing into the fleet's slab.
+func predictorsOf[P any, PP interface {
+	*P
+	predict.Predictor
+}](fleet []P) []predict.Predictor {
+	preds := make([]predict.Predictor, len(fleet))
+	for i := range fleet {
+		preds[i] = PP(&fleet[i])
+	}
+	return preds
 }
 
 // placementStrategy resolves a CorpPlacement name.
@@ -452,21 +443,21 @@ type Adjuster interface {
 type corpScheduler struct {
 	base
 	name     string
-	packing  bool
 	margin   float64
 	strategy packing.Strategy
-	packK    int
+	// packK is the largest entity PackK forms; 1 (DisablePacking) places
+	// every job alone.
+	packK int
 	// brain is the shared online DNN (nil for the oracle variant, which
 	// reuses this scheduler without learned predictions).
 	brain *predict.CorpBrain
 
-	// Split-observe and batched-refresh state (engine.go): corpPreds are
-	// the concrete per-VM predictors cached by initEngine (nil for the
-	// oracle variant, which routes ObserveAll, ObserveSpan and Refresh
-	// through the per-VM base path). The remaining slices
-	// are the reused staging buffers of the gather → batched forward →
-	// scatter pipeline.
-	corpPreds   []*predict.CorpPredictor
+	// Split-observe and batched-refresh state (engine.go): corpFleet is
+	// the per-VM predictors' slab, which base.preds points into (nil for
+	// the oracle variant, which routes ObserveAll, ObserveSpan and Refresh
+	// through the per-VM base path). The remaining slices are the reused
+	// staging buffers of the gather → batched forward → scatter pipeline.
+	corpFleet   []predict.CorpPredictor
 	refreshIdx  []int
 	refreshNeed [][resource.NumKinds]bool
 	refreshOut  [][resource.NumKinds]float64
@@ -484,6 +475,12 @@ type corpScheduler struct {
 	freshCands []packing.Candidate
 	oppIdx     []int
 	freshIdx   []int
+
+	// Reused per-Place scratch: the packer's entities, one entity's
+	// allocations, and the returned placements.
+	packer   packing.Packer
+	allocBuf []resource.Vector
+	arena    placementArena
 }
 
 // TrainErrors reports how many online DNN training samples the shared
@@ -518,14 +515,7 @@ func (s *corpScheduler) Name() string { return s.name }
 // choose the most-matched VM from the unlocked predicted-unused pools;
 // fall back to unallocated headroom with the same volume rule.
 func (s *corpScheduler) Place(jobs []*job.Job, views []VMView) []Placement {
-	var entities []packing.Entity
-	if s.packing {
-		entities = packing.PackK(jobs, s.maxCap, s.packK)
-	} else {
-		for _, j := range jobs {
-			entities = append(entities, packing.NewEntity(j))
-		}
-	}
+	entities := s.packer.PackK(jobs, s.maxCap, s.packK)
 	// Local copies of the evolving pools so one Place call stays
 	// consistent across multiple entities.
 	opp, fresh := s.pools(views)
@@ -552,29 +542,31 @@ func (s *corpScheduler) Place(jobs []*job.Job, views []VMView) []Placement {
 			s.oppCands = append(s.oppCands, packing.Candidate{VM: i, Available: opp[i]})
 		}
 	}
-	var placements []Placement
+	s.arena.reset()
 	for _, e := range entities {
-		allocs := make([]resource.Vector, len(e.Jobs))
+		allocs := s.allocBuf[:0]
 		var need resource.Vector
-		for i, j := range e.Jobs {
-			allocs[i] = s.alloc(j)
-			need = need.Add(allocs[i])
+		for _, j := range e.Jobs {
+			a := s.alloc(j)
+			allocs = append(allocs, a)
+			need = need.Add(a)
 		}
+		s.allocBuf = allocs
 		if vm, ok := s.strategy.Choose(need, s.oppCands, s.maxCap); ok {
 			opp[vm] = opp[vm].Sub(need).ClampNonNegative()
 			s.oppCands[s.oppIdx[vm]].Available = opp[vm]
-			placements = append(placements, Placement{Jobs: e.Jobs, Allocs: allocs, VM: vm, Opportunistic: true})
+			s.arena.add(e.Jobs, allocs, vm, true)
 			continue
 		}
 		if vm, ok := s.strategy.Choose(need, s.freshCands, s.maxCap); ok {
 			fresh[vm] = fresh[vm].Sub(need).ClampNonNegative()
 			s.freshCands[s.freshIdx[vm]].Available = fresh[vm]
-			placements = append(placements, Placement{Jobs: e.Jobs, Allocs: allocs, VM: vm})
+			s.arena.add(e.Jobs, allocs, vm, false)
 		}
 		// Otherwise the entity stays queued; the simulator re-offers its
 		// jobs next slot.
 	}
-	return placements
+	return s.arena.placements
 }
 
 // randomScheduler implements RCCR's and CloudScale's placement: each job
@@ -687,7 +679,7 @@ func (s *randomScheduler) Place(jobs []*job.Job, views []VMView) []Placement {
 		}
 		s.susT = demandQuantile(s.demandScratch, s.quantScratch)
 	}
-	for _, j := range jobs {
+	for i, j := range jobs {
 		alloc := padStorage(j.PeakDemand()).Scale(s.allocFactor * s.tight)
 		if vm, ok := s.randomFit(alloc, &s.soaOppQ, &s.susOpp); ok {
 			p := poolAt(&s.soaOpp, vm).Sub(alloc).ClampNonNegative()
@@ -696,7 +688,7 @@ func (s *randomScheduler) Place(jobs []*job.Job, views []VMView) []Placement {
 				s.soaOppQ[k][vm] = p[k] + fitEps
 			}
 			s.susOpp.noteUpdate(&s.soaOppQ, vm)
-			s.arena.add(j, alloc, vm, true)
+			s.arena.add(jobs[i:i+1], []resource.Vector{alloc}, vm, true)
 			continue
 		}
 		if vm, ok := s.randomFit(alloc, &s.soaFreshQ, &s.susFresh); ok {
@@ -706,7 +698,7 @@ func (s *randomScheduler) Place(jobs []*job.Job, views []VMView) []Placement {
 				s.soaFreshQ[k][vm] = p[k] + fitEps
 			}
 			s.susFresh.noteUpdate(&s.soaFreshQ, vm)
-			s.arena.add(j, alloc, vm, false)
+			s.arena.add(jobs[i:i+1], []resource.Vector{alloc}, vm, false)
 		}
 	}
 	return s.arena.placements
@@ -736,13 +728,13 @@ func (s *randomScheduler) randomFit(demand resource.Vector, q *[resource.NumKind
 	return int(s.fits[s.rng.Intn(len(s.fits))]), true
 }
 
-// placementArena is a reused backing store for the single-job Placement
-// slices the random and DRA schedulers return: one placements slice plus
-// flat job/alloc arrays that one-element Jobs/Allocs subslices are carved
-// from. It eliminates the three small heap allocations per placed job
-// (hundreds of thousands per scale run). Per the Scheduler.Place contract
-// the returned placements are only valid until the next Place call, which
-// is exactly when the arena is reset.
+// placementArena is a reused backing store for the Placement slices every
+// scheduler returns: one placements slice plus flat job/alloc arrays that
+// each placement's Jobs/Allocs subslices are carved from. It eliminates the
+// small heap allocations per placement (hundreds of thousands per scale
+// run). Per the Scheduler.Place contract the returned placements are only
+// valid until the next Place call, which is exactly when the arena is
+// reset.
 type placementArena struct {
 	placements []Placement
 	jobs       []*job.Job
@@ -755,15 +747,18 @@ func (a *placementArena) reset() {
 	a.allocs = a.allocs[:0]
 }
 
-func (a *placementArena) add(j *job.Job, alloc resource.Vector, vm int, opp bool) {
+// add records one placement of jobs, allocs[i] granted to jobs[i], copying
+// both into the arena.
+func (a *placementArena) add(jobs []*job.Job, allocs []resource.Vector, vm int, opp bool) {
 	// Full-capacity subslices: if a later append grows the backing array,
 	// already-taken subslices keep pointing at the old one — still valid
 	// for the lifetime of this Place call's result.
-	a.jobs = append(a.jobs, j)
-	a.allocs = append(a.allocs, alloc)
+	j0, a0 := len(a.jobs), len(a.allocs)
+	a.jobs = append(a.jobs, jobs...)
+	a.allocs = append(a.allocs, allocs...)
 	a.placements = append(a.placements, Placement{
-		Jobs:          a.jobs[len(a.jobs)-1 : len(a.jobs) : len(a.jobs)],
-		Allocs:        a.allocs[len(a.allocs)-1 : len(a.allocs) : len(a.allocs)],
+		Jobs:          a.jobs[j0:len(a.jobs):len(a.jobs)],
+		Allocs:        a.allocs[a0:len(a.allocs):len(a.allocs)],
 		VM:            vm,
 		Opportunistic: opp,
 	})
@@ -801,14 +796,14 @@ func (s *draScheduler) Place(jobs []*job.Job, views []VMView) []Placement {
 		fresh[i] = v.FreshAvailable
 	}
 	s.arena.reset()
-	for _, j := range jobs {
+	for i, j := range jobs {
 		alloc := padStorage(j.PeakDemand()).Scale(s.bulk * s.tight)
 		vm, ok := s.shareWeightedFit(alloc, fresh, views)
 		if !ok {
 			continue
 		}
 		fresh[vm] = fresh[vm].Sub(alloc).ClampNonNegative()
-		s.arena.add(j, alloc, vm, false)
+		s.arena.add(jobs[i:i+1], []resource.Vector{alloc}, vm, false)
 	}
 	return s.arena.placements
 }

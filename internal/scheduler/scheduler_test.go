@@ -29,6 +29,33 @@ func mkJob(id int, cpu, mem, sto float64) *job.Job {
 	}
 }
 
+// TestNewAllocationsDoNotGrowWithFleet pins the fleet constructors: a
+// scheme's predictors, trackers, rings and forecasters come from a few slabs
+// sized by the config, so doubling the fleet adds (next to) no allocations
+// to New where it used to add a dozen or more per VM.
+func TestNewAllocationsDoNotGrowWithFleet(t *testing.T) {
+	clusterOf := func(vms int) *cluster.Cluster {
+		cl, err := cluster.New(cluster.Config{Profile: cluster.ProfileCluster, NumPMs: vms / 4, NumVMs: vms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	small, large := clusterOf(200), clusterOf(400)
+	for _, sc := range []Scheme{RCCR, CloudScale, DRA} {
+		allocs := func(cl *cluster.Cluster) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := New(Config{Scheme: sc, Seed: 1}, cl); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(small), allocs(large); b-a > 8 {
+			t.Errorf("%v: New allocates %.0f times for 200 VMs and %.0f for 400, want at most 8 more", sc, a, b)
+		}
+	}
+}
+
 func TestSchemeStrings(t *testing.T) {
 	want := map[Scheme]string{CORP: "CORP", RCCR: "RCCR", CloudScale: "CloudScale", DRA: "DRA"}
 	for sc, name := range want {

@@ -27,7 +27,7 @@ var _ scheduler.Adjuster = growAdjuster{}
 func TestAdjustFreshGrowthRespectsLongReservations(t *testing.T) {
 	one := func(x float64) resource.Vector { return resource.Vector{x, x, x} }
 	spec := &job.Job{ID: 1, Duration: 10, Usage: []resource.Vector{one(1)}, Request: one(1)}
-	rt := job.NewRuntimeAt(spec, 0)
+	rt := newRuntime(spec, 0)
 	rt.Allocated = one(1)
 	// Entity 0 = fresh placement (opportunistic jobs carry entity 1).
 	vms := []vmState{{
@@ -56,7 +56,7 @@ func TestAdjustFreshGrowthRespectsLongReservations(t *testing.T) {
 
 	// Down VMs and opportunistic entities keep their existing behaviour:
 	// the opportunistic pool swaps freely (risk lands at execute time).
-	opp := job.NewRuntimeAt(spec, 0)
+	opp := newRuntime(spec, 0)
 	opp.Allocated = one(1)
 	opp.Entity = 1
 	vmsOpp := []vmState{{capacity: one(10), reserved: one(4), oppInUse: one(1), running: []*job.Runtime{opp}}}

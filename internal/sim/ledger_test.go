@@ -10,6 +10,44 @@ import (
 	"repro/internal/trace"
 )
 
+// newRuntime returns a fresh heap runtime for tests that build run state by
+// hand (a run carves its runtimes from one slab).
+func newRuntime(spec *job.Job, arrival int) *job.Runtime {
+	rt := job.RuntimeAt(spec, arrival)
+	return &rt
+}
+
+// TestRunAllocationsDoNotGrowPerJob pins the run-state slabs: every
+// runtime of a run comes from one slab and Fig. 6 is a tally, so on a fixed
+// 20-VM RCCR fleet quadrupling the jobs adds fewer than one allocation per
+// ten jobs (what remains grows with the queue and the per-VM concurrency,
+// not with the job count).
+func TestRunAllocationsDoNotGrowPerJob(t *testing.T) {
+	allocs := func(jobs int) float64 {
+		cfg := Config{
+			NumPMs: 5, NumVMs: 20, NumJobs: jobs, Seed: 3,
+			Scheduler: scheduler.Config{Scheme: scheduler.RCCR, Seed: 3},
+			Clock:     &VirtualClock{StepMicros: 50},
+			Workers:   1,
+		}
+		snap, err := PrepareWorkload(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Prepared = snap
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(400), allocs(1600)
+	t.Logf("Run allocates %.0f times at 400 jobs, %.0f at 1600", small, large)
+	if large-small >= (1600-400)/10 {
+		t.Errorf("Run allocates %.0f times at 400 jobs and %.0f at 1600, want fewer than %d more", small, large, (1600-400)/10)
+	}
+}
+
 // TestClusterUtilizationCountsFreshOnce is the regression pin for the
 // cluster-utilization double-count: the execute pass's per-VM ledger sum
 // already includes freshInUse, so only the opportunistic share of short
@@ -32,9 +70,9 @@ func TestClusterUtilizationCountsFreshOnce(t *testing.T) {
 
 	// VM 0 hosts a fresh short job (entity 0) from guaranteed headroom;
 	// VM 1 hosts an opportunistic one (entity 1) from predicted-unused.
-	fresh := job.NewRuntimeAt(spec(1), 0)
+	fresh := newRuntime(spec(1), 0)
 	fresh.Allocated = one(3)
-	opp := job.NewRuntimeAt(spec(2), 0)
+	opp := newRuntime(spec(2), 0)
 	opp.Allocated = one(1)
 	opp.Entity = 1
 	vms := []vmState{

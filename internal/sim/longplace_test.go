@@ -82,7 +82,7 @@ func longFleet(seed int64, n int) *runState {
 			arrival = 3
 		}
 		spec := &job.Job{ID: job.ID(i), Request: req, Usage: []resource.Vector{req}, Duration: 50}
-		rs.longRuntimes = append(rs.longRuntimes, job.NewRuntimeAt(spec, arrival))
+		rs.longRuntimes = append(rs.longRuntimes, newRuntime(spec, arrival))
 	}
 	rs.initScratch()
 	for v := range rs.vms {
@@ -156,7 +156,7 @@ func TestPlaceLongTieBreakLowestIndex(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		spec := &job.Job{ID: job.ID(i), Request: one(3), Usage: []resource.Vector{one(1)}, Duration: 9}
-		rs.longRuntimes = append(rs.longRuntimes, job.NewRuntimeAt(spec, 0))
+		rs.longRuntimes = append(rs.longRuntimes, newRuntime(spec, 0))
 	}
 	rs.initScratch()
 	rs.setDown(1, true)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/metrics"
-	"repro/internal/predict"
 	"repro/internal/resource"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
@@ -47,7 +46,9 @@ type runState struct {
 
 	collector        metrics.UtilizationCollector
 	clusterCollector metrics.UtilizationCollector
-	outcomes         []predict.ErrorSample
+	// predTally streams Fig. 6's count: every CPU prediction error that
+	// matures after the warmup, and how many of them fall outside [0, ε·cap).
+	predTally metrics.PredictionTally
 
 	// Per-slot scratch, hoisted so the hot path does not reallocate.
 	// unused/residentUse are copy-on-write: on table slots with nothing to
@@ -535,16 +536,13 @@ func (rs *runState) executeSlot(t int) {
 			rs.unused, rs.vms, len(rs.queue)))
 	}
 
-	// Drain matured prediction errors; only steady-state samples (past the
-	// warmup) count toward the Fig. 6 metric.
+	// Drain matured prediction errors; only steady-state CPU samples (past
+	// the warmup) count toward the Fig. 6 metric, and only as a tally.
 	drained := rs.sched.DrainOutcomes()
 	if t >= rs.cfg.Warmup {
-		// Only the CPU samples feed the Fig. 6 error-rate metric
-		// (finalize); dropping the other kinds here keeps the
-		// run-long accumulation a third of the size.
 		for _, o := range drained {
 			if o.Kind == resource.CPU {
-				rs.outcomes = append(rs.outcomes, o)
+				rs.predTally.Add(o.Error)
 			}
 		}
 	}
@@ -721,15 +719,8 @@ func (rs *runState) finalize() *Result {
 	res.Wastage = 1 - res.Overall
 	res.ClusterOverall = rs.clusterCollector.Overall(cfg.Weights)
 
-	cpuCap := rs.cl.VMs[0].Capacity.At(resource.CPU)
-	predOutcomes := make([]metrics.PredictionOutcome, 0, len(rs.outcomes))
-	for _, o := range rs.outcomes {
-		if o.Kind == resource.CPU {
-			predOutcomes = append(predOutcomes, metrics.PredictionOutcome{Error: o.Error})
-		}
-	}
-	res.PredictionSamples = len(predOutcomes)
-	res.PredictionErrorRate = metrics.PredictionErrorRate(predOutcomes, cfg.Epsilon*cpuCap)
+	res.PredictionSamples = rs.predTally.Samples
+	res.PredictionErrorRate = rs.predTally.Rate()
 
 	var respSum, respN float64
 	responses := make([]int, 0, len(rs.runtimes))

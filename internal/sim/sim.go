@@ -476,17 +476,13 @@ func newRunState(cfg Config) (rs *runState, err error) {
 		}
 	}
 
-	runtimes := make([]*job.Runtime, len(shortJobs))
-	for i, j := range shortJobs {
-		runtimes[i] = job.NewRuntimeAt(j, j.Arrival+cfg.Warmup)
-	}
-
-	// Long-lived service jobs for the cooperative mixed workload; they
-	// start arriving mid-warmup.
-	var longRuntimes []*job.Runtime
-	for _, j := range snap.LongJobs() {
-		longRuntimes = append(longRuntimes, job.NewRuntimeAt(j, j.Arrival+cfg.Warmup/2))
-	}
+	// Every runtime of the run lives in one slab: the short jobs, then the
+	// long-lived service jobs of the cooperative mixed workload, which
+	// start arriving mid-warmup. runtimes and longRuntimes point into it.
+	longJobs := snap.LongJobs()
+	slab := make([]job.Runtime, len(shortJobs)+len(longJobs))
+	runtimes := carveRuntimes(slab[:len(shortJobs)], shortJobs, cfg.Warmup)
+	longRuntimes := carveRuntimes(slab[len(shortJobs):], longJobs, cfg.Warmup/2)
 
 	clk := cfg.Clock
 	if clk == nil {
@@ -527,7 +523,8 @@ func newRunState(cfg Config) (rs *runState, err error) {
 		// VM capacities never change mid-run; compute the
 		// volume-normalising reference once instead of rescanning every
 		// VM per candidate in the long-job placement phase.
-		maxVMCap: cl.MaxVMCapacity(),
+		maxVMCap:  cl.MaxVMCapacity(),
+		predTally: metrics.PredictionTally{Epsilon: cfg.Epsilon * cl.VMs[0].Capacity.At(resource.CPU)},
 	}
 	// Periodic resident tables for the telemetry phase, built once per
 	// snapshot and shared via the workload cache; nil for a non-periodic
@@ -539,6 +536,21 @@ func newRunState(cfg Config) (rs *runState, err error) {
 	}
 	rs.initScratch()
 	return rs, nil
+}
+
+// carveRuntimes fills slab with one runtime per spec, each arriving offset
+// slots after its spec's arrival, and returns pointers into it (nil for no
+// specs).
+func carveRuntimes(slab []job.Runtime, specs []*job.Job, offset int) []*job.Runtime {
+	if len(specs) == 0 {
+		return nil
+	}
+	out := make([]*job.Runtime, len(specs))
+	for i, j := range specs {
+		slab[i] = job.RuntimeAt(j, j.Arrival+offset)
+		out[i] = &slab[i]
+	}
+	return out
 }
 
 func boolToInt(b bool) int {

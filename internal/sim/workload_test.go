@@ -269,7 +269,7 @@ func TestExplicitJobsNotMutated(t *testing.T) {
 // spec keeps its generator-relative slot.
 func TestRuntimeArrivalOffset(t *testing.T) {
 	spec := &job.Job{ID: 1, Arrival: 5, Duration: 2, SLOFactor: 2}
-	rt := job.NewRuntimeAt(spec, spec.Arrival+90)
+	rt := newRuntime(spec, spec.Arrival+90)
 	rt.Finished = 100
 	if got := rt.ResponseTime(); got != 100-95+1 {
 		t.Errorf("ResponseTime = %d, want %d", got, 100-95+1)

@@ -13,8 +13,14 @@ type HoltETS struct {
 	prev         float64
 }
 
-// NewHoltETS returns a Holt forecaster. Parameters are clamped to (0, 1].
+// NewHoltETS returns a Holt forecaster: a fleet of one.
 func NewHoltETS(alpha, beta float64) *HoltETS {
+	return &NewHoltETSFleet(1, alpha, beta)[0]
+}
+
+// NewHoltETSFleet returns n Holt forecasters with the same parameters in one
+// slab. Parameters are clamped to (0, 1].
+func NewHoltETSFleet(n int, alpha, beta float64) []HoltETS {
 	if alpha <= 0 {
 		alpha = 0.5
 	}
@@ -27,7 +33,11 @@ func NewHoltETS(alpha, beta float64) *HoltETS {
 	if beta > 1 {
 		beta = 1
 	}
-	return &HoltETS{alpha: alpha, beta: beta}
+	fleet := make([]HoltETS, n)
+	for i := range fleet {
+		fleet[i] = HoltETS{alpha: alpha, beta: beta}
+	}
+	return fleet
 }
 
 // Observe folds one sample into level and trend. The first two samples

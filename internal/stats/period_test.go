@@ -139,7 +139,7 @@ func TestPeriodScratchAndMarkovDoNotAllocate(t *testing.T) {
 		t.Fatalf("warm PeriodScratch allocates %v times per run, want 0", n)
 	}
 
-	mc := NewMarkovChain(8, 0, 100)
+	mc := newChain(8, 0, 100)
 	for i := 0; i < 64; i++ {
 		mc.Observe(50 + 40*math.Sin(float64(i)/3))
 	}

@@ -62,27 +62,37 @@ type MarkovChain struct {
 	rowBuf, distBuf, nextBuf []float64
 }
 
-// NewMarkovChain builds a chain with the given number of bins over the
-// value range [lo, hi]. Bins < 2 are raised to 2; a degenerate range is
-// widened slightly so binning stays defined.
-func NewMarkovChain(bins int, lo, hi float64) *MarkovChain {
+// NewMarkovChains builds one chain per entry of his, chain i over the value
+// range [lo, his[i]] with the given number of bins. Every chain's counts and
+// scratch are carved from one float slab and one row slab, so a fleet of
+// chains costs three allocations. Bins < 2 are raised to 2; a degenerate
+// range is widened slightly so binning stays defined.
+func NewMarkovChains(bins int, lo float64, his []float64) []MarkovChain {
 	if bins < 2 {
 		bins = 2
 	}
-	if hi <= lo {
-		hi = lo + 1
+	per := bins*bins + 3*bins // transition counts, then rowBuf/distBuf/nextBuf
+	slab := make([]float64, len(his)*per)
+	rows := make([][]float64, len(his)*bins)
+	chains := make([]MarkovChain, len(his))
+	for c, hi := range his {
+		if hi <= lo {
+			hi = lo + 1
+		}
+		own := slab[c*per : (c+1)*per : (c+1)*per]
+		counts := rows[c*bins : (c+1)*bins : (c+1)*bins]
+		for i := range counts {
+			counts[i] = own[i*bins : (i+1)*bins : (i+1)*bins]
+		}
+		scratch := own[bins*bins:]
+		chains[c] = MarkovChain{
+			bins: bins, lo: lo, hi: hi, counts: counts,
+			rowBuf:  scratch[0*bins : 1*bins : 1*bins],
+			distBuf: scratch[1*bins : 2*bins : 2*bins],
+			nextBuf: scratch[2*bins : 3*bins : 3*bins],
+		}
 	}
-	slab := make([]float64, bins*bins)
-	counts := make([][]float64, bins)
-	for i := range counts {
-		counts[i] = slab[i*bins : (i+1)*bins : (i+1)*bins]
-	}
-	return &MarkovChain{
-		bins: bins, lo: lo, hi: hi, counts: counts,
-		rowBuf:  make([]float64, bins),
-		distBuf: make([]float64, bins),
-		nextBuf: make([]float64, bins),
-	}
+	return chains
 }
 
 // Bin quantizes a value into a bin index, clamping out-of-range values.

@@ -99,15 +99,15 @@ type EWMA struct {
 }
 
 // NewEWMA returns an EWMA with the given smoothing factor. Alpha is clamped
-// to (0, 1].
-func NewEWMA(alpha float64) *EWMA {
+// to (0, 1]. It returns a value so a predictor can hold its averages inline.
+func NewEWMA(alpha float64) EWMA {
 	if alpha <= 0 {
 		alpha = 0.1
 	}
 	if alpha > 1 {
 		alpha = 1
 	}
-	return &EWMA{alpha: alpha}
+	return EWMA{alpha: alpha}
 }
 
 // Observe folds a new sample into the average and returns the updated value.
@@ -133,13 +133,20 @@ type Window struct {
 	n    int
 }
 
-// NewWindow returns a window holding at most capacity samples. Capacity
-// must be ≥ 1; smaller values are raised to 1.
-func NewWindow(capacity int) *Window {
+// NewWindows returns n windows, each holding at most capacity samples, whose
+// rings are carved from one shared slab: a fleet of windows costs two
+// allocations, not two per window. Capacity must be ≥ 1; smaller values are
+// raised to 1.
+func NewWindows(n, capacity int) []Window {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Window{buf: make([]float64, capacity)}
+	slab := make([]float64, n*capacity)
+	ws := make([]Window, n)
+	for i := range ws {
+		ws[i].buf = slab[i*capacity : (i+1)*capacity : (i+1)*capacity]
+	}
+	return ws
 }
 
 // Push appends x, evicting the oldest sample when full. The ring indices

@@ -109,7 +109,7 @@ func TestEWMA(t *testing.T) {
 }
 
 func TestWindowBasics(t *testing.T) {
-	w := NewWindow(3)
+	w := newWindow(3)
 	if got := w.AppendValues(nil); len(got) != 0 {
 		t.Fatalf("fresh window holds %v", got)
 	}
@@ -140,11 +140,58 @@ func TestWindowBasics(t *testing.T) {
 }
 
 func TestWindowMinCapacity(t *testing.T) {
-	w := NewWindow(0)
+	w := newWindow(0)
 	w.Push(1)
 	w.Push(2)
 	if got := w.AppendValues(nil); len(got) != 1 || got[0] != 2 {
 		t.Errorf("capacity raised to 1 should keep only the newest sample, got %v", got)
+	}
+}
+
+// newWindow returns a window of one.
+func newWindow(capacity int) *Window { return &NewWindows(1, capacity)[0] }
+
+// newChain returns a Markov chain of one over [lo, hi].
+func newChain(bins int, lo, hi float64) *MarkovChain {
+	return &NewMarkovChains(bins, lo, []float64{hi})[0]
+}
+
+// TestFleetsShareNothing pins the fleet constructors' carving: a member fed
+// alone behaves exactly as a fleet of one, and its neighbours in the slab
+// see none of it.
+func TestFleetsShareNothing(t *testing.T) {
+	ws := NewWindows(3, 2)
+	for x := 1.0; x <= 5; x++ {
+		ws[1].Push(x)
+	}
+	if got := ws[1].AppendValues(nil); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		t.Errorf("middle window holds %v, want [4 5]", got)
+	}
+	if len(ws[0].AppendValues(nil)) != 0 || len(ws[2].AppendValues(nil)) != 0 {
+		t.Error("a push leaked into a neighbouring window")
+	}
+
+	chains := NewMarkovChains(4, 0, []float64{8, 8, 0})
+	solo := newChain(4, 0, 8)
+	for _, x := range []float64{1, 7, 3, 3, 6, 1, 7} {
+		chains[1].Observe(x)
+		solo.Observe(x)
+	}
+	if a, b := chains[1].Predict(2), solo.Predict(2); a != b {
+		t.Errorf("fleet chain predicts %v, a chain of one %v", a, b)
+	}
+	if got := chains[0].Predict(2); got != 4 {
+		t.Errorf("untouched neighbour predicts %v, want the range midpoint 4", got)
+	}
+	if chains[2].hi != 1 {
+		t.Errorf("degenerate range widened to [0, %v], want [0, 1]", chains[2].hi)
+	}
+
+	holts := NewHoltETSFleet(2, 0.5, 0.1)
+	holts[0].Observe(1)
+	holts[0].Observe(2)
+	if !holts[0].Ready() || holts[1].Ready() {
+		t.Error("an observation leaked across Holt forecasters")
 	}
 }
 
@@ -153,7 +200,7 @@ func TestWindowMinCapacity(t *testing.T) {
 func TestQuickWindowRetention(t *testing.T) {
 	f := func(vals []float64, rawCap uint8) bool {
 		capacity := int(rawCap%16) + 1
-		w := NewWindow(capacity)
+		w := newWindow(capacity)
 		for _, v := range vals {
 			w.Push(v)
 		}
@@ -278,7 +325,7 @@ func TestSignatureAndPredict(t *testing.T) {
 }
 
 func TestMarkovChainBinning(t *testing.T) {
-	mc := NewMarkovChain(4, 0, 8)
+	mc := newChain(4, 0, 8)
 	cases := []struct {
 		x    float64
 		want int
@@ -291,7 +338,7 @@ func TestMarkovChainBinning(t *testing.T) {
 }
 
 func TestMarkovChainDegenerateRange(t *testing.T) {
-	mc := NewMarkovChain(1, 5, 5)
+	mc := newChain(1, 5, 5)
 	if mc.bins != 2 {
 		t.Errorf("bins = %d, want raised to 2", mc.bins)
 	}
@@ -303,7 +350,7 @@ func TestMarkovChainDegenerateRange(t *testing.T) {
 func TestMarkovChainPredictAlternating(t *testing.T) {
 	// Deterministic alternation between low (≈1) and high (≈9): after a
 	// low sample the 1-step prediction must be high.
-	mc := NewMarkovChain(2, 0, 10)
+	mc := newChain(2, 0, 10)
 	for i := 0; i < 50; i++ {
 		if i%2 == 0 {
 			mc.Observe(1)
@@ -323,14 +370,14 @@ func TestMarkovChainPredictAlternating(t *testing.T) {
 }
 
 func TestMarkovChainPredictBeforeData(t *testing.T) {
-	mc := NewMarkovChain(4, 0, 10)
+	mc := newChain(4, 0, 10)
 	if got := mc.Predict(1); got != 5 {
 		t.Errorf("prior prediction = %v, want midpoint 5", got)
 	}
 }
 
 func TestMarkovChainTransitionRowNormalized(t *testing.T) {
-	mc := NewMarkovChain(3, 0, 3)
+	mc := newChain(3, 0, 3)
 	for _, x := range []float64{0.5, 1.5, 2.5, 0.5, 1.5} {
 		mc.Observe(x)
 	}
@@ -370,7 +417,7 @@ func BenchmarkPeriodogram64(b *testing.B) {
 }
 
 func BenchmarkMarkovPredict(b *testing.B) {
-	mc := NewMarkovChain(10, 0, 1)
+	mc := newChain(10, 0, 1)
 	for i := 0; i < 200; i++ {
 		mc.Observe(math.Mod(float64(i)*0.37, 1))
 	}

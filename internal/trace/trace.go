@@ -140,19 +140,29 @@ func GenerateShortJobs(cfg Config) ([]*job.Job, error) {
 		return nil, fmt.Errorf("trace: negative NumJobs %d", cfg.NumJobs)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	jobs := make([]*job.Job, 0, cfg.NumJobs)
-	// One backing array for all specs: the dominant per-job allocation
-	// after the usage series itself (halves the generator's allocs/op).
+	jobs := make([]*job.Job, cfg.NumJobs)
+	// One backing array for all specs, and one contiguous arena for every
+	// usage series, each series appended straight into it: the simulator's
+	// execute loop gathers one usage element per running job per slot, and
+	// the packed arena keeps concurrently running (≈ concurrently
+	// generated) jobs on shared pages instead of a heap page apiece. The
+	// arena is presized to the durations' expected total, so it almost
+	// never moves; ends records where each series stops, and the Usage
+	// slices are cut only once it has stopped growing.
 	specs := make([]job.Job, cfg.NumJobs)
+	ends := make([]int, cfg.NumJobs)
+	arena := make([]resource.Vector, 0, expectedSlots(cfg.NumJobs, cfg.MeanDuration))
 	arrivals := sampleArrivals(rng, cfg.Arrivals, cfg.NumJobs, cfg.ArrivalSpan)
 	sortInts(arrivals)
-	for i := 0; i < cfg.NumJobs; i++ {
+	for i := range specs {
 		class := sampleClass(rng, cfg.ClassWeights)
 		dur := sampleDuration(rng, cfg.MeanDuration)
 		base := classBaseDemand(rng, class, cfg.VMCapacity)
-		usage := demandSeries(rng, dur, base, cfg.Fluctuation)
-		j := &specs[i]
-		*j = job.Job{
+		start := len(arena)
+		arena = appendDemandSeries(arena, rng, dur, base, cfg.Fluctuation)
+		ends[i] = len(arena)
+		usage := arena[start:]
+		specs[i] = job.Job{
 			ID:        job.ID(i),
 			Class:     class,
 			Arrival:   arrivals[i],
@@ -161,26 +171,15 @@ func GenerateShortJobs(cfg Config) ([]*job.Job, error) {
 			Request:   resource.MaxAcross(usage),
 			SLOFactor: cfg.SLOFactor,
 		}
-		if err := j.Validate(); err != nil {
+		if err := specs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("trace: generated invalid job: %w", err)
 		}
-		jobs = append(jobs, j)
 	}
-	// Repack every usage series into one contiguous arena, preserving the
-	// generated values exactly. The simulator's execute loop gathers one
-	// usage element per running job per slot; with each series on its own
-	// generator-allocated heap page those gathers cost a dTLB walk apiece,
-	// while the packed arena keeps concurrently running (≈ concurrently
-	// generated) jobs on shared pages.
-	total := 0
-	for _, j := range jobs {
-		total += len(j.Usage)
-	}
-	arena := make([]resource.Vector, 0, total)
-	for _, j := range jobs {
-		off := len(arena)
-		arena = append(arena, j.Usage...)
-		j.Usage = arena[off:len(arena):len(arena)]
+	start := 0
+	for i := range specs {
+		specs[i].Usage = arena[start:ends[i]:ends[i]]
+		start = ends[i]
+		jobs[i] = &specs[i]
 	}
 	return jobs, nil
 }
@@ -239,11 +238,16 @@ func GenerateResidents(cfg ResidentConfig, vmCaps []resource.Vector, firstID job
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
 	residents := make([]*job.Job, 0, len(vmCaps))
 	specs := make([]job.Job, len(vmCaps))
+	// Every series is Horizon long, so one exactly sized arena holds them
+	// all and never moves.
+	arena := make([]resource.Vector, 0, len(vmCaps)*cfg.Horizon)
 	var scratch seriesScratch
 	for i, cap := range vmCaps {
 		reserve := cap.Scale(cfg.ReservedShare)
 		base := reserve.Scale(cfg.MeanUseShare)
-		usage := scratch.smoothSeries(rng, cfg.Horizon, base, cfg.Fluctuation, cfg.JumpProb)
+		start := len(arena)
+		arena = scratch.appendSmoothSeries(arena, rng, cfg.Horizon, base, cfg.Fluctuation, cfg.JumpProb)
+		usage := arena[start:len(arena):len(arena)]
 		// Usage cannot exceed the reservation.
 		for k := range usage {
 			usage[k] = usage[k].ClampTo(reserve)
@@ -332,7 +336,7 @@ func GenerateLongJobs(cfg LongJobConfig, firstID job.ID) ([]*job.Job, error) {
 		dur := cfg.MinDuration + rng.Intn(cfg.MaxDuration-cfg.MinDuration+1)
 		reserve := cfg.VMCapacity.Scale(cfg.ReservedShare * (0.7 + 0.6*rng.Float64()))
 		base := reserve.Scale(cfg.MeanUseShare)
-		usage := scratch.smoothSeries(rng, dur, base, 0.5, 0.5)
+		usage := scratch.appendSmoothSeries(nil, rng, dur, base, 0.5, 0.5)
 		for k := range usage {
 			usage[k] = usage[k].ClampTo(reserve)
 		}
@@ -444,11 +448,18 @@ func sampleClass(rng *rand.Rand, w [4]float64) job.Class {
 	return job.Balanced
 }
 
+// The short-job duration law: lognormal with σ = durationSigma, its μ set
+// so the untruncated mean is the configured one (μ = ln mean − σ²/2).
+const (
+	durationSigma = 0.8
+	durationShift = 0.32 // σ²/2
+)
+
 // sampleDuration draws a lognormal duration (heavy tail), truncated to
 // [1, MaxShortJobSlots].
 func sampleDuration(rng *rand.Rand, mean int) int {
-	mu := math.Log(float64(mean)) - 0.32 // sigma²/2 with sigma = 0.8
-	d := int(fmath.Exp(mu + 0.8*rng.NormFloat64()))
+	mu := math.Log(float64(mean)) - durationShift
+	d := int(fmath.Exp(mu + durationSigma*rng.NormFloat64()))
 	if d < 1 {
 		d = 1
 	}
@@ -456,6 +467,22 @@ func sampleDuration(rng *rand.Rand, mean int) int {
 		d = MaxShortJobSlots
 	}
 	return d
+}
+
+// expectedSlots is the usage-series total GenerateShortJobs presizes its
+// arena to for n jobs: n times sampleDuration's mean plus three standard
+// deviations of the sum, so the arena outgrows it only on a rare tail draw.
+// The mean is Σ_{m≥0} P(d > m) with d ≥ 1 and d > m ⟺ exp(μ + σZ) ≥ m+1;
+// each duration lies in [1, MaxShortJobSlots], which bounds its standard
+// deviation by half that range.
+func expectedSlots(n, mean int) int {
+	mu := math.Log(float64(mean)) - durationShift
+	perJob := 1.0
+	for m := 1; m < MaxShortJobSlots; m++ {
+		perJob += 0.5 * math.Erfc((math.Log(float64(m+1))-mu)/(durationSigma*math.Sqrt2))
+	}
+	sd := float64(MaxShortJobSlots-1) / 2
+	return int(float64(n)*perJob+3*sd*math.Sqrt(float64(n))) + MaxShortJobSlots
 }
 
 // classBaseDemand draws a base demand vector for a class. Dominant kinds
@@ -486,13 +513,12 @@ const (
 	regimeValley
 )
 
-// demandSeries builds an n-slot demand series around base: a mean-reverting
-// multiplicative walk modulated by a three-regime (normal/peak/valley)
-// Markov burst process. This is deliberately pattern-free — no periodic
-// component — matching the paper's premise that short-lived jobs "do not
-// exhibit certain resource utilization patterns".
-func demandSeries(rng *rand.Rand, n int, base resource.Vector, amp float64) []resource.Vector {
-	series := make([]resource.Vector, n)
+// appendDemandSeries appends an n-slot demand series around base to dst: a
+// mean-reverting multiplicative walk modulated by a three-regime
+// (normal/peak/valley) Markov burst process. This is deliberately
+// pattern-free — no periodic component — matching the paper's premise that
+// short-lived jobs "do not exhibit certain resource utilization patterns".
+func appendDemandSeries(dst []resource.Vector, rng *rand.Rand, n int, base resource.Vector, amp float64) []resource.Vector {
 	level := 1.0
 	regime := regimeNormal
 	for t := 0; t < n; t++ {
@@ -529,29 +555,29 @@ func demandSeries(rng *rand.Rand, n int, base resource.Vector, amp float64) []re
 				mult = 0.05
 			}
 		}
-		series[t] = base.Scale(mult).ClampNonNegative()
+		dst = append(dst, base.Scale(mult).ClampNonNegative())
 	}
-	return series
+	return dst
 }
 
-// seriesScratch holds the transient buffers smoothSeries needs (coarse
-// process, jump flags, jitter RNG) so generators looping over many series
-// pay for them once instead of per series. Only the returned fine series
-// escapes; everything here is overwritten on the next call.
+// seriesScratch holds the transient buffers appendSmoothSeries needs
+// (coarse process, jump flags, jitter RNG) so generators looping over many
+// series pay for them once instead of per series. Only the appended fine
+// series escapes; everything here is overwritten on the next call.
 type seriesScratch struct {
 	coarse []resource.Vector
 	jump   []bool
 	jitter *rand.Rand
 }
 
-// smoothSeries builds resident usage the way the paper's own trace was
-// built: a coarse 5-minute-granularity process (mean-reverting level with
+// appendSmoothSeries appends an n-slot series to dst and returns it: resident
+// usage built the way the paper's own trace was built: a coarse 5-minute-granularity process (mean-reverting level with
 // persistent peak/valley burst regimes) is transformed to 10-second slots
 // by interpolation with small multiplicative jitter — exactly the paper's
 // "we transformed the ... 5-minute trace into [a] 10-second trace". The
 // result fluctuates at the multi-minute scale (what the HMM corrects for)
 // while staying smooth at the slot scale (as a resampled trace is).
-func (sc *seriesScratch) smoothSeries(rng *rand.Rand, n int, base resource.Vector, amp, jumpProb float64) []resource.Vector {
+func (sc *seriesScratch) appendSmoothSeries(dst []resource.Vector, rng *rand.Rand, n int, base resource.Vector, amp, jumpProb float64) []resource.Vector {
 	nCoarse := n/CoarseSlots + 2
 	if cap(sc.coarse) < nCoarse {
 		sc.coarse = make([]resource.Vector, nCoarse)
@@ -610,11 +636,15 @@ func (sc *seriesScratch) smoothSeries(rng *rand.Rand, n int, base resource.Vecto
 		sc.jitter.Seed(rng.Int63())
 	}
 	jitterRng := sc.jitter
-	// The fine series escapes (it becomes the job's Usage), so it is the
-	// one allocation per series — sized exactly n; trailing jitter draws
-	// for the unused tail of the last coarse step are skipped, which is
-	// unobservable because the jitter RNG is re-seeded per series.
-	fine := make([]resource.Vector, 0, n)
+	// The fine series escapes (it becomes the job's Usage): into dst's
+	// arena when the caller sized one, else as one allocation sized exactly
+	// n. Trailing jitter draws for the unused tail of the last coarse step
+	// are skipped, which is unobservable because the jitter RNG is
+	// re-seeded per series.
+	if dst == nil {
+		dst = make([]resource.Vector, 0, n)
+	}
+	fine, end := dst, len(dst)+n
 densify:
 	for i := 0; i < nCoarse; i++ {
 		cur := coarse[i]
@@ -627,7 +657,7 @@ densify:
 			v := cur.Scale(1 - f).Add(next.Scale(f))
 			v = v.Scale(1 + 0.04*(2*jitterRng.Float64()-1))
 			fine = append(fine, v.ClampNonNegative())
-			if len(fine) == n {
+			if len(fine) == end {
 				break densify
 			}
 		}

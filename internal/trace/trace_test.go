@@ -70,6 +70,41 @@ func TestGenerateShortJobsDeterministic(t *testing.T) {
 	}
 }
 
+// TestGeneratorAllocationsDoNotGrow is the allocation gate on trace
+// generation: short-job series are appended straight into one presized
+// arena and resident series into one exactly sized one, so neither
+// generator's allocation count grows with the number of series. (Twenty
+// runs a size keep a stray runtime allocation during a GC from rounding
+// into the average.)
+func TestGeneratorAllocationsDoNotGrow(t *testing.T) {
+	for _, mean := range []int{0, 30} { // the default, and the scale profile's
+		short := func(n int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := GenerateShortJobs(Config{Seed: 1, NumJobs: n, MeanDuration: mean}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := short(500), short(4000); a != b {
+			t.Errorf("MeanDuration %d: GenerateShortJobs allocates %.0f times for 500 jobs, %.0f for 4000", mean, a, b)
+		}
+	}
+	residents := func(vms int) float64 {
+		caps := make([]resource.Vector, vms)
+		for i := range caps {
+			caps[i] = resource.New(4, 16, 180)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := GenerateResidents(ResidentConfig{Seed: 1}, caps, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := residents(50), residents(400); a != b {
+		t.Errorf("GenerateResidents allocates %.0f times for 50 VMs, %.0f for 400", a, b)
+	}
+}
+
 func TestGenerateShortJobsNegativeCount(t *testing.T) {
 	if _, err := GenerateShortJobs(Config{NumJobs: -1}); err == nil {
 		t.Error("negative NumJobs should fail")
