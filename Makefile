@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check farm-smoke fmt vet cross build test fma-off race scale-smoke fuzz-smoke bench bench-figs profile-scale
+.PHONY: check farm-smoke fmt vet cross build test selectors fma-off race scale-smoke fuzz-smoke bench bench-figs profile-scale
 
 # The tests that keep a perf "win" from silently changing results ride
 # `test`: every quick figure series of both profiles must hash to the
@@ -15,7 +15,7 @@ GO ?= go
 # the build of record. Nothing here gates on timing:
 # whether a run got slower is the repo benchmark's question (`go run
 # ./bench`, bench/README.md), answered with alternating parent/change runs.
-check: fmt vet cross build test fma-off race farm-smoke scale-smoke
+check: fmt vet cross build test selectors fma-off race farm-smoke scale-smoke
 
 # gofmt -l prints unformatted files; fail loudly if there are any.
 fmt:
@@ -38,6 +38,12 @@ build:
 test:
 	$(GO) test ./...
 
+# selectors fails when a -run or -fuzz pattern this Makefile or the CI
+# workflow names matches no test (`go test -list` per alternative and
+# package), so renaming a test cannot silently empty a step.
+selectors:
+	GO=$(GO) sh scripts/check-selectors.sh Makefile .github/workflows/ci.yml
+
 # fma-off reruns the exponential's and the DNN kernels' tests with the Go
 # runtime told the CPU has no FMA. math.FMA then takes its exact software
 # path inside fmath.Exp (the plain-Go tier) while the assembly tier, which
@@ -51,9 +57,10 @@ fma-off:
 # sweep runner, the shared workload-snapshot cache, the DNN's shared
 # training state, the scheduler's per-kind training fan-out
 # (TestTrainKindsRunsKindsConcurrently holds all three kinds in flight at
-# once; TestBatchedRefreshWorkerEquivalence trains them concurrently at
-# Workers 4), and the farm dispatcher/worker pair (leases, heartbeats, and
-# result submission race by design). A run has one fan-out: CORP's three
+# once; TestCorpRefreshWorkerEquivalence trains them concurrently at
+# Workers 4 and refreshes from the networks they wrote), and the farm
+# dispatcher/worker pair (leases, heartbeats, and result submission race
+# by design). A run has one fan-out: CORP's three
 # resource kinds training the shared brain on goroutines of their own. In
 # internal/sim the equivalence suites run CORP at Workers 2, 4 and
 # GOMAXPROCS against the reference slot loop (oracle_test.go, entered

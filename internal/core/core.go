@@ -21,7 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -144,13 +144,16 @@ func (c *Controller) ObserveSlot(unused []resource.Vector) ([]Grant, error) {
 
 // adjustActive re-sizes live grants to their jobs' current demand when the
 // scheme supports dynamic adjustment (CORP's "dynamically allocates the
-// corrected amount"). Callers observe the new sizes via Grants.
+// corrected amount"). Callers observe the new sizes via Grants. Grants
+// are adjusted in ascending job ID, so when fresh grants on one VM compete
+// for its headroom the lowest ID grows first, whatever the map order.
 func (c *Controller) adjustActive() {
 	adj, ok := c.sched.(scheduler.Adjuster)
 	if !ok {
 		return
 	}
-	for id, g := range c.active {
+	for _, id := range c.activeIDs() {
+		g := c.active[id]
 		spec := c.specs[id]
 		if spec == nil {
 			continue
@@ -174,6 +177,16 @@ func (c *Controller) adjustActive() {
 		g.Alloc = newAlloc
 		c.active[id] = g
 	}
+}
+
+// activeIDs lists the live grants' job IDs in ascending order.
+func (c *Controller) activeIDs() []job.ID {
+	ids := make([]job.ID, 0, len(c.active))
+	for id := range c.active {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Grants returns a snapshot of the live grants keyed by job ID.
@@ -305,12 +318,11 @@ func (c *Controller) VMDown(v int) ([]job.ID, error) {
 	}
 	c.down[v] = true
 	var lost []job.ID
-	for id, g := range c.active {
-		if g.VM == v {
+	for _, id := range c.activeIDs() {
+		if c.active[id].VM == v {
 			lost = append(lost, id)
 		}
 	}
-	sort.Slice(lost, func(a, b int) bool { return lost[a] < lost[b] })
 	for _, id := range lost {
 		spec := c.specs[id]
 		delete(c.active, id)

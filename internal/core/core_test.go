@@ -343,3 +343,64 @@ func TestGrantsSnapshotAndAdjustment(t *testing.T) {
 		t.Error("snapshot mutation leaked into the controller")
 	}
 }
+
+// TestAdjustGrowsLowestJobIDFirst pins the per-window adjustment's order:
+// two identical fresh grants on one VM step their CPU demand from 5 % to
+// 25 % of capacity at the same refresh, past the VM's headroom, and job 1
+// must win the headroom in every fresh controller.
+// Ranging over the grants map would hand it to either job at random.
+func TestAdjustGrowsLowestJobIDFirst(t *testing.T) {
+	var want float64
+	for run := 0; run < 40; run++ {
+		cl, err := cluster.New(cluster.Config{NumPMs: 1, NumVMs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm := cl.VMs[0]
+		if err := vm.Reserve(vm.Capacity.Scale(0.6)); err != nil {
+			t.Fatal(err)
+		}
+		c := newController(t, cl)
+		stepJob := func(id int) *job.Job {
+			usage := make([]resource.Vector, 12)
+			for i := range usage {
+				usage[i] = vm.Capacity.Scale(0.05)
+				if i >= c.Window()-1 {
+					usage[i][resource.CPU] *= 5
+				}
+			}
+			return &job.Job{ID: job.ID(id), Duration: len(usage), SLOFactor: 2, Usage: usage, Request: resource.MaxAcross(usage)}
+		}
+		if err := c.Submit([]*job.Job{stepJob(1), stepJob(2)}); err != nil {
+			t.Fatal(err)
+		}
+		// The first slot places both jobs on fresh headroom (granted at
+		// slot 1); the refresh at slot Window adjusts them to demand index
+		// Window-1, past the step.
+		var fresh int
+		for slot := 0; slot <= c.Window(); slot++ {
+			grants, err := c.ObserveSlot([]resource.Vector{vm.Capacity.Scale(0.3)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range grants {
+				if !g.Opportunistic {
+					fresh++
+				}
+			}
+		}
+		if fresh != 2 {
+			t.Fatalf("run %d: %d fresh grants, want 2", run, fresh)
+		}
+		g := c.Grants()
+		one, two := g[1].Alloc.At(resource.CPU), g[2].Alloc.At(resource.CPU)
+		if one <= two {
+			t.Fatalf("run %d: job 2 took the headroom: CPU %v (job 1) vs %v (job 2)", run, one, two)
+		}
+		if run == 0 {
+			want = one
+		} else if one != want {
+			t.Fatalf("run %d: job 1's grant %v, want %v as in run 0", run, one, want)
+		}
+	}
+}

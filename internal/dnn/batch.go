@@ -2,24 +2,15 @@ package dnn
 
 import "fmt"
 
-// Batched feed-forward evaluation. The per-VM refresh path evaluates the
-// same (read-only) network on many independent input rows; doing that one
-// matrix-vector product at a time re-reads every weight slab once per row.
-// ForwardBatchInto instead runs a matrix-matrix forward: each layer's
-// weight rows are streamed once and applied to a block of input rows held
-// in registers, so the weight traffic is amortized across the whole batch.
-//
-// Bit-identity: each (row, neuron) pre-activation is still accumulated as
-// bias first, then fan-in index j ascending — exactly the chain
-// forwardLayer builds for a single row — so batched outputs are == the
-// per-sample ForwardInto outputs element for element. Rows never mix:
-// blocking only changes which independent accumulator chains are
-// interleaved in time, not any chain's internal order.
+// Batched feed-forward evaluation: ForwardBatchInto runs Forward's layer
+// kernel once per row of a flat row-major batch, into caller-owned scratch.
+// No run path uses it (CORP's refresh predicts per VM through Forward); it
+// remains for the repo benchmark's kernel row. Each row's chains are exactly
+// forwardLayer's, so row r of the output is == Forward(row r).
 
 // BatchScratch holds caller-owned activation planes for ForwardBatchInto.
-// Plane d is row-major rows×sizes[d]. Like FwdScratch, it is tied to a
-// topology rather than a specific network, and each concurrent caller
-// needs its own scratch.
+// Plane d is row-major rows×sizes[d]. It is tied to a topology rather than
+// a specific network, and each concurrent caller needs its own scratch.
 type BatchScratch struct {
 	sizes []int
 	rows  int
@@ -43,17 +34,14 @@ func (n *Network) NewBatchScratch(rows int) *BatchScratch {
 	return s
 }
 
-// Rows returns the maximum batch size the scratch supports.
-func (s *BatchScratch) Rows() int { return s.rows }
-
 // ForwardBatchInto evaluates the network on a batch of input rows stored
 // in one flat row-major slab (rows = len(inputs)/inputSize) and returns
 // the flat rows×outputSize output plane, owned by the scratch and
 // overwritten by its next use. Row r of the result is bit-identical to
-// ForwardInto(inputs row r). Like ForwardInto it reads only the network's
-// weights, so concurrent calls on one network are safe provided no
-// training runs concurrently and each caller uses its own scratch. The
-// call performs no heap allocations.
+// Forward(inputs row r). It reads only the network's weights, so
+// concurrent calls on one network are safe provided no training runs
+// concurrently and each caller uses its own scratch. The call performs no
+// heap allocations.
 func (n *Network) ForwardBatchInto(s *BatchScratch, inputs []float64) ([]float64, error) {
 	inSize := n.sizes[0]
 	if len(inputs) == 0 || len(inputs)%inSize != 0 {

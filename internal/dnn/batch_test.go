@@ -7,7 +7,7 @@ import (
 )
 
 // TestForwardBatchMatchesPerSample pins the batched kernel exactly equal
-// (==, not approximately) to per-sample ForwardInto across randomized
+// (==, not approximately) to per-sample Forward across randomized
 // topologies and batch sizes 1..N, including sizes that leave a ragged
 // final 4-row block and odd output widths that exercise the 1-neuron
 // remainder column.
@@ -31,7 +31,6 @@ func testForwardBatchMatchesPerSample(t *testing.T) {
 		inSize, outSize := sizes[0], sizes[len(sizes)-1]
 		const maxRows = 9 // covers 4-row blocks plus every ragged remainder
 		scratch := net.NewBatchScratch(maxRows)
-		fwd := net.NewFwdScratch()
 		inputs := make([]float64, maxRows*inSize)
 		for rows := 1; rows <= maxRows; rows++ {
 			for i := range inputs[:rows*inSize] {
@@ -45,9 +44,9 @@ func testForwardBatchMatchesPerSample(t *testing.T) {
 				t.Fatalf("shape %v rows %d: got %d outputs, want %d", sizes, rows, len(got), rows*outSize)
 			}
 			for r := 0; r < rows; r++ {
-				want, err := net.ForwardInto(fwd, inputs[r*inSize:(r+1)*inSize])
+				want, err := net.Forward(inputs[r*inSize : (r+1)*inSize])
 				if err != nil {
-					t.Fatalf("ForwardInto: %v", err)
+					t.Fatalf("Forward: %v", err)
 				}
 				for i, w := range want {
 					if g := got[r*outSize+i]; g != w {
@@ -132,11 +131,10 @@ func BenchmarkForwardBatchTableII(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 		b.Run(fmt.Sprintf("persample-%d", rows), func(b *testing.B) {
-			fwd := net.NewFwdScratch()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < rows; r++ {
-					if _, err := net.ForwardInto(fwd, inputs[r*12:(r+1)*12]); err != nil {
+					if _, err := net.Forward(inputs[r*12 : (r+1)*12]); err != nil {
 						b.Fatal(err)
 					}
 				}

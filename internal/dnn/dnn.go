@@ -173,18 +173,12 @@ func sigmoid(x float64) float64 { return 1 / (1 + fmath.Exp(-x)) }
 // F′ = g·(1−g), as used by Eqs. 6–7.
 func sigmoidPrime(g float64) float64 { return g * (1 - g) }
 
-// forward runs the feed-forward kernel into the network's own scratch.
+// forward runs the feed-forward kernel (Eq. 5) into the network's own
+// activations.
 func (n *Network) forward(input []float64) {
-	forwardInto(n.weights, n.biases, n.acts, input)
-}
-
-// forwardInto is the feed-forward kernel (Eq. 5). Activations land in
-// acts, which the caller owns — concurrent evaluations of one network are
-// safe as long as each uses its own acts buffers (see FwdScratch).
-func forwardInto(weights, biases, acts [][]float64, input []float64) {
-	copy(acts[0], input)
-	for d := 0; d < len(weights); d++ {
-		forwardLayer(weights[d], biases[d], acts[d], acts[d+1])
+	copy(n.acts[0], input)
+	for d := 0; d < len(n.weights); d++ {
+		forwardLayer(n.weights[d], n.biases[d], n.acts[d], n.acts[d+1])
 	}
 }
 
@@ -197,51 +191,6 @@ func (n *Network) Forward(input []float64) ([]float64, error) {
 	}
 	n.forward(input)
 	return n.acts[len(n.acts)-1], nil
-}
-
-// FwdScratch holds caller-owned activation buffers for ForwardInto, so
-// many goroutines can evaluate one (read-only) network concurrently; each
-// per-VM predictor owns one.
-// A scratch is tied to a topology, not a specific network: it works with
-// any network whose LayerSizes match the one that created it.
-type FwdScratch struct {
-	sizes []int
-	acts  [][]float64
-}
-
-// NewFwdScratch allocates forward-pass scratch for this network's
-// topology.
-func (n *Network) NewFwdScratch() *FwdScratch {
-	s := &FwdScratch{sizes: append([]int(nil), n.sizes...)}
-	slab := make([]float64, sum(n.sizes))
-	s.acts = make([][]float64, len(n.sizes))
-	off := 0
-	for d, sz := range n.sizes {
-		s.acts[d] = slab[off : off+sz : off+sz]
-		off += sz
-	}
-	return s
-}
-
-// ForwardInto evaluates the network using the caller's scratch and returns
-// the output activations (owned by the scratch, overwritten by its next
-// use). It reads only the network's weights, so concurrent calls on one
-// network are safe provided no training runs concurrently and each caller
-// uses its own scratch. Numerics are bit-identical to Forward.
-func (n *Network) ForwardInto(s *FwdScratch, input []float64) ([]float64, error) {
-	if len(input) != n.sizes[0] {
-		return nil, fmt.Errorf("dnn: input size %d, want %d", len(input), n.sizes[0])
-	}
-	if len(s.sizes) != len(n.sizes) {
-		return nil, fmt.Errorf("dnn: scratch for %d layers, network has %d", len(s.sizes), len(n.sizes))
-	}
-	for d, sz := range n.sizes {
-		if s.sizes[d] != sz {
-			return nil, fmt.Errorf("dnn: scratch topology %v, network %v", s.sizes, n.sizes)
-		}
-	}
-	forwardInto(n.weights, n.biases, s.acts, input)
-	return s.acts[len(s.acts)-1], nil
 }
 
 // trainOne is the forward+backward+update step for one sample. Sizes must

@@ -46,54 +46,16 @@ type Entity struct {
 	Demand resource.Vector
 }
 
-// NewEntity builds an entity over the given jobs.
-func NewEntity(jobs ...*job.Job) Entity {
-	e := Entity{Jobs: jobs}
-	for _, j := range jobs {
-		e.Demand = e.Demand.Add(j.PeakDemand())
-	}
-	return e
-}
-
 // Pack groups the jobs into entities following the paper's algorithm:
 // fetch each job in list order, search the remaining jobs for the
 // highest-deviation partner among those with a different dominant resource
 // (normalized by reference capacities), pair them, and continue. Jobs with
 // no complementary partner form singleton entities. The input slice is not
-// modified.
+// modified. It is PackK with k = 2 on a Packer of its own, so the entities
+// are the caller's to keep.
 func Pack(jobs []*job.Job, reference resource.Vector) []Entity {
-	used := make([]bool, len(jobs))
-	dominant := make([]resource.Kind, len(jobs))
-	peaks := make([]resource.Vector, len(jobs))
-	for i, j := range jobs {
-		peaks[i] = j.PeakDemand()
-		dominant[i] = peaks[i].Dominant(reference)
-	}
-	var entities []Entity
-	for i, j := range jobs {
-		if used[i] {
-			continue
-		}
-		used[i] = true
-		best := -1
-		bestDV := -1.0
-		for cand := i + 1; cand < len(jobs); cand++ {
-			if used[cand] || dominant[cand] == dominant[i] {
-				continue
-			}
-			if dv := Deviation(peaks[i], peaks[cand]); dv > bestDV {
-				bestDV = dv
-				best = cand
-			}
-		}
-		if best >= 0 {
-			used[best] = true
-			entities = append(entities, NewEntity(j, jobs[best]))
-		} else {
-			entities = append(entities, NewEntity(j))
-		}
-	}
-	return entities
+	var p Packer
+	return p.PackK(jobs, reference, 2)
 }
 
 // Candidate is one VM a placer may choose: its ID and the resources

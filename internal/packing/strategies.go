@@ -24,10 +24,10 @@ type Packer struct {
 	entities []Entity
 }
 
-// PackK generalizes Pack to entities of up to k jobs: each anchor greedily
-// absorbs the highest-deviation partner with a dominant resource not yet
-// in the entity, until k members or no candidate remains. PackK(jobs, ref,
-// 2) matches Pack. k < 2 yields singletons.
+// PackK generalizes the paper's pairwise packing to entities of up to k
+// jobs: each anchor greedily absorbs the highest-deviation partner with a
+// dominant resource not yet in the entity, until k members or no candidate
+// remains. Pack is PackK(jobs, ref, 2). k < 2 yields singletons.
 func (p *Packer) PackK(jobs []*job.Job, reference resource.Vector, k int) []Entity {
 	n := len(jobs)
 	if cap(p.used) < n {
@@ -53,7 +53,8 @@ func (p *Packer) PackK(jobs []*job.Job, reference resource.Vector, k int) []Enti
 		used[i] = true
 		start := len(p.members)
 		p.members = append(p.members, j)
-		// Summed from zero in member order: NewEntity's Demand bits.
+		// Summed from zero in member order, so a pair's Demand is the sum
+		// of its two peaks bit for bit.
 		sum := resource.Vector{}.Add(peaks[i])
 		var have [resource.NumKinds]bool
 		have[dominant[i]] = true

@@ -22,28 +22,95 @@ func TestPackKSingletons(t *testing.T) {
 	}
 }
 
-func TestPackKMatchesPackForPairs(t *testing.T) {
-	ref := uniform(10)
-	jobs := []*job.Job{
-		mkJob(0, 8, 1, 1), mkJob(1, 1, 8, 1), mkJob(2, 7, 1, 1), mkJob(3, 1, 1, 8),
+// NewEntity builds an entity over the given jobs, its Demand summed from
+// zero in member order.
+func NewEntity(jobs ...*job.Job) Entity {
+	e := Entity{Jobs: jobs}
+	for _, j := range jobs {
+		e.Demand = e.Demand.Add(j.PeakDemand())
 	}
-	a := Pack(jobs, ref)
-	b := packK(jobs, ref, 2)
-	if len(a) != len(b) {
-		t.Fatalf("Pack %d entities vs PackK %d", len(a), len(b))
+	return e
+}
+
+// pairwisePack is the paper's pairwise packing loop written out on its own:
+// each unused job, in list order, pairs with the later unused job of a
+// different dominant resource that maximizes the deviation, or stays alone.
+// PackK(jobs, ref, 2), and so Pack, must reproduce it exactly.
+func pairwisePack(jobs []*job.Job, reference resource.Vector) []Entity {
+	used := make([]bool, len(jobs))
+	dominant := make([]resource.Kind, len(jobs))
+	peaks := make([]resource.Vector, len(jobs))
+	for i, j := range jobs {
+		peaks[i] = j.PeakDemand()
+		dominant[i] = peaks[i].Dominant(reference)
 	}
-	for i := range a {
-		if len(a[i].Jobs) != len(b[i].Jobs) {
-			t.Fatalf("entity %d sizes differ", i)
+	var entities []Entity
+	for i, j := range jobs {
+		if used[i] {
+			continue
 		}
-		for j := range a[i].Jobs {
-			if a[i].Jobs[j].ID != b[i].Jobs[j].ID {
-				t.Errorf("entity %d member %d: %d vs %d", i, j, a[i].Jobs[j].ID, b[i].Jobs[j].ID)
+		used[i] = true
+		best := -1
+		bestDV := -1.0
+		for cand := i + 1; cand < len(jobs); cand++ {
+			if used[cand] || dominant[cand] == dominant[i] {
+				continue
+			}
+			if dv := Deviation(peaks[i], peaks[cand]); dv > bestDV {
+				bestDV = dv
+				best = cand
 			}
 		}
-		if a[i].Demand != b[i].Demand {
-			t.Errorf("entity %d demand: Pack %v vs PackK %v", i, a[i].Demand, b[i].Demand)
+		if best >= 0 {
+			used[best] = true
+			entities = append(entities, NewEntity(j, jobs[best]))
+		} else {
+			entities = append(entities, NewEntity(j))
 		}
+	}
+	return entities
+}
+
+// TestPackKMatchesPackForPairs pins Pack and PackK at k = 2 to the
+// pairwise reference, member for member and bit for bit in the demand, on
+// a hand-built batch and on random ones.
+func TestPackKMatchesPackForPairs(t *testing.T) {
+	ref := uniform(10)
+	rng := rand.New(rand.NewSource(11))
+	batches := [][]*job.Job{
+		nil,
+		{mkJob(0, 8, 1, 1), mkJob(1, 1, 8, 1), mkJob(2, 7, 1, 1), mkJob(3, 1, 1, 8)},
+	}
+	for n := 1; n <= 40; n++ {
+		jobs := make([]*job.Job, n)
+		for i := range jobs {
+			jobs[i] = mkJob(i, 9*rng.Float64(), 9*rng.Float64(), 9*rng.Float64())
+		}
+		batches = append(batches, jobs)
+	}
+	for bi, jobs := range batches {
+		want := pairwisePack(jobs, ref)
+		for name, got := range map[string][]Entity{"Pack": Pack(jobs, ref), "PackK": packK(jobs, ref, 2)} {
+			if len(got) != len(want) {
+				t.Fatalf("batch %d: %s %d entities vs reference %d", bi, name, len(got), len(want))
+			}
+			for i := range want {
+				if len(got[i].Jobs) != len(want[i].Jobs) {
+					t.Fatalf("batch %d entity %d: %s size %d vs reference %d", bi, i, name, len(got[i].Jobs), len(want[i].Jobs))
+				}
+				for j := range want[i].Jobs {
+					if got[i].Jobs[j].ID != want[i].Jobs[j].ID {
+						t.Errorf("batch %d entity %d member %d: %s %d vs reference %d", bi, i, j, name, got[i].Jobs[j].ID, want[i].Jobs[j].ID)
+					}
+				}
+				if got[i].Demand != want[i].Demand {
+					t.Errorf("batch %d entity %d demand: %s %v vs reference %v", bi, i, name, got[i].Demand, want[i].Demand)
+				}
+			}
+		}
+	}
+	if Pack(nil, ref) != nil {
+		t.Error("Pack(nil) is not nil")
 	}
 }
 

@@ -66,50 +66,6 @@ func TestHMMCorrectDirectDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestSplitPredictPathDoesNotAllocate pins the engine-facing split —
-// PredictPrepare, ForwardBatchKind, PredictFinish — allocation-free once
-// warm, matching the serial Predict guarantee above.
-func TestSplitPredictPathDoesNotAllocate(t *testing.T) {
-	brain, err := NewCorpBrain(CorpConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewCorpPredictor(brain, resource.Vector{8, 16, 100}, 1)
-	rows := [resource.NumKinds][]float64{
-		make([]float64, brain.InputSlots()),
-		make([]float64, brain.InputSlots()),
-		make([]float64, brain.InputSlots()),
-	}
-	split := func(i int) {
-		p.Observe(fluctVector(i))
-		need := p.PredictPrepare(&rows)
-		var outs [resource.NumKinds]float64
-		for _, k := range resource.Kinds() {
-			if !need[k] {
-				continue
-			}
-			out, err := brain.ForwardBatchKind(k, rows[k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs[k] = out[0]
-		}
-		p.PredictFinish(&outs)
-	}
-	i := 0
-	for ; i < 160; i++ {
-		split(i)
-	}
-	var out []ErrorSample
-	if avg := testing.AllocsPerRun(64, func() {
-		split(i)
-		out = p.AppendOutcomes(out[:0])
-		i++
-	}); avg != 0 {
-		t.Errorf("split observe+predict+drain allocates %.2f/op after warmup", avg)
-	}
-}
-
 func TestBaselinePredictDoesNotAllocate(t *testing.T) {
 	capacity := resource.Vector{8, 16, 100}
 	rccr := NewRCCRPredictor(RCCRConfig{}, capacity)

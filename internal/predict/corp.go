@@ -103,9 +103,6 @@ type brainKind struct {
 	replayPos int
 	batchIn   []float64 // (1+ReplaySteps) rows × InputSlots
 	batchTgt  []float64 // (1+ReplaySteps) targets
-	// fwdBatch backs ForwardBatchKind (grown on demand). Per-kind
-	// ownership keeps the kinds fully independent.
-	fwdBatch *dnn.BatchScratch
 	// steps counts SGD updates; errs counts rejected online training
 	// calls (malformed samples) so a broken feed cannot masquerade as a
 	// trained predictor.
@@ -161,9 +158,6 @@ func NewCorpBrain(cfg CorpConfig) (*CorpBrain, error) {
 	}
 	return b, nil
 }
-
-// InputSlots returns Δ, the per-kind network's input width.
-func (b *CorpBrain) InputSlots() int { return b.cfg.InputSlots }
 
 // TrainErrors returns how many online training calls were rejected,
 // summed over resource kinds.
@@ -221,43 +215,6 @@ func (b *CorpBrain) train(k resource.Kind, input []float64, target float64) erro
 	return nil
 }
 
-// ForwardBatchKind evaluates the kind-k network on a flat row-major batch
-// of input rows (len(inputs)/Δ rows) and returns one output per row,
-// bit-identical per row to forwardInto. The scratch is brain-owned per
-// kind and grown on demand, so steady-state calls perform no allocations;
-// calls for distinct kinds may run concurrently (with no concurrent
-// training), calls for one kind must be serialized.
-func (b *CorpBrain) ForwardBatchKind(k resource.Kind, inputs []float64) ([]float64, error) {
-	kk := &b.kinds[k]
-	in := b.cfg.InputSlots
-	if len(inputs) == 0 || len(inputs)%in != 0 {
-		return nil, fmt.Errorf("predict: forward batch kind %v: inputs length %d not a positive multiple of %d", k, len(inputs), in)
-	}
-	rows := len(inputs) / in
-	if kk.fwdBatch == nil || kk.fwdBatch.Rows() < rows {
-		kk.fwdBatch = kk.net.NewBatchScratch(rows)
-	}
-	return kk.net.ForwardBatchInto(kk.fwdBatch, inputs)
-}
-
-// forwardInto evaluates the kind-k network into caller-owned scratch (the
-// network's Forward would reuse its training activations and so share
-// scratch with trainOne). With weights read-only (no concurrent train),
-// any number of goroutines may call this with distinct scratch.
-func (b *CorpBrain) forwardInto(k resource.Kind, s *dnn.FwdScratch, input []float64) (float64, error) {
-	out, err := b.kinds[k].net.ForwardInto(s, input)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
-// newFwdScratch returns forward scratch sized for the brain's networks
-// (all kinds share one topology, so one scratch serves every kind).
-func (b *CorpBrain) newFwdScratch() *dnn.FwdScratch {
-	return b.kinds[0].net.NewFwdScratch()
-}
-
 // CorpPredictor is one VM's CORP prediction pipeline.
 //
 // Observe splits into two phases so the scheduler can train the brain's
@@ -272,18 +229,8 @@ type CorpPredictor struct {
 
 	hmms        [resource.NumKinds]*hmm.Model
 	predictions int
-	// fwd is Predict's own forward scratch, made on its first call: the
-	// scheduler's batched Refresh runs brain-owned batch forwards instead,
-	// so a fleet it drives never needs one.
-	fwd *dnn.FwdScratch
-
-	// Split-prediction state carried from PredictPrepare to
-	// PredictFinish: which kinds get a DNN estimate this refresh (the
-	// others are cold and fall back to the historical mean), and Predict's
-	// own DNN input rows (the scheduler's batched Refresh supplies its
-	// staging slab instead).
-	need     [resource.NumKinds]bool
-	predRows [resource.NumKinds][]float64
+	// predRow is Predict's normalized DNN input row, reused across kinds.
+	predRow []float64
 
 	// Symbolization scratch for hmmCorrect, reused across kinds and
 	// predictions (each call fully rewrites both before reading).
@@ -318,7 +265,7 @@ func NewCorpPredictor(brain *CorpBrain, capacity resource.Vector, seed int64) *C
 func NewCorpFleet(brain *CorpBrain, caps []resource.Vector, seed int64) []CorpPredictor {
 	cfg := brain.cfg
 	in := cfg.InputSlots
-	per := 2 * resource.NumKinds * in // stageIn then predRows, per kind
+	per := (resource.NumKinds + 1) * in // stageIn per kind, then predRow
 	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, true)
 	rows := make([]float64, len(caps)*per)
 	fleet := make([]CorpPredictor, len(caps))
@@ -327,9 +274,9 @@ func NewCorpFleet(brain *CorpBrain, caps []resource.Vector, seed int64) []CorpPr
 		*p = CorpPredictor{cfg: cfg, brain: brain, track: slab.tracker(i, c)}
 		own := rows[i*per : (i+1)*per]
 		for k := range p.stageIn {
-			p.stageIn[k] = own[(2*k)*in : (2*k+1)*in : (2*k+1)*in]
-			p.predRows[k] = own[(2*k+1)*in : (2*k+2)*in : (2*k+2)*in]
+			p.stageIn[k] = own[k*in : (k+1)*in : (k+1)*in]
 		}
+		p.predRow = own[resource.NumKinds*in : per : per]
 		for k := range p.hmms {
 			p.hmms[k] = hmm.NewPaperModel(seed + int64(i) + int64(k))
 		}
@@ -399,62 +346,12 @@ func (p *CorpPredictor) FlushShared(k resource.Kind) {
 func (p *CorpPredictor) TrainErrors() int { return p.brain.TrainErrors() }
 
 // Predict implements Predictor: DNN estimate, HMM peak/valley correction,
-// confidence-interval adjustment, Eq. 21 gate. It is PredictPrepare +
-// per-kind forwards + PredictFinish; the scheduler's batched Refresh runs
-// the same halves around one batched forward per kind instead, so both
-// paths share every line of pipeline logic.
+// confidence-interval adjustment, Eq. 21 gate. The forward runs in the
+// kind's shared network's own scratch, which is safe because no training
+// overlaps a refresh: the scheduler's training fan-out joins before
+// ObserveAll returns.
 func (p *CorpPredictor) Predict() Prediction {
-	need := p.PredictPrepare(&p.predRows)
-	if p.fwd == nil {
-		p.fwd = p.brain.newFwdScratch()
-	}
-	var outs [resource.NumKinds]float64
-	for _, k := range resource.Kinds() {
-		if !need[k] {
-			continue
-		}
-		norm, err := p.brain.forwardInto(k, p.fwd, p.predRows[k])
-		if err != nil {
-			norm = math.NaN() // PredictFinish falls back to the mean
-		}
-		outs[k] = norm
-	}
-	return p.PredictFinish(&outs)
-}
-
-// PredictPrepare is the first half of a split prediction: for every kind
-// with enough history for a DNN forward it writes the normalized Δ-slot
-// input into rows[k] (caller-owned, each at least InputSlots long) and
-// sets need[k]. The caller must run the forwards for the needed kinds and
-// hand the raw normalized outputs to PredictFinish; kinds with need[k]
-// false (cold start, or a degenerate capacity) ignore their output slot.
-// The batched refresh path gathers rows from many VMs into contiguous
-// per-kind staging and runs one batched forward per kind.
-func (p *CorpPredictor) PredictPrepare(rows *[resource.NumKinds][]float64) (need [resource.NumKinds]bool) {
 	p.predictions++
-	for _, k := range resource.Kinds() {
-		vals := p.track.histValues(k)
-		capK := p.track.capacity[k]
-		if len(vals) < p.cfg.InputSlots || capK <= 0 {
-			continue // PredictFinish falls back to the historical mean
-		}
-		row := rows[k]
-		for i := 0; i < p.cfg.InputSlots; i++ {
-			row[i] = clamp01(vals[len(vals)-p.cfg.InputSlots+i] / capK)
-		}
-		need[k] = true
-	}
-	p.need = need
-	return need
-}
-
-// PredictFinish is the second half of a split prediction: given the raw
-// normalized DNN outputs for the kinds PredictPrepare marked as needing a
-// forward (NaN means the forward failed and the historical-mean fallback
-// applies), it runs the rest of the pipeline — HMM correction, the Eq. 19
-// confidence-interval adjustment, and the Eq. 21 gate — exactly as the
-// single-call Predict always has.
-func (p *CorpPredictor) PredictFinish(outs *[resource.NumKinds]float64) Prediction {
 	var out resource.Vector
 	unlocked := true
 	z := stats.ZForConfidence(p.cfg.Eta)
@@ -462,14 +359,10 @@ func (p *CorpPredictor) PredictFinish(outs *[resource.NumKinds]float64) Predicti
 		capK := p.track.capacity[k]
 		vals := p.track.histValues(k)
 		var yhat float64
-		if !p.need[k] {
-			yhat = stats.Mean(vals)
+		if len(vals) < p.cfg.InputSlots || capK <= 0 {
+			yhat = stats.Mean(vals) // cold start: the historical mean
 		} else {
-			norm := outs[k]
-			if math.IsNaN(norm) {
-				norm = clamp01(stats.Mean(vals) / capK)
-			}
-			yhat = norm * capK
+			yhat = p.forward(k, vals, capK) * capK
 		}
 		if !p.cfg.DisableHMM {
 			yhat = p.hmmCorrect(k, vals, yhat)
@@ -490,6 +383,21 @@ func (p *CorpPredictor) PredictFinish(outs *[resource.NumKinds]float64) Predicti
 	out = p.track.clampToCapacity(out)
 	p.track.recordPrediction(out)
 	return Prediction{Unused: out, Unlocked: unlocked}
+}
+
+// forward returns the kind-k network's normalized estimate from the last
+// Δ slots of vals, falling back to the normalized historical mean when the
+// forward fails or yields NaN.
+func (p *CorpPredictor) forward(k resource.Kind, vals []float64, capK float64) float64 {
+	row := p.predRow
+	for i := range row {
+		row[i] = clamp01(vals[len(vals)-len(row)+i] / capK)
+	}
+	out, err := p.brain.kinds[k].net.Forward(row)
+	if err != nil || math.IsNaN(out[0]) {
+		return clamp01(stats.Mean(vals) / capK)
+	}
+	return out[0]
 }
 
 // hmmCorrect applies the Section III-A-1b fluctuation correction for one

@@ -143,15 +143,20 @@ func TestBrainTrainDeterministic(t *testing.T) {
 	}
 }
 
-// forward evaluates the kind-k network on one sample through forwardInto,
-// the production single-sample path, with scratch of its own.
+// forward evaluates the kind-k network on one sample through Forward, the
+// call Predict makes, and copies the scalar out of the network's output
+// buffer as Predict does.
 func (b *CorpBrain) forward(k resource.Kind, input []float64) (float64, error) {
-	return b.forwardInto(k, b.kinds[k].net.NewFwdScratch(), input)
+	out, err := b.kinds[k].net.Forward(input)
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }
 
-// TestBrainForwardNotRetained is the satellite-2 regression test at the
-// predict layer: forwardInto copies the scalar out of the scratch's output
-// buffer, so successive calls cannot corrupt earlier results.
+// TestBrainForwardNotRetained is a regression test at the predict layer:
+// the scalar is copied out of Forward's reused output buffer, so successive
+// calls cannot corrupt earlier results.
 func TestBrainForwardNotRetained(t *testing.T) {
 	b, err := NewCorpBrain(tinyCorpConfig(3))
 	if err != nil {

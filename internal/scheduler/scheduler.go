@@ -452,19 +452,11 @@ type corpScheduler struct {
 	// reuses this scheduler without learned predictions).
 	brain *predict.CorpBrain
 
-	// Split-observe and batched-refresh state (engine.go): corpFleet is
-	// the per-VM predictors' slab, which base.preds points into (nil for
-	// the oracle variant, which routes ObserveAll, ObserveSpan and Refresh
-	// through the per-VM base path). The remaining slices are the reused
-	// staging buffers of the gather → batched forward → scatter pipeline.
-	corpFleet   []predict.CorpPredictor
-	refreshIdx  []int
-	refreshNeed [][resource.NumKinds]bool
-	refreshOut  [][resource.NumKinds]float64
-	refreshRows [][resource.NumKinds][]float64
-	stageRows   [resource.NumKinds][]float64
-	gatherIn    [resource.NumKinds][]float64
-	gatherPos   [resource.NumKinds][]int
+	// corpFleet is the per-VM predictors' slab, which base.preds points
+	// into, for the split observe pass (engine.go); nil for the oracle
+	// variant, which routes ObserveAll and ObserveSpan through the per-VM
+	// base path.
+	corpFleet []predict.CorpPredictor
 
 	// Reused candidate buffers: the eligible-VM sets are fixed for the
 	// duration of one Place call (Down/Unlocked only change between

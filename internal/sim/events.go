@@ -93,12 +93,12 @@ func (q *eventQueue) Push(time int, kind eventKind, index int) {
 	}
 }
 
-// HasPendingEvents reports whether any event remains scheduled.
-func (q *eventQueue) HasPendingEvents() bool { return len(q.items) > 0 }
+// hasPendingEvents reports whether any event remains scheduled.
+func (q *eventQueue) hasPendingEvents() bool { return len(q.items) > 0 }
 
-// PeekNextEventTime returns the earliest scheduled timestamp. It must not
+// peekNextEventTime returns the earliest scheduled timestamp. It must not
 // be called on an empty queue.
-func (q *eventQueue) PeekNextEventTime() int { return q.items[0].time }
+func (q *eventQueue) peekNextEventTime() int { return q.items[0].time }
 
 // pop removes and returns the earliest event. The vacated tail element is
 // zeroed before the shrink so popped events don't linger in the backing
@@ -147,7 +147,7 @@ func (rs *runState) runEventLoop() error {
 		q.Push(clampSlot(rs.runtimes[0].Arrival), evArrival, 0)
 	}
 	q.Push(0, evExecute, 0)
-	for q.HasPendingEvents() && q.PeekNextEventTime() < rs.horizon {
+	for q.hasPendingEvents() && q.peekNextEventTime() < rs.horizon {
 		if err := rs.processNextEvent(); err != nil {
 			return err
 		}

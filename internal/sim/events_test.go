@@ -31,8 +31,8 @@ func TestEventQueueOrdering(t *testing.T) {
 		{time: 2, kind: evFault},
 		{time: 2, kind: evExecute},
 	}
-	if !q.HasPendingEvents() || q.PeekNextEventTime() != 1 {
-		t.Fatalf("peek = %d, want 1", q.PeekNextEventTime())
+	if !q.hasPendingEvents() || q.peekNextEventTime() != 1 {
+		t.Fatalf("peek = %d, want 1", q.peekNextEventTime())
 	}
 	for i, w := range want {
 		got := q.pop()
@@ -41,7 +41,7 @@ func TestEventQueueOrdering(t *testing.T) {
 				i, got.time, got.kind, got.index, w.time, w.kind, w.index)
 		}
 	}
-	if q.HasPendingEvents() {
+	if q.hasPendingEvents() {
 		t.Fatal("queue not drained")
 	}
 }
@@ -119,14 +119,14 @@ func TestEventQueueDuplicateTimestampDrain(t *testing.T) {
 		}
 		sort.Slice(ref, func(a, b int) bool { return ref[a].before(ref[b]) })
 		for i, want := range ref {
-			if !q.HasPendingEvents() {
+			if !q.hasPendingEvents() {
 				t.Fatalf("seed %d: queue empty at pop %d/%d", seed, i, len(ref))
 			}
 			if got := q.pop(); got != want {
 				t.Fatalf("seed %d pop %d: %+v, want %+v", seed, i, got, want)
 			}
 		}
-		if q.HasPendingEvents() {
+		if q.hasPendingEvents() {
 			t.Fatalf("seed %d: queue not drained", seed)
 		}
 	}
@@ -152,7 +152,7 @@ func FuzzArmPlaceDedup(f *testing.F) {
 			}
 		}
 		var got []int
-		for rs.events.HasPendingEvents() {
+		for rs.events.hasPendingEvents() {
 			e := rs.events.pop()
 			if e.kind != evPlace {
 				t.Fatalf("non-evPlace event %+v in queue", e)
@@ -181,7 +181,7 @@ func TestEventQueuePopClearsTail(t *testing.T) {
 		q.Push(i, evExecute, i)
 	}
 	backing := q.items[:cap(q.items)]
-	for i := 0; q.HasPendingEvents(); i++ {
+	for i := 0; q.hasPendingEvents(); i++ {
 		e := q.pop()
 		if e.time != i {
 			t.Fatalf("pop %d: time %d", i, e.time)
