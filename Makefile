@@ -102,7 +102,8 @@ scale-smoke:
 # fuzz-smoke gives each fuzz target ten seconds of mutation beyond the seed
 # corpus plain `go test` replays: the owned exponential against math.Exp,
 # the three assembly-vs-Go kernel oracles (DNN layers, the sigmoid alone,
-# the fit scan), the event queue's place-arming dedup, the three trace
+# the fit scan), the suspect index's r-th-candidate pick against the flat
+# scan, the event queue's place-arming dedup, the three trace
 # readers (never panic, accepted input round-trips) and the farm's spec
 # keys (stable across the wire). (go test -fuzz takes one package and one
 # target per run.)
@@ -112,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDNNKernels$$' -fuzztime $(FUZZTIME) ./internal/dnn
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernel$$' -fuzztime $(FUZZTIME) ./internal/dnn
 	$(GO) test -run '^$$' -fuzz '^FuzzFitScanKernel$$' -fuzztime $(FUZZTIME) ./internal/scheduler
+	$(GO) test -run '^$$' -fuzz '^FuzzSuspectSelect$$' -fuzztime $(FUZZTIME) ./internal/scheduler
 	$(GO) test -run '^$$' -fuzz '^FuzzArmPlaceDedup$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSpecKeys$$' -fuzztime $(FUZZTIME) ./internal/farm

@@ -21,8 +21,6 @@ type RCCRConfig struct {
 	// forecasting method ... for long-running service jobs ... not
 	// suitable for short-lived jobs"). Zero defaults to 3.
 	RefreshEvery int
-	// HistoryLen bounds history; zero defaults to 120.
-	HistoryLen int
 }
 
 func (c RCCRConfig) withDefaults() RCCRConfig {
@@ -40,9 +38,6 @@ func (c RCCRConfig) withDefaults() RCCRConfig {
 	}
 	if c.RefreshEvery <= 0 {
 		c.RefreshEvery = 3
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 120
 	}
 	return c
 }
@@ -68,7 +63,10 @@ func NewRCCRPredictor(cfg RCCRConfig, capacity resource.Vector) *RCCRPredictor {
 // predictors, their trackers and their Holt forecasters from a few slabs.
 func NewRCCRFleet(cfg RCCRConfig, caps []resource.Vector) []RCCRPredictor {
 	cfg = cfg.withDefaults()
-	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, false)
+	// RCCR reads its history only through the tracker's TailMean(L) and,
+	// before Holt is ready, histMean over at most one sample: the 2L
+	// minimum ring holds both.
+	slab := newTrackerSlab(len(caps), cfg.Window, 0, false)
 	holt := stats.NewHoltETSFleet(len(caps)*resource.NumKinds, cfg.Alpha, cfg.Beta)
 	fleet := make([]RCCRPredictor, len(caps))
 	for i, c := range caps {
@@ -327,8 +325,6 @@ type DRAConfig struct {
 	// estimate; DRA's run-time software only estimates "periodically",
 	// so intermediate windows reuse a stale value. Zero defaults to 4.
 	RefreshEvery int
-	// HistoryLen bounds history; zero defaults to 120.
-	HistoryLen int
 }
 
 func (c DRAConfig) withDefaults() DRAConfig {
@@ -340,9 +336,6 @@ func (c DRAConfig) withDefaults() DRAConfig {
 	}
 	if c.RefreshEvery <= 0 {
 		c.RefreshEvery = 4
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 120
 	}
 	return c
 }
@@ -367,7 +360,9 @@ func NewDRAPredictor(cfg DRAConfig, capacity resource.Vector) *DRAPredictor {
 // estimators and their trackers from a few slabs.
 func NewDRAFleet(cfg DRAConfig, caps []resource.Vector) []DRAPredictor {
 	cfg = cfg.withDefaults()
-	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, false)
+	// DRA reads its history only as TailMean(AvgLen) and the tracker's
+	// TailMean(L): a ring of max(AvgLen, 2L) holds both.
+	slab := newTrackerSlab(len(caps), cfg.Window, cfg.AvgLen, false)
 	fleet := make([]DRAPredictor, len(caps))
 	for i, c := range caps {
 		fleet[i] = DRAPredictor{cfg: cfg, track: slab.tracker(i, c)}
@@ -420,7 +415,9 @@ func NewOracleFleet(window int, caps []resource.Vector) []OraclePredictor {
 	if window < 1 {
 		window = 6
 	}
-	slab := newTrackerSlab(len(caps), window, 120, false)
+	// The oracle's only history read is TailMean(window): the 2L minimum
+	// ring holds it.
+	slab := newTrackerSlab(len(caps), window, 0, false)
 	fleet := make([]OraclePredictor, len(caps))
 	for i, c := range caps {
 		fleet[i] = OraclePredictor{track: slab.tracker(i, c), window: window}

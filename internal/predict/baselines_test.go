@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/resource"
@@ -129,6 +130,85 @@ func TestPredictorInterfaceCompliance(t *testing.T) {
 	for _, want := range []string{"CORP", "RCCR", "CloudScale", "DRA"} {
 		if !names[want] {
 			t.Errorf("missing predictor %q", want)
+		}
+	}
+}
+
+// TestHistoryRingsSizedToReads pins the ring sizes RCCR, DRA and the
+// oracle get: their history reads reach back at most max(AvgLen, L) slots,
+// so over 500 random slots each must predict, and mature errors, exactly
+// as a twin built on the 120-slot rings every tracker used to carry.
+func TestHistoryRingsSizedToReads(t *testing.T) {
+	const L, slots, longRing = 6, 500, 120
+	wide := func() tracker {
+		s := newTrackerSlab(1, L, longRing, false)
+		return s.tracker(0, testCap)
+	}
+	rccr := NewRCCRFleet(RCCRConfig{Window: L}, []resource.Vector{testCap, testCap})
+	rccr[1].track = wide()
+	// AvgLen above 2L, so DRA's ring is sized by its own read.
+	draCfg := DRAConfig{Window: L, AvgLen: 20}
+	dra := NewDRAFleet(draCfg, []resource.Vector{testCap, testCap})
+	dra[1].track = wide()
+	oracle := NewOracleFleet(L, []resource.Vector{testCap, testCap})
+	oracle[1].track = wide()
+	// A ring's size shows in the mean it keeps of the ramp 1..200: the
+	// last c values average 200 − (c−1)/2.
+	ringLen := func(tr *tracker) int {
+		for i := 1; i <= 200; i++ {
+			tr.hist[0].Push(float64(i))
+		}
+		return int(2*(200-tr.histMean(0)) + 1)
+	}
+	caps := []resource.Vector{testCap}
+	twin := wide()
+	for _, ring := range []struct {
+		name      string
+		got, want int
+	}{
+		{"RCCR", ringLen(&NewRCCRFleet(RCCRConfig{Window: L}, caps)[0].track), 2 * L},
+		{"DRA", ringLen(&NewDRAFleet(draCfg, caps)[0].track), 20},
+		{"Oracle", ringLen(&NewOracleFleet(L, caps)[0].track), 2 * L},
+		{"wide twin", ringLen(&twin), longRing},
+	} {
+		if ring.got != ring.want {
+			t.Fatalf("%s ring holds %d slots, want %d", ring.name, ring.got, ring.want)
+		}
+	}
+	pairs := [][2]Predictor{
+		{&rccr[0], &rccr[1]},
+		{&dra[0], &dra[1]},
+		{&oracle[0], &oracle[1]},
+	}
+	rng := rand.New(rand.NewSource(11))
+	series := make([]resource.Vector, slots)
+	for i := range series {
+		series[i] = resource.New(rng.Float64()*testCap[0], rng.Float64()*testCap[1], rng.Float64()*testCap[2])
+	}
+	// The oracle reads the future for the first half, then falls back to
+	// its history.
+	oracle[0].SetFuture(series[:slots/2])
+	oracle[1].SetFuture(series[:slots/2])
+	for i, v := range series {
+		for _, pr := range pairs {
+			pr[0].Observe(v)
+			pr[1].Observe(v)
+			if i%L != 0 {
+				continue
+			}
+			a, b := pr[0].Predict(), pr[1].Predict()
+			if a != b {
+				t.Fatalf("%s slot %d: %v with the short ring, %v with %d slots", pr[0].Name(), i, a, b, longRing)
+			}
+			ea, eb := pr[0].AppendOutcomes(nil), pr[1].AppendOutcomes(nil)
+			if len(ea) != len(eb) {
+				t.Fatalf("%s slot %d: %d matured errors vs %d", pr[0].Name(), i, len(ea), len(eb))
+			}
+			for j := range ea {
+				if ea[j] != eb[j] {
+					t.Fatalf("%s slot %d: error %v vs %v", pr[0].Name(), i, ea[j], eb[j])
+				}
+			}
 		}
 	}
 }

@@ -593,13 +593,13 @@ type randomScheduler struct {
 	// susOpp/susFresh are the per-pool suspect indexes (suspect.go): on
 	// large fleets most lanes provably fit the typical demand, so the
 	// per-job kernel scan runs over the packed suspect lanes only. susT
-	// is the call's gate threshold; demandScratch/quantScratch are the
-	// per-call demand precompute buffers.
+	// is the call's gate threshold. demandScratch holds every job's
+	// allocation for a gated call; quantScratch is demandQuantile's buffer.
 	susOpp        suspectIndex
 	susFresh      suspectIndex
 	susT          [resource.NumKinds]float64
 	susOn         bool
-	demandScratch [][resource.NumKinds]float64
+	demandScratch []resource.Vector
 	quantScratch  []float64
 	arena         placementArena
 }
@@ -657,22 +657,27 @@ func (s *randomScheduler) Place(jobs []*job.Job, views []VMView) []Placement {
 	s.arena.reset()
 	s.susOpp.reset()
 	s.susFresh.reset()
-	// Precompute the call's demands and the suspect gate threshold. The
-	// indexes themselves build lazily: the fresh one often never does
-	// (the opportunistic pool fits nearly every job at scale).
+	// On a fleet wide enough for the suspect indexes, precompute the
+	// call's demands (PeakDemand walks a job's whole usage series, so once
+	// per job per call) and the gate threshold they give. The indexes
+	// themselves build lazily: the fresh one often never does (the
+	// opportunistic pool fits nearly every job at scale). A narrower fleet
+	// sizes each job once, in the loop, and keeps no scratch.
 	s.susOn = len(views) >= suspectMinLanes && len(jobs) > 0
 	if s.susOn {
-		if cap(s.demandScratch) < len(jobs) {
-			s.demandScratch = make([][resource.NumKinds]float64, len(jobs))
+		s.demandScratch = s.demandScratch[:0]
+		for _, j := range jobs {
+			s.demandScratch = append(s.demandScratch, s.allocFor(j))
 		}
-		s.demandScratch = s.demandScratch[:len(jobs)]
-		for i, j := range jobs {
-			s.demandScratch[i] = padStorage(j.PeakDemand()).Scale(s.allocFactor * s.tight)
-		}
-		s.susT = demandQuantile(s.demandScratch, s.quantScratch)
+		s.susT, s.quantScratch = demandQuantile(s.demandScratch, s.quantScratch)
 	}
 	for i, j := range jobs {
-		alloc := padStorage(j.PeakDemand()).Scale(s.allocFactor * s.tight)
+		var alloc resource.Vector
+		if s.susOn {
+			alloc = s.demandScratch[i]
+		} else {
+			alloc = s.allocFor(j)
+		}
 		if vm, ok := s.randomFit(alloc, &s.soaOppQ, &s.susOpp); ok {
 			p := poolAt(&s.soaOpp, vm).Sub(alloc).ClampNonNegative()
 			for k := 0; k < resource.NumKinds; k++ {
@@ -694,6 +699,12 @@ func (s *randomScheduler) Place(jobs []*job.Job, views []VMView) []Placement {
 		}
 	}
 	return s.arena.placements
+}
+
+// allocFor is what the scheme allocates job j: its padded peak demand,
+// scaled.
+func (s *randomScheduler) allocFor(j *job.Job) resource.Vector {
+	return padStorage(j.PeakDemand()).Scale(s.allocFactor * s.tight)
 }
 
 // randomFit returns a uniformly random up-VM index whose pool satisfies

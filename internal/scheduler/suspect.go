@@ -1,6 +1,6 @@
 package scheduler
 
-import "sort"
+import "repro/internal/resource"
 
 // suspectOverflowMax bounds the sorted overflow list before a rebuild
 // repacks the dense suspect set. A var so tests can force frequent
@@ -31,9 +31,11 @@ const suspectQuantile = 0.98
 //     copies that the exact fitScan kernel streams per job.
 //
 // A gated job's candidate count is then #non-suspect + #fitting-suspects,
-// and the r-th candidate in ascending lane order is reconstructed by
-// binary search — both bit-identical to the flat scan over all lanes,
-// while the kernel touches ~a tenth of the data.
+// and selectNth finds the r-th candidate in ascending lane order with one
+// binary search over the fitting suspects (then, when the answer lies
+// between two of them, one over the misfits in that gap) — both
+// bit-identical to the flat scan over all lanes, while the kernel touches
+// ~a tenth of the data.
 //
 // Placements decrement pool entries mid-call. The invariant that makes
 // the split sound — a non-suspect lane satisfies Q ≥ t at all times — is
@@ -143,48 +145,81 @@ func (x *suspectIndex) scan(q *[3][]float64, d0, d1, d2 float64) int {
 
 // selectNth returns the lane of the r-th (0-based) fitting candidate in
 // ascending lane order for the demand scan just ran — exactly the lane
-// fitScan's flat candidate list holds at index r. It binary-searches the
-// smallest lane x with r+1 fits at or below x; fitsBelow is monotone and
-// steps by one exactly at fitting lanes, so the boundary is the candidate.
+// fitScan's flat candidate list holds at index r.
+//
+// It searches the fitting dense suspects, whose candidate counts need no
+// nested search: the one at dense position p = fitPos[m] has p suspects
+// and m fitting suspects below its lane, so candBelow prices it with one
+// lower bound over the (≤ suspectOverflowMax) overflow lanes. A fitting
+// suspect with exactly r candidates below it is the answer. Otherwise the
+// answer lies in the gap between the last fitting suspect with fewer and
+// the first with more, and the dense suspects in that gap all misfit: the
+// same formula finds the last of those below the answer. From base, the
+// lane after it, the answer is r − count candidates further on, stepping
+// past each misfitting overflow lane on the way.
 func (x *suspectIndex) selectNth(r int) int {
 	if len(x.ovf) == 0 && len(x.fitPos) == len(x.sidx) {
 		// Every suspect fit too (common for small demands on an
 		// all-up fleet), so every lane is a candidate: the r-th is r.
 		return r
 	}
-	lo, hi := 0, x.n // invariant: fitsBelow(lo) ≤ r < fitsBelow(hi)
+	// The lane of fitPos[lo] (or lane -1 at lo = -1) has fewer than r
+	// candidates below it; the lane of fitPos[hi] (or the end) has more.
+	// base is the lane after fitPos[lo]'s, with below candidates and o
+	// overflow lanes under it.
+	base, below, o := 0, 0, 0
+	lo, hi := -1, len(x.fitPos)
 	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if x.fitsBelow(mid) > r {
+		mid := int(uint(lo+hi) >> 1)
+		p := x.fitPos[mid]
+		lane := int(x.sidx[p])
+		c, oc := x.candBelow(lane, int(p), mid)
+		if c > r {
 			hi = mid
+			continue
+		}
+		if c == r {
+			return lane
+		}
+		lo, base, below, o = mid, lane+1, c+1, oc
+	}
+	// Dense positions [a+1, b) lie between the two fitting suspects and
+	// all misfit; each has lo+1 fitting suspects below it.
+	a, b := -1, len(x.sidx)
+	if lo >= 0 {
+		a = int(x.fitPos[lo])
+	}
+	if hi < len(x.fitPos) {
+		b = int(x.fitPos[hi])
+	}
+	for b-a > 1 {
+		mid := int(uint(a+b) >> 1)
+		lane := int(x.sidx[mid])
+		c, oc := x.candBelow(lane, mid, lo+1)
+		if c > r {
+			b = mid
 		} else {
-			lo = mid
+			a, base, below, o = mid, lane+1, c, oc
 		}
 	}
-	return lo
+	// [base, the next dense suspect) holds non-suspect lanes, which are
+	// candidates, and overflow lanes, which are when they fit.
+	lane := base + r - below
+	for ; o < len(x.ovf) && int(x.ovf[o]) <= lane; o++ {
+		if x.ovfPrefix[o+1] == x.ovfPrefix[o] {
+			lane++
+		}
+	}
+	return lane
 }
 
-// fitsBelow counts fitting candidates among lanes < lane for the demand
-// last passed to scan. selectNth probes it ~log2(n) times per placement,
-// so the three searches are hand-rolled lower bounds rather than
-// sort.Search closures.
-func (x *suspectIndex) fitsBelow(lane int) int {
-	l := int32(lane)
-	sBelow := lowerBound32(x.sidx, l)
-	oBelow := 0
-	if len(x.ovf) > 0 {
-		oBelow = lowerBound32(x.ovf, l)
-	}
-	lo, hi := 0, len(x.fitPos)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if x.sidx[x.fitPos[mid]] < l {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return (lane - sBelow - oBelow) + lo + int(x.ovfPrefix[oBelow])
+// candBelow counts the candidates among lanes < lane, for a lane that is
+// not an overflow lane and has p dense suspects and m fitting dense
+// suspects below it. It also returns o, the number of overflow lanes
+// below it.
+func (x *suspectIndex) candBelow(lane, p, m int) (count, o int) {
+	o = lowerBound32(x.ovf, int32(lane))
+	return lane - p - o + m + int(x.ovfPrefix[o]), o
 }
 
 // lowerBound32 returns the first index whose element is ≥ v in the
@@ -203,24 +238,69 @@ func lowerBound32(a []int32, v int32) int {
 }
 
 // demandQuantile returns the per-kind suspectQuantile over the call's
-// precomputed job demands — the gate threshold t for this Place call.
-func demandQuantile(demands [][3]float64, scratch []float64) [3]float64 {
-	var t [3]float64
+// precomputed job demands — the gate threshold t for this Place call —
+// and the scratch buffer, grown if it had to be, for the next call. The
+// quantile is the idx-th order statistic, which is one value whatever
+// order ties come in, so selection gives the bits a full sort would.
+func demandQuantile(demands []resource.Vector, scratch []float64) ([resource.NumKinds]float64, []float64) {
+	var t [resource.NumKinds]float64
 	m := len(demands)
 	if m == 0 {
-		return t
-	}
-	if cap(scratch) < m {
-		scratch = make([]float64, m)
+		return t, scratch
 	}
 	idx := int(float64(m-1) * suspectQuantile)
-	for k := 0; k < 3; k++ {
+	for k := range t {
 		scratch = scratch[:0]
-		for _, d := range demands {
-			scratch = append(scratch, d[k])
+		for i := range demands {
+			scratch = append(scratch, demands[i][k])
 		}
-		sort.Float64s(scratch)
-		t[k] = scratch[idx]
+		t[k] = nthFloat64(scratch, idx)
 	}
-	return t
+	return t, scratch
+}
+
+// nthFloat64 returns the value sort.Float64s would leave at a[k],
+// reordering a, which holds no NaN (job.Validate rejects non-finite
+// usage): a quickselect with a three-way partition, so runs of equal
+// values (the zero demands) settle in one pass.
+func nthFloat64(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		// Median of three as the pivot.
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+			if x > y {
+				y = x
+			}
+		}
+		pivot := y
+		// [lo, lt) < pivot, [lt, i) == pivot, (gt, hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				a[gt], a[i] = v, a[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return pivot
+		}
+	}
+	return a[k]
 }

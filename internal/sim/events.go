@@ -134,6 +134,17 @@ func (q *eventQueue) pop() event {
 // calls exactly the phase method a fixed-tick loop would have run at that
 // simulated time.
 func (rs *runState) runEventLoop() error {
+	rs.seedEvents()
+	for rs.events.hasPendingEvents() && rs.events.peekNextEventTime() < rs.horizon {
+		if err := rs.processNextEvent(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// seedEvents queues the run's first event of each kind that has one.
+func (rs *runState) seedEvents() {
 	q := &rs.events
 	if rs.inj != nil {
 		q.Push(0, evFault, 0)
@@ -147,12 +158,6 @@ func (rs *runState) runEventLoop() error {
 		q.Push(clampSlot(rs.runtimes[0].Arrival), evArrival, 0)
 	}
 	q.Push(0, evExecute, 0)
-	for q.hasPendingEvents() && q.peekNextEventTime() < rs.horizon {
-		if err := rs.processNextEvent(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // processNextEvent pops the earliest event, runs its phase, and re-arms

@@ -239,3 +239,61 @@ func (st *vmState) rebuildHot() {
 		st.hot = append(st.hot, h)
 	}
 }
+
+// TestNextSlotDemandGather pins what executeVM's separate gather pass must
+// leave behind: after every event of a production run, each running short
+// job's hot entry carries uidx = slots mod len(usage) and d = usage[uidx],
+// the demand its next slot reads. It runs the scale smoke shapes, calm and
+// churned (crashes evict jobs mid-series, surges and adjustments rescale
+// allocations), through the event loop one event at a time.
+func TestNextSlotDemandGather(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale smoke skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"calm", scaleSmokeConfig()},
+		{"churn", withChurn(scaleSmokeConfig(), 200)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs, err := newRunState(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.release()
+			rs.seedEvents()
+			checked, advanced := 0, 0
+			for rs.events.hasPendingEvents() && rs.events.peekNextEventTime() < rs.horizon {
+				if err := rs.processNextEvent(); err != nil {
+					t.Fatal(err)
+				}
+				for v := range rs.vms {
+					st := &rs.vms[v]
+					if len(st.hot) != len(st.running) {
+						t.Fatalf("VM %d: %d hot entries for %d running jobs", v, len(st.hot), len(st.running))
+					}
+					for i := range st.hot {
+						h := &st.hot[i]
+						if int(h.uidx) != int(h.slots)%len(h.usage) {
+							t.Fatalf("VM %d job %d: uidx %d after %d slots of a %d-slot series",
+								v, st.running[i].Spec.ID, h.uidx, h.slots, len(h.usage))
+						}
+						if h.d != h.usage[h.uidx] {
+							t.Fatalf("VM %d job %d: d = %v, usage[%d] = %v",
+								v, st.running[i].Spec.ID, h.d, h.uidx, h.usage[h.uidx])
+						}
+						checked++
+						if h.slots > 0 {
+							advanced++
+						}
+					}
+				}
+			}
+			if advanced == 0 {
+				t.Fatalf("checked %d job states, none past its first slot: the test is vacuous", checked)
+			}
+		})
+	}
+}

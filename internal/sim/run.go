@@ -571,10 +571,11 @@ type slotAccum struct {
 //
 // d carries usage[uidx], the current slot's demand: every consumer of the
 // per-slot demand (the wantOpp fold, the advance pass, adjustments) reads
-// it from the sequential hot array, and the one gather into the job's
-// usage series happens at the tail of the advance pass — as a store with
-// no dependent consumer, so the per-job cache misses overlap instead of
-// serializing the fold.
+// it from the sequential hot array. The one gather into the job's usage
+// series runs after the advance pass, in a loop of its own over hot: left
+// at the tail of the ~70-µop advance body its misses barely overlapped
+// and it took about half of executeVM's time; alone in a tight loop the
+// loads issue back to back.
 //
 // usage aliases Spec.Usage; the trace generator packs every series into
 // one contiguous arena (see trace.GenerateShortJobs), so these gathers
@@ -665,7 +666,6 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 		if h.uidx++; int(h.uidx) == len(h.usage) {
 			h.uidx = 0
 		}
-		h.d = h.usage[h.uidx] // next slot's demand: a pure prefetch store
 		if h.progress >= h.duration-1e-9 {
 			rt := st.running[i]
 			rt.Finished = t
@@ -678,6 +678,13 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 			}
 			finished++
 		}
+	}
+	// Gather the next slot's demands in a pass of their own: nothing
+	// between here and the next slot's wantOpp fold reads d, and this loop
+	// body is just the gather, so its cache misses overlap.
+	for i := range hot {
+		h := &hot[i]
+		h.d = h.usage[h.uidx]
 	}
 	if finished > 0 {
 		rs.shortActive -= finished
