@@ -37,7 +37,7 @@ func allocObs(t testing.TB, vals []float64) []Symbol {
 func TestForwardDoesNotAllocate(t *testing.T) {
 	model := NewPaperModel(1)
 	obs := allocObs(t, allocSeries())
-	s := model.scratch()
+	s := NewScratch()
 	s.pack(model)
 	model.forwardInto(s, obs)
 	if n := testing.AllocsPerRun(100, func() { model.forwardInto(s, obs) }); n != 0 {
@@ -48,7 +48,7 @@ func TestForwardDoesNotAllocate(t *testing.T) {
 func TestBackwardAndGammaDoNotAllocate(t *testing.T) {
 	model := NewPaperModel(1)
 	obs := allocObs(t, allocSeries())
-	s := model.scratch()
+	s := NewScratch()
 	s.pack(model)
 	model.forwardInto(s, obs)
 	scale := s.scale[:len(obs)]
@@ -61,15 +61,16 @@ func TestBackwardAndGammaDoNotAllocate(t *testing.T) {
 func TestViterbiDoesNotAllocate(t *testing.T) {
 	model := NewPaperModel(1)
 	obs := allocObs(t, allocSeries())
-	if _, _, err := model.Viterbi(obs); err != nil {
-		t.Fatalf("warm-up Viterbi: %v", err)
+	s := NewScratch()
+	if _, _, err := model.ViterbiInto(s, obs); err != nil {
+		t.Fatalf("warm-up ViterbiInto: %v", err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, _, err := model.Viterbi(obs); err != nil {
-			t.Fatalf("Viterbi: %v", err)
+		if _, _, err := model.ViterbiInto(s, obs); err != nil {
+			t.Fatalf("ViterbiInto: %v", err)
 		}
 	}); n != 0 {
-		t.Fatalf("Viterbi allocates %v times per run, want 0", n)
+		t.Fatalf("ViterbiInto allocates %v times per run, want 0", n)
 	}
 }
 
@@ -101,29 +102,31 @@ func TestViterbiGrowingHistoryAmortizes(t *testing.T) {
 func TestBaumWelchDoesNotAllocate(t *testing.T) {
 	model := NewPaperModel(1)
 	obs := allocObs(t, allocSeries())
-	if _, _, err := model.BaumWelch(obs, 5, 1e-5); err != nil {
-		t.Fatalf("warm-up BaumWelch: %v", err)
+	s := NewScratch()
+	if _, _, err := model.BaumWelchInto(s, obs, 5, 1e-5); err != nil {
+		t.Fatalf("warm-up BaumWelchInto: %v", err)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		if _, _, err := model.BaumWelch(obs, 5, 1e-5); err != nil {
-			t.Fatalf("BaumWelch: %v", err)
+		if _, _, err := model.BaumWelchInto(s, obs, 5, 1e-5); err != nil {
+			t.Fatalf("BaumWelchInto: %v", err)
 		}
 	}); n != 0 {
-		t.Fatalf("BaumWelch allocates %v times per run, want 0", n)
+		t.Fatalf("BaumWelchInto allocates %v times per run, want 0", n)
 	}
 }
 
 func TestPredictNextSymbolDoesNotAllocate(t *testing.T) {
 	model := NewPaperModel(1)
-	if _, _, err := model.PredictNextSymbol(NormalProvisioning); err != nil {
-		t.Fatalf("warm-up PredictNextSymbol: %v", err)
+	s := NewScratch()
+	if _, _, err := model.PredictNextSymbolInto(s, NormalProvisioning); err != nil {
+		t.Fatalf("warm-up PredictNextSymbolInto: %v", err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, _, err := model.PredictNextSymbol(NormalProvisioning); err != nil {
-			t.Fatalf("PredictNextSymbol: %v", err)
+		if _, _, err := model.PredictNextSymbolInto(s, NormalProvisioning); err != nil {
+			t.Fatalf("PredictNextSymbolInto: %v", err)
 		}
 	}); n != 0 {
-		t.Fatalf("PredictNextSymbol allocates %v times per run, want 0", n)
+		t.Fatalf("PredictNextSymbolInto allocates %v times per run, want 0", n)
 	}
 }
 

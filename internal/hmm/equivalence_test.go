@@ -3,6 +3,7 @@ package hmm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -377,12 +378,13 @@ func TestFlatGammaMatchesJagged(t *testing.T) {
 
 func TestFlatViterbiMatchesJagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	s := NewScratch() // shared across trials of varying H, M and T
 	for trial := 0; trial < 200; trial++ {
 		model, obs := randomCase(rng)
 		ref := jaggedFrom(model)
-		path, logP, err := model.Viterbi(obs)
+		path, logP, err := model.ViterbiInto(s, obs)
 		if err != nil {
-			t.Fatalf("trial %d: Viterbi: %v", trial, err)
+			t.Fatalf("trial %d: ViterbiInto: %v", trial, err)
 		}
 		wantPath, wantLogP := ref.viterbi(obs)
 		if logP != wantLogP {
@@ -398,6 +400,7 @@ func TestFlatViterbiMatchesJagged(t *testing.T) {
 
 func TestFlatBaumWelchMatchesJagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
+	s := NewScratch()
 	for trial := 0; trial < 100; trial++ {
 		model, obs := randomCase(rng)
 		if len(obs) < 2 {
@@ -405,9 +408,9 @@ func TestFlatBaumWelchMatchesJagged(t *testing.T) {
 		}
 		ref := jaggedFrom(model)
 
-		lp, iters, err := model.BaumWelch(obs, 5, 1e-5)
+		lp, iters, err := model.BaumWelchInto(s, obs, 5, 1e-5)
 		if err != nil {
-			t.Fatalf("trial %d: BaumWelch: %v", trial, err)
+			t.Fatalf("trial %d: BaumWelchInto: %v", trial, err)
 		}
 		wantLP, wantIters := ref.baumWelch(obs, 5, 1e-5)
 		if lp != wantLP || iters != wantIters {
@@ -437,13 +440,14 @@ func TestFlatBaumWelchMatchesJagged(t *testing.T) {
 
 func TestFlatPredictNextSymbolMatchesJagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
+	scr := NewScratch()
 	for trial := 0; trial < 200; trial++ {
 		model, _ := randomCase(rng)
 		ref := jaggedFrom(model)
 		for s := 0; s < model.H; s++ {
-			sym, dist, err := model.PredictNextSymbol(State(s))
+			sym, dist, err := model.PredictNextSymbolInto(scr, State(s))
 			if err != nil {
-				t.Fatalf("trial %d: PredictNextSymbol: %v", trial, err)
+				t.Fatalf("trial %d: PredictNextSymbolInto: %v", trial, err)
 			}
 			wantSym, wantDist := ref.predictNextSymbol(State(s))
 			if sym != wantSym {
@@ -459,11 +463,12 @@ func TestFlatPredictNextSymbolMatchesJagged(t *testing.T) {
 }
 
 // TestScratchReuseAcrossLengths interleaves kernel calls with growing and
-// shrinking sequence lengths on one model, checking no stale scratch
-// content leaks into results.
+// shrinking sequence lengths on one model and one scratch, checking no
+// stale scratch content leaks into results.
 func TestScratchReuseAcrossLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	model := NewPaperModel(7)
+	s := NewScratch()
 	lengths := []int{40, 3, 17, 1, 25, 2, 40, 8}
 	for round, T := range lengths {
 		obs := make([]Symbol, T)
@@ -472,9 +477,9 @@ func TestScratchReuseAcrossLengths(t *testing.T) {
 		}
 		ref := jaggedFrom(model)
 
-		alpha, scale, lp, err := model.Forward(obs)
+		alpha, scale, lp, err := model.ForwardInto(s, obs)
 		if err != nil {
-			t.Fatalf("round %d: Forward: %v", round, err)
+			t.Fatalf("round %d: ForwardInto: %v", round, err)
 		}
 		wantAlpha, wantScale, wantLP := ref.forward(obs)
 		if lp != wantLP {
@@ -494,9 +499,9 @@ func TestScratchReuseAcrossLengths(t *testing.T) {
 			}
 		}
 
-		path, logP, err := model.Viterbi(obs)
+		path, logP, err := model.ViterbiInto(s, obs)
 		if err != nil {
-			t.Fatalf("round %d: Viterbi: %v", round, err)
+			t.Fatalf("round %d: ViterbiInto: %v", round, err)
 		}
 		wantPath, wantLogP := ref.viterbi(obs)
 		if logP != wantLogP || len(path) != T {
@@ -509,9 +514,9 @@ func TestScratchReuseAcrossLengths(t *testing.T) {
 		}
 
 		if T >= 2 && round%2 == 1 {
-			lp2, iters, err := model.BaumWelch(obs, 3, 1e-5)
+			lp2, iters, err := model.BaumWelchInto(s, obs, 3, 1e-5)
 			if err != nil {
-				t.Fatalf("round %d: BaumWelch: %v", round, err)
+				t.Fatalf("round %d: BaumWelchInto: %v", round, err)
 			}
 			wantLP2, wantIters := ref.baumWelch(obs, 3, 1e-5)
 			if lp2 != wantLP2 || iters != wantIters {
@@ -528,34 +533,65 @@ func TestScratchReuseAcrossLengths(t *testing.T) {
 	}
 }
 
-// TestIntoVariantsMatchModelOwnedScratch runs the *Into kernels on a
-// caller-supplied scratch against the model-owned path.
-func TestIntoVariantsMatchModelOwnedScratch(t *testing.T) {
+// TestSharedScratchMatchesFreshScratch pins what a CORP fleet relies on
+// when all its models run on one Scratch: a model's kernels give the same
+// bits whether their scratch is fresh or was last used by other models of
+// other sizes and sequence lengths. Each trial draws a pool of models and
+// runs Baum–Welch, Viterbi and Eq. 17 on every one of them, interleaved on
+// one shared scratch, against clones that each get a fresh scratch per
+// call.
+func TestSharedScratchMatchesFreshScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
+	shared := NewScratch()
 	for trial := 0; trial < 50; trial++ {
-		model, obs := randomCase(rng)
-		clone := jaggedFrom(model)
-		other := &Model{H: model.H, M: model.M, A: clone.A, B: clone.B, Pi: clone.Pi}
-		scr := NewScratch()
-
-		path1, lp1, err1 := model.Viterbi(obs)
-		path2, lp2, err2 := other.ViterbiInto(scr, obs)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("trial %d: err mismatch %v vs %v", trial, err1, err2)
+		type pair struct {
+			shared, fresh *Model
+			obs           []Symbol
 		}
-		if lp1 != lp2 {
-			t.Fatalf("trial %d: viterbi logP %v != %v", trial, lp1, lp2)
+		pool := make([]pair, 1+rng.Intn(4))
+		for i := range pool {
+			model, obs := randomCase(rng)
+			if len(obs) < 2 {
+				obs = append(obs, obs[0])
+			}
+			clone := jaggedFrom(model)
+			pool[i] = pair{model, &Model{H: model.H, M: model.M, A: clone.A, B: clone.B, Pi: clone.Pi}, obs}
 		}
-		for i := range path1 {
-			if path1[i] != path2[i] {
-				t.Fatalf("trial %d: path[%d] mismatch", trial, i)
+		for round := 0; round < 2; round++ {
+			for i, p := range pool {
+				lp1, it1, err1 := p.shared.BaumWelchInto(shared, p.obs, 3, 1e-5)
+				lp2, it2, err2 := p.fresh.BaumWelchInto(NewScratch(), p.obs, 3, 1e-5)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("trial %d model %d: BaumWelchInto: %v / %v", trial, i, err1, err2)
+				}
+				if lp1 != lp2 || it1 != it2 {
+					t.Fatalf("trial %d model %d: BW (%v,%d) on shared scratch, (%v,%d) on fresh", trial, i, lp1, it1, lp2, it2)
+				}
+				path1, v1, err1 := p.shared.ViterbiInto(shared, p.obs)
+				path2, v2, err2 := p.fresh.ViterbiInto(NewScratch(), p.obs)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("trial %d model %d: ViterbiInto: %v / %v", trial, i, err1, err2)
+				}
+				if v1 != v2 || !slices.Equal(path1, path2) {
+					t.Fatalf("trial %d model %d: Viterbi (%v, %v) on shared scratch, (%v, %v) on fresh", trial, i, path1, v1, path2, v2)
+				}
+				last := path1[len(path1)-1]
+				sym1, dist1, _ := p.shared.PredictNextSymbolInto(shared, last)
+				sym2, dist2, _ := p.fresh.PredictNextSymbolInto(NewScratch(), last)
+				if sym1 != sym2 || !slices.Equal(dist1, dist2) {
+					t.Fatalf("trial %d model %d: Eq. 17 (%v, %v) on shared scratch, (%v, %v) on fresh", trial, i, sym1, dist1, sym2, dist2)
+				}
 			}
 		}
-
-		_, _, lpA, _ := model.Forward(obs)
-		_, _, lpB, _ := other.ForwardInto(scr, obs)
-		if lpA != lpB {
-			t.Fatalf("trial %d: forward logProb %v != %v", trial, lpA, lpB)
+		for i, p := range pool {
+			for r := range p.shared.A {
+				if !slices.Equal(p.shared.A[r], p.fresh.A[r]) || !slices.Equal(p.shared.B[r], p.fresh.B[r]) {
+					t.Fatalf("trial %d model %d: re-estimated row %d differs", trial, i, r)
+				}
+			}
+			if !slices.Equal(p.shared.Pi, p.fresh.Pi) {
+				t.Fatalf("trial %d model %d: re-estimated π differs", trial, i)
+			}
 		}
 	}
 }

@@ -6,13 +6,14 @@
 // Baum–Welch parameter re-estimation, and next-observation prediction
 // (Eq. 17).
 //
-// The kernels run over contiguous row-major slabs held in a reusable
-// Scratch, so in steady state (once the scratch has grown to the longest
-// observation sequence seen) Viterbi, BaumWelch with its forward and
-// backward passes, and PredictNextSymbol perform no heap allocations. Every kernel
-// preserves the floating-point accumulation order of the original jagged
-// implementation exactly — see equivalence_test.go — so all figures pinned
-// to fixed seeds are bit-identical to the seed code.
+// The kernels run over contiguous row-major slabs held in a reusable,
+// caller-supplied Scratch, so in steady state (once the scratch has grown
+// to the longest observation sequence seen) ViterbiInto, BaumWelchInto
+// with its forward and backward passes, and PredictNextSymbolInto perform
+// no heap allocations. Every kernel preserves the floating-point
+// accumulation order of the original jagged implementation exactly — see
+// equivalence_test.go — so all figures pinned to fixed seeds are
+// bit-identical to the seed code.
 package hmm
 
 import (
@@ -78,67 +79,74 @@ func (s State) String() string {
 }
 
 // Model is a discrete HMM λ = (A, B, π) (Eqs. 9–11). The exported
-// parameter rows stay addressable as jagged slices for construction,
-// inspection and persistence; models built by New and LoadModel back them
-// with one contiguous slab per matrix. The compute kernels pack the
-// parameters into flat row-major scratch slabs at entry, so direct struct
-// literals (handy in tests) run through the same code path.
+// parameter rows stay addressable as jagged slices for construction and
+// inspection; NewPaperFleet backs a whole fleet's rows with one parameter
+// slab and one row-header slab. The compute kernels pack the parameters
+// into flat row-major scratch slabs at entry, so direct struct literals
+// (handy in tests) run through the same code path.
 //
-// Model methods reuse a model-owned Scratch and are therefore not safe for
-// concurrent use; concurrent readers of a shared, read-only model must use
-// the *Into variants with caller-supplied scratch.
+// A Model holds no working memory: every kernel runs on a caller-supplied
+// Scratch, which any number of models may share as long as no two kernel
+// calls on it overlap.
 type Model struct {
 	H, M int
 	A    [][]float64 // A[i][j] = P(q_{t+1}=S_j | q_t=S_i)
 	B    [][]float64 // B[j][k] = P(O_t=k | q_t=S_j)
 	Pi   []float64   // Pi[i] = P(q_1=S_i)
-
-	scr *Scratch // lazily created; backs the non-Into convenience methods
-}
-
-// New returns a model with slightly-perturbed uniform parameters; the
-// perturbation (deterministic in seed) breaks the symmetry Baum–Welch
-// cannot escape from exactly uniform starts.
-func New(h, m int, seed int64) (*Model, error) {
-	if h < 1 || m < 1 {
-		return nil, fmt.Errorf("hmm: invalid sizes H=%d M=%d", h, m)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	model := &Model{H: h, M: m}
-	model.A = randomStochastic(rng, h, h)
-	model.B = randomStochastic(rng, h, m)
-	model.Pi = randomStochastic(rng, 1, h)[0]
-	return model, nil
 }
 
 // NewPaperModel returns the paper's 3×3 model (H = 3 states, M = 3
-// symbols, Table II).
+// symbols, Table II) seeded from seed: a fleet of one.
 func NewPaperModel(seed int64) *Model {
-	m, err := New(NumStates, NumSymbols, seed)
-	if err != nil {
-		panic("hmm: paper model construction cannot fail: " + err.Error())
-	}
-	return m
+	return &NewPaperFleet(1, func(int) int64 { return seed })[0]
 }
 
-// randomStochastic draws rows×cols stochastic rows backed by a single
-// contiguous slab. The RNG consumption order matches the seed
-// implementation (row-major), so fixed-seed models are unchanged.
-func randomStochastic(rng *rand.Rand, rows, cols int) [][]float64 {
-	slab := make([]float64, rows*cols)
-	out := make([][]float64, rows)
-	for i := range out {
-		out[i] = slab[i*cols : (i+1)*cols : (i+1)*cols]
-		var sum float64
-		for j := range out[i] {
-			out[i][j] = 1 + 0.2*rng.Float64()
-			sum += out[i][j]
+// NewPaperFleet returns n paper models with slightly-perturbed uniform
+// parameters; the perturbation breaks the symmetry Baum–Welch cannot
+// escape from exactly uniform starts. Model i is drawn from
+// rand.NewSource(seedOf(i)), A's rows first, then B's, then π, each row
+// normalized to sum to 1. The models' parameters share one slab and their
+// row headers another, and one generator reseeded per model draws them
+// all (reseeding resets a source's whole state), so a fleet of any size
+// costs a constant number of allocations.
+func NewPaperFleet(n int, seedOf func(i int) int64) []Model {
+	const h, m = NumStates, NumSymbols
+	const per = h*h + h*m + h // A, B, π
+	params := make([]float64, n*per)
+	hdrs := make([][]float64, n*2*h)
+	fleet := make([]Model, n)
+	rng := rand.New(rand.NewSource(0))
+	for i := range fleet {
+		rng.Seed(seedOf(i))
+		p := params[i*per : (i+1)*per : (i+1)*per]
+		rows := hdrs[i*2*h : (i+1)*2*h : (i+1)*2*h]
+		for r := 0; r < h; r++ {
+			rows[r] = p[r*h : (r+1)*h : (r+1)*h]
+			drawStochastic(rng, rows[r])
 		}
-		for j := range out[i] {
-			out[i][j] /= sum
+		b := p[h*h:]
+		for r := 0; r < h; r++ {
+			rows[h+r] = b[r*m : (r+1)*m : (r+1)*m]
+			drawStochastic(rng, rows[h+r])
 		}
+		pi := p[h*h+h*m:]
+		drawStochastic(rng, pi)
+		fleet[i] = Model{H: h, M: m, A: rows[:h:h], B: rows[h:], Pi: pi}
 	}
-	return out
+	return fleet
+}
+
+// drawStochastic fills row with 1 + 0.2·U draws, U uniform on [0, 1), and
+// normalizes it to sum to 1.
+func drawStochastic(rng *rand.Rand, row []float64) {
+	var sum float64
+	for j := range row {
+		row[j] = 1 + 0.2*rng.Float64()
+		sum += row[j]
+	}
+	for j := range row {
+		row[j] /= sum
+	}
 }
 
 func (m *Model) checkObs(obs []Symbol) error {
@@ -181,15 +189,6 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch; kernels size it on first use.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// scratch returns the model-owned scratch, creating it lazily so direct
-// struct literals work.
-func (m *Model) scratch() *Scratch {
-	if m.scr == nil {
-		m.scr = &Scratch{}
-	}
-	return m.scr
-}
 
 // grow returns buf resized to n. Contents are not preserved: every kernel
 // writes what it reads. A reallocation at least doubles the capacity, so a
@@ -298,15 +297,10 @@ func (m *Model) backwardInto(s *Scratch, obs []Symbol, scale []float64) {
 	}
 }
 
-// Viterbi returns the single best state sequence Q* maximizing P(Q, O|λ)
-// and its log probability. The paper uses Viterbi "to find the single best
-// state sequence (path)". The returned path aliases the model-owned
-// scratch and is overwritten by the next kernel call on this model.
-func (m *Model) Viterbi(obs []Symbol) ([]State, float64, error) {
-	return m.ViterbiInto(m.scratch(), obs)
-}
-
-// ViterbiInto is Viterbi running on caller-supplied scratch.
+// ViterbiInto returns the single best state sequence Q* maximizing
+// P(Q, O|λ) and its log probability (Eq. 16). The paper uses Viterbi "to
+// find the single best state sequence (path)". The returned path aliases s
+// and is overwritten by the next kernel call on s.
 func (m *Model) ViterbiInto(s *Scratch, obs []Symbol) ([]State, float64, error) {
 	if err := m.checkObs(obs); err != nil {
 		return nil, 0, err
@@ -371,16 +365,12 @@ func safeLog(p float64) float64 {
 	return math.Log(p)
 }
 
-// BaumWelch re-estimates (A, B, π) from the observation sequence using the
-// method of Stamp's tutorial (the paper's reference [30]): iterate
-// expectation (γ, ξ) and maximization until the log-likelihood improvement
+// BaumWelchInto re-estimates (A, B, π) from the observation sequence
+// using the method of Stamp's tutorial (the paper's reference [30]):
+// iterate expectation (γ, ξ, from the scaled forward and backward passes
+// of Eqs. 12–15) and maximization until the log-likelihood improvement
 // drops below tol or maxIters is reached. It returns the final
 // log-likelihood and the number of iterations run.
-func (m *Model) BaumWelch(obs []Symbol, maxIters int, tol float64) (float64, int, error) {
-	return m.BaumWelchInto(m.scratch(), obs, maxIters, tol)
-}
-
-// BaumWelchInto is BaumWelch running on caller-supplied scratch.
 func (m *Model) BaumWelchInto(s *Scratch, obs []Symbol, maxIters int, tol float64) (float64, int, error) {
 	if err := m.checkObs(obs); err != nil {
 		return 0, 0, err
@@ -520,17 +510,12 @@ func (m *Model) renormalize() {
 	fix(m.Pi)
 }
 
-// PredictNextSymbol implements Eq. 17: given the final Viterbi state q*_T,
-// the distribution of the next observation is
+// PredictNextSymbolInto implements Eq. 17: given the final Viterbi state
+// q*_T, the distribution of the next observation is
 // E[P_{T+1}(k)] = Σ_j P(q_{T+1}=S_j | q_T=q*_T) · b_j(k); the predicted
-// symbol is the argmax. It returns the symbol and the full distribution.
-// The distribution aliases the model-owned scratch and is overwritten by
-// the next PredictNextSymbol call on this model.
-func (m *Model) PredictNextSymbol(lastState State) (Symbol, []float64, error) {
-	return m.PredictNextSymbolInto(m.scratch(), lastState)
-}
-
-// PredictNextSymbolInto is PredictNextSymbol on caller-supplied scratch.
+// symbol is the argmax. It returns the symbol and the full distribution,
+// which aliases s and is overwritten by the next PredictNextSymbolInto
+// call on s.
 func (m *Model) PredictNextSymbolInto(s *Scratch, lastState State) (Symbol, []float64, error) {
 	if int(lastState) < 0 || int(lastState) >= m.H {
 		return 0, nil, fmt.Errorf("hmm: state %d outside [0,%d)", lastState, m.H)

@@ -1,8 +1,10 @@
 package hmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -42,6 +44,86 @@ func TestNewPaperModel(t *testing.T) {
 	m := NewPaperModel(1)
 	if m.H != NumStates || m.M != NumSymbols {
 		t.Errorf("paper model is %dx%d, want 3x3", m.H, m.M)
+	}
+	assertSameModel(t, "NewPaperModel(1)", m, 1)
+}
+
+// assertSameModel fails unless m equals New(3, 3, seed), the model drawn
+// from its own rand.NewSource(seed), bit for bit in A, B and π.
+func assertSameModel(t *testing.T, what string, m *Model, seed int64) {
+	t.Helper()
+	ref, err := New(NumStates, NumSymbols, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.H != ref.H || m.M != ref.M || len(m.A) != ref.H || len(m.B) != ref.H {
+		t.Fatalf("%s: shape H=%d M=%d with %d A and %d B rows", what, m.H, m.M, len(m.A), len(m.B))
+	}
+	for r := range ref.A {
+		if !slices.Equal(m.A[r], ref.A[r]) {
+			t.Fatalf("%s (seed %d): A[%d] = %v, want %v", what, seed, r, m.A[r], ref.A[r])
+		}
+		if !slices.Equal(m.B[r], ref.B[r]) {
+			t.Fatalf("%s (seed %d): B[%d] = %v, want %v", what, seed, r, m.B[r], ref.B[r])
+		}
+	}
+	if !slices.Equal(m.Pi, ref.Pi) {
+		t.Fatalf("%s (seed %d): Pi = %v, want %v", what, seed, m.Pi, ref.Pi)
+	}
+}
+
+// TestPaperFleetMatchesPerModelSources pins NewPaperFleet's one reseeded
+// generator to the stream of a fresh rand.NewSource per model, over bases
+// the source folds in different ways (zero, negative, at and past 2³¹,
+// near the int64 ends) and over CORP's overlapping seed + i + k schedule,
+// where VM i's kind-k seed is VM i+1's kind-(k−1) seed. It also checks
+// the models' rows are capped, so no append through one model can write
+// into its neighbour's parameters.
+func TestPaperFleetMatchesPerModelSources(t *testing.T) {
+	const kinds = 3
+	bases := []int64{0, 1, -1, -42, 1<<31 - 2, 1<<31 - 1, 1 << 31, 1<<31 + 5, 1 << 40,
+		math.MaxInt64 - 4, math.MinInt64}
+	for _, base := range bases {
+		seedOf := func(j int) int64 { return base + int64(j/kinds) + int64(j%kinds) }
+		const vms = 5
+		fleet := NewPaperFleet(vms*kinds, seedOf)
+		if len(fleet) != vms*kinds {
+			t.Fatalf("base %d: %d models, want %d", base, len(fleet), vms*kinds)
+		}
+		for j := range fleet {
+			m := &fleet[j]
+			assertSameModel(t, fmt.Sprintf("base %d model %d", base, j), m, seedOf(j))
+			for r := range m.A {
+				if cap(m.A[r]) != len(m.A[r]) || cap(m.B[r]) != len(m.B[r]) {
+					t.Fatalf("base %d model %d: row %d not capped", base, j, r)
+				}
+			}
+			if cap(m.A) != len(m.A) || cap(m.B) != len(m.B) || cap(m.Pi) != len(m.Pi) {
+				t.Fatalf("base %d model %d: row headers or π not capped", base, j)
+			}
+		}
+		// CORP's schedule overlaps: VM i's kind-k model starts where VM
+		// i+1's kind-(k−1) model does.
+		if !slices.Equal(fleet[0*kinds+1].Pi, fleet[1*kinds+0].Pi) {
+			t.Fatalf("base %d: seed + i + k overlap not reproduced", base)
+		}
+	}
+	if got := NewPaperFleet(0, func(int) int64 { return 1 }); len(got) != 0 {
+		t.Fatalf("empty fleet has %d models", len(got))
+	}
+}
+
+// TestPaperFleetAllocationsDoNotGrow pins the fleet constructor's cost:
+// a constant number of allocations however many models it builds. (The
+// slack of 2 absorbs a garbage collection the larger slabs may trigger
+// mid-measurement; one allocation per model would add thousands.)
+func TestPaperFleetAllocationsDoNotGrow(t *testing.T) {
+	seedOf := func(i int) int64 { return int64(i) }
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() { NewPaperFleet(n, seedOf) })
+	}
+	if small, large := allocs(30), allocs(3000); large > small+2 {
+		t.Fatalf("NewPaperFleet allocates %.0f times for 30 models and %.0f for 3000, want at most 2 more", small, large)
 	}
 }
 
@@ -122,7 +204,7 @@ func TestGammaRowsSumToOne(t *testing.T) {
 func TestViterbiMatchesBruteForce(t *testing.T) {
 	m := knownModel()
 	obs := []Symbol{0, 1, 1, 0}
-	path, logP, err := m.Viterbi(obs)
+	path, logP, err := m.ViterbiInto(NewScratch(), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +263,7 @@ func TestBaumWelchImprovesLikelihood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, iters, err := m.BaumWelch(obs, 100, 1e-7)
+	after, iters, err := m.BaumWelchInto(NewScratch(), obs, 100, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +291,7 @@ func TestBaumWelchRecoversStickyStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.BaumWelch(obs, 200, 1e-8); err != nil {
+	if _, _, err := m.BaumWelchInto(NewScratch(), obs, 200, 1e-8); err != nil {
 		t.Fatal(err)
 	}
 	// Self-transitions should be learned as sticky (>0.7) in both states
@@ -247,7 +329,8 @@ func sampleIdx(dist []float64, rng *rand.Rand) int {
 
 func TestPredictNextSymbolDistribution(t *testing.T) {
 	m := knownModel()
-	sym, dist, err := m.PredictNextSymbol(0)
+	s := NewScratch()
+	sym, dist, err := m.PredictNextSymbolInto(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +348,7 @@ func TestPredictNextSymbolDistribution(t *testing.T) {
 	if math.Abs(dist[0]-0.69) > 1e-9 {
 		t.Errorf("dist[0] = %v, want 0.69", dist[0])
 	}
-	if _, _, err := m.PredictNextSymbol(State(5)); err == nil {
+	if _, _, err := m.PredictNextSymbolInto(s, State(5)); err == nil {
 		t.Error("out-of-range state should fail")
 	}
 }
@@ -356,13 +439,14 @@ func TestCorrectionMagnitudeConservative(t *testing.T) {
 
 func BenchmarkViterbi60(b *testing.B) {
 	m := NewPaperModel(1)
+	s := NewScratch()
 	obs := make([]Symbol, 60)
 	for i := range obs {
 		obs[i] = Symbol(i % 3)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := m.Viterbi(obs); err != nil {
+		if _, _, err := m.ViterbiInto(s, obs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -372,10 +456,11 @@ func BenchmarkBaumWelch200(b *testing.B) {
 	gen := NewPaperModel(4)
 	rng := rand.New(rand.NewSource(9))
 	obs := sampleSequence(gen, rng, 200)
+	s := NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := NewPaperModel(int64(i))
-		if _, _, err := m.BaumWelch(obs, 20, 1e-6); err != nil {
+		if _, _, err := m.BaumWelchInto(s, obs, 20, 1e-6); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,15 +4,51 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 )
 
 // Test-side entry points to the unexported kernels. Production reaches the
 // forward and backward passes only inside BaumWelchInto, and never needs γ
-// on its own or a stochasticity check; the tests do: they compare each pass
-// with the jagged reference (equivalence_test.go) and with brute-force
-// enumeration (hmm_test.go), and validate a model after re-estimation. The
-// row views are allocated per call; the kernels underneath stay
-// allocation-free (alloc_test.go calls them directly).
+// on its own, a stochasticity check or a model of another size than the
+// paper's; the tests do: they compare each pass with the jagged reference
+// (equivalence_test.go) and with brute-force enumeration (hmm_test.go),
+// validate a model after re-estimation, fit small 2×2 models, and check
+// NewPaperFleet against one generator per model. The row views are
+// allocated per call; the kernels underneath stay allocation-free
+// (alloc_test.go calls them directly).
+
+// New returns an h-state, m-symbol model with slightly-perturbed uniform
+// parameters drawn from its own rand.NewSource(seed): A's rows, then B's,
+// then π. It is the reference NewPaperFleet's shared, reseeded generator
+// must reproduce model for model.
+func New(h, m int, seed int64) (*Model, error) {
+	if h < 1 || m < 1 {
+		return nil, fmt.Errorf("hmm: invalid sizes H=%d M=%d", h, m)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	model := &Model{H: h, M: m}
+	model.A = randomStochastic(rng, h, h)
+	model.B = randomStochastic(rng, h, m)
+	model.Pi = randomStochastic(rng, 1, h)[0]
+	return model, nil
+}
+
+// randomStochastic draws rows×cols stochastic rows in row-major order.
+func randomStochastic(rng *rand.Rand, rows, cols int) [][]float64 {
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = make([]float64, cols)
+		var sum float64
+		for j := range out[i] {
+			out[i][j] = 1 + 0.2*rng.Float64()
+			sum += out[i][j]
+		}
+		for j := range out[i] {
+			out[i][j] /= sum
+		}
+	}
+	return out
+}
 
 // Validate checks that all parameter rows are stochastic.
 func (m *Model) Validate() error {
@@ -60,15 +96,15 @@ func rows(flat []float64, tLen, h int) [][]float64 {
 	return out
 }
 
-// Forward computes the scaled forward variables α̂ (Eq. 14) and returns
-// them with the per-step scale factors and the sequence log-likelihood
-// log P(O|λ). The returned slices alias the model-owned scratch and are
-// overwritten by the next kernel call on this model.
+// Forward computes the scaled forward variables α̂ (Eq. 14) on a fresh
+// Scratch and returns them with the per-step scale factors and the
+// sequence log-likelihood log P(O|λ).
 func (m *Model) Forward(obs []Symbol) (alpha [][]float64, scale []float64, logProb float64, err error) {
-	return m.ForwardInto(m.scratch(), obs)
+	return m.ForwardInto(NewScratch(), obs)
 }
 
-// ForwardInto is Forward running on caller-supplied scratch.
+// ForwardInto is Forward running on caller-supplied scratch; the returned
+// slices alias s.
 func (m *Model) ForwardInto(s *Scratch, obs []Symbol) (alpha [][]float64, scale []float64, logProb float64, err error) {
 	if err := m.checkObs(obs); err != nil {
 		return nil, nil, 0, err
@@ -78,10 +114,9 @@ func (m *Model) ForwardInto(s *Scratch, obs []Symbol) (alpha [][]float64, scale 
 	return rows(s.alpha, len(obs), m.H), s.scale[:len(obs)], logProb, nil
 }
 
-// Backward computes the scaled backward variables β̂ (Eq. 15) using the
-// scale factors produced by Forward on the same sequence. Backward and
-// Forward use distinct scratch buffers, so a Forward/Backward pair over one
-// sequence may consume both results together.
+// Backward computes the scaled backward variables β̂ (Eq. 15) on a fresh
+// Scratch, using the scale factors produced by Forward on the same
+// sequence.
 func (m *Model) Backward(obs []Symbol, scale []float64) ([][]float64, error) {
 	if err := m.checkObs(obs); err != nil {
 		return nil, err
@@ -90,7 +125,7 @@ func (m *Model) Backward(obs []Symbol, scale []float64) ([][]float64, error) {
 	if len(scale) != T {
 		return nil, fmt.Errorf("hmm: scale length %d, want %d", len(scale), T)
 	}
-	s := m.scratch()
+	s := NewScratch()
 	s.pack(m)
 	m.backwardInto(s, obs, scale)
 	return rows(s.beta, T, m.H), nil
@@ -102,7 +137,7 @@ func (m *Model) Gamma(obs []Symbol) ([][]float64, error) {
 	if err := m.checkObs(obs); err != nil {
 		return nil, err
 	}
-	s := m.scratch()
+	s := NewScratch()
 	s.pack(m)
 	T := len(obs)
 	h := m.H

@@ -25,7 +25,7 @@ func TestHMMCorrectPathDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewCorpPredictor(brain, resource.Vector{8, 16, 100}, 1)
-	// Warm through several HMMRefit periods so BaumWelch scratch is grown.
+	// Warm through several refit periods so the Baum–Welch scratch is grown.
 	i := 0
 	for ; i < 160; i++ {
 		p.Observe(fluctVector(i))

@@ -142,8 +142,6 @@ type CloudScaleConfig struct {
 	// PadFactor scales the adaptive padding; zero defaults to 0.5.
 	// The Fig. 8 risk sweep varies it.
 	PadFactor float64
-	// HistoryLen bounds history; zero defaults to 120.
-	HistoryLen int
 }
 
 func (c CloudScaleConfig) withDefaults() CloudScaleConfig {
@@ -161,9 +159,6 @@ func (c CloudScaleConfig) withDefaults() CloudScaleConfig {
 	}
 	if c.PadFactor <= 0 {
 		c.PadFactor = 0.5
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 120
 	}
 	return c
 }
@@ -206,7 +201,7 @@ func NewCloudScalePredictor(cfg CloudScaleConfig, capacity resource.Vector) *Clo
 // kind, over [0, capacity]) from a few slabs.
 func NewCloudScaleFleet(cfg CloudScaleConfig, caps []resource.Vector) []CloudScalePredictor {
 	cfg = cfg.withDefaults()
-	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, true)
+	slab := newTrackerSlab(len(caps), cfg.Window, historyLen, true)
 	his := make([]float64, 0, len(caps)*resource.NumKinds)
 	for _, c := range caps {
 		his = append(his, c[:]...) // a zero capacity widens to [0, 1]

@@ -35,11 +35,6 @@ type CorpConfig struct {
 	// Pth is the probability threshold of Eq. 21; zero defaults to 0.95
 	// (Table II).
 	Pth float64
-	// HistoryLen bounds per-kind history; zero defaults to 120 slots.
-	HistoryLen int
-	// HMMRefit is how many predictions elapse between Baum–Welch refits;
-	// zero defaults to 8.
-	HMMRefit int
 	// ReplaySteps is how many stored samples each online training step
 	// replays (the multi-epoch approximation). Zero defaults to 5; fleet
 	// deployments that feed the shared brain from many VMs can lower it.
@@ -76,12 +71,6 @@ func (c CorpConfig) withDefaults() CorpConfig {
 	}
 	if c.Pth <= 0 {
 		c.Pth = 0.95
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 120
-	}
-	if c.HMMRefit <= 0 {
-		c.HMMRefit = 8
 	}
 	if c.ReplaySteps <= 0 {
 		c.ReplaySteps = 5
@@ -227,15 +216,11 @@ type CorpPredictor struct {
 	brain *CorpBrain
 	track tracker
 
-	hmms        [resource.NumKinds]*hmm.Model
+	hmms        []hmm.Model // one per kind, carved from the fleet's slab
+	hmmScr      *hmmScratch // the fleet's, shared by every predictor
 	predictions int
 	// predRow is Predict's normalized DNN input row, reused across kinds.
 	predRow []float64
-
-	// Symbolization scratch for hmmCorrect, reused across kinds and
-	// predictions (each call fully rewrites both before reading).
-	hmmMeans []float64
-	hmmObs   []hmm.Symbol
 
 	// Staged training samples from the last ObserveLocal, one per kind,
 	// waiting for FlushShared to feed them to the brain.
@@ -259,30 +244,52 @@ func NewCorpPredictor(brain *CorpBrain, capacity resource.Vector, seed int64) *C
 }
 
 // NewCorpFleet builds one CORP predictor per VM capacity, all sharing the
-// brain's networks; VM i's HMMs are seeded from seed + i. The predictors,
-// their trackers and their staged-sample and prediction rows are carved
-// from a few slabs.
+// brain's networks; VM i's kind-k HMM is seeded from seed + i + k. The
+// predictors, their trackers, their staged-sample and prediction rows and
+// their HMMs are carved from a few slabs, so the fleet costs a constant
+// number of allocations however many VMs it has.
+//
+// The predictors of one fleet share one HMM scratch (the kernels' working
+// memory and the symbolization buffers), so Predict must not run
+// concurrently on two predictors of the same fleet. The scheduler's
+// refresh is one serial pass, and its training fan-out never touches an
+// HMM; predictors of distinct fleets share nothing but the brain.
 func NewCorpFleet(brain *CorpBrain, caps []resource.Vector, seed int64) []CorpPredictor {
 	cfg := brain.cfg
 	in := cfg.InputSlots
 	per := (resource.NumKinds + 1) * in // stageIn per kind, then predRow
-	slab := newTrackerSlab(len(caps), cfg.Window, cfg.HistoryLen, true)
+	slab := newTrackerSlab(len(caps), cfg.Window, historyLen, true)
 	rows := make([]float64, len(caps)*per)
+	const nk = resource.NumKinds
+	hmms := hmm.NewPaperFleet(len(caps)*nk, func(j int) int64 {
+		return seed + int64(j/nk) + int64(j%nk)
+	})
+	scr := &hmmScratch{}
 	fleet := make([]CorpPredictor, len(caps))
 	for i, c := range caps {
 		p := &fleet[i]
-		*p = CorpPredictor{cfg: cfg, brain: brain, track: slab.tracker(i, c)}
+		*p = CorpPredictor{cfg: cfg, brain: brain, track: slab.tracker(i, c),
+			hmms: hmms[i*nk : (i+1)*nk : (i+1)*nk], hmmScr: scr}
 		own := rows[i*per : (i+1)*per]
 		for k := range p.stageIn {
 			p.stageIn[k] = own[k*in : (k+1)*in : (k+1)*in]
 		}
 		p.predRow = own[resource.NumKinds*in : per : per]
-		for k := range p.hmms {
-			p.hmms[k] = hmm.NewPaperModel(seed + int64(i) + int64(k))
-		}
 	}
 	return fleet
 }
+
+// hmmScratch is the HMM side's working memory, one per fleet: the
+// kernels' Scratch and hmmCorrect's symbolization buffers, which every
+// call fully rewrites before reading.
+type hmmScratch struct {
+	kern  hmm.Scratch
+	means []float64
+	obs   []hmm.Symbol
+}
+
+// hmmRefit is how many predictions elapse between Baum–Welch refits.
+const hmmRefit = 8
 
 // Name implements Predictor.
 func (p *CorpPredictor) Name() string { return "CORP" }
@@ -408,30 +415,31 @@ func (p *CorpPredictor) forward(k resource.Kind, vals []float64, capK float64) f
 // hmm.ObserveLevels) so the correction operates in the same units as the
 // DNN's window-mean estimate.
 func (p *CorpPredictor) hmmCorrect(k resource.Kind, vals []float64, yhat float64) float64 {
-	p.hmmMeans = hmm.AppendWindowMeans(p.hmmMeans[:0], vals, p.cfg.Window)
-	means := p.hmmMeans
+	scr := p.hmmScr
+	scr.means = hmm.AppendWindowMeans(scr.means[:0], vals, p.cfg.Window)
+	means := scr.means
 	sym, err := hmm.MakeSymbolizer(means)
 	if err != nil {
 		return yhat
 	}
-	p.hmmObs = sym.AppendObserveLevels(p.hmmObs[:0], vals, p.cfg.Window)
-	obs := p.hmmObs
+	scr.obs = sym.AppendObserveLevels(scr.obs[:0], vals, p.cfg.Window)
+	obs := scr.obs
 	if len(obs) < 5 {
 		return yhat
 	}
-	model := p.hmms[k]
-	if p.predictions%p.cfg.HMMRefit == 1 {
+	model := &p.hmms[k]
+	if p.predictions%hmmRefit == 1 {
 		// A few EM iterations on the recent observation sequence; the
 		// model warm-starts from its previous parameters.
-		if _, _, err := model.BaumWelch(obs, 5, 1e-5); err != nil {
+		if _, _, err := model.BaumWelchInto(&scr.kern, obs, 5, 1e-5); err != nil {
 			return yhat
 		}
 	}
-	path, _, err := model.Viterbi(obs)
+	path, _, err := model.ViterbiInto(&scr.kern, obs)
 	if err != nil {
 		return yhat
 	}
-	next, dist, err := model.PredictNextSymbol(path[len(path)-1])
+	next, dist, err := model.PredictNextSymbolInto(&scr.kern, path[len(path)-1])
 	if err != nil {
 		return yhat
 	}

@@ -102,6 +102,12 @@ const coldSkip = 4
 // errLen is the capacity of each kind's matured-error window.
 const errLen = 40
 
+// historyLen is how many slots of history CORP and CloudScale keep per
+// kind: CORP's Δ-slot DNN input and HMM observation sequence read from it,
+// and so do CloudScale's signature window (SignatureLen, capped at this)
+// and burst estimate.
+const historyLen = 120
+
 // trackerSlab holds the slabs a fleet's trackers are carved from: the
 // history and error rings, the linearization buffers, and the matured and
 // pending queues, each one allocation for the whole fleet. Carved slices

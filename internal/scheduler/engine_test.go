@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -97,7 +98,8 @@ func compareLatest(t *testing.T, a, b *corpScheduler, slot int) {
 // TestCorpRefreshWorkerEquivalence pins CORP's observe/Refresh cycle
 // bit-identical across worker counts — the multi-worker engine test the
 // race gate runs under -race: at Workers 4 the kinds train concurrently
-// and each Refresh reads the networks they wrote.
+// and each Refresh reads the networks they wrote and runs every VM's HMM
+// correction on the fleet's one shared scratch.
 func TestCorpRefreshWorkerEquivalence(t *testing.T) {
 	cl := batchTestCluster(t, 300)
 	serial := newCorp(t, Config{Seed: 7, Workers: 1}, cl)
@@ -145,6 +147,39 @@ func TestCorpWindowSteadyStateAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Errorf("steady-state CORP observe/Refresh cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestCorpWarmupAllocationsDoNotGrowWithFleet pins where a CORP fleet's
+// HMM working memory lives: one scratch per fleet, grown once by its first
+// refresh windows, not one per VM and kind. A cold 400-VM fleet taken
+// through its first 20 windows (six observed slots, a Refresh with HMM
+// refits and Viterbi decodes, a drain) must allocate no more than a cold
+// 200-VM fleet does, plus a small constant.
+func TestCorpWarmupAllocationsDoNotGrowWithFleet(t *testing.T) {
+	warmup := func(vms int) uint64 {
+		cl := batchTestCluster(t, vms)
+		s := newCorp(t, Config{Seed: 3, Workers: 1}, cl)
+		unused := make([]resource.Vector, vms)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for slot := 0; slot < 20*s.Window(); slot++ {
+			for v := range unused {
+				unused[v] = batchTelemetry(cl, v, slot)
+			}
+			s.ObserveAll(unused, nil)
+			if (slot+1)%s.Window() == 0 {
+				s.Refresh()
+				s.DrainOutcomes()
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := warmup(200), warmup(400)
+	t.Logf("first 20 windows: %d allocations at 200 VMs, %d at 400", small, large)
+	if large > small+64 {
+		t.Errorf("the first 20 windows allocate %d times for 200 VMs and %d for 400, want at most 64 more", small, large)
 	}
 }
 

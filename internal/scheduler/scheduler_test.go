@@ -42,7 +42,7 @@ func TestNewAllocationsDoNotGrowWithFleet(t *testing.T) {
 		return cl
 	}
 	small, large := clusterOf(200), clusterOf(400)
-	for _, sc := range []Scheme{RCCR, CloudScale, DRA} {
+	for _, sc := range []Scheme{CORP, RCCR, CloudScale, DRA} {
 		allocs := func(cl *cluster.Cluster) float64 {
 			return testing.AllocsPerRun(5, func() {
 				if _, err := New(Config{Scheme: sc, Seed: 1}, cl); err != nil {
