@@ -63,11 +63,10 @@ fma-off:
 # by design). A run has one fan-out: CORP's three
 # resource kinds training the shared brain on goroutines of their own. In
 # internal/sim the equivalence suites run CORP at Workers 2, 4 and
-# GOMAXPROCS against the reference slot loop (oracle_test.go, entered
+# GOMAXPROCS against the span-less slot loop (oracle_test.go, entered
 # through newRunState), so that fan-out runs under the detector inside
-# whole runs (TestCoreEquivalenceParallel, TestRunWorkerCountEquivalence,
-# TestSpanFastForwardWorkersAndCores). Every other phase is one serial
-# pass and has nothing to race.
+# whole runs (TestCoreEquivalenceParallel, TestRunWorkerCountEquivalence).
+# Every other phase is one serial pass and has nothing to race.
 # -short skips the heavyweight single-threaded determinism tests (they add
 # minutes under the race detector and no concurrency coverage).
 # internal/sim alone runs ~10 minutes on a one-core box, right at go
@@ -103,10 +102,9 @@ scale-smoke:
 # corpus plain `go test` replays: the owned exponential against math.Exp,
 # the three assembly-vs-Go kernel oracles (DNN layers, the sigmoid alone,
 # the fit scan), the suspect index's r-th-candidate pick against the flat
-# scan, the event queue's place-arming dedup, the three trace
-# readers (never panic, accepted input round-trips) and the farm's spec
-# keys (stable across the wire). (go test -fuzz takes one package and one
-# target per run.)
+# scan, the three trace readers (never panic, accepted input round-trips)
+# and the farm's spec keys (stable across the wire). (go test -fuzz takes
+# one package and one target per run.)
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExp$$' -fuzztime $(FUZZTIME) ./internal/fmath
@@ -114,7 +112,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernel$$' -fuzztime $(FUZZTIME) ./internal/dnn
 	$(GO) test -run '^$$' -fuzz '^FuzzFitScanKernel$$' -fuzztime $(FUZZTIME) ./internal/scheduler
 	$(GO) test -run '^$$' -fuzz '^FuzzSuspectSelect$$' -fuzztime $(FUZZTIME) ./internal/scheduler
-	$(GO) test -run '^$$' -fuzz '^FuzzArmPlaceDedup$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSpecKeys$$' -fuzztime $(FUZZTIME) ./internal/farm
 

@@ -43,7 +43,7 @@ func (v *VM) Reserved() resource.Vector { return v.reserved }
 // effects when the VM lacks headroom.
 func (v *VM) Reserve(amount resource.Vector) error {
 	if !amount.NonNegative() {
-		return fmt.Errorf("cluster: negative reserve %v on VM %d", amount, v.ID)
+		return fmt.Errorf("cluster: negative or NaN reserve %v on VM %d", amount, v.ID)
 	}
 	if !v.reserved.Add(amount).FitsIn(v.Capacity) {
 		return fmt.Errorf("cluster: VM %d cannot reserve %v (reserved %v of %v)",

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +133,12 @@ func TestVMRejectsNegativeAmounts(t *testing.T) {
 	v := &VM{ID: 0, Capacity: resource.New(4, 4, 4)}
 	if err := v.Reserve(resource.New(-1, 0, 0)); err == nil {
 		t.Error("negative reserve should fail")
+	}
+	if err := v.Reserve(resource.New(math.NaN(), 0, 0)); err == nil {
+		t.Error("NaN reserve should fail")
+	}
+	if !v.Reserved().IsZero() {
+		t.Errorf("rejected reserves left Reserved = %v", v.Reserved())
 	}
 }
 

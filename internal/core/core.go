@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/cluster"
@@ -114,7 +115,8 @@ func (c *Controller) Window() int { return c.window }
 func (c *Controller) Slot() int { return c.slot }
 
 // ObserveSlot advances one time slot: unused[v] is the measured
-// allocated-but-unused vector of VM v this slot. Forecasts refresh every
+// allocated-but-unused vector of VM v this slot, finite and non-negative
+// (a slot with any other value is rejected whole). Forecasts refresh every
 // Window-th call, and any pending jobs are then re-offered for placement.
 // It returns the grants issued this slot (nil on non-refresh slots with no
 // pending work).
@@ -123,8 +125,8 @@ func (c *Controller) ObserveSlot(unused []resource.Vector) ([]Grant, error) {
 		return nil, fmt.Errorf("core: %d unused vectors for %d VMs", len(unused), len(c.cl.VMs))
 	}
 	for v, u := range unused {
-		if !u.NonNegative() {
-			return nil, fmt.Errorf("core: negative unused %v on VM %d", u, v)
+		if !u.NonNegative() || slices.Contains(u[:], math.Inf(1)) {
+			return nil, fmt.Errorf("core: unused %v on VM %d is not finite and non-negative", u, v)
 		}
 	}
 	// One serial pass updates the per-VM predictors, then the brain's

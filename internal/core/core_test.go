@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -75,10 +77,16 @@ func TestObserveSlotValidatesInput(t *testing.T) {
 	if _, err := c.ObserveSlot(nil); err == nil {
 		t.Error("wrong vector count should fail")
 	}
-	bad := steadyUnused(cl)
-	bad[0] = resource.New(-1, 0, 0)
-	if _, err := c.ObserveSlot(bad); err == nil {
-		t.Error("negative unused should fail")
+	for _, x := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad := steadyUnused(cl)
+		bad[2] = resource.New(x, 0, 0)
+		_, err := c.ObserveSlot(bad)
+		if err == nil || !strings.Contains(err.Error(), "VM 2") {
+			t.Errorf("unused %v: err = %v, want one naming VM 2", bad[2], err)
+		}
+		if c.Slot() != 0 {
+			t.Errorf("unused %v: rejected slot advanced the counter to %d", bad[2], c.Slot())
+		}
 	}
 }
 

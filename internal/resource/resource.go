@@ -171,10 +171,10 @@ func (v Vector) IsZero() bool {
 	return v == Vector{}
 }
 
-// NonNegative reports whether all components are ≥ 0.
+// NonNegative reports whether all components are ≥ 0. NaN is not.
 func (v Vector) NonNegative() bool {
 	for _, x := range v {
-		if x < 0 {
+		if !(x >= 0) {
 			return false
 		}
 	}

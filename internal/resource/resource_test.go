@@ -117,6 +117,9 @@ func TestIsZeroAndNonNegative(t *testing.T) {
 	if New(0, -1, 2).NonNegative() {
 		t.Error("negative vector misreported")
 	}
+	if New(math.NaN(), 0, 0).NonNegative() {
+		t.Error("NaN vector misreported as non-negative")
+	}
 }
 
 func TestSumWeighted(t *testing.T) {

@@ -241,11 +241,11 @@ func (st *vmState) rebuildHot() {
 }
 
 // TestNextSlotDemandGather pins what executeVM's separate gather pass must
-// leave behind: after every event of a production run, each running short
+// leave behind: after every slot of a production run, each running short
 // job's hot entry carries uidx = slots mod len(usage) and d = usage[uidx],
 // the demand its next slot reads. It runs the scale smoke shapes, calm and
 // churned (crashes evict jobs mid-series, surges and adjustments rescale
-// allocations), through the event loop one event at a time.
+// allocations), through runSlot and nextSlot one slot at a time.
 func TestNextSlotDemandGather(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke skipped in -short mode")
@@ -263,10 +263,9 @@ func TestNextSlotDemandGather(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rs.release()
-			rs.seedEvents()
 			checked, advanced := 0, 0
-			for rs.events.hasPendingEvents() && rs.events.peekNextEventTime() < rs.horizon {
-				if err := rs.processNextEvent(); err != nil {
+			for slot := 0; slot < rs.horizon; slot = rs.nextSlot(slot) {
+				if err := rs.runSlot(slot); err != nil {
 					t.Fatal(err)
 				}
 				for v := range rs.vms {

@@ -2,40 +2,27 @@ package sim
 
 // This file holds the reference oracles the equivalence suites compare
 // production Run against. They enter through the same seam Run uses —
-// newRunState → a loop → finalize — and drive the same phase methods, so
-// the only thing that differs between the two sides of a comparison is
-// what the test names: the loop, or whether the resident tables are armed.
+// newRunState → a loop → finalize — and drive the same runSlot, so the only
+// thing that differs between the two sides of a comparison is what the test
+// names: whether quiet spans are fast-forwarded, or whether the resident
+// tables are armed.
 
-// runSlotLoop is the reference fixed-tick loop: every phase is offered at
-// every slot, in eventKind order. It has no event queue and no span
-// machinery, so it is the oracle for both the event loop and the
-// quiescent-span fast-forward.
-func (rs *runState) runSlotLoop() error {
+// runSlots is the span-less reference loop: production's run with every
+// slot stepped through runSlot, so it is the oracle for the quiescent-span
+// fast-forward.
+func (rs *runState) runSlots() error {
 	for t := 0; t < rs.horizon; t++ {
-		if rs.inj != nil {
-			rs.advanceFaults(t)
+		if err := rs.runSlot(t); err != nil {
+			return err
 		}
-		rs.placeLongArrivals(t)
-		rs.observe(t)
-		if t%rs.window == 0 {
-			rs.refreshWindow(t)
-		}
-		rs.admitArrivals(t)
-		rs.admitRetries(t)
-		if len(rs.queue) > 0 {
-			if err := rs.placeQueued(t); err != nil {
-				return err
-			}
-		}
-		rs.executeSlot(t)
 	}
 	return nil
 }
 
 // oracle names one way of driving a run through the seam.
 type oracle struct {
-	// slotLoop drives runSlotLoop instead of the production event loop.
-	slotLoop bool
+	// noSpans drives runSlots instead of the production loop.
+	noSpans bool
 	// recompute drops the resident tables, forcing every slot's telemetry
 	// onto the per-VM recompute path production takes for non-periodic
 	// populations (and, with no tables, no span can form).
@@ -55,9 +42,9 @@ func (o oracle) run(cfg Config) (*Result, pathCounters, error) {
 	if o.recompute {
 		rs.tables = nil
 	}
-	loop := rs.runEventLoop
-	if o.slotLoop {
-		loop = rs.runSlotLoop
+	loop := rs.run
+	if o.noSpans {
+		loop = rs.runSlots
 	}
 	if err := loop(); err != nil {
 		return nil, pathCounters{}, err

@@ -19,11 +19,8 @@ type pendingRetry struct {
 	at int
 }
 
-// runState carries one run's mutable state through the per-slot phases.
-// The event loop (events.go) and the tests' reference slot loop drive
-// exactly these phase methods, in the same order at every simulated time,
-// so their results are bit-identical by construction (pinned by the
-// core-equivalence tests).
+// runState carries one run's mutable state through the per-slot phases
+// that runSlot (loop.go) calls in order.
 type runState struct {
 	cfg     Config
 	cl      *cluster.Cluster
@@ -56,7 +53,7 @@ type runState struct {
 	// read-only — see the aliasing contract on workload.ResidentTables),
 	// and any path that must write per-VM entries first re-points them at
 	// the run-owned backing buffers below. headVol is placeLongArrivals'
-	// per-event volume column (mixed-workload runs only).
+	// per-slot volume column (mixed-workload runs only).
 	surge            []float64
 	unused           []resource.Vector
 	residentUse      []resource.Vector
@@ -88,9 +85,6 @@ type runState struct {
 	// instead of scanning VMs.
 	shortActive int
 
-	// Event-loop state.
-	events       eventQueue
-	placeArmedAt int
 	pathCounters
 }
 
@@ -116,7 +110,6 @@ func (rs *runState) initScratch() {
 		rs.headVol = make([]float64, n)
 	}
 	rs.views = make([]scheduler.VMView, n)
-	rs.placeArmedAt = -1
 	rs.byID = make(map[job.ID]*job.Runtime, len(rs.runtimes))
 	for _, rt := range rs.runtimes {
 		rs.byID[rt.Spec.ID] = rt
@@ -152,7 +145,6 @@ func (rs *runState) advanceFaults(t int) {
 			res.Recovery.Retries++
 			at := t + rs.inj.Config().Backoff(rt.Retries)
 			rs.retries = append(rs.retries, pendingRetry{rt, at})
-			rs.events.Push(at, evRetry, int(rt.Spec.ID))
 		}
 		// Long-lived jobs die with the VM and are not retried; their
 		// guaranteed reservations return to the pool.
@@ -244,25 +236,23 @@ func (rs *runState) setHeadVol(v int) {
 // Resident demand is periodic (job.DemandAt wraps t % len(Usage)), so with
 // tables the slot starts from the two precomputed rows for t % Period —
 // every entry produced by the identical DemandAt/UnusedAt calls, so
-// bit-exact — and patches only the VMs that differ from them: down (zero),
-// surged (the same Scale/Min/Sub/Clamp, on the row's demand) or hosting
-// long jobs (their slack added in longRunning order). Copy-on-write: the
-// scratch slices alias the read-only rows (see the aliasing contract on
-// workload.ResidentTables) and are re-pointed at the run-owned buffers when
-// the first VM needs a patch; every downstream consumer — predictor feeds,
-// the execute pass, timeline snapshots — only reads them. Without
-// tables (a non-periodic population) every VM is recomputed in one serial
-// pass. Which branch runs depends on the population alone, never on run
-// state.
+// bit-exact — and patches only the VMs that differ from them: down,
+// surged or hosting long jobs (vmTelemetry, on the row's entries).
+// Copy-on-write: the scratch slices alias the read-only rows (see the
+// aliasing contract on workload.ResidentTables) and are re-pointed at the
+// run-owned buffers when the first VM needs a patch; every downstream
+// consumer — predictor feeds, the execute pass, timeline snapshots — only
+// reads them. Without tables (a non-periodic population) every VM is
+// recomputed in one serial pass through the same vmTelemetry. Which branch
+// runs depends on the population alone, never on run state.
 func (rs *runState) observe(t int) {
-	surge := rs.surge
 	if tab := rs.tables; tab != nil {
 		demand, unused := tab.DemandRow(t%tab.Period), tab.UnusedRow(t%tab.Period)
 		rs.residentUse, rs.unused = demand, unused
-		patched, hits := 0, 0
-		if rs.downCount > 0 || rs.longActive > 0 || surge != nil {
+		patched := 0
+		if rs.downCount > 0 || rs.longActive > 0 || rs.surge != nil {
 			for v, down := range rs.downMask {
-				surged := surge != nil && surge[v] > 1
+				surged := rs.surge != nil && rs.surge[v] > 1
 				if !down && !surged && (rs.longActive == 0 || len(rs.vms[v].longRunning) == 0) {
 					continue
 				}
@@ -272,21 +262,7 @@ func (rs *runState) observe(t int) {
 					copy(rs.unused, unused)
 				}
 				patched++
-				if down {
-					rs.residentUse[v], rs.unused[v] = resource.Vector{}, resource.Vector{}
-					continue
-				}
-				st := &rs.vms[v]
-				u := unused[v]
-				if surged {
-					rs.residentUse[v] = demand[v].Scale(surge[v]).Min(st.reserved)
-					u = st.reserved.Sub(rs.residentUse[v]).ClampNonNegative()
-					hits++
-				}
-				for _, rt := range st.longRunning {
-					u = u.Add(rt.Spec.Request.Sub(rt.Spec.DemandAt(rt.Slots)).ClampNonNegative())
-				}
-				rs.unused[v] = u
+				rs.residentUse[v], rs.unused[v] = rs.vmTelemetry(v, demand[v], unused[v])
 			}
 		}
 		if patched == 0 {
@@ -294,7 +270,6 @@ func (rs *runState) observe(t int) {
 		} else {
 			rs.slotsPatched++
 			rs.vmsPatched += patched
-			rs.res.Recovery.SurgeSlots += hits
 		}
 		rs.sched.ObserveAll(rs.unused, rs.downMask)
 		return
@@ -302,25 +277,31 @@ func (rs *runState) observe(t int) {
 	rs.slotsRecomputed++
 	rs.residentUse, rs.unused = rs.residentUseOwned, rs.unusedOwned
 	for v := range rs.vms {
-		if rs.downMask[v] {
-			rs.unused[v] = resource.Vector{}
-			rs.residentUse[v] = resource.Vector{}
-			continue
-		}
-		st := &rs.vms[v]
-		rs.residentUse[v] = st.resident.DemandAt(t)
-		u := st.resident.UnusedAt(t)
-		if surge != nil && surge[v] > 1 {
-			rs.residentUse[v] = rs.residentUse[v].Scale(surge[v]).Min(st.reserved)
-			u = st.reserved.Sub(rs.residentUse[v]).ClampNonNegative()
-			rs.res.Recovery.SurgeSlots++
-		}
-		for _, rt := range st.longRunning {
-			u = u.Add(rt.Spec.Request.Sub(rt.Spec.DemandAt(rt.Slots)).ClampNonNegative())
-		}
-		rs.unused[v] = u
+		r := rs.vms[v].resident
+		rs.residentUse[v], rs.unused[v] = rs.vmTelemetry(v, r.DemandAt(t), r.UnusedAt(t))
 	}
 	rs.sched.ObserveAll(rs.unused, rs.downMask)
+}
+
+// vmTelemetry is the per-VM telemetry rule, applied to VM v's resident
+// demand and unused resources for the slot: a down VM reports zero for
+// both; a surged VM's demand is scaled by its surge factor, capped at its
+// reservation, and its unused is what the reservation leaves of that; then
+// each long job's slack joins the unused in longRunning order.
+func (rs *runState) vmTelemetry(v int, demand, unused resource.Vector) (resource.Vector, resource.Vector) {
+	if rs.downMask[v] {
+		return resource.Vector{}, resource.Vector{}
+	}
+	st := &rs.vms[v]
+	if rs.surge != nil && rs.surge[v] > 1 {
+		demand = demand.Scale(rs.surge[v]).Min(st.reserved)
+		unused = st.reserved.Sub(demand).ClampNonNegative()
+		rs.res.Recovery.SurgeSlots++
+	}
+	for _, rt := range st.longRunning {
+		unused = unused.Add(rt.Spec.Request.Sub(rt.Spec.DemandAt(rt.Slots)).ClampNonNegative())
+	}
+	return demand, unused
 }
 
 // refreshWindow is phase 3: refresh forecasts (timed — this is the
@@ -383,37 +364,29 @@ func applyAdjustments(vms []vmState, down []bool, adj scheduler.Adjuster) {
 	}
 }
 
-// admitArrivals is phase 4a: move due arrivals into the queue. It reports
-// whether any job was admitted (the event core arms a placement pass on
-// admission).
-func (rs *runState) admitArrivals(t int) bool {
-	admitted := false
+// admitArrivals is phase 4a: move due arrivals into the queue.
+func (rs *runState) admitArrivals(t int) {
 	for rs.nextArrival < len(rs.runtimes) && rs.runtimes[rs.nextArrival].Arrival <= t {
 		rs.queue = append(rs.queue, rs.runtimes[rs.nextArrival])
 		rs.nextArrival++
-		admitted = true
 	}
-	return admitted
 }
 
 // admitRetries is phase 4b: move evicted jobs whose retry backoff has
 // elapsed into the queue, preserving eviction order.
-func (rs *runState) admitRetries(t int) bool {
+func (rs *runState) admitRetries(t int) {
 	if len(rs.retries) == 0 {
-		return false
+		return
 	}
-	admitted := false
 	kept := rs.retries[:0]
 	for _, pr := range rs.retries {
 		if pr.at <= t {
 			rs.queue = append(rs.queue, pr.rt)
-			admitted = true
 		} else {
 			kept = append(kept, pr)
 		}
 	}
 	rs.retries = kept
-	return admitted
 }
 
 // placeQueued is phase 5: offer every queued job to the scheduler. Failed

@@ -314,7 +314,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer rs.release()
-	if err := rs.runEventLoop(); err != nil {
+	if err := rs.run(); err != nil {
 		return nil, err
 	}
 	return rs.finalize(), nil
@@ -330,8 +330,8 @@ func (rs *runState) release() {
 // newRunState builds everything a run needs before its first slot: the
 // cluster, the workload snapshot, the scheduler (pre-trained for CORP), the
 // per-VM ledgers and the fault injector. Run drives the returned state
-// through runEventLoop and finalize; the equivalence tests drive the same
-// state through their reference loop instead. The caller must release().
+// through run and finalize; the equivalence tests drive the same state
+// through their span-less reference loop instead. The caller must release().
 func newRunState(cfg Config) (rs *runState, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -3,22 +3,21 @@ package sim
 import "repro/internal/resource"
 
 // This file is the quiescent-span fast-forward (DESIGN.md §5f): when the
-// event queue's next real event is k > 1 slots away and the fleet is
-// quiescent, the event loop replays the whole span in one tight loop
-// instead of k full slot iterations. "Quiescent" means every slot in the
-// span would be a pure telemetry+execute slot with nothing running:
+// slots from t on would each be a pure telemetry+execute slot with nothing
+// running, nextSlot replays them in one tight loop instead of one runSlot
+// per slot. spanEnd computes the span's bound:
 //
-//   - the resident tables are armed and no surge is active, so observe(t)
-//     would serve the table rows unpatched and its output depends only on
-//     t mod Period;
-//   - no VM is down and no long or short job is running, so executeSlot(t)
-//     would fold only every VM's ledgers and resident demand, and the
-//     ledgers cannot change until a job is placed;
-//   - no job queues and no event (arrival, retry, fault draw, refresh,
-//     long-job transition, placement) is due before the span's end. A
-//     fault injector re-arms evFault every slot, so faulted runs never
-//     form a span and the fast path stands down automatically; a surge can
-//     only arm inside advanceFaults, which the same bound covers.
+//   - the resident tables are armed, so observe(t) serves the table rows
+//     and its output depends only on t mod Period, and no timeline is
+//     recorded (it snapshots every slot);
+//   - no fault injector exists. Down VMs, surges and retries arise only
+//     under one, and its RNG draws every slot, so faulted runs never form a
+//     span;
+//   - no long or short job runs and none queues, so executeSlot(t) would
+//     fold only every VM's ledgers and resident demand, and the ledgers
+//     cannot change until a job is placed;
+//   - the span ends before the next refresh slot, the next short or long
+//     arrival, and the horizon, whichever comes first.
 //
 // Bit-exactness recipe (refreshWindow's AddCommRepeat recipe, applied to
 // the telemetry/collector folds): every per-slot accumulation is applied as
@@ -37,37 +36,31 @@ import "repro/internal/resource"
 // In-span slots drain no prediction outcomes: predictions are recorded
 // only during Refresh and mature exactly at the next refresh slot's
 // observe (every scheme's tracker window equals its scheduler window —
-// they share one config field), and a pending refresh event always bounds
+// they share one config field), and the next refresh slot always bounds
 // the span, so the skipped per-slot DrainOutcomes calls would all return
 // empty.
 //
-// The equivalence suites pin the replay against the tests' slot loop, which
-// has no span machinery, bit-identical at any worker count; runState.spanSlots
-// lets them prove each scenario engaged the path or fully stood down.
+// The equivalence suite pins the replay against the tests' span-less slot
+// loop, bit-identical at any worker count; runState.spanSlots lets it prove
+// each scenario engaged the path or fully stood down.
 
-// spanEnd reports how far the event loop may fast-forward from slot t: it
-// returns the first slot the replay must stop before (exclusive), or t
-// itself when no fast-forward is possible. A span is only worth entering
-// when it covers at least two slots; single quiet slots run the normal
-// per-event path.
+// spanEnd reports how far nextSlot may fast-forward from slot t: it returns
+// the first slot the replay must stop before (exclusive), or t itself when
+// no fast-forward is possible. A span is only worth entering when it covers
+// at least two slots; a single quiet slot runs through runSlot.
 func (rs *runState) spanEnd(t int) int {
-	if rs.tables == nil || rs.cfg.RecordTimeline {
+	// Every check is a field or a counter, so none scans the fleet.
+	if rs.tables == nil || rs.cfg.RecordTimeline || rs.inj != nil ||
+		rs.shortActive != 0 || rs.longActive != 0 || len(rs.queue) != 0 {
 		return t
 	}
-	// Any running or queued work, an armed surge, or a down VM disqualifies
-	// the span; all are counters, so no check scans the fleet.
-	if rs.shortActive != 0 || rs.longActive != 0 || len(rs.queue) != 0 ||
-		rs.surge != nil || rs.downCount != 0 {
-		return t
+	// The next refresh slot is the first multiple of window ≥ t.
+	end := min(rs.horizon, (t+rs.window-1)/rs.window*rs.window)
+	if rs.nextArrival < len(rs.runtimes) {
+		end = min(end, rs.runtimes[rs.nextArrival].Arrival)
 	}
-	// Every queued event is a real event at time ≥ t (armSlot runs after
-	// the slot's execute, the last phase); the earliest of them — or the
-	// horizon — bounds the span.
-	end := rs.horizon
-	for i := range rs.events.items {
-		if et := rs.events.items[i].time; et < end {
-			end = et
-		}
+	if rs.nextLong < len(rs.longRuntimes) {
+		end = min(end, rs.longRuntimes[rs.nextLong].Arrival)
 	}
 	if end <= t+1 {
 		return t

@@ -13,7 +13,7 @@ import (
 // TestObserveTableEquivalence pins the table telemetry path: every scenario
 // must produce the identical Result from production Run (rows, patched where
 // a VM is down, surged or hosts long jobs) at 1 and 4 workers and from the
-// same event loop with the periodic resident tables dropped, which
+// same loop with the periodic resident tables dropped, which
 // recomputes every VM's telemetry every slot (oracle_test.go). The matrix
 // covers the quiet aliased path itself, each patch kind alone and all three
 // on the same VMs, a surge that clamps at the reservation, and an
@@ -60,8 +60,8 @@ func TestObserveTableEquivalence(t *testing.T) {
 		}, true, true},
 		{"span-quiet-tail", func() Config {
 			// A short burst followed by a long drain: the tail is pure
-			// quiescence, so the event loop fast-forwards span after span
-			// (each bounded by the refresh event); without tables no span
+			// quiescence, so the loop fast-forwards span after span
+			// (each bounded by the refresh slot); without tables no span
 			// forms, so this pins the span replay against the fully plain
 			// per-slot path.
 			cfg := base(scheduler.RCCR, 17)
@@ -70,10 +70,9 @@ func TestObserveTableEquivalence(t *testing.T) {
 			return cfg
 		}, false, true},
 		{"span-edge-fault", func() Config {
-			// Faults during a quiet-heavy run: the injector re-arms its
-			// draw event every slot, so every would-be span is bounded at
-			// its edge by a fault draw and the fast path must stand down;
-			// crash/recovery transitions land exactly on those edges.
+			// Faults during a quiet-heavy run: the injector draws every
+			// slot, so the fast path must stand down; crash/recovery
+			// transitions land on would-be span edges.
 			cfg := base(scheduler.RCCR, 19)
 			cfg.ArrivalSpan = 10
 			cfg.Drain = 150
@@ -84,7 +83,7 @@ func TestObserveTableEquivalence(t *testing.T) {
 		}, true, true},
 		{"span-refresh-bisect", func() Config {
 			// A refresh window far wider than the default bisects the quiet
-			// tail into long spans whose only boundary is the refresh event
+			// tail into long spans whose only boundary is the refresh slot
 			// itself — the span must stop exactly at the refresh slot so the
 			// matured prediction outcomes drain there and nowhere else.
 			cfg := base(scheduler.RCCR, 23)
