@@ -60,13 +60,17 @@ fma-off:
 # once; TestCorpRefreshWorkerEquivalence trains them concurrently at
 # Workers 4 and refreshes from the networks they wrote), and the farm
 # dispatcher/worker pair (leases, heartbeats, and result submission race
-# by design). A run has one fan-out: CORP's three
-# resource kinds training the shared brain on goroutines of their own. In
+# by design). There are two concurrency sites. Inside a run, CORP's three
+# resource kinds train the shared brain on goroutines of their own. In
 # internal/sim the equivalence suites run CORP at Workers 2, 4 and
 # GOMAXPROCS against the span-less slot loop (oracle_test.go, entered
 # through newRunState), so that fan-out runs under the detector inside
 # whole runs (TestCoreEquivalenceParallel, TestRunWorkerCountEquivalence).
-# Every other phase is one serial pass and has nothing to race.
+# Before a run, a snapshot above the size floor builds its three
+# generators and its resident tables' phase ranges as workpool.Do tasks
+# (TestBuildIdenticalAtAnyGrant builds one with the budget free and
+# compares it bit for bit with the serial generators and tables). Every other phase is
+# one serial pass and has nothing to race.
 # -short skips the heavyweight single-threaded determinism tests (they add
 # minutes under the race detector and no concurrency coverage).
 # internal/sim alone runs ~10 minutes on a one-core box, right at go

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -58,16 +59,32 @@ type Cache struct {
 	misses  atomic.Uint64
 	evicted atomic.Uint64
 
+	// build is Build; tests swap in a failing one.
+	build func(Params) (*Snapshot, error)
+
 	mu      sync.Mutex
 	max     int
 	entries map[string]*cacheEntry
+	added   uint64 // entries ever inserted; the next entry's seq
 }
 
 // cacheEntry is one key's slot; ready is closed once snap/err are final.
+// seq orders entries by insertion, oldest first.
 type cacheEntry struct {
 	ready chan struct{}
 	snap  *Snapshot
 	err   error
+	seq   uint64
+}
+
+// done reports whether the entry's build has finished.
+func (e *cacheEntry) done() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
 }
 
 // NewCache returns an enabled cache holding at most maxEntries snapshots
@@ -76,7 +93,7 @@ func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
 	}
-	c := &Cache{max: maxEntries, entries: make(map[string]*cacheEntry)}
+	c := &Cache{build: Build, max: maxEntries, entries: make(map[string]*cacheEntry)}
 	c.enabled.Store(true)
 	return c
 }
@@ -90,7 +107,9 @@ func (c *Cache) SetEnabled(on bool) { c.enabled.Store(on) }
 
 // Get returns the snapshot for p, building it at most once per key no
 // matter how many goroutines ask concurrently. Failed builds are not
-// cached; the next Get for the key retries.
+// cached; the next Get for the key retries. A build that panics re-raises
+// the panic on the Get that ran it, and every Get waiting on it returns an
+// error instead of blocking.
 func (c *Cache) Get(p Params) (*Snapshot, error) {
 	key := p.Key()
 	c.mu.Lock()
@@ -100,38 +119,47 @@ func (c *Cache) Get(p Params) (*Snapshot, error) {
 		<-e.ready
 		return e.snap, e.err
 	}
-	e := &cacheEntry{ready: make(chan struct{})}
+	e := &cacheEntry{ready: make(chan struct{}), seq: c.added}
+	c.added++
 	c.evictLocked()
 	c.entries[key] = e
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	e.snap, e.err = Build(p)
-	if e.err != nil {
-		c.mu.Lock()
-		delete(c.entries, key)
-		c.mu.Unlock()
-	}
-	close(e.ready)
+	defer func() {
+		if e.snap == nil {
+			if e.err == nil {
+				e.err = fmt.Errorf("workload: build of snapshot %.12s panicked", key)
+			}
+			c.mu.Lock()
+			if c.entries[key] == e {
+				delete(c.entries, key)
+			}
+			c.mu.Unlock()
+		}
+		close(e.ready)
+	}()
+	e.snap, e.err = c.build(p)
 	return e.snap, e.err
 }
 
-// evictLocked drops one completed entry when the cache is full. The victim
-// is whichever completed entry map iteration yields first — a coarse random
-// policy, which is fine for a cache whose working set (one figure's seeds)
-// fits well under the bound. In-flight builds are never evicted.
+// evictLocked drops the oldest completed entry, in insertion order, when
+// the cache is full, so identical campaigns evict identically and report
+// equal counters. In-flight builds are never evicted.
 func (c *Cache) evictLocked() {
 	if len(c.entries) < c.max {
 		return
 	}
+	var victim string
+	var oldest *cacheEntry
 	for k, e := range c.entries {
-		select {
-		case <-e.ready:
-			delete(c.entries, k)
-			c.evicted.Add(1)
-			return
-		default:
+		if e.done() && (oldest == nil || e.seq < oldest.seq) {
+			victim, oldest = k, e
 		}
+	}
+	if oldest != nil {
+		delete(c.entries, victim)
+		c.evicted.Add(1)
 	}
 }
 
@@ -145,12 +173,8 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	s.Entries = len(c.entries)
 	for _, e := range c.entries {
-		select {
-		case <-e.ready:
-			if e.snap != nil {
-				s.Bytes += e.snap.Bytes()
-			}
-		default:
+		if e.done() && e.snap != nil {
+			s.Bytes += e.snap.Bytes()
 		}
 	}
 	c.mu.Unlock()

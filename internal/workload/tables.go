@@ -3,6 +3,7 @@ package workload
 import (
 	"repro/internal/job"
 	"repro/internal/resource"
+	"repro/internal/workpool"
 )
 
 // ResidentTables precomputes each resident's periodic demand and unused
@@ -68,8 +69,11 @@ func (t *ResidentTables) Bytes() int64 {
 
 // buildResidentTables materialises the tables for a resident population, or
 // returns nil when the population is empty or the usage cycles are not all
-// the same length (then there is no single period to tabulate).
-func buildResidentTables(residents []*job.Job) *ResidentTables {
+// the same length (then there is no single period to tabulate). With fanOut
+// the phase range is split into one part per budget slot and the parts run
+// as workpool.Do tasks; each phase row and its sum are still written by one
+// task in ascending VM order, so the tables are the same bit for bit.
+func buildResidentTables(residents []*job.Job, fanOut bool) *ResidentTables {
 	if len(residents) == 0 {
 		return nil
 	}
@@ -89,7 +93,18 @@ func buildResidentTables(residents []*job.Job) *ResidentTables {
 		unused:    make([]resource.Vector, period*len(residents)),
 		demandSum: make([]resource.Vector, period),
 	}
-	for p := 0; p < period; p++ {
+	if !fanOut {
+		t.fill(residents, 0, period)
+		return t
+	}
+	parts := min(period, workpool.Limit())
+	workpool.Do(parts, func(i int) { t.fill(residents, i*period/parts, (i+1)*period/parts) })
+	return t
+}
+
+// fill writes phase rows [lo, hi) and their demand sums.
+func (t *ResidentTables) fill(residents []*job.Job, lo, hi int) {
+	for p := lo; p < hi; p++ {
 		row := p * t.NumVMs
 		var sum resource.Vector
 		for v, r := range residents {
@@ -99,16 +114,17 @@ func buildResidentTables(residents []*job.Job) *ResidentTables {
 		}
 		t.demandSum[p] = sum
 	}
-	return t
 }
 
 // Tables returns the snapshot's periodic resident tables, building them on
-// first call (guarded by a sync.Once, like the lazy history). Returns nil
+// first call (guarded by a sync.Once, like the lazy history) in phase
+// ranges on the shared budget when the snapshot is at least
+// buildMinVectors, inline otherwise. Returns nil
 // when the resident population has no single shared period. Read-only;
 // shared by every run holding the snapshot.
 func (s *Snapshot) Tables() *ResidentTables {
 	s.tabOnce.Do(func() {
-		s.tables = buildResidentTables(s.residents)
+		s.tables = buildResidentTables(s.residents, s.params.vectors() >= buildMinVectors)
 		if s.tables != nil {
 			s.tabBytes.Store(s.tables.Bytes())
 		}

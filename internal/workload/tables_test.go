@@ -83,7 +83,7 @@ func TestTablesLazyAndCounted(t *testing.T) {
 // one shared usage-cycle length have no single period and must yield nil
 // tables (the simulator then keeps the recomputation path).
 func TestTablesNonUniformPeriod(t *testing.T) {
-	if tab := buildResidentTables(nil); tab != nil {
+	if tab := buildResidentTables(nil, false); tab != nil {
 		t.Fatal("empty population: want nil tables")
 	}
 	mk := func(n int) *job.Job {
@@ -93,10 +93,10 @@ func TestTablesNonUniformPeriod(t *testing.T) {
 		}
 		return &job.Job{ID: 1, Request: resource.Vector{2, 4, 6}, Usage: usage, Duration: n}
 	}
-	if tab := buildResidentTables([]*job.Job{mk(6), mk(8)}); tab != nil {
+	if tab := buildResidentTables([]*job.Job{mk(6), mk(8)}, false); tab != nil {
 		t.Fatal("mixed-period population: want nil tables")
 	}
-	if tab := buildResidentTables([]*job.Job{mk(6), mk(6)}); tab == nil {
+	if tab := buildResidentTables([]*job.Job{mk(6), mk(6)}, false); tab == nil {
 		t.Fatal("uniform population: want tables")
 	}
 }

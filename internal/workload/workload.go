@@ -39,6 +39,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/resource"
 	"repro/internal/trace"
+	"repro/internal/workpool"
 )
 
 // Job-ID bases for the generated populations, disjoint so IDs never collide
@@ -157,9 +158,58 @@ type Snapshot struct {
 	bytes int64
 }
 
+// buildMinVectors is the size floor of the concurrent build: a snapshot
+// estimated to hold fewer usage vectors (Params.vectors) generates its
+// populations and tables inline on the calling goroutine, as below it the
+// goroutine and closure overhead outweighs the overlap. Every Table II and
+// quick-figure workload (at most ~62 k vectors) falls below it; the 500-PM
+// scale smoke (~456 k) and the 5000-PM scale profile (~14 M) do not.
+const buildMinVectors = 1 << 18
+
+// vectors estimates how many usage vectors the snapshot holds: one
+// Horizon-long series per resident and one MeanDuration-long series (at
+// least one slot) per short job. The long jobs are too few to count.
+func (p Params) vectors() int {
+	return len(p.VMCaps)*p.Residents.Horizon + p.Jobs.NumJobs*max(p.Jobs.MeanDuration, 1)
+}
+
+// numGenerators is the number of independent generator tasks in a Build.
+const numGenerators = 3
+
+// generate runs generator task i: 0 the residents, 1 the short jobs, 2 the
+// long jobs. Each draws from its own seeded RNG stream and writes only its
+// own field, so the three may run in any order or at once and produce the
+// same bytes.
+func (s *Snapshot) generate(i int) (err error) {
+	p := s.params
+	switch i {
+	case 0:
+		if s.residents, err = trace.GenerateResidents(p.Residents, p.VMCaps, ResidentFirstID); err != nil {
+			return fmt.Errorf("workload: residents: %w", err)
+		}
+	case 1:
+		if s.shortJobs, err = trace.GenerateShortJobs(p.Jobs); err != nil {
+			return fmt.Errorf("workload: short jobs: %w", err)
+		}
+	case 2:
+		if p.Long.NumJobs > 0 {
+			if s.longJobs, err = trace.GenerateLongJobs(p.Long, LongFirstID); err != nil {
+				return fmt.Errorf("workload: long jobs: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
 // Build generates the workload for the given Params. The history trace is
 // generated lazily on first use (only CORP consumes it), guarded by a
 // sync.Once so concurrent runs share one deterministic generation.
+//
+// At or above buildMinVectors the three generators run as workpool.Do
+// tasks, on as many slots as the shared budget grants; below it, or with
+// no slot to spare, they run inline in order. The snapshot is the same
+// bit for bit either way, and the error, if any, is the first in that
+// order.
 func Build(p Params) (*Snapshot, error) {
 	if len(p.VMCaps) == 0 {
 		return nil, fmt.Errorf("workload: no VM capacities")
@@ -171,16 +221,19 @@ func Build(p Params) (*Snapshot, error) {
 	p.VMCaps = caps
 
 	s := &Snapshot{params: p, key: p.Key()}
-	var err error
-	if s.residents, err = trace.GenerateResidents(p.Residents, p.VMCaps, ResidentFirstID); err != nil {
-		return nil, fmt.Errorf("workload: residents: %w", err)
-	}
-	if s.shortJobs, err = trace.GenerateShortJobs(p.Jobs); err != nil {
-		return nil, fmt.Errorf("workload: short jobs: %w", err)
-	}
-	if p.Long.NumJobs > 0 {
-		if s.longJobs, err = trace.GenerateLongJobs(p.Long, LongFirstID); err != nil {
-			return nil, fmt.Errorf("workload: long jobs: %w", err)
+	if p.vectors() < buildMinVectors {
+		for i := range numGenerators {
+			if err := s.generate(i); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		var errs [numGenerators]error
+		workpool.Do(numGenerators, func(i int) { errs[i] = s.generate(i) })
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 	s.bytes = jobsBytes(s.residents) + jobsBytes(s.shortJobs) + jobsBytes(s.longJobs)

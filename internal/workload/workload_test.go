@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -275,4 +276,72 @@ func TestDefaultCacheToggle(t *testing.T) {
 		t.Error("SetEnabled(false) did not stick")
 	}
 	Default.SetEnabled(true)
+}
+
+// TestCacheGetBuildPanic drives a build that panics through the cache's
+// build seam: the Get that ran it re-panics, a Get already waiting on the
+// key returns an error instead of blocking, and the next Get builds afresh.
+func TestCacheGetBuildPanic(t *testing.T) {
+	c := NewCache(8)
+	p := testParams(3)
+	started, release := make(chan struct{}), make(chan struct{})
+	c.build = func(Params) (*Snapshot, error) {
+		close(started)
+		<-release
+		panic("build failed")
+	}
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		_, _ = c.Get(p)
+	}()
+	<-started
+	waited := make(chan error)
+	go func() {
+		_, err := c.Get(p)
+		waited <- err
+	}()
+	for c.Stats().Hits == 0 { // the waiter has found the in-flight entry
+		runtime.Gosched()
+	}
+	close(release)
+	if got := <-panicked; got != "build failed" {
+		t.Fatalf("building Get recovered %v, want the build's panic", got)
+	}
+	if err := <-waited; err == nil {
+		t.Fatal("waiting Get returned no error for a panicked build")
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("panicked build left %d entries resident", st.Entries)
+	}
+	c.build = Build
+	if s, err := c.Get(p); err != nil || s == nil {
+		t.Fatalf("Get after a panicked build: %v, %v", s, err)
+	}
+}
+
+// TestCacheEvictsOldestFirst runs one 70-key campaign, twice over, on two
+// fresh default-sized caches: insertion-order eviction gives both the same
+// counters, and a cache six entries short of the key set evicts on every
+// miss of the second pass.
+func TestCacheEvictsOldestFirst(t *testing.T) {
+	campaign := func() Stats {
+		c := NewCache(0)
+		for range 2 {
+			for seed := range int64(70) {
+				if _, err := c.Get(testParams(seed)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return c.Stats()
+	}
+	a, b := campaign(), campaign()
+	if a != b {
+		t.Fatalf("identical campaigns: stats %+v != %+v", a, b)
+	}
+	want := Stats{Misses: 140, Evictions: 140 - DefaultMaxEntries, Entries: DefaultMaxEntries, Bytes: a.Bytes}
+	if a != want {
+		t.Fatalf("stats %+v, want %+v (FIFO over 70 keys misses every Get)", a, want)
+	}
 }

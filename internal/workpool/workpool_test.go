@@ -1,7 +1,9 @@
 package workpool
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -79,5 +81,86 @@ func TestConcurrentClaims(t *testing.T) {
 	wg.Wait()
 	if InUse() != 0 {
 		t.Fatalf("budget leaked: %d still in use", InUse())
+	}
+}
+
+// TestDoRunsEveryTaskOnce runs more tasks than slots on a free budget: each
+// task runs exactly once and the grant is released.
+func TestDoRunsEveryTaskOnce(t *testing.T) {
+	reset()
+	const n = 37
+	var runs [n]atomic.Int32
+	Do(n, func(i int) { runs[i].Add(1) })
+	for i := range runs {
+		if got := runs[i].Load(); got != 1 {
+			t.Fatalf("task %d ran %d times, want 1", i, got)
+		}
+	}
+	if InUse() != 0 {
+		t.Fatalf("%d slots still claimed after Do", InUse())
+	}
+}
+
+// TestDoInlineWithoutGrant pins the inline path: at GOMAXPROCS=1, or with
+// every slot already claimed, Do starts no goroutine and runs the tasks on
+// the caller in index order.
+func TestDoInlineWithoutGrant(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func() (undo func())
+	}{
+		{"gomaxprocs1", func() func() {
+			prev := runtime.GOMAXPROCS(1)
+			return func() { runtime.GOMAXPROCS(prev) }
+		}},
+		{"exhausted", func() func() {
+			held := ClaimUpTo(Limit())
+			return func() { Release(held) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reset()
+			undo := tc.setup()
+			defer undo()
+			// Goroutines of earlier tests may still be exiting, so the count
+			// can fall while Do runs, but it must not rise.
+			before := runtime.NumGoroutine()
+			var order []int
+			Do(5, func(i int) {
+				if g := runtime.NumGoroutine(); g > before {
+					t.Errorf("task %d: %d goroutines, more than the %d before Do", i, g, before)
+				}
+				order = append(order, i)
+			})
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("inline order %v, want ascending", order)
+				}
+			}
+			if len(order) != 5 {
+				t.Fatalf("ran %d tasks, want 5", len(order))
+			}
+		})
+	}
+}
+
+// TestDoPanicReachesCaller panics in one task on a free budget: the panic
+// value surfaces on the caller, and the budget is whole again.
+func TestDoPanicReachesCaller(t *testing.T) {
+	reset()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		Do(4, func(i int) {
+			if i == 2 {
+				panic("task 2 failed")
+			}
+		})
+	}()
+	if got != "task 2 failed" {
+		t.Fatalf("recovered %v, want the task's panic value", got)
+	}
+	if InUse() != 0 {
+		t.Fatalf("%d slots still claimed after a panicking Do", InUse())
 	}
 }
