@@ -8,8 +8,8 @@ GO ?= go
 # The tests that keep a perf "win" from silently changing results ride
 # `test`: every quick figure series of both profiles must hash to the
 # digests in internal/experiments/testdata/figure_golden.json
-# (TestFigureGolden) and be bit-identical with the workload snapshot cache
-# on vs off (TestWorkloadCacheEquivalence). So does the surface gate
+# (TestFigureGolden) and be bit-identical whether runs share cached
+# workload snapshots or each build their own (TestWorkloadCacheEquivalence). So does the surface gate
 # (TestInternalSurfaceReachable, root package): an exported identifier under
 # internal/ that no figure, CLI, example or bench workload reaches fails
 # the build of record. Nothing here gates on timing:
@@ -67,8 +67,8 @@ fma-off:
 # through newRunState), so that fan-out runs under the detector inside
 # whole runs (TestCoreEquivalenceParallel, TestRunWorkerCountEquivalence).
 # Before a run, a snapshot above the size floor builds its three
-# generators and its resident tables' phase ranges as workpool.Do tasks
-# (TestBuildIdenticalAtAnyGrant builds one with the budget free and
+# generators and then its resident tables' phase ranges as workpool.Do
+# tasks (TestBuildIdenticalAtAnyGrant builds one with the budget free and
 # compares it bit for bit with the serial generators and tables). Every other phase is
 # one serial pass and has nothing to race.
 # -short skips the heavyweight single-threaded determinism tests (they add
@@ -94,9 +94,10 @@ farm-smoke:
 # one 5000-PM / 20000-VM RCCR burst at a truncated horizon, calm
 # (TestScaleProfileSmoke: every telemetry slot aliases the table rows) and
 # under crashes, surges and long jobs (TestScaleChurnSmoke: rows patched,
-# dense long-job placement), production sim.Run compared bit-for-bit with
-# the recompute-telemetry oracle (the same run with the periodic resident
-# tables dropped) and the path counters asserted. They also ride the plain
+# dense long-job placement), production sim.Run with every slot's
+# telemetry checked bit for bit against the telemetry law (each VM's
+# resident series plus the down, surge and long-job rule; oracle_test.go)
+# and the path counters asserted. They also ride the plain
 # `go test ./...` tier; the named target keeps the 5k-PM path visible as
 # its own CI step.
 scale-smoke:

@@ -103,6 +103,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-forecast-tier", "auto"}, os.Stdout); err == nil {
 		t.Error("-forecast-tier accepted")
 	}
+	// A negative count is an error naming the field, not the profile's
+	// default (-pms -4 once ran the 50-PM cluster).
+	for _, tc := range []struct{ flag, field string }{{"-pms", "NumPMs"}, {"-vms", "NumVMs"}} {
+		err := run([]string{"-scheme", "RCCR", "-jobs", "10", tc.flag, "-4"}, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), tc.field+" = -4") {
+			t.Errorf("%s -4: error %v, want one naming %s", tc.flag, err, tc.field)
+		}
+	}
 	// flag stops parsing at the first non-flag word: without the check the
 	// flags after it would be dropped silently.
 	if err := run([]string{"-jobs", "10", "-pms", "2", "-vms", "4", "quick", "-scheme", "RCCR"}, os.Stdout); err == nil {

@@ -3,13 +3,15 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // TestWorkloadCacheEquivalence pins the snapshot cache's core contract:
 // every figure series — both profiles, quick mode, including the faulted
 // extension figure — is bit-identical whether runs share cached snapshots
-// (production) or regenerate their traces privately (SetEnabled(false)).
+// (production) or each run builds its own: the uncached side runs every
+// config alone, after emptying the cache, through Options.RunBatch.
 // It rides plain `go test ./...`, and so `make check`.
 func TestWorkloadCacheEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -19,9 +21,18 @@ func TestWorkloadCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cached run: %v", err)
 	}
-	prev := workload.Default.Enabled()
-	defer workload.Default.SetEnabled(prev)
-	workload.Default.SetEnabled(false)
+	alone := func(cfgs []sim.Config) ([]*sim.Result, error) {
+		results := make([]*sim.Result, len(cfgs))
+		for i, cfg := range cfgs {
+			workload.Default.Reset()
+			res, err := sim.Run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			results[i] = res
+		}
+		return results, nil
+	}
 
 	for _, profile := range goldenProfiles {
 		cached, st := cachedFigs[profile], stats[profile]
@@ -34,6 +45,7 @@ func TestWorkloadCacheEquivalence(t *testing.T) {
 
 		o := goldenOptions
 		o.Profile = profile
+		o.RunBatch = alone
 		uncached, err := FigureSet(o)
 		if err != nil {
 			t.Fatalf("%s uncached run: %v", profile, err)

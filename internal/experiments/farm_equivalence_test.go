@@ -173,9 +173,6 @@ func TestFarmDedupCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep is slow; run without -short")
 	}
-	if !workload.Default.Enabled() {
-		t.Skip("workload cache disabled")
-	}
 	workload.Default.Reset()
 	base := workload.Default.Stats()
 

@@ -39,9 +39,6 @@ var cachedCampaign struct {
 func runCachedCampaign() (map[cluster.Profile][]*Figure, map[cluster.Profile]workload.Stats, error) {
 	c := &cachedCampaign
 	c.once.Do(func() {
-		prev := workload.Default.Enabled()
-		defer workload.Default.SetEnabled(prev)
-		workload.Default.SetEnabled(true)
 		c.figs = map[cluster.Profile][]*Figure{}
 		c.stats = map[cluster.Profile]workload.Stats{}
 		for _, profile := range goldenProfiles {

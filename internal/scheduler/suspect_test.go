@@ -251,6 +251,42 @@ func TestRandomSchedulerPlaceDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestDRAPlaceDoesNotAllocate is the same gate for DRA: once a Place call
+// has sized the fresh-pool copy and the placement arena, a warm call of the
+// same shape allocates nothing, the one-element allocation slice each
+// placement hands the arena included (the compiler keeps it on the stack).
+func TestDRAPlaceDoesNotAllocate(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ProfileCluster, NumPMs: 30, NumVMs: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Scheme: DRA, Seed: 3}, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := make([]VMView, len(cl.VMs))
+	for i := range views {
+		if i%50 == 0 {
+			views[i] = VMView{Down: true}
+			continue
+		}
+		views[i] = VMView{FreshAvailable: cl.VMs[i].Capacity.Scale(0.5)}
+	}
+	// Tiny demands: every job fits on every call, so each call places the
+	// whole batch and the arena never has to grow.
+	rng := rand.New(rand.NewSource(4))
+	js := make([]*job.Job, 200)
+	for i := range js {
+		js[i] = mkJob(i, rng.Float64()*0.01, rng.Float64()*0.01, rng.Float64()*0.01)
+	}
+	if got := len(s.Place(js, views)); got != len(js) {
+		t.Fatalf("placed %d of %d jobs", got, len(js))
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Place(js, views) }); n != 0 {
+		t.Errorf("warm DRA Place allocates %v times per call, want 0", n)
+	}
+}
+
 // TestSuspectIndexEmptyAndSaturated covers the degenerate ends: no lane
 // fits a gated demand, and every lane is suspect.
 func TestSuspectIndexEmptyAndSaturated(t *testing.T) {

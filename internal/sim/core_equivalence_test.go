@@ -205,10 +205,9 @@ func checkEquivalence(t *testing.T, scenarios []coreScenario) {
 }
 
 // TestCoreEquivalenceParallel repeats the pin with the run's one fan-out
-// wide — CORP's per-kind training goroutines — in production Run and in the
-// same run with the resident tables dropped (serial telemetry recompute),
-// each at several worker counts against the span-less slot loop at 1
-// worker. Each kind's training stream keeps its serial order and the kinds
+// wide — CORP's per-kind training goroutines — in production Run with the
+// telemetry law checked on every slot, at several worker counts against the
+// span-less slot loop at 1 worker. Each kind's training stream keeps its serial order and the kinds
 // share no state, so worker count can only change wall time, never a
 // figure; under -race (the race Make target covers this package) the
 // concurrent kinds are also checked for data races. Scenarios are picked by
@@ -232,16 +231,14 @@ func TestCoreEquivalenceParallel(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range counts {
-				for _, o := range []oracle{{}, {recompute: true}} {
-					cfg := sc.cfg()
-					cfg.Workers = w
-					got, _, err := o.run(cfg)
-					if err != nil {
-						t.Fatalf("workers=%d %+v: %v", w, o, err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Errorf("workers=%d %+v diverged from the serial slot loop", w, o)
-					}
+				cfg := sc.cfg()
+				cfg.Workers = w
+				got, _, err := oracle{law: true}.run(cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("workers=%d diverged from the serial slot loop", w)
 				}
 			}
 		})

@@ -25,6 +25,9 @@ func (rs *runState) runSlot(t int) error {
 	}
 	rs.placeLongArrivals(t)
 	rs.observe(t)
+	if rs.checkSlot != nil {
+		rs.checkSlot(t, rs.residentUse, rs.unused)
+	}
 	if t%rs.window == 0 {
 		rs.refreshWindow(t)
 	}

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"repro/internal/workload"
 	"repro/internal/workpool"
 )
 
@@ -68,31 +67,27 @@ func runMany(cfgs []Config, workers int, progress ProgressFunc, run func(Config)
 	// replications share (seed, workload) keys, so the cache's
 	// singleflight generates every distinct trace exactly once here and
 	// each run receives its snapshot read-only via Config.Prepared.
-	// Skipped when the cache is disabled (the cache-equivalence tests'
-	// SetEnabled(false) side): that baseline regenerates inside every run.
-	if workload.Default.Enabled() {
-		prepared := make([]Config, len(cfgs))
-		copy(prepared, cfgs)
-		cfgs = prepared
-		var pwg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			pwg.Add(1)
-			go func() {
-				defer pwg.Done()
-				for i := range idx {
-					prepareSafe(&cfgs[i])
-				}
-			}()
-		}
-		for i := range cfgs {
-			if cfgs[i].Prepared == nil {
-				idx <- i
+	prepared := make([]Config, len(cfgs))
+	copy(prepared, cfgs)
+	cfgs = prepared
+	var pwg sync.WaitGroup
+	idx := make(chan int)
+	for w := 0; w < workers; w++ {
+		pwg.Add(1)
+		go func() {
+			defer pwg.Done()
+			for i := range idx {
+				prepareSafe(&cfgs[i])
 			}
-		}
-		close(idx)
-		pwg.Wait()
+		}()
 	}
+	for i := range cfgs {
+		if cfgs[i].Prepared == nil {
+			idx <- i
+		}
+	}
+	close(idx)
+	pwg.Wait()
 	var wg sync.WaitGroup
 	var progressMu sync.Mutex
 	done := 0

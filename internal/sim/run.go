@@ -70,12 +70,10 @@ type runState struct {
 	byID           map[job.ID]*job.Runtime
 
 	// Activity-proportional state (DESIGN.md §5f). tables holds the
-	// snapshot's precomputed periodic resident vectors (nil for a
-	// non-periodic population: telemetry recomputes every slot and no span
-	// forms). downCount/downMask (written by setDown alone) and longActive
-	// are maintained incrementally at their transition points
-	// (advanceFaults, long placement/finish) so no phase rescans the fleet
-	// to learn them.
+	// snapshot's precomputed periodic resident vectors. downCount/downMask
+	// (written by setDown alone) and longActive are maintained
+	// incrementally at their transition points (advanceFaults, long
+	// placement/finish) so no phase rescans the fleet to learn them.
 	tables     *workload.ResidentTables
 	downCount  int
 	longActive int
@@ -85,17 +83,22 @@ type runState struct {
 	// instead of scanning VMs.
 	shortActive int
 
+	// checkSlot, when set, is handed every slot's telemetry once it is
+	// known: after observe on a walked slot, and per slot with the rows a
+	// span replays. Nil in production; tests set it to hold each slot to a
+	// law of the run state.
+	checkSlot func(t int, residentUse, unused []resource.Vector)
+
 	pathCounters
 }
 
 // pathCounters records, per run, which path each slot took, so a test can
 // prove the one it means to pin actually ran.
 type pathCounters struct {
-	spanSlots       int // slots fastForwardSpan replayed
-	slotsAliased    int // observe served the table rows untouched
-	slotsPatched    int // observe copied the rows and patched vmsPatched entries
-	slotsRecomputed int // observe recomputed every VM (tables == nil)
-	vmsPatched      int
+	spanSlots    int // slots fastForwardSpan replayed
+	slotsAliased int // observe served the table rows untouched
+	slotsPatched int // observe copied the rows and patched vmsPatched entries
+	vmsPatched   int
 }
 
 // initScratch sizes the per-slot buffers once.
@@ -233,8 +236,8 @@ func (rs *runState) setHeadVol(v int) {
 // the running long jobs' slack — and feed them to the predictor fleet in
 // one batched call. Failed VMs report no telemetry and offer no pool.
 //
-// Resident demand is periodic (job.DemandAt wraps t % len(Usage)), so with
-// tables the slot starts from the two precomputed rows for t % Period —
+// Resident demand is periodic (job.DemandAt wraps t % len(Usage)), so the
+// slot starts from the snapshot's two precomputed rows for t % Period —
 // every entry produced by the identical DemandAt/UnusedAt calls, so
 // bit-exact — and patches only the VMs that differ from them: down,
 // surged or hosting long jobs (vmTelemetry, on the row's entries).
@@ -242,43 +245,32 @@ func (rs *runState) setHeadVol(v int) {
 // aliasing contract on workload.ResidentTables) and are re-pointed at the
 // run-owned buffers when the first VM needs a patch; every downstream
 // consumer — predictor feeds, the execute pass, timeline snapshots — only
-// reads them. Without tables (a non-periodic population) every VM is
-// recomputed in one serial pass through the same vmTelemetry. Which branch
-// runs depends on the population alone, never on run state.
+// reads them.
 func (rs *runState) observe(t int) {
-	if tab := rs.tables; tab != nil {
-		demand, unused := tab.DemandRow(t%tab.Period), tab.UnusedRow(t%tab.Period)
-		rs.residentUse, rs.unused = demand, unused
-		patched := 0
-		if rs.downCount > 0 || rs.longActive > 0 || rs.surge != nil {
-			for v, down := range rs.downMask {
-				surged := rs.surge != nil && rs.surge[v] > 1
-				if !down && !surged && (rs.longActive == 0 || len(rs.vms[v].longRunning) == 0) {
-					continue
-				}
-				if patched == 0 {
-					rs.residentUse, rs.unused = rs.residentUseOwned, rs.unusedOwned
-					copy(rs.residentUse, demand)
-					copy(rs.unused, unused)
-				}
-				patched++
-				rs.residentUse[v], rs.unused[v] = rs.vmTelemetry(v, demand[v], unused[v])
+	tab := rs.tables
+	demand, unused := tab.DemandRow(t%tab.Period), tab.UnusedRow(t%tab.Period)
+	rs.residentUse, rs.unused = demand, unused
+	patched := 0
+	if rs.downCount > 0 || rs.longActive > 0 || rs.surge != nil {
+		for v, down := range rs.downMask {
+			surged := rs.surge != nil && rs.surge[v] > 1
+			if !down && !surged && (rs.longActive == 0 || len(rs.vms[v].longRunning) == 0) {
+				continue
 			}
+			if patched == 0 {
+				rs.residentUse, rs.unused = rs.residentUseOwned, rs.unusedOwned
+				copy(rs.residentUse, demand)
+				copy(rs.unused, unused)
+			}
+			patched++
+			rs.residentUse[v], rs.unused[v] = rs.vmTelemetry(v, demand[v], unused[v])
 		}
-		if patched == 0 {
-			rs.slotsAliased++
-		} else {
-			rs.slotsPatched++
-			rs.vmsPatched += patched
-		}
-		rs.sched.ObserveAll(rs.unused, rs.downMask)
-		return
 	}
-	rs.slotsRecomputed++
-	rs.residentUse, rs.unused = rs.residentUseOwned, rs.unusedOwned
-	for v := range rs.vms {
-		r := rs.vms[v].resident
-		rs.residentUse[v], rs.unused[v] = rs.vmTelemetry(v, r.DemandAt(t), r.UnusedAt(t))
+	if patched == 0 {
+		rs.slotsAliased++
+	} else {
+		rs.slotsPatched++
+		rs.vmsPatched += patched
 	}
 	rs.sched.ObserveAll(rs.unused, rs.downMask)
 }

@@ -67,15 +67,14 @@ func TestScaleProfileConcurrency(t *testing.T) {
 
 // benchWarmRun times Run(cfg) against a snapshot prepared off the timer —
 // what every unit after the first costs in bench/ and inside a sweep. The
-// snapshot's lazily built parts, the resident tables and (for CORP) the
-// pretraining history, are built off the timer too, as bench/ does, so a
-// one-iteration run measures the run and not their set-up.
+// snapshot's one lazily built part, (for CORP) the pretraining history, is
+// built off the timer too, as bench/ does, so a one-iteration run measures
+// the run and not its set-up.
 func benchWarmRun(b *testing.B, cfg Config) {
 	snapshot, err := PrepareWorkload(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	snapshot.Tables()
 	if cfg.Scheduler.Scheme == scheduler.CORP {
 		if _, _, err := snapshot.History(); err != nil {
 			b.Fatal(err)

@@ -82,8 +82,8 @@ type Config struct {
 	// job.Runtime wrappers — so one snapshot can drive any number of
 	// concurrent runs. Its key must match what this config would
 	// generate; Run fails fast on a mismatch rather than silently
-	// simulating the wrong workload. Nil generates (or fetches from the
-	// process-wide cache, when enabled) as usual.
+	// simulating the wrong workload. Nil fetches the snapshot from the
+	// process-wide cache, which builds it on a miss.
 	Prepared *workload.Snapshot
 
 	// RecordTimeline captures a per-slot snapshot into Result.Timeline.
@@ -194,7 +194,12 @@ func (c Config) validate() error {
 		field string
 		v     int
 	}{
+		{"NumPMs", c.NumPMs},
+		{"NumVMs", c.NumVMs},
 		{"NumJobs", c.NumJobs},
+		{"Warmup", c.Warmup},
+		{"ArrivalSpan", c.ArrivalSpan},
+		{"Drain", c.Drain},
 		{"LongJobs", c.LongJobs},
 		{"Faults.MeanDowntime", c.Faults.MeanDowntime},
 		{"Workers", c.Workers},
@@ -289,7 +294,6 @@ type vmState struct {
 	freshInUse   resource.Vector // short-job allocations from headroom
 	oppInUse     resource.Vector // short-job allocations from predicted-unused
 	longReserved resource.Vector // long-lived jobs' guaranteed reservations
-	resident     *job.Job
 	running      []*job.Runtime
 	// hot mirrors running index-for-index with the per-slot execution state
 	// (usage series, allocation, progress) packed into one dense array, so
@@ -363,33 +367,29 @@ func newRunState(cfg Config) (rs *runState, err error) {
 	}()
 	cfg.Scheduler.Workers = workers
 
-	cl, err := cluster.New(cluster.Config{
-		Profile: cfg.Profile, NumPMs: cfg.NumPMs, NumVMs: cfg.NumVMs,
-		Heterogeneous: cfg.Heterogeneous,
-	})
+	cl, params, err := clusterFor(cfg)
 	if err != nil {
 		return nil, err
 	}
 	horizon := cfg.Warmup + cfg.ArrivalSpan + cfg.Drain
 
-	// Workload snapshot: residents, short jobs, history and long jobs for
-	// this config's (seed, workload) key — supplied pre-built, fetched
-	// from the process-wide cache, or generated here. The snapshot is
+	// Workload snapshot: residents, short jobs, history, long jobs and the
+	// resident tables for this config's (seed, workload) key — supplied
+	// pre-built or fetched from the process-wide cache. The snapshot is
 	// shared read-only; every run-local adjustment below (the warmup
 	// arrival offsets) lands on per-run job.Runtime state, never on the
 	// shared specs.
-	vmCaps := make([]resource.Vector, len(cl.VMs))
-	for i, vm := range cl.VMs {
-		vmCaps[i] = vm.Capacity
-	}
-	params := workloadParams(cfg, vmCaps)
 	snap := cfg.Prepared
 	if snap == nil {
-		if snap, err = snapshotFor(params); err != nil {
+		if snap, err = workload.Default.Get(params); err != nil {
 			return nil, err
 		}
 	} else if snap.Key() != params.Key() {
 		return nil, fmt.Errorf("sim: prepared workload key %.12s does not match config key %.12s", snap.Key(), params.Key())
+	}
+	tables := snap.Tables()
+	if tables.NumVMs != len(cl.VMs) {
+		return nil, fmt.Errorf("sim: workload tables hold %d VMs for a %d-VM cluster", tables.NumVMs, len(cl.VMs))
 	}
 	residents := snap.Residents()
 
@@ -472,7 +472,6 @@ func newRunState(cfg Config) (rs *runState, err error) {
 		vms[i] = vmState{
 			capacity: vm.Capacity,
 			reserved: residents[i].Request,
-			resident: residents[i],
 		}
 	}
 
@@ -525,14 +524,7 @@ func newRunState(cfg Config) (rs *runState, err error) {
 		// VM per candidate in the long-job placement phase.
 		maxVMCap:  cl.MaxVMCapacity(),
 		predTally: metrics.PredictionTally{Epsilon: cfg.Epsilon * cl.VMs[0].Capacity.At(resource.CPU)},
-	}
-	// Periodic resident tables for the telemetry phase, built once per
-	// snapshot and shared via the workload cache; nil for a non-periodic
-	// population, which recomputes every slot. Guarded by the VM count so a
-	// snapshot/cluster mismatch can never read the wrong rows (the key
-	// check above should already preclude it).
-	if tab := snap.Tables(); tab != nil && tab.NumVMs == len(vms) {
-		rs.tables = tab
+		tables:    tables,
 	}
 	rs.initScratch()
 	return rs, nil

@@ -7,9 +7,7 @@ import "repro/internal/resource"
 // running, nextSlot replays them in one tight loop instead of one runSlot
 // per slot. spanEnd computes the span's bound:
 //
-//   - the resident tables are armed, so observe(t) serves the table rows
-//     and its output depends only on t mod Period, and no timeline is
-//     recorded (it snapshots every slot);
+//   - no timeline is recorded (it snapshots every slot);
 //   - no fault injector exists. Down VMs, surges and retries arise only
 //     under one, and its RNG draws every slot, so faulted runs never form a
 //     span;
@@ -18,6 +16,10 @@ import "repro/internal/resource"
 //     cannot change until a job is placed;
 //   - the span ends before the next refresh slot, the next short or long
 //     arrival, and the horizon, whichever comes first.
+//
+// With nothing down, surged or hosting a long job, observe(t) would serve
+// the table rows for t mod Period untouched, so the replay hands those rows
+// on directly.
 //
 // Bit-exactness recipe (refreshWindow's AddCommRepeat recipe, applied to
 // the telemetry/collector folds): every per-slot accumulation is applied as
@@ -50,7 +52,7 @@ import "repro/internal/resource"
 // at least two slots; a single quiet slot runs through runSlot.
 func (rs *runState) spanEnd(t int) int {
 	// Every check is a field or a counter, so none scans the fleet.
-	if rs.tables == nil || rs.cfg.RecordTimeline || rs.inj != nil ||
+	if rs.cfg.RecordTimeline || rs.inj != nil ||
 		rs.shortActive != 0 || rs.longActive != 0 || len(rs.queue) != 0 {
 		return t
 	}
@@ -99,6 +101,11 @@ func (rs *runState) fastForwardSpan(t0, end int) {
 	// Predictor feeds: the scheduler's ObserveSpan replays the identical
 	// per-VM appends.
 	rs.sched.ObserveSpan(rows, rs.downMask)
+	if rs.checkSlot != nil {
+		for t := t0; t < end; t++ {
+			rs.checkSlot(t, tab.DemandRow(t%tab.Period), rows[t-t0])
+		}
+	}
 
 	// Collector folds, one slot at a time in slot order (repeated
 	// additions, never a fused multiply): the short-job collector sees

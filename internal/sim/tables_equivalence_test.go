@@ -10,16 +10,16 @@ import (
 	"repro/internal/scheduler"
 )
 
-// TestObserveTableEquivalence pins the table telemetry path: every scenario
-// must produce the identical Result from production Run (rows, patched where
-// a VM is down, surged or hosts long jobs) at 1 and 4 workers and from the
-// same loop with the periodic resident tables dropped, which
-// recomputes every VM's telemetry every slot (oracle_test.go). The matrix
-// covers the quiet aliased path itself, each patch kind alone and all three
-// on the same VMs, a surge that clamps at the reservation, and an
-// explicit-jobs run whose widened horizon forces real t % period wraps. The
-// per-run path counters prove which path each side took: production never
-// recomputes, and a scenario that means to patch does.
+// TestObserveTableEquivalence pins the table telemetry path: in every
+// scenario production Run (rows, patched where a VM is down, surged or
+// hosts long jobs) must hold the telemetry law (oracle_test.go) on every
+// slot, walked or replayed, and produce the identical Result at 1 and 4
+// workers. The matrix covers the quiet aliased path itself, each patch kind
+// alone and all three on the same VMs, a surge that clamps at the
+// reservation, and an explicit-jobs run whose widened horizon forces real
+// t % period wraps. The per-run path counters prove which path each slot
+// took: every slot is served from the rows, and a scenario that means to
+// patch does.
 func TestObserveTableEquivalence(t *testing.T) {
 	base := func(sc scheduler.Scheme, seed int64) Config {
 		return Config{
@@ -145,29 +145,25 @@ func TestObserveTableEquivalence(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			want, pc, err := oracle{recompute: true}.run(sc.cfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pc.slotsRecomputed != want.Slots || pc.slotsAliased+pc.slotsPatched != 0 {
-				t.Fatalf("recompute oracle took the table path: %+v", pc)
-			}
-			if sc.name == "surge-long-crash" && (want.LongFailed == 0 || want.Recovery.SurgeSlots == 0) {
-				t.Fatalf("no crash killed a long job (%d) or no VM-slot surged (%d); the scenario pins nothing",
-					want.LongFailed, want.Recovery.SurgeSlots)
-			}
+			var want *Result
 			for _, workers := range []int{1, 4} {
 				cfg := sc.cfg()
 				cfg.Workers = workers
-				got, pc, err := oracle{}.run(cfg)
+				got, pc, err := oracle{law: true}.run(cfg)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("workers=%d: table telemetry diverged from recompute:\n tables:    %+v\n recompute: %+v", workers, got, want)
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(want, got) {
+					t.Errorf("workers=%d diverged from workers=1:\n got:  %+v\n want: %+v", workers, got, want)
 				}
-				if pc.slotsRecomputed != 0 || pc.slotsAliased+pc.slotsPatched+pc.spanSlots != want.Slots {
-					t.Errorf("workers=%d: every slot must be served from the rows: %+v over %d slots", workers, pc, want.Slots)
+				if sc.name == "surge-long-crash" && (got.LongFailed == 0 || got.Recovery.SurgeSlots == 0) {
+					t.Fatalf("no crash killed a long job (%d) or no VM-slot surged (%d); the scenario pins nothing",
+						got.LongFailed, got.Recovery.SurgeSlots)
+				}
+				if pc.slotsAliased+pc.slotsPatched+pc.spanSlots != got.Slots {
+					t.Errorf("workers=%d: every slot must be served from the rows: %+v over %d slots", workers, pc, got.Slots)
 				}
 				if sc.patches != (pc.slotsPatched > 0) || sc.patches != (pc.vmsPatched > 0) {
 					t.Errorf("workers=%d: patches = %v, counters %+v", workers, sc.patches, pc)
@@ -190,14 +186,14 @@ func scaleSmokeConfig() Config {
 	return cfg
 }
 
-// runScaleSmoke pins production Run against the recompute oracle at the
-// scale profile's real width and returns production's result and path
+// runScaleSmoke runs production Run at the scale profile's real width with
+// the telemetry law checked on every slot, and returns its result and path
 // counters.
 func runScaleSmoke(t *testing.T, cfg Config) (*Result, pathCounters) {
 	if testing.Short() {
 		t.Skip("scale smoke skipped in -short mode")
 	}
-	got, pc, err := oracle{}.run(cfg)
+	got, pc, err := oracle{law: true}.run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +202,6 @@ func runScaleSmoke(t *testing.T, cfg Config) (*Result, pathCounters) {
 	}
 	if got.PlacedOpportunistic+got.PlacedFresh == 0 {
 		t.Fatal("scale smoke placed no jobs; the run is vacuous")
-	}
-	want, _, err := oracle{recompute: true}.run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("scale profile diverged from the recompute oracle")
 	}
 	return got, pc
 }
@@ -223,19 +212,19 @@ func runScaleSmoke(t *testing.T, cfg Config) (*Result, pathCounters) {
 // A calm fleet must serve every telemetry slot from the untouched rows.
 func TestScaleProfileSmoke(t *testing.T) {
 	_, pc := runScaleSmoke(t, scaleSmokeConfig())
-	if pc.slotsPatched != 0 || pc.slotsRecomputed != 0 || pc.slotsAliased == 0 {
+	if pc.slotsPatched != 0 || pc.slotsAliased == 0 {
 		t.Errorf("calm fleet left the aliased rows: %+v", pc)
 	}
 }
 
 // TestScaleChurnSmoke adds the churn the rccr-scale5k-churn bench workload
 // runs under — crashes, surges, long jobs — to the same burst: the dense
-// long-job placement and the patched telemetry rows at 20000 VMs. Every
-// slot must still come from the rows, the churned ones patched.
+// long-job placement and the patched telemetry rows at 20000 VMs. The
+// churned slots must be patched.
 func TestScaleChurnSmoke(t *testing.T) {
 	res, pc := runScaleSmoke(t, withChurn(scaleSmokeConfig(), 200))
-	if pc.slotsRecomputed != 0 || pc.slotsPatched == 0 {
-		t.Errorf("churned fleet: want patched rows and no recompute, got %+v", pc)
+	if pc.slotsPatched == 0 {
+		t.Errorf("churned fleet: want patched rows, got %+v", pc)
 	}
 	if res.LongPlaced == 0 || res.Recovery.VMCrashes == 0 || res.Recovery.SurgeSlots == 0 {
 		t.Errorf("churn smoke is vacuous: %d long placed, %d crashes, %d surged VM-slots",
@@ -259,9 +248,6 @@ func TestObserveCalmSlotDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rs.tables == nil {
-			t.Fatal("periodic resident population built no tables")
-		}
 		slot := 0
 		if n := testing.AllocsPerRun(100, func() {
 			rs.observe(slot)
@@ -269,9 +255,9 @@ func TestObserveCalmSlotDoesNotAllocate(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%v: observe allocates %v times per calm slot, want 0", sc, n)
 		}
-		if rs.slotsAliased != slot || rs.slotsPatched+rs.slotsRecomputed != 0 {
-			t.Errorf("%v: aliased %d of %d slots (patched %d, recomputed %d): the calm path was not taken",
-				sc, rs.slotsAliased, slot, rs.slotsPatched, rs.slotsRecomputed)
+		if rs.slotsAliased != slot || rs.slotsPatched != 0 {
+			t.Errorf("%v: aliased %d of %d slots (patched %d): the calm path was not taken",
+				sc, rs.slotsAliased, slot, rs.slotsPatched)
 		}
 		rs.release()
 	}

@@ -52,14 +52,21 @@ func workloadParams(cfg Config, vmCaps []resource.Vector) workload.Params {
 	}
 }
 
-// snapshotFor returns the workload snapshot for the given params, through
-// the process-wide cache when it is enabled and by a private build when
-// not (the tests' cache-off side: workload.Default.SetEnabled(false)).
-func snapshotFor(p workload.Params) (*workload.Snapshot, error) {
-	if workload.Default.Enabled() {
-		return workload.Default.Get(p)
+// clusterFor builds the (already defaulted) config's cluster and the
+// workload params its Run generates from.
+func clusterFor(cfg Config) (*cluster.Cluster, workload.Params, error) {
+	cl, err := cluster.New(cluster.Config{
+		Profile: cfg.Profile, NumPMs: cfg.NumPMs, NumVMs: cfg.NumVMs,
+		Heterogeneous: cfg.Heterogeneous,
+	})
+	if err != nil {
+		return nil, workload.Params{}, err
 	}
-	return workload.Build(p)
+	vmCaps := make([]resource.Vector, len(cl.VMs))
+	for i, vm := range cl.VMs {
+		vmCaps[i] = vm.Capacity
+	}
+	return cl, workloadParams(cfg, vmCaps), nil
 }
 
 // WorkloadKey returns the content address (workload.Params.Key) of the
@@ -67,40 +74,30 @@ func snapshotFor(p workload.Params) (*workload.Snapshot, error) {
 // Two configs with equal keys draw bit-identical traces, so the key is the
 // dedup unit for distributed work: the farm dispatcher folds it into job
 // identities and workers build each distinct snapshot once per process.
+// It does not validate: a config Run rejects still has a key, so it fails
+// on its own slot of a batch.
 func WorkloadKey(cfg Config) (string, error) {
-	cfg = cfg.withDefaults()
-	cl, err := cluster.New(cluster.Config{
-		Profile: cfg.Profile, NumPMs: cfg.NumPMs, NumVMs: cfg.NumVMs,
-		Heterogeneous: cfg.Heterogeneous,
-	})
+	_, params, err := clusterFor(cfg.withDefaults())
 	if err != nil {
 		return "", err
 	}
-	vmCaps := make([]resource.Vector, len(cl.VMs))
-	for i, vm := range cl.VMs {
-		vmCaps[i] = vm.Capacity
-	}
-	return workloadParams(cfg, vmCaps).Key(), nil
+	return params.Key(), nil
 }
 
 // PrepareWorkload builds (or fetches from the cache) the workload snapshot
 // the given config's Run would generate, without running the simulation.
-// The returned snapshot can be assigned to Config.Prepared and shared
-// read-only across any number of concurrent runs whose workload-affecting
-// fields match; RunMany uses this to generate each distinct workload in a
-// sweep exactly once.
+// A config Run would reject is rejected here too, before anything is
+// built. The returned snapshot can be assigned to Config.Prepared and
+// shared read-only across any number of concurrent runs whose
+// workload-affecting fields match; RunMany uses this to generate each
+// distinct workload in a sweep exactly once.
 func PrepareWorkload(cfg Config) (*workload.Snapshot, error) {
-	cfg = cfg.withDefaults()
-	cl, err := cluster.New(cluster.Config{
-		Profile: cfg.Profile, NumPMs: cfg.NumPMs, NumVMs: cfg.NumVMs,
-		Heterogeneous: cfg.Heterogeneous,
-	})
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	_, params, err := clusterFor(cfg.withDefaults())
 	if err != nil {
 		return nil, err
 	}
-	vmCaps := make([]resource.Vector, len(cl.VMs))
-	for i, vm := range cl.VMs {
-		vmCaps[i] = vm.Capacity
-	}
-	return snapshotFor(workloadParams(cfg, vmCaps))
+	return workload.Default.Get(params)
 }

@@ -28,50 +28,46 @@ func workloadCfg(sc scheduler.Scheme, seed int64) Config {
 	}
 }
 
-// uncached runs f with the process-wide snapshot cache disabled, restoring
-// its previous state afterwards.
-func uncached(f func()) {
-	prev := workload.Default.Enabled()
-	workload.Default.SetEnabled(false)
-	defer workload.Default.SetEnabled(prev)
-	f()
+// private returns cfg driven by a snapshot of its own, built by
+// workload.Build outside the process-wide cache, so the run shares nothing
+// with any other.
+func private(t *testing.T, cfg Config) Config {
+	t.Helper()
+	_, params, err := clusterFor(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Prepared, err = workload.Build(params); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // TestPreparedMatchesInline pins the tentpole's equivalence contract at
-// the single-run level: for every scheme, a run driven by a pre-built
-// snapshot (Config.Prepared), a run that generates inline with the cache
-// off, and a run served by the cache all produce identical Results.
+// the single-run level: for every scheme, a run driven by a private build
+// and a run driven by the cache's snapshot (PrepareWorkload) produce
+// identical Results.
 func TestPreparedMatchesInline(t *testing.T) {
 	schemes := append(scheduler.Schemes(), scheduler.Oracle)
 	for _, sc := range schemes {
 		sc := sc
-		// Serial subtests: uncached() toggles a process-wide flag, which
-		// parallel siblings would race on.
 		t.Run(sc.String(), func(t *testing.T) {
-			var want *Result
-			uncached(func() {
-				var err error
-				want, err = Run(workloadCfg(sc, 7))
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-
+			want, err := Run(private(t, workloadCfg(sc, 7)))
+			if err != nil {
+				t.Fatal(err)
+			}
 			snap, err := PrepareWorkload(workloadCfg(sc, 7))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got *Result
-			uncached(func() {
-				cfg := workloadCfg(sc, 7)
-				cfg.Prepared = snap
-				got, err = Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
+			cfg := workloadCfg(sc, 7)
+			cfg.Prepared = snap
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("prepared run diverged from inline generation:\n  inline:   %+v\n  prepared: %+v", want, got)
+				t.Errorf("prepared run diverged from a private build:\n  private:  %+v\n  prepared: %+v", want, got)
 			}
 		})
 	}
@@ -81,23 +77,16 @@ func TestPreparedMatchesInline(t *testing.T) {
 // cache path (snapshot fetched by Run itself rather than supplied).
 func TestPreparedCacheMatchesInline(t *testing.T) {
 	cfg := workloadCfg(scheduler.CORP, 13)
-	var want *Result
-	uncached(func() {
-		var err error
-		want, err = Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	prev := workload.Default.Enabled()
-	workload.Default.SetEnabled(true)
-	defer workload.Default.SetEnabled(prev)
+	want, err := Run(private(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("cache-served run diverged from inline generation")
+		t.Error("cache-served run diverged from a private build")
 	}
 }
 
@@ -115,14 +104,10 @@ func TestPreparedMatchesInlineFaulted(t *testing.T) {
 		}
 		return cfg
 	}
-	var want *Result
-	uncached(func() {
-		var err error
-		want, err = Run(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+	want, err := Run(private(t, mk()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want.Recovery.VMCrashes == 0 {
 		t.Fatal("fault profile injected no crashes")
 	}
@@ -130,26 +115,24 @@ func TestPreparedMatchesInlineFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached(func() {
-		cfg := mk()
-		cfg.Prepared = snap
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Error("faulted prepared run diverged from inline generation")
-		}
-		// The faulted run must not have written through the snapshot:
-		// a second prepared run sees identical inputs.
-		again, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, again) {
-			t.Error("second prepared run diverged — snapshot was mutated")
-		}
-	})
+	cfg := mk()
+	cfg.Prepared = snap
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("faulted prepared run diverged from a private build")
+	}
+	// The faulted run must not have written through the snapshot: a second
+	// prepared run sees identical inputs.
+	again, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, again) {
+		t.Error("second prepared run diverged — snapshot was mutated")
+	}
 }
 
 // TestPreparedKeyMismatch pins the fail-fast: a snapshot prepared for a
@@ -190,15 +173,13 @@ func TestConcurrentRunsSharedSnapshot(t *testing.T) {
 		variants = append(variants, variant{sc, false}, variant{sc, true})
 	}
 	want := make([]*Result, len(variants))
-	uncached(func() {
-		for i, v := range variants {
-			cfg := mk(v.sc, v.faulted)
-			cfg.Prepared = snap
-			if want[i], err = Run(cfg); err != nil {
-				t.Fatal(err)
-			}
+	for i, v := range variants {
+		cfg := mk(v.sc, v.faulted)
+		cfg.Prepared = snap
+		if want[i], err = Run(cfg); err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
 
 	repeats := 3
 	if testing.Short() {

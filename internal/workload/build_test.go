@@ -128,11 +128,10 @@ func directSnapshot(t *testing.T, p Params) *Snapshot {
 			t.Fatal(err)
 		}
 	}
-	s.bytes = jobsBytes(s.residents) + jobsBytes(s.shortJobs) + jobsBytes(s.longJobs)
-	s.tabOnce.Do(func() {
-		s.tables = buildResidentTables(s.residents, false)
-		s.tabBytes.Store(s.tables.Bytes())
-	})
+	if s.tables, err = buildResidentTables(s.residents, false); err != nil {
+		t.Fatal(err)
+	}
+	s.bytes = jobsBytes(s.residents) + jobsBytes(s.shortJobs) + jobsBytes(s.longJobs) + s.tables.Bytes()
 	return s
 }
 
@@ -159,7 +158,7 @@ var grants = []struct {
 // and the resident tables produce the bits the serial generators and phase
 // loop produce whether the budget grants no slot, every slot, or there is
 // only one, above the size floor and below it, and a population without
-// one period has nil tables at any grant.
+// one period is rejected at any grant with the budget whole again.
 func TestBuildIdenticalAtAnyGrant(t *testing.T) {
 	if n := workpool.InUse(); n != 0 {
 		t.Fatalf("%d budget slots already claimed", n)
@@ -187,14 +186,10 @@ func TestBuildIdenticalAtAnyGrant(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.Tables()
 					return s
 				})
 				if workpool.InUse() != 0 {
 					t.Fatalf("%s: %d slots still claimed after the build", g.name, workpool.InUse())
-				}
-				if snap.Tables() == nil {
-					t.Fatalf("%s: nil tables for a uniform population", g.name)
 				}
 				if d := snapshotDiff(ref, snap); d != "" {
 					t.Fatalf("%s differs from the serial generators and tables: %s", g.name, d)
@@ -203,7 +198,6 @@ func TestBuildIdenticalAtAnyGrant(t *testing.T) {
 		})
 	}
 	t.Run("non-uniform-period", func(t *testing.T) {
-		p := sizedParams(2000, 48, 12_000, 30, 0)
 		mixed := make([]*job.Job, 8)
 		for i := range mixed {
 			usage := make([]resource.Vector, 6+i%2)
@@ -213,13 +207,16 @@ func TestBuildIdenticalAtAnyGrant(t *testing.T) {
 			mixed[i] = &job.Job{ID: job.ID(i), Request: resource.Vector{2, 4, 6}, Usage: usage, Duration: len(usage)}
 		}
 		for _, g := range grants {
-			snap := g.build(func() *Snapshot {
-				s := &Snapshot{params: p, residents: mixed}
-				s.Tables()
-				return s
+			var err error
+			g.build(func() *Snapshot {
+				_, err = buildResidentTables(mixed, true)
+				return nil
 			})
-			if snap.Tables() != nil {
-				t.Fatalf("%s: mixed-period population got tables", g.name)
+			if err == nil {
+				t.Fatalf("%s: mixed-period population tabulated", g.name)
+			}
+			if n := workpool.InUse(); n != 0 {
+				t.Fatalf("%s: %d slots still claimed after the rejected tables", g.name, n)
 			}
 		}
 	})

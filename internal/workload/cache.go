@@ -15,8 +15,8 @@ const DefaultMaxEntries = 64
 // Default is the process-wide snapshot cache. sim.Run consults it whenever
 // no pre-built snapshot was supplied, and sim.RunMany warms it before
 // fanning a sweep out, so every scheme × replication sharing a workload key
-// builds the trace exactly once. SetEnabled(false) bypasses it everywhere:
-// the seam the cache-equivalence tests compare against, not a user option.
+// builds the trace exactly once. It has no off switch; a test that needs a
+// private build calls Build or Resets the cache first.
 var Default = NewCache(DefaultMaxEntries)
 
 // Stats is a point-in-time snapshot of a cache's counters.
@@ -54,7 +54,6 @@ func (s Stats) Add(o Stats) Stats {
 // fans 4 schemes × R replications out over shared workloads never builds a
 // trace twice. All methods are safe for concurrent use.
 type Cache struct {
-	enabled atomic.Bool
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	evicted atomic.Uint64
@@ -87,23 +86,14 @@ func (e *cacheEntry) done() bool {
 	}
 }
 
-// NewCache returns an enabled cache holding at most maxEntries snapshots
+// NewCache returns a cache holding at most maxEntries snapshots
 // (≤ 0 means DefaultMaxEntries).
 func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
 	}
-	c := &Cache{build: Build, max: maxEntries, entries: make(map[string]*cacheEntry)}
-	c.enabled.Store(true)
-	return c
+	return &Cache{build: Build, max: maxEntries, entries: make(map[string]*cacheEntry)}
 }
-
-// Enabled reports whether callers should use the cache.
-func (c *Cache) Enabled() bool { return c.enabled.Load() }
-
-// SetEnabled flips cache use on or off. Disabling does not drop resident
-// entries (Reset does); it only steers callers to build privately.
-func (c *Cache) SetEnabled(on bool) { c.enabled.Store(on) }
 
 // Get returns the snapshot for p, building it at most once per key no
 // matter how many goroutines ask concurrently. Failed builds are not

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"repro/internal/job"
 	"repro/internal/resource"
 	"repro/internal/workpool"
@@ -67,23 +69,23 @@ func (t *ResidentTables) Bytes() int64 {
 	return int64(len(t.demand)+len(t.unused)+len(t.demandSum)) * vecBytes
 }
 
-// buildResidentTables materialises the tables for a resident population, or
-// returns nil when the population is empty or the usage cycles are not all
-// the same length (then there is no single period to tabulate). With fanOut
-// the phase range is split into one part per budget slot and the parts run
-// as workpool.Do tasks; each phase row and its sum are still written by one
-// task in ascending VM order, so the tables are the same bit for bit.
-func buildResidentTables(residents []*job.Job, fanOut bool) *ResidentTables {
+// buildResidentTables materialises the tables for a resident population. It
+// fails when the usage cycles are not all one non-zero length, as then
+// there is no single period to tabulate; the trace generator gives every
+// resident a series exactly Horizon long, so that only happens to a
+// population built by hand. With fanOut the phase range is split into one
+// part per budget slot and the parts run as workpool.Do tasks; each phase
+// row and its sum are still written by one task in ascending VM order, so
+// the tables are the same bit for bit.
+func buildResidentTables(residents []*job.Job, fanOut bool) (*ResidentTables, error) {
 	if len(residents) == 0 {
-		return nil
+		return nil, fmt.Errorf("workload: no residents to tabulate")
 	}
 	period := len(residents[0].Usage)
-	if period == 0 {
-		return nil
-	}
 	for _, r := range residents {
-		if len(r.Usage) != period {
-			return nil
+		if len(r.Usage) != period || period == 0 {
+			return nil, fmt.Errorf("workload: resident %d has a %d-slot usage cycle, want one shared period (resident %d has %d)",
+				r.ID, len(r.Usage), residents[0].ID, period)
 		}
 	}
 	t := &ResidentTables{
@@ -95,11 +97,11 @@ func buildResidentTables(residents []*job.Job, fanOut bool) *ResidentTables {
 	}
 	if !fanOut {
 		t.fill(residents, 0, period)
-		return t
+		return t, nil
 	}
 	parts := min(period, workpool.Limit())
 	workpool.Do(parts, func(i int) { t.fill(residents, i*period/parts, (i+1)*period/parts) })
-	return t
+	return t, nil
 }
 
 // fill writes phase rows [lo, hi) and their demand sums.
@@ -116,18 +118,6 @@ func (t *ResidentTables) fill(residents []*job.Job, lo, hi int) {
 	}
 }
 
-// Tables returns the snapshot's periodic resident tables, building them on
-// first call (guarded by a sync.Once, like the lazy history) in phase
-// ranges on the shared budget when the snapshot is at least
-// buildMinVectors, inline otherwise. Returns nil
-// when the resident population has no single shared period. Read-only;
-// shared by every run holding the snapshot.
-func (s *Snapshot) Tables() *ResidentTables {
-	s.tabOnce.Do(func() {
-		s.tables = buildResidentTables(s.residents, s.params.vectors() >= buildMinVectors)
-		if s.tables != nil {
-			s.tabBytes.Store(s.tables.Bytes())
-		}
-	})
-	return s.tables
-}
+// Tables returns the snapshot's periodic resident tables, built by Build.
+// Never nil. Read-only; shared by every run holding the snapshot.
+func (s *Snapshot) Tables() *ResidentTables { return s.tables }

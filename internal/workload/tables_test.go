@@ -29,9 +29,6 @@ func TestResidentTablesMatchRecomputation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := snap.Tables()
-	if tab == nil {
-		t.Fatal("Tables() returned nil for a uniform resident population")
-	}
 	residents := snap.Residents()
 	if tab.NumVMs != len(residents) {
 		t.Fatalf("NumVMs = %d, want %d", tab.NumVMs, len(residents))
@@ -53,39 +50,34 @@ func TestResidentTablesMatchRecomputation(t *testing.T) {
 	}
 }
 
-// TestTablesLazyAndCounted pins the lazy build: Bytes() must not include
-// the tables until Tables() is first called, and repeated calls return the
-// same instance.
-func TestTablesLazyAndCounted(t *testing.T) {
+// TestTablesBuiltWithSnapshot pins the eager build: Build returns the
+// snapshot with its tables, Bytes() already counts them, and every call of
+// Tables returns that one instance.
+func TestTablesBuiltWithSnapshot(t *testing.T) {
 	snap, err := Build(tableTestParams(t, 8, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := snap.Bytes()
 	tab := snap.Tables()
 	if tab == nil {
-		t.Fatal("Tables() returned nil")
-	}
-	after := snap.Bytes()
-	if grow := after - before; grow != tab.Bytes() {
-		t.Fatalf("Bytes grew by %d after Tables(), want %d", grow, tab.Bytes())
+		t.Fatal("Build returned a snapshot without tables")
 	}
 	// Two per-(phase, VM) tables plus the per-phase demand-row sums.
 	if want := int64((2*8*24 + 24) * resource.NumKinds * 8); tab.Bytes() != want {
 		t.Fatalf("table Bytes = %d, want %d", tab.Bytes(), want)
+	}
+	if traces := jobsBytes(snap.Residents()) + jobsBytes(snap.ShortJobs()) + jobsBytes(snap.LongJobs()); snap.Bytes() != traces+tab.Bytes() {
+		t.Fatalf("snapshot Bytes = %d, want traces %d + tables %d", snap.Bytes(), traces, tab.Bytes())
 	}
 	if again := snap.Tables(); again != tab {
 		t.Fatal("second Tables() call returned a different instance")
 	}
 }
 
-// TestTablesNonUniformPeriod pins the guard: resident populations without
-// one shared usage-cycle length have no single period and must yield nil
-// tables (the simulator then keeps the recomputation path).
+// TestTablesNonUniformPeriod pins the guard: a resident population without
+// one shared, non-zero usage-cycle length has no single period, and
+// tabulating it is an error, not a snapshot without tables.
 func TestTablesNonUniformPeriod(t *testing.T) {
-	if tab := buildResidentTables(nil, false); tab != nil {
-		t.Fatal("empty population: want nil tables")
-	}
 	mk := func(n int) *job.Job {
 		usage := make([]resource.Vector, n)
 		for i := range usage {
@@ -93,10 +85,19 @@ func TestTablesNonUniformPeriod(t *testing.T) {
 		}
 		return &job.Job{ID: 1, Request: resource.Vector{2, 4, 6}, Usage: usage, Duration: n}
 	}
-	if tab := buildResidentTables([]*job.Job{mk(6), mk(8)}, false); tab != nil {
-		t.Fatal("mixed-period population: want nil tables")
-	}
-	if tab := buildResidentTables([]*job.Job{mk(6), mk(6)}, false); tab == nil {
-		t.Fatal("uniform population: want tables")
+	for _, tc := range []struct {
+		name      string
+		residents []*job.Job
+		ok        bool
+	}{
+		{"empty", nil, false},
+		{"mixed-period", []*job.Job{mk(6), mk(8)}, false},
+		{"zero-period", []*job.Job{mk(0), mk(0)}, false},
+		{"uniform", []*job.Job{mk(6), mk(6)}, true},
+	} {
+		tab, err := buildResidentTables(tc.residents, false)
+		if ok := err == nil; ok != tc.ok || ok != (tab != nil) {
+			t.Errorf("%s: tables %v, error %v; want ok = %v", tc.name, tab != nil, err, tc.ok)
+		}
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/job"
 	"repro/internal/resource"
@@ -147,13 +146,11 @@ type Snapshot struct {
 	shortJobs []*job.Job
 	longJobs  []*job.Job
 
+	tables *ResidentTables
+
 	histOnce sync.Once
 	history  []*job.Job
 	histErr  error
-
-	tabOnce  sync.Once
-	tables   *ResidentTables
-	tabBytes atomic.Int64
 
 	bytes int64
 }
@@ -203,13 +200,15 @@ func (s *Snapshot) generate(i int) (err error) {
 
 // Build generates the workload for the given Params. The history trace is
 // generated lazily on first use (only CORP consumes it), guarded by a
-// sync.Once so concurrent runs share one deterministic generation.
+// sync.Once so concurrent runs share one deterministic generation. The
+// resident tables are the last step: a population without one shared
+// usage period is an error.
 //
-// At or above buildMinVectors the three generators run as workpool.Do
-// tasks, on as many slots as the shared budget grants; below it, or with
-// no slot to spare, they run inline in order. The snapshot is the same
-// bit for bit either way, and the error, if any, is the first in that
-// order.
+// At or above buildMinVectors the three generators, and then the tables'
+// phase ranges, run as workpool.Do tasks, on as many slots as the shared
+// budget grants; below it, or with no slot to spare, they run inline in
+// order. The snapshot is the same bit for bit either way, and the error,
+// if any, is the first in that order.
 func Build(p Params) (*Snapshot, error) {
 	if len(p.VMCaps) == 0 {
 		return nil, fmt.Errorf("workload: no VM capacities")
@@ -221,7 +220,8 @@ func Build(p Params) (*Snapshot, error) {
 	p.VMCaps = caps
 
 	s := &Snapshot{params: p, key: p.Key()}
-	if p.vectors() < buildMinVectors {
+	fanOut := p.vectors() >= buildMinVectors
+	if !fanOut {
 		for i := range numGenerators {
 			if err := s.generate(i); err != nil {
 				return nil, err
@@ -236,7 +236,11 @@ func Build(p Params) (*Snapshot, error) {
 			}
 		}
 	}
-	s.bytes = jobsBytes(s.residents) + jobsBytes(s.shortJobs) + jobsBytes(s.longJobs)
+	var err error
+	if s.tables, err = buildResidentTables(s.residents, fanOut); err != nil {
+		return nil, err
+	}
+	s.bytes = jobsBytes(s.residents) + jobsBytes(s.shortJobs) + jobsBytes(s.longJobs) + s.tables.Bytes()
 	return s, nil
 }
 
@@ -280,9 +284,9 @@ func (s *Snapshot) History() ([]*job.Job, int, error) {
 }
 
 // Bytes returns the approximate payload size of the generated traces
-// (usage series plus spec overhead), excluding the lazy history and
-// resident tables until they have been generated.
-func (s *Snapshot) Bytes() int64 { return s.bytes + s.tabBytes.Load() }
+// (usage series plus spec overhead) and the resident tables, excluding the
+// lazy history.
+func (s *Snapshot) Bytes() int64 { return s.bytes }
 
 // jobsBytes approximates the retained size of a generated job population.
 func jobsBytes(jobs []*job.Job) int64 {

@@ -267,17 +267,6 @@ func TestCacheConcurrentSingleflight(t *testing.T) {
 	}
 }
 
-func TestDefaultCacheToggle(t *testing.T) {
-	if !Default.Enabled() {
-		t.Error("Default cache should start enabled")
-	}
-	Default.SetEnabled(false)
-	if Default.Enabled() {
-		t.Error("SetEnabled(false) did not stick")
-	}
-	Default.SetEnabled(true)
-}
-
 // TestCacheGetBuildPanic drives a build that panics through the cache's
 // build seam: the Get that ran it re-panics, a Get already waiting on the
 // key returns an error instead of blocking, and the next Get builds afresh.

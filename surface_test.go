@@ -38,9 +38,8 @@ const surfaceModule = "repro"
 // them. An entry that is reachable, or no longer declared, is
 // stale and fails the test like a new dead export does.
 var surfaceExempt = map[string]string{
-	"workload.Cache.SetEnabled": "test seam: TestWorkloadCacheEquivalence and sim's workload tests run with the snapshot cache off",
-	"trace.ReadCSV":             "the validating, fuzzed reader of what cmd/tracegen -format csv writes",
-	"trace.ReadJSON":            "the validating, fuzzed reader of what cmd/tracegen -format json writes",
+	"trace.ReadCSV":  "the validating, fuzzed reader of what cmd/tracegen -format csv writes",
+	"trace.ReadJSON": "the validating, fuzzed reader of what cmd/tracegen -format json writes",
 }
 
 type surfacePkg struct {
