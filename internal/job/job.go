@@ -258,15 +258,7 @@ func (r *Runtime) SLOViolated() bool {
 // unavailability turns into response-time (and hence SLO) damage.
 // It returns the progress made this slot.
 func (r *Runtime) Advance(granted resource.Vector) float64 {
-	return r.AdvanceWith(granted, r.Spec.DemandAt(r.Slots))
-}
-
-// AdvanceWith is Advance for callers that already hold this slot's demand
-// (it must equal Spec.DemandAt(r.Slots)); the simulator's execute path
-// looks the demand up once per job-slot and reuses it for grant scaling
-// and advancement.
-func (r *Runtime) AdvanceWith(granted, demand resource.Vector) float64 {
-	rate := ProgressRate(granted, demand)
+	rate := ProgressRate(granted, r.Spec.DemandAt(r.Slots))
 	r.Progress += rate
 	r.Slots++
 	return rate
@@ -278,18 +270,19 @@ func (r *Runtime) AdvanceWith(granted, demand resource.Vector) float64 {
 // path is exact, not approximate: when granted equals demand bitwise,
 // every positive kind divides to exactly 1.0 (x/x == 1 for any finite
 // positive x) and non-positive kinds are skipped, so the loop would return
-// exactly 1.
+// exactly 1. A NaN demand is skipped too: its quotient is NaN, and NaN < rate
+// is false. The loop ranges over demand itself so the function stays under
+// the compiler's inlining budget; the simulator calls it per job-slot.
 func ProgressRate(granted, demand resource.Vector) float64 {
 	if granted == demand {
 		return 1
 	}
 	rate := 1.0
-	for _, k := range resource.Kinds() {
-		d := demand.At(k)
+	for k, d := range demand {
 		if d <= 0 {
 			continue
 		}
-		g := granted.At(k) / d
+		g := granted[k] / d
 		if g < rate {
 			rate = g
 		}

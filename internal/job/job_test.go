@@ -256,3 +256,52 @@ func TestQuickUnusedBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// loopProgressRate is ProgressRate as it read before its loop ranged over
+// demand, kept verbatim as TestProgressRateMatchesLoopReference's reference.
+func loopProgressRate(granted, demand resource.Vector) float64 {
+	if granted == demand {
+		return 1
+	}
+	rate := 1.0
+	for _, k := range resource.Kinds() {
+		d := demand.At(k)
+		if d <= 0 {
+			continue
+		}
+		g := granted.At(k) / d
+		if g < rate {
+			rate = g
+		}
+	}
+	if rate < 0 {
+		rate = 0
+	}
+	return rate
+}
+
+// TestProgressRateMatchesLoopReference holds ProgressRate to its loop
+// reference bit for bit (the sign of zero included) on the cases its
+// branches tell apart: a skipped non-positive or NaN demand, a NaN or −0
+// grant, equal vectors, and a negative grant the floor lifts to +0.
+func TestProgressRateMatchesLoopReference(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	cases := []struct{ granted, demand resource.Vector }{
+		{resource.New(1, 2, 3), resource.New(1, 2, 3)},
+		{resource.New(negZero, 2, 3), resource.New(1, 2, 3)},
+		{resource.New(0.5, 2, 3), resource.New(1, 0, -1)},
+		{resource.New(0.5, 0.1, 3), resource.New(1, nan, 4)},
+		{resource.New(nan, 1, 3), resource.New(1, 2, 3)},
+		{resource.New(-1, 1, 3), resource.New(1, 2, 3)},
+		{resource.New(5, 5, 5), resource.New(1, 2, 3)},
+		{resource.New(1, 1, 1), resource.New(negZero, 0, nan)},
+		{resource.New(negZero, 0, 0), resource.New(0, negZero, 0)},
+		{resource.New(1e-300, 2, 3), resource.New(math.Inf(1), 2, 3)},
+	}
+	for _, c := range cases {
+		got, want := ProgressRate(c.granted, c.demand), loopProgressRate(c.granted, c.demand)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ProgressRate(%v, %v) = %v, loop reference %v", c.granted, c.demand, got, want)
+		}
+	}
+}

@@ -48,6 +48,16 @@ func Kinds() []Kind {
 
 // Vector is an amount of each resource kind. The unit is abstract but
 // consistent per kind across the whole simulation (cores, GB, GB).
+//
+// Go's compiler keeps an array of more than one element in memory, so a
+// per-element loop costs a zeroed stack temporary and a counted loop per
+// call. The element-wise methods and the folds are therefore written out
+// per kind, which keeps the components in registers; each still performs
+// the same IEEE operation per kind, and each fold keeps its exact chain
+// (one accumulator per kind from +0, in slice order). The written-out forms
+// assume NumKinds = 3. Sum, Weighted, Volume and Dominant keep their loops:
+// their chains start at 0 +, which turns a leading −0 into +0, and a
+// written-out chain would not.
 type Vector [NumKinds]float64
 
 // New builds a vector from per-kind amounts.
@@ -66,104 +76,74 @@ func DefaultWeights() Weights {
 
 // Add returns v + o element-wise.
 func (v Vector) Add(o Vector) Vector {
-	var out Vector
-	for i := range v {
-		out[i] = v[i] + o[i]
-	}
-	return out
+	return Vector{v[0] + o[0], v[1] + o[1], v[2] + o[2]}
 }
 
 // Sub returns v − o element-wise.
 func (v Vector) Sub(o Vector) Vector {
-	var out Vector
-	for i := range v {
-		out[i] = v[i] - o[i]
-	}
-	return out
+	return Vector{v[0] - o[0], v[1] - o[1], v[2] - o[2]}
 }
 
 // Scale returns v scaled by s.
 func (v Vector) Scale(s float64) Vector {
-	var out Vector
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
+	return Vector{v[0] * s, v[1] * s, v[2] * s}
 }
 
 // Mul returns the element-wise product.
 func (v Vector) Mul(o Vector) Vector {
-	var out Vector
-	for i := range v {
-		out[i] = v[i] * o[i]
-	}
-	return out
+	return Vector{v[0] * o[0], v[1] * o[1], v[2] * o[2]}
 }
 
 // Div returns the element-wise quotient v/o. Divisions by zero yield +Inf
 // for positive numerators, NaN for 0/0, mirroring IEEE semantics so callers
 // can detect misuse rather than silently masking it.
 func (v Vector) Div(o Vector) Vector {
-	var out Vector
-	for i := range v {
-		out[i] = v[i] / o[i]
-	}
-	return out
+	return Vector{v[0] / o[0], v[1] / o[1], v[2] / o[2]}
 }
 
 // Min returns the element-wise minimum. The builtin min matches math.Min
 // for every input (NaN propagation, -0 ordered below +0) without the call
 // overhead on this hot path.
 func (v Vector) Min(o Vector) Vector {
-	var out Vector
-	for i := range v {
-		out[i] = min(v[i], o[i])
-	}
-	return out
+	return Vector{min(v[0], o[0]), min(v[1], o[1]), min(v[2], o[2])}
 }
 
 // Max returns the element-wise maximum (builtin max; see Min).
 func (v Vector) Max(o Vector) Vector {
-	var out Vector
-	for i := range v {
-		out[i] = max(v[i], o[i])
-	}
-	return out
+	return Vector{max(v[0], o[0]), max(v[1], o[1]), max(v[2], o[2])}
 }
 
 // ClampNonNegative zeroes any negative component. Predicted unused amounts
 // can dip below zero after confidence-interval subtraction (paper Eq. 19);
 // a negative available amount is meaningless for allocation.
 func (v Vector) ClampNonNegative() Vector {
-	var out Vector
-	for i := range v {
-		if v[i] > 0 {
-			out[i] = v[i]
-		}
+	return Vector{positive(v[0]), positive(v[1]), positive(v[2])}
+}
+
+// positive returns x if x > 0 and +0 otherwise: −0 and NaN become +0.
+func positive(x float64) float64 {
+	if x > 0 {
+		return x
 	}
-	return out
+	return 0
 }
 
 // ClampTo limits every component to at most the corresponding component of
 // ceiling (and at least zero).
 func (v Vector) ClampTo(ceiling Vector) Vector {
-	var out Vector
-	for i := range v {
-		out[i] = min(max(v[i], 0), ceiling[i])
+	return Vector{
+		min(max(v[0], 0), ceiling[0]),
+		min(max(v[1], 0), ceiling[1]),
+		min(max(v[2], 0), ceiling[2]),
 	}
-	return out
 }
 
 // FitsIn reports whether every component of v is ≤ the corresponding
-// component of capacity (with a tiny epsilon for float accumulation).
+// component of capacity (with a tiny epsilon for float accumulation). A NaN
+// component fits: only a component strictly above capacity+ε fails.
 func (v Vector) FitsIn(capacity Vector) bool {
 	const eps = 1e-9
-	for i := range v {
-		if v[i] > capacity[i]+eps {
-			return false
-		}
-	}
-	return true
+	return !(v[0] > capacity[0]+eps) && !(v[1] > capacity[1]+eps) && !(v[2] > capacity[2]+eps)
 }
 
 // IsZero reports whether all components are exactly zero.
@@ -173,12 +153,7 @@ func (v Vector) IsZero() bool {
 
 // NonNegative reports whether all components are ≥ 0. NaN is not.
 func (v Vector) NonNegative() bool {
-	for _, x := range v {
-		if !(x >= 0) {
-			return false
-		}
-	}
-	return true
+	return v[0] >= 0 && v[1] >= 0 && v[2] >= 0
 }
 
 // Sum returns the sum of all components.
@@ -261,18 +236,19 @@ func (v Vector) String() string {
 // MaxAcross returns the element-wise maximum across all vectors; this is C′
 // in paper Eq. 22. An empty input yields the zero vector.
 func MaxAcross(vs []Vector) Vector {
-	var out Vector
-	for _, v := range vs {
-		out = out.Max(v)
+	var c, m, s float64
+	for i := range vs {
+		c, m, s = max(c, vs[i][0]), max(m, vs[i][1]), max(s, vs[i][2])
 	}
-	return out
+	return Vector{c, m, s}
 }
 
-// SumAcross returns the element-wise sum across all vectors.
+// SumAcross returns the element-wise sum across all vectors, each kind one
+// chain from +0 in slice order.
 func SumAcross(vs []Vector) Vector {
-	var out Vector
-	for _, v := range vs {
-		out = out.Add(v)
+	var c, m, s float64
+	for i := range vs {
+		c, m, s = c+vs[i][0], m+vs[i][1], s+vs[i][2]
 	}
-	return out
+	return Vector{c, m, s}
 }

@@ -295,19 +295,35 @@ func TestQuickFitsIn(t *testing.T) {
 func BenchmarkVectorAdd(b *testing.B) {
 	x := New(1, 2, 3)
 	y := New(4, 5, 6)
-	var sink Vector
 	for i := 0; i < b.N; i++ {
-		sink = x.Add(y)
+		vectorSink = x.Add(y)
 	}
-	_ = sink
 }
 
 func BenchmarkVolume(b *testing.B) {
 	v := New(10, 1, 10)
 	ref := New(25, 2, 30)
-	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink = v.Volume(ref)
+		floatSink = v.Volume(ref)
 	}
-	_ = sink
 }
+
+// BenchmarkMaxAcross folds a 30-slot series, the length of a short job's
+// usage series (job.PeakDemand).
+func BenchmarkMaxAcross(b *testing.B) {
+	vs := make([]Vector, 30)
+	for i := range vs {
+		f := float64(i)
+		vs[i] = New(math.Mod(f*0.37, 4), math.Mod(f*1.3, 16), math.Mod(f*7.1, 180))
+	}
+	for i := 0; i < b.N; i++ {
+		vectorSink = MaxAcross(vs)
+	}
+}
+
+// vectorSink and floatSink keep a benchmark's result live, so the compiler
+// cannot drop the work that produced it.
+var (
+	vectorSink Vector
+	floatSink  float64
+)

@@ -535,12 +535,12 @@ type slotAccum struct {
 // shadows Runtime.Allocated and is updated in lockstep by adjustments.
 //
 // d carries usage[uidx], the current slot's demand: every consumer of the
-// per-slot demand (the wantOpp fold, the advance pass, adjustments) reads
+// per-slot demand (the want fold, the advance pass, adjustments) reads
 // it from the sequential hot array. The one gather into the job's usage
 // series runs after the advance pass, in a loop of its own over hot: left
-// at the tail of the ~70-µop advance body its misses barely overlapped
-// and it took about half of executeVM's time; alone in a tight loop the
-// loads issue back to back.
+// at the tail of the advance body its misses barely overlapped and it took
+// about half of executeVM's time; alone in a tight loop the loads issue
+// back to back.
 //
 // usage aliases Spec.Usage; the trace generator packs every series into
 // one contiguous arena (see trace.GenerateShortJobs), so these gathers
@@ -590,43 +590,49 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 
 	// Opportunistic pool: what the residents truly left unused. The first
 	// pass folds the opportunistic jobs' want = min(demand, allocated) in
-	// running-list order, exactly as before; the demand lookups hit the
-	// dense hot array, not the runtimes.
+	// running-list order; the demand lookups hit the dense hot array, not
+	// the runtimes. Want, scale and the four slot sums this body adds to
+	// live in float64 locals, one per kind: the compiler keeps a
+	// resource.Vector in memory, and a store and reload per job-slot and
+	// sum is most of what this loop would otherwise cost. Each local is the
+	// same chain, from the same start, in the same order as the Vector it
+	// stands for.
 	pool := rs.unused[v]
 	hot := st.hot
-	var wantOpp resource.Vector
+	var want0, want1, want2 float64
 	for i := range hot {
 		if h := &hot[i]; h.opp {
-			wantOpp = wantOpp.Add(h.d.Min(h.alloc))
+			want0 += min(h.d[0], h.alloc[0])
+			want1 += min(h.d[1], h.alloc[1])
+			want2 += min(h.d[2], h.alloc[2])
 		}
 	}
 	// Per-kind scale factor when the pool is oversubscribed.
-	var scale resource.Vector
-	for k := range scale {
-		if wantOpp[k] <= pool[k] || wantOpp[k] == 0 {
-			scale[k] = 1
-		} else {
-			scale[k] = pool[k] / wantOpp[k]
-		}
-	}
+	scale0 := poolScale(want0, pool[0])
+	scale1 := poolScale(want1, pool[1])
+	scale2 := poolScale(want2, pool[2])
+	alloc0, alloc1, alloc2 := acc.allocated[0], acc.allocated[1], acc.allocated[2]
+	opp0, opp1, opp2 := acc.oppAlloc[0], acc.oppAlloc[1], acc.oppAlloc[2]
+	dem0, dem1, dem2 := acc.demand[0], acc.demand[1], acc.demand[2]
+	cdem0, cdem1, cdem2 := acc.clusterDemand[0], acc.clusterDemand[1], acc.clusterDemand[2]
 	// Advance in place (no append/struct-copy per job-slot); the running/hot
 	// arrays are only compacted afterwards, on the rare slots where a job
 	// actually finished.
 	finished := 0
 	for i := range hot {
 		h := &hot[i]
-		d := h.d
-		granted := d.Min(h.alloc) // the want the first pass folded
+		// The want the first pass folded, scaled when opportunistic. The
+		// explicit float64 conversions round each product on its own, so
+		// no target fuses it into the sums below.
+		g0, g1, g2 := min(h.d[0], h.alloc[0]), min(h.d[1], h.alloc[1]), min(h.d[2], h.alloc[2])
 		if h.opp {
-			granted = granted.Mul(scale)
+			g0, g1, g2 = float64(g0*scale0), float64(g1*scale1), float64(g2*scale2)
+			opp0, opp1, opp2 = opp0+h.alloc[0], opp1+h.alloc[1], opp2+h.alloc[2]
 		}
-		acc.allocated = acc.allocated.Add(h.alloc)
-		if h.opp {
-			acc.oppAlloc = acc.oppAlloc.Add(h.alloc)
-		}
-		acc.demand = acc.demand.Add(granted)
-		acc.clusterDemand = acc.clusterDemand.Add(granted)
-		h.progress += job.ProgressRate(granted, d)
+		alloc0, alloc1, alloc2 = alloc0+h.alloc[0], alloc1+h.alloc[1], alloc2+h.alloc[2]
+		dem0, dem1, dem2 = dem0+g0, dem1+g1, dem2+g2
+		cdem0, cdem1, cdem2 = cdem0+g0, cdem1+g1, cdem2+g2
+		h.progress += job.ProgressRate(resource.Vector{g0, g1, g2}, h.d)
 		h.slots++
 		if h.uidx++; int(h.uidx) == len(h.usage) {
 			h.uidx = 0
@@ -644,8 +650,12 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 			finished++
 		}
 	}
+	acc.allocated = resource.Vector{alloc0, alloc1, alloc2}
+	acc.oppAlloc = resource.Vector{opp0, opp1, opp2}
+	acc.demand = resource.Vector{dem0, dem1, dem2}
+	acc.clusterDemand = resource.Vector{cdem0, cdem1, cdem2}
 	// Gather the next slot's demands in a pass of their own: nothing
-	// between here and the next slot's wantOpp fold reads d, and this loop
+	// between here and the next slot's want fold reads d, and this loop
 	// body is just the gather, so its cache misses overlap.
 	for i := range hot {
 		h := &hot[i]
@@ -667,6 +677,15 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 		st.running = kept
 		st.hot = keptHot
 	}
+}
+
+// poolScale is one kind's scale factor for the opportunistic jobs on a
+// VM: 1 when their summed want fits the pool (or is zero), else pool/want.
+func poolScale(want, pool float64) float64 {
+	if want <= pool || want == 0 {
+		return 1
+	}
+	return pool / want
 }
 
 // finalize computes the run's aggregate metrics from the collectors and
