@@ -107,8 +107,8 @@ scale-smoke:
 # corpus plain `go test` replays: the owned exponential against math.Exp,
 # the three assembly-vs-Go kernel oracles (DNN layers, the sigmoid alone,
 # the fit scan), the suspect index's r-th-candidate pick against the flat
-# scan, the written-out resource.Vector methods against their loop forms,
-# the three trace readers (never panic, accepted input round-trips) and the
+# scan, the grant ledger's resize rule, the written-out resource.Vector
+# methods against their loop forms, the three trace readers (never panic, accepted input round-trips) and the
 # farm's spec keys (stable across the wire). (go test -fuzz takes one
 # package and one target per run.)
 FUZZTIME ?= 10s
@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSigmoidKernel$$' -fuzztime $(FUZZTIME) ./internal/dnn
 	$(GO) test -run '^$$' -fuzz '^FuzzFitScanKernel$$' -fuzztime $(FUZZTIME) ./internal/scheduler
 	$(GO) test -run '^$$' -fuzz '^FuzzSuspectSelect$$' -fuzztime $(FUZZTIME) ./internal/scheduler
+	$(GO) test -run '^$$' -fuzz '^FuzzPoolsResize$$' -fuzztime $(FUZZTIME) ./internal/scheduler
 	$(GO) test -run '^$$' -fuzz '^FuzzVectorOps$$' -fuzztime $(FUZZTIME) ./internal/resource
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSpecKeys$$' -fuzztime $(FUZZTIME) ./internal/farm

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -50,7 +51,7 @@ type Config struct {
 	Workers int
 }
 
-// Grant is one allocation decision returned by Submit.
+// Grant is one allocation decision, issued by ObserveSlot.
 type Grant struct {
 	Job           job.ID
 	VM            int
@@ -60,21 +61,36 @@ type Grant struct {
 
 // Controller is the live CORP control loop. It is not safe for concurrent
 // use; callers serialize ObserveSlot/Submit/Release.
+//
+// Its grant accounting is the simulator's: one scheduler.Pools per VM,
+// charged at placement, returned at Release, emptied by VMDown. At the
+// refresh of slot t every live grant is resized to the corrected amount
+// for its job's demand at DemandAt(t − t0), where t0 is the slot whose
+// ObserveSlot issued the grant: the job has run the t − t0 slots t0 … t−1.
+// Grants are resized VM by VM in ascending index and, on one VM, in the
+// order they were issued, so when fresh grants compete for a VM's headroom
+// the earliest grows first.
 type Controller struct {
-	cfg   Config
 	cl    *cluster.Cluster
 	sched scheduler.Scheduler
 
-	slot       int
-	window     int
-	oppInUse   []resource.Vector
-	freshInUse []resource.Vector
-	down       []bool
-	active     map[job.ID]Grant
-	specs      map[job.ID]*job.Job
-	grantSlot  map[job.ID]int
-	pending    []*job.Job
-	pendingIDs map[job.ID]bool
+	slot  int
+	down  []bool
+	pools []scheduler.Pools
+	// live lists each VM's grants in the order they were issued; active
+	// indexes the same records by job.
+	live    [][]*grant
+	active  map[job.ID]*grant
+	pending []*job.Job
+	views   []scheduler.VMView
+}
+
+// grant is one live grant with what resizing it needs: the job's spec and
+// the slot that issued it.
+type grant struct {
+	Grant
+	spec *job.Job
+	slot int
 }
 
 // NewController builds a controller over the cluster.
@@ -93,130 +109,148 @@ func NewController(cl *cluster.Cluster, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := len(cl.VMs)
 	return &Controller{
-		cfg:        cfg,
-		cl:         cl,
-		sched:      sched,
-		window:     sched.Window(),
-		oppInUse:   make([]resource.Vector, len(cl.VMs)),
-		freshInUse: make([]resource.Vector, len(cl.VMs)),
-		down:       make([]bool, len(cl.VMs)),
-		active:     make(map[job.ID]Grant),
-		specs:      make(map[job.ID]*job.Job),
-		grantSlot:  make(map[job.ID]int),
-		pendingIDs: make(map[job.ID]bool),
+		cl:     cl,
+		sched:  sched,
+		down:   make([]bool, n),
+		pools:  make([]scheduler.Pools, n),
+		live:   make([][]*grant, n),
+		active: make(map[job.ID]*grant),
+		views:  make([]scheduler.VMView, n),
 	}, nil
 }
 
 // Window returns the prediction window L in slots.
-func (c *Controller) Window() int { return c.window }
+func (c *Controller) Window() int { return c.sched.Window() }
 
 // Slot returns how many slots have been observed.
 func (c *Controller) Slot() int { return c.slot }
 
+// checkUnused rejects telemetry that is not finite and non-negative.
+func checkUnused(v int, u resource.Vector) error {
+	if !u.NonNegative() || slices.Contains(u[:], math.Inf(1)) {
+		return fmt.Errorf("core: unused %v on VM %d is not finite and non-negative", u, v)
+	}
+	return nil
+}
+
+// Pretrain feeds VM v's historical unused series, oldest first, to the
+// predictors before the live stream starts: the paper trains its DNN on
+// trace history before deployment. Observations only, so no forecast is
+// made and no prediction error recorded. It fails once ObserveSlot has
+// run, and on any value ObserveSlot would reject (feeding none of them).
+func (c *Controller) Pretrain(v int, history []resource.Vector) error {
+	if v < 0 || v >= len(c.cl.VMs) {
+		return fmt.Errorf("core: no VM %d", v)
+	}
+	if c.slot > 0 {
+		return errors.New("core: Pretrain after the first ObserveSlot")
+	}
+	for _, u := range history {
+		if err := checkUnused(v, u); err != nil {
+			return err
+		}
+	}
+	for _, u := range history {
+		c.sched.Observe(v, u)
+	}
+	return nil
+}
+
 // ObserveSlot advances one time slot: unused[v] is the measured
 // allocated-but-unused vector of VM v this slot, finite and non-negative
-// (a slot with any other value is rejected whole). Forecasts refresh every
-// Window-th call, and any pending jobs are then re-offered for placement.
-// It returns the grants issued this slot (nil on non-refresh slots with no
-// pending work).
+// (a slot with any other value is rejected whole). Forecasts refresh and
+// live grants are resized every Window-th call, and any pending jobs are
+// then offered for placement. It returns the grants issued this slot (nil
+// when none is).
 func (c *Controller) ObserveSlot(unused []resource.Vector) ([]Grant, error) {
 	if len(unused) != len(c.cl.VMs) {
 		return nil, fmt.Errorf("core: %d unused vectors for %d VMs", len(unused), len(c.cl.VMs))
 	}
 	for v, u := range unused {
-		if !u.NonNegative() || slices.Contains(u[:], math.Inf(1)) {
-			return nil, fmt.Errorf("core: unused %v on VM %d is not finite and non-negative", u, v)
+		if err := checkUnused(v, u); err != nil {
+			return nil, err
 		}
 	}
 	// One serial pass updates the per-VM predictors, then the brain's
 	// kinds train (concurrently above Workers 1); down VMs produce no
 	// telemetry and their predictor state stays frozen until recovery.
 	c.sched.ObserveAll(unused, c.down)
-	if c.slot%c.window == 0 {
-		c.sched.Refresh()
-		c.adjustActive()
-	}
+	t := c.slot
 	c.slot++
+	if t%c.sched.Window() == 0 {
+		c.sched.Refresh()
+		c.resize(t)
+	}
 	if len(c.pending) == 0 {
 		return nil, nil
 	}
-	return c.place()
+	return c.place(t), nil
 }
 
-// adjustActive re-sizes live grants to their jobs' current demand when the
+// guaranteed is what VM v's capacity leaves short jobs: capacity minus the
+// residents' reservation.
+func (c *Controller) guaranteed(v int) resource.Vector {
+	vm := c.cl.VMs[v]
+	return vm.Capacity.Sub(vm.Reserved())
+}
+
+// resize re-sizes live grants to their jobs' demand at slot t when the
 // scheme supports dynamic adjustment (CORP's "dynamically allocates the
-// corrected amount"). Callers observe the new sizes via Grants. Grants
-// are adjusted in ascending job ID, so when fresh grants on one VM compete
-// for its headroom the lowest ID grows first, whatever the map order.
-func (c *Controller) adjustActive() {
+// corrected amount"), in the order the Controller doc states. Callers
+// observe the new sizes via Grants.
+func (c *Controller) resize(t int) {
 	adj, ok := c.sched.(scheduler.Adjuster)
 	if !ok {
 		return
 	}
-	for _, id := range c.activeIDs() {
-		g := c.active[id]
-		spec := c.specs[id]
-		if spec == nil {
-			continue
+	for v, grants := range c.live {
+		for _, g := range grants {
+			want, changed := adj.AdjustAlloc(g.spec, g.spec.DemandAt(t-g.slot))
+			if changed {
+				g.Alloc = c.pools[v].Resize(g.Alloc, want, g.Opportunistic, c.guaranteed(v))
+			}
 		}
-		// Without per-job progress telemetry the controller uses the
-		// slot offset since the grant as the demand index.
-		k := c.slot - c.grantSlot[id]
-		newAlloc, changed := adj.AdjustAlloc(spec, spec.DemandAt(k))
-		if !changed {
-			continue
-		}
-		if g.Opportunistic {
-			c.oppInUse[g.VM] = c.oppInUse[g.VM].Sub(g.Alloc).ClampNonNegative().Add(newAlloc)
-		} else {
-			head := c.cl.VMs[g.VM].Capacity.Sub(c.cl.VMs[g.VM].Reserved()).
-				Sub(c.freshInUse[g.VM]).ClampNonNegative()
-			grow := newAlloc.Sub(g.Alloc).ClampNonNegative().Min(head)
-			newAlloc = g.Alloc.Min(newAlloc).Add(grow)
-			c.freshInUse[g.VM] = c.freshInUse[g.VM].Sub(g.Alloc).ClampNonNegative().Add(newAlloc)
-		}
-		g.Alloc = newAlloc
-		c.active[id] = g
 	}
-}
-
-// activeIDs lists the live grants' job IDs in ascending order.
-func (c *Controller) activeIDs() []job.ID {
-	ids := make([]job.ID, 0, len(c.active))
-	for id := range c.active {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // Grants returns a snapshot of the live grants keyed by job ID.
 func (c *Controller) Grants() map[job.ID]Grant {
 	out := make(map[job.ID]Grant, len(c.active))
 	for id, g := range c.active {
-		out[id] = g
+		out[id] = g.Grant
 	}
 	return out
 }
 
 // Submit queues jobs for placement; grants are issued on this or
-// subsequent ObserveSlot calls. Jobs must have unique IDs among active and
-// pending work.
+// subsequent ObserveSlot calls. Jobs must be valid and have unique IDs
+// among active and pending work and within the batch. The batch is
+// all-or-nothing: on error nothing is queued.
 func (c *Controller) Submit(jobs []*job.Job) error {
-	for _, j := range jobs {
+	batch := make(map[job.ID]bool, len(jobs))
+	for i, j := range jobs {
+		if j == nil {
+			return fmt.Errorf("core: job %d of the batch is nil", i)
+		}
 		if err := j.Validate(); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		if _, ok := c.active[j.ID]; ok {
+		if c.active[j.ID] != nil {
 			return fmt.Errorf("core: job %d already active", j.ID)
 		}
-		if c.pendingIDs[j.ID] {
+		if batch[j.ID] {
+			return fmt.Errorf("core: job %d twice in the batch", j.ID)
+		}
+		batch[j.ID] = true
+	}
+	for _, j := range c.pending {
+		if batch[j.ID] {
 			return fmt.Errorf("core: job %d already pending", j.ID)
 		}
-		c.pending = append(c.pending, j)
-		c.pendingIDs[j.ID] = true
 	}
+	c.pending = append(c.pending, jobs...)
 	return nil
 }
 
@@ -226,84 +260,50 @@ func (c *Controller) Pending() int { return len(c.pending) }
 // Active returns the number of jobs with live grants.
 func (c *Controller) Active() int { return len(c.active) }
 
-// place runs one placement round over the pending queue.
-func (c *Controller) place() ([]Grant, error) {
-	views := make([]scheduler.VMView, len(c.cl.VMs))
-	for v, vm := range c.cl.VMs {
-		if c.down[v] {
-			views[v] = scheduler.VMView{Down: true}
-			continue
-		}
-		views[v] = scheduler.VMView{
-			FreshAvailable: vm.Capacity.Sub(vm.Reserved()).Sub(c.freshInUse[v]).ClampNonNegative(),
-			OppInUse:       c.oppInUse[v],
-		}
+// place runs slot t's placement round over the pending queue and returns
+// the grants it issued.
+func (c *Controller) place(t int) []Grant {
+	for v := range c.views {
+		c.views[v] = c.pools[v].View(c.guaranteed(v), c.down[v])
 	}
-	placements := c.sched.Place(c.pending, views)
+	placements := c.sched.Place(c.pending, c.views)
 	if len(placements) == 0 {
-		return nil, nil
+		return nil
 	}
 	var grants []Grant
-	placed := make(map[job.ID]bool)
 	for _, p := range placements {
 		for i, spec := range p.Jobs {
-			g := Grant{Job: spec.ID, VM: p.VM, Alloc: p.Allocs[i], Opportunistic: p.Opportunistic}
-			if p.Opportunistic {
-				c.oppInUse[p.VM] = c.oppInUse[p.VM].Add(g.Alloc)
-			} else {
-				c.freshInUse[p.VM] = c.freshInUse[p.VM].Add(g.Alloc)
-			}
+			g := &grant{Grant{Job: spec.ID, VM: p.VM, Alloc: p.Allocs[i], Opportunistic: p.Opportunistic}, spec, t}
+			c.pools[p.VM].Charge(g.Alloc, g.Opportunistic)
+			c.live[p.VM] = append(c.live[p.VM], g)
 			c.active[g.Job] = g
-			c.specs[g.Job] = spec
-			c.grantSlot[g.Job] = c.slot
-			placed[g.Job] = true
-			grants = append(grants, g)
+			grants = append(grants, g.Grant)
 		}
 	}
-	kept := c.pending[:0]
-	for _, j := range c.pending {
-		if placed[j.ID] {
-			delete(c.pendingIDs, j.ID)
-		} else {
-			kept = append(kept, j)
-		}
-	}
-	c.pending = kept
-	return grants, nil
+	c.pending = slices.DeleteFunc(c.pending, func(j *job.Job) bool { return c.active[j.ID] != nil })
+	return grants
 }
 
 // Release returns a finished job's grant to its pool. Releasing an unknown
 // job is an error so double-releases surface instead of corrupting the
 // ledgers.
 func (c *Controller) Release(id job.ID) error {
-	g, ok := c.active[id]
-	if !ok {
+	g := c.active[id]
+	if g == nil {
 		return fmt.Errorf("core: job %d has no active grant", id)
 	}
-	if g.Opportunistic {
-		c.oppInUse[g.VM] = c.oppInUse[g.VM].Sub(g.Alloc).ClampNonNegative()
-	} else {
-		c.freshInUse[g.VM] = c.freshInUse[g.VM].Sub(g.Alloc).ClampNonNegative()
-	}
+	c.pools[g.VM].Return(g.Alloc, g.Opportunistic)
+	c.live[g.VM] = slices.DeleteFunc(c.live[g.VM], func(x *grant) bool { return x == g })
 	delete(c.active, id)
-	delete(c.specs, id)
-	delete(c.grantSlot, id)
 	return nil
 }
 
 // Cancel removes a still-pending job from the queue.
 func (c *Controller) Cancel(id job.ID) error {
-	if !c.pendingIDs[id] {
+	n := len(c.pending)
+	if c.pending = slices.DeleteFunc(c.pending, func(j *job.Job) bool { return j.ID == id }); len(c.pending) == n {
 		return fmt.Errorf("core: job %d is not pending", id)
 	}
-	kept := c.pending[:0]
-	for _, j := range c.pending {
-		if j.ID != id {
-			kept = append(kept, j)
-		}
-	}
-	c.pending = kept
-	delete(c.pendingIDs, id)
 	return nil
 }
 
@@ -319,25 +319,18 @@ func (c *Controller) VMDown(v int) ([]job.ID, error) {
 		return nil, nil
 	}
 	c.down[v] = true
+	revoked := c.live[v]
+	slices.SortFunc(revoked, func(a, b *grant) int { return cmp.Compare(a.Job, b.Job) })
 	var lost []job.ID
-	for _, id := range c.activeIDs() {
-		if c.active[id].VM == v {
-			lost = append(lost, id)
-		}
+	for _, g := range revoked {
+		delete(c.active, g.Job)
+		c.pending = append(c.pending, g.spec)
+		lost = append(lost, g.Job)
 	}
-	for _, id := range lost {
-		spec := c.specs[id]
-		delete(c.active, id)
-		delete(c.specs, id)
-		delete(c.grantSlot, id)
-		if spec != nil {
-			c.pending = append(c.pending, spec)
-			c.pendingIDs[id] = true
-		}
-	}
+	clear(revoked)
+	c.live[v] = revoked[:0]
 	// Whatever the dead VM owed is gone with it.
-	c.oppInUse[v] = resource.Vector{}
-	c.freshInUse[v] = resource.Vector{}
+	c.pools[v] = scheduler.Pools{}
 	return lost, nil
 }
 
@@ -362,7 +355,7 @@ func (c *Controller) DrainOutcomes() []predict.ErrorSample {
 }
 
 // OppInUse returns VM v's outstanding opportunistic grants.
-func (c *Controller) OppInUse(v int) resource.Vector { return c.oppInUse[v] }
+func (c *Controller) OppInUse(v int) resource.Vector { return c.pools[v].Opp }
 
 // FreshInUse returns VM v's outstanding fresh grants.
-func (c *Controller) FreshInUse(v int) resource.Vector { return c.freshInUse[v] }
+func (c *Controller) FreshInUse(v int) resource.Vector { return c.pools[v].Fresh }

@@ -90,6 +90,28 @@ func TestObserveSlotValidatesInput(t *testing.T) {
 	}
 }
 
+// TestPretrainValidates pins Pretrain's input checks: an unknown VM, a
+// history holding a value ObserveSlot would reject, and any call after the
+// first ObserveSlot all fail.
+func TestPretrainValidates(t *testing.T) {
+	cl := testCluster(t)
+	c := newController(t, cl)
+	good := steadyUnused(cl)
+	if err := c.Pretrain(len(cl.VMs), good); err == nil {
+		t.Error("Pretrain accepted an unknown VM")
+	}
+	if err := c.Pretrain(0, []resource.Vector{good[0], resource.New(math.NaN(), 0, 0)}); err == nil {
+		t.Error("Pretrain accepted a NaN in the history")
+	}
+	if err := c.Pretrain(0, good); err != nil {
+		t.Fatal(err)
+	}
+	warm(t, c, cl, 1)
+	if err := c.Pretrain(0, good); err == nil {
+		t.Error("Pretrain accepted history after the first ObserveSlot")
+	}
+}
+
 // warm advances the controller through n slots of steady telemetry.
 func warm(t *testing.T, c *Controller, cl *cluster.Cluster, n int) []Grant {
 	t.Helper()
@@ -171,6 +193,34 @@ func TestSubmitRejectsDuplicates(t *testing.T) {
 	}
 	if err := c.Submit([]*job.Job{j}); err == nil {
 		t.Error("duplicate active submit should fail")
+	}
+}
+
+// TestSubmitIsAllOrNothing pins that a batch with any bad job queues none
+// of its jobs, so the caller can fix the batch and submit it again.
+func TestSubmitIsAllOrNothing(t *testing.T) {
+	c := newController(t, testCluster(t))
+	if err := c.Submit([]*job.Job{mkJob(1, 0.5, 1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	for name, batch := range map[string][]*job.Job{
+		"pending duplicate":  {mkJob(2, 0.5, 1, 1), mkJob(1, 0.5, 1, 1)},
+		"nil job":            {mkJob(2, 0.5, 1, 1), nil},
+		"invalid spec":       {mkJob(2, 0.5, 1, 1), {ID: 3}},
+		"duplicate in batch": {mkJob(2, 0.5, 1, 1), mkJob(2, 0.5, 1, 1)},
+	} {
+		if err := c.Submit(batch); err == nil {
+			t.Errorf("%s: Submit accepted the batch", name)
+		}
+		if c.Pending() != 1 {
+			t.Fatalf("%s: failed Submit left %d jobs pending, want 1", name, c.Pending())
+		}
+	}
+	if err := c.Submit([]*job.Job{mkJob(2, 0.5, 1, 1), mkJob(3, 0.5, 1, 1)}); err != nil {
+		t.Fatalf("resubmitting the good jobs: %v", err)
+	}
+	if c.Pending() != 3 {
+		t.Errorf("Pending = %d, want 3", c.Pending())
 	}
 }
 
@@ -352,12 +402,41 @@ func TestGrantsSnapshotAndAdjustment(t *testing.T) {
 	}
 }
 
-// TestAdjustGrowsLowestJobIDFirst pins the per-window adjustment's order:
-// two identical fresh grants on one VM step their CPU demand from 5 % to
-// 25 % of capacity at the same refresh, past the VM's headroom, and job 1
-// must win the headroom in every fresh controller.
-// Ranging over the grants map would hand it to either job at random.
-func TestAdjustGrowsLowestJobIDFirst(t *testing.T) {
+// TestResizeReadsDemandSinceGrant pins the demand index of the per-window
+// resize. A job granted by slot 0's ObserveSlot has run slots 0 … 5 when
+// slot 6 refreshes, so it is sized for usage[6], the simulator's current
+// demand after six executed slots. usage[k] carries 0.1·(k+1) CPU; its
+// mean is 0.65 and its peak 1.2, so the floor is 0.65 × 0.8 × 1.15 = 0.598
+// and the resize lands on 0.7 × 1.15 = 0.805 CPU (1.15 is the default
+// margin). Reading usage[5] would give 0.6 × 1.15 = 0.69.
+func TestResizeReadsDemandSinceGrant(t *testing.T) {
+	cl := testCluster(t)
+	c := newController(t, cl)
+	usage := make([]resource.Vector, 12)
+	for k := range usage {
+		usage[k] = resource.New(0.1*float64(k+1), 1, 1)
+	}
+	j := &job.Job{ID: 1, Duration: len(usage), SLOFactor: 2, Usage: usage, Request: resource.MaxAcross(usage)}
+	if err := c.Submit([]*job.Job{j}); err != nil {
+		t.Fatal(err)
+	}
+	grants := warm(t, c, cl, 1)
+	if len(grants) != 1 || grants[0].Opportunistic {
+		t.Fatalf("slot 0 issued %+v, want one fresh grant", grants)
+	}
+	warm(t, c, cl, c.Window())
+	if got := c.Grants()[1].Alloc.At(resource.CPU); math.Abs(got-0.805) > 1e-12 {
+		t.Errorf("resized CPU = %v, want 0.805 (usage[6] × 1.15)", got)
+	}
+}
+
+// TestAdjustGrowsEarliestGrantFirst pins the per-window resize order: two
+// identical fresh grants on one VM bump their CPU demand from 5 % to 25 %
+// of capacity around the same refresh, past the VM's headroom, and the one
+// issued first must win the headroom in every fresh controller. Job 2 is
+// granted at slot 0 and job 1 at slot 1, so ascending job ID, or ranging
+// over a map, would not give this order.
+func TestAdjustGrowsEarliestGrantFirst(t *testing.T) {
 	var want float64
 	for run := 0; run < 40; run++ {
 		cl, err := cluster.New(cluster.Config{NumPMs: 1, NumVMs: 1})
@@ -373,20 +452,22 @@ func TestAdjustGrowsLowestJobIDFirst(t *testing.T) {
 			usage := make([]resource.Vector, 12)
 			for i := range usage {
 				usage[i] = vm.Capacity.Scale(0.05)
-				if i >= c.Window()-1 {
+				if i >= c.Window()-2 && i <= c.Window()+1 {
 					usage[i][resource.CPU] *= 5
 				}
 			}
 			return &job.Job{ID: job.ID(id), Duration: len(usage), SLOFactor: 2, Usage: usage, Request: resource.MaxAcross(usage)}
 		}
-		if err := c.Submit([]*job.Job{stepJob(1), stepJob(2)}); err != nil {
-			t.Fatal(err)
-		}
-		// The first slot places both jobs on fresh headroom (granted at
-		// slot 1); the refresh at slot Window adjusts them to demand index
-		// Window-1, past the step.
+		// Slot 0 grants job 2 and slot 1 job 1, both on fresh headroom; the
+		// refresh at slot Window resizes them to demand indices Window and
+		// Window-1, both inside the bump over Window-2 … Window+1.
 		var fresh int
 		for slot := 0; slot <= c.Window(); slot++ {
+			if slot < 2 {
+				if err := c.Submit([]*job.Job{stepJob(2 - slot)}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			grants, err := c.ObserveSlot([]resource.Vector{vm.Capacity.Scale(0.3)})
 			if err != nil {
 				t.Fatal(err)
@@ -402,13 +483,13 @@ func TestAdjustGrowsLowestJobIDFirst(t *testing.T) {
 		}
 		g := c.Grants()
 		one, two := g[1].Alloc.At(resource.CPU), g[2].Alloc.At(resource.CPU)
-		if one <= two {
-			t.Fatalf("run %d: job 2 took the headroom: CPU %v (job 1) vs %v (job 2)", run, one, two)
+		if two <= one {
+			t.Fatalf("run %d: job 1 took the headroom from the earlier grant: CPU %v (job 1) vs %v (job 2)", run, one, two)
 		}
 		if run == 0 {
-			want = one
-		} else if one != want {
-			t.Fatalf("run %d: job 1's grant %v, want %v as in run 0", run, one, want)
+			want = two
+		} else if two != want {
+			t.Fatalf("run %d: job 2's grant %v, want %v as in run 0", run, two, want)
 		}
 	}
 }

@@ -150,6 +150,7 @@ func vectorMismatch(v, o Vector, s float64) string {
 		{"Min", v.Min(o), loopMin(v, o)},
 		{"Max", v.Max(o), loopMax(v, o)},
 		{"ClampNonNegative", v.ClampNonNegative(), loopClampNonNegative(v)},
+		{"SubClamp", v.SubClamp(o), loopClampNonNegative(loopSub(v, o))},
 		{"ClampTo", v.ClampTo(o), loopClampTo(v, o)},
 		{"MaxAcross", MaxAcross([]Vector{v, o, v.Scale(s)}), loopMaxAcross([]Vector{v, o, loopScale(v, s)})},
 		{"SumAcross", SumAcross([]Vector{v, o, v.Scale(s)}), loopSumAcross([]Vector{v, o, loopScale(v, s)})},

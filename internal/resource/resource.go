@@ -120,6 +120,13 @@ func (v Vector) ClampNonNegative() Vector {
 	return Vector{positive(v[0]), positive(v[1]), positive(v[2])}
 }
 
+// SubClamp returns v − o with every negative component zeroed: the same
+// operations as v.Sub(o).ClampNonNegative(), cheap enough to inline into
+// callers that would otherwise cross the inliner's budget.
+func (v Vector) SubClamp(o Vector) Vector {
+	return Vector{positive(v[0] - o[0]), positive(v[1] - o[1]), positive(v[2] - o[2])}
+}
+
 // positive returns x if x > 0 and +0 otherwise: −0 and NaN become +0.
 func positive(x float64) float64 {
 	if x > 0 {

@@ -140,6 +140,63 @@ type VMView struct {
 	Down bool
 }
 
+// Pools is one VM's short-job grant ledger (Section III): Fresh sums the
+// grants carved from unallocated guaranteed headroom, Opp those riding on
+// the predicted-unused pool. The simulator and the live controller each
+// keep one per VM and change it only through these methods. guaranteed is
+// what the VM's capacity leaves short jobs once its reservations are
+// subtracted; fresh grants may only fill it.
+type Pools struct {
+	Fresh resource.Vector
+	Opp   resource.Vector
+}
+
+// Charge books a new grant of alloc to the opportunistic or fresh pool.
+func (p *Pools) Charge(alloc resource.Vector, opp bool) {
+	pool := &p.Fresh
+	if opp {
+		pool = &p.Opp
+	}
+	*pool = pool.Add(alloc)
+}
+
+// Return gives a finished or revoked grant back to its pool, which never
+// drops below zero.
+func (p *Pools) Return(alloc resource.Vector, opp bool) {
+	pool := &p.Fresh
+	if opp {
+		pool = &p.Opp
+	}
+	*pool = pool.SubClamp(alloc)
+}
+
+// Headroom is the guaranteed capacity no fresh grant holds yet.
+func (p *Pools) Headroom(guaranteed resource.Vector) resource.Vector {
+	return guaranteed.SubClamp(p.Fresh)
+}
+
+// Resize moves a live grant from alloc to want, the scheme's corrected
+// amount, and returns the allocation it lands on. An opportunistic grant
+// swaps freely (the risk lands at execute time, when the pool runs short);
+// a fresh grant may shrink freely but grows only into Headroom(guaranteed).
+func (p *Pools) Resize(alloc, want resource.Vector, opp bool, guaranteed resource.Vector) resource.Vector {
+	if !opp {
+		grow := want.Sub(alloc).ClampNonNegative().Min(p.Headroom(guaranteed))
+		want = alloc.Min(want).Add(grow)
+	}
+	p.Return(alloc, opp)
+	p.Charge(want, opp)
+	return want
+}
+
+// View is the VM as Place sees it: a down VM offers nothing.
+func (p *Pools) View(guaranteed resource.Vector, down bool) VMView {
+	if down {
+		return VMView{Down: true}
+	}
+	return VMView{FreshAvailable: p.Headroom(guaranteed), OppInUse: p.Opp}
+}
+
 // Placement is one placement decision.
 type Placement struct {
 	Jobs []*job.Job

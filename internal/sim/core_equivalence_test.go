@@ -163,9 +163,10 @@ func spanScenarios() []coreScenario {
 
 // TestCoreEquivalence pins the quiescent-span fast-forward (DESIGN.md §5f):
 // for every scenario, production Run must reproduce the span-less slot loop
-// (oracle_test.go) — every metric, timeline point and overhead microsecond
-// — bit for bit. The slot loop must replay no span, and production must
-// replay at least one exactly when the scenario says so.
+// (oracle_test.go), which holds the laws on every slot — every metric,
+// timeline point and overhead microsecond — bit for bit. The slot loop
+// must replay no span, and production must replay at least one exactly
+// when the scenario says so.
 func TestCoreEquivalence(t *testing.T) {
 	checkEquivalence(t, coreScenarios())
 }
@@ -190,7 +191,7 @@ func checkEquivalence(t *testing.T, scenarios []coreScenario) {
 			} else if !sc.wantSpans && ff != 0 {
 				t.Fatalf("span fast path replayed %d slots; this scenario requires it to stand down", ff)
 			}
-			want, pc, err := oracle{noSpans: true}.run(sc.cfg())
+			want, pc, err := oracle{noSpans: true, law: true}.run(sc.cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +207,7 @@ func checkEquivalence(t *testing.T, scenarios []coreScenario) {
 
 // TestCoreEquivalenceParallel repeats the pin with the run's one fan-out
 // wide — CORP's per-kind training goroutines — in production Run with the
-// telemetry law checked on every slot, at several worker counts against the
+// laws checked on every slot, at several worker counts against the
 // span-less slot loop at 1 worker. Each kind's training stream keeps its serial order and the kinds
 // share no state, so worker count can only change wall time, never a
 // figure; under -race (the race Make target covers this package) the

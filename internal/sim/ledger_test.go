@@ -50,11 +50,11 @@ func TestRunAllocationsDoNotGrowPerJob(t *testing.T) {
 
 // TestClusterUtilizationCountsFreshOnce is the regression pin for the
 // cluster-utilization double-count: the execute pass's per-VM ledger sum
-// already includes freshInUse, so only the opportunistic share of short
+// already includes Fresh, so only the opportunistic share of short
 // allocations may be added on top. The intended identity, checked against
 // the collector's exported accumulators:
 //
-//	cluster allocated = Σ(reserved + longReserved + freshInUse) + Σ opp allocs
+//	cluster allocated = Σ(reserved + longReserved + Fresh) + Σ opp allocs
 //
 // The buggy version added all short allocations, counting every fresh
 // grant twice in the cluster-utilization denominator.
@@ -76,8 +76,8 @@ func TestClusterUtilizationCountsFreshOnce(t *testing.T) {
 	opp.Allocated = one(1)
 	opp.Entity = 1
 	vms := []vmState{
-		{capacity: one(8), reserved: one(2), freshInUse: one(3), running: []*job.Runtime{fresh}},
-		{capacity: one(8), reserved: one(2), oppInUse: one(1), running: []*job.Runtime{opp}},
+		{capacity: one(8), reserved: one(2), Pools: scheduler.Pools{Fresh: one(3)}, running: []*job.Runtime{fresh}},
+		{capacity: one(8), reserved: one(2), Pools: scheduler.Pools{Opp: one(1)}, running: []*job.Runtime{opp}},
 	}
 	for v := range vms {
 		vms[v].rebuildHot()

@@ -6,10 +6,11 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/resource"
+	"repro/internal/scheduler"
 )
 
 // placeLongReference is the long-job placement as it was before the dense
-// volume column: for each due arrival, scan every up VM's freshHeadroom(),
+// volume column: for each due arrival, scan every up VM's Headroom(guaranteed()),
 // keep those the request fits, take the strictly largest volume (so the
 // lowest index wins a tie). Production must pick the same VM every time.
 // It returns how many placements were decided by that tie rule.
@@ -23,7 +24,7 @@ func (rs *runState) placeLongReference(t int) (ties int) {
 			if rs.downMask[v] {
 				continue
 			}
-			head := rs.vms[v].freshHeadroom()
+			head := rs.vms[v].Headroom(rs.vms[v].guaranteed())
 			if !need.FitsIn(head) {
 				continue
 			}
@@ -63,9 +64,9 @@ func longFleet(seed int64, n int) *runState {
 	for v := range rs.vms {
 		q := float64(rng.Intn(3))
 		rs.vms[v] = vmState{
-			capacity:   resource.Vector{8, 32, 100},
-			reserved:   resource.Vector{2 + q, 8 + 4*q, 20},
-			freshInUse: resource.Vector{float64(rng.Intn(2)), 0, 10 * float64(rng.Intn(2))},
+			capacity: resource.Vector{8, 32, 100},
+			reserved: resource.Vector{2 + q, 8 + 4*q, 20},
+			Pools:    scheduler.Pools{Fresh: resource.Vector{float64(rng.Intn(2)), 0, 10 * float64(rng.Intn(2))}},
 		}
 	}
 	rs.maxVMCap = resource.Vector{8, 32, 100}

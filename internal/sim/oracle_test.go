@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/job"
 	"repro/internal/resource"
+	"repro/internal/scheduler"
 )
 
 // This file holds what the equivalence suites hold production Run to. Both
@@ -17,7 +18,10 @@ import (
 //   - the telemetry law, a per-slot check through runState.checkSlot that
 //     every VM's telemetry is what the paper's rule makes of its resident's
 //     own series, computed here from job.DemandAt/UnusedAt without the
-//     tables or vmTelemetry.
+//     tables or vmTelemetry;
+//   - the pool law, checked at the same point: every VM's grant ledger
+//     stays non-negative and inside its guaranteed capacity, and a down VM
+//     holds and hosts nothing.
 
 // runSlots is the span-less reference loop: production's run with every
 // slot stepped through runSlot, so it is the oracle for the quiescent-span
@@ -35,8 +39,8 @@ func (rs *runState) runSlots() error {
 type oracle struct {
 	// noSpans drives runSlots instead of the production loop.
 	noSpans bool
-	// law checks every slot's telemetry, walked or replayed, against
-	// telemetryLaw; the run fails on the first VM that breaks it.
+	// law checks every slot, walked or replayed, against telemetryLaw and
+	// poolLaw; the run fails on the first VM that breaks one.
 	law bool
 }
 
@@ -61,6 +65,9 @@ func (o oracle) run(cfg Config) (*Result, pathCounters, error) {
 			if checked++; lawErr == nil {
 				lawErr = telemetryLaw(rs, residents, t, residentUse, unused)
 			}
+			if lawErr == nil {
+				lawErr = poolLaw(rs, t)
+			}
 		}
 	}
 	loop := rs.run
@@ -71,10 +78,10 @@ func (o oracle) run(cfg Config) (*Result, pathCounters, error) {
 		return nil, pathCounters{}, err
 	}
 	if lawErr != nil {
-		return nil, pathCounters{}, fmt.Errorf("telemetry law: %w", lawErr)
+		return nil, pathCounters{}, lawErr
 	}
 	if o.law && checked != rs.horizon {
-		return nil, pathCounters{}, fmt.Errorf("telemetry law checked %d of %d slots", checked, rs.horizon)
+		return nil, pathCounters{}, fmt.Errorf("laws checked %d of %d slots", checked, rs.horizon)
 	}
 	return rs.finalize(), rs.pathCounters, nil
 }
@@ -88,7 +95,7 @@ func (o oracle) run(cfg Config) (*Result, pathCounters, error) {
 // state the rule names is read (down mask, surge factors, long jobs).
 func telemetryLaw(rs *runState, residents []*job.Job, t int, residentUse, unused []resource.Vector) error {
 	if len(residentUse) != len(residents) || len(unused) != len(residents) {
-		return fmt.Errorf("slot %d: %d/%d telemetry entries for %d VMs", t, len(residentUse), len(unused), len(residents))
+		return fmt.Errorf("telemetry law: slot %d: %d/%d telemetry entries for %d VMs", t, len(residentUse), len(unused), len(residents))
 	}
 	for v, r := range residents {
 		var use, free resource.Vector
@@ -103,9 +110,49 @@ func telemetryLaw(rs *runState, residents []*job.Job, t int, residentUse, unused
 			}
 		}
 		if !sameBits(residentUse[v], use) || !sameBits(unused[v], free) {
-			return fmt.Errorf("slot %d VM %d: telemetry (use %v, unused %v), the law gives (use %v, unused %v)",
+			return fmt.Errorf("telemetry law: slot %d VM %d: telemetry (use %v, unused %v), the law gives (use %v, unused %v)",
 				t, v, residentUse[v], unused[v], use, free)
 		}
+	}
+	return nil
+}
+
+// poolLaw holds every VM's grant ledger to vmPoolLaw at slot t, with the
+// resident and long-lived reservations as what the guaranteed capacity
+// carries besides the fresh pool.
+func poolLaw(rs *runState, t int) error {
+	for v := range rs.vms {
+		st := &rs.vms[v]
+		hosted := len(st.running) + len(st.longRunning)
+		if err := vmPoolLaw(st.Pools, st.capacity, st.reserved.Add(st.longReserved), rs.downMask[v], hosted); err != nil {
+			return fmt.Errorf("pool law: slot %d VM %d: %w", t, v, err)
+		}
+	}
+	return nil
+}
+
+// vmPoolLaw is the grant accounting of Section III for one VM: both pools
+// are non-negative (NaN is not); reserved + Fresh fits the VM's capacity;
+// and a down VM holds zero in both pools and hosts no job.
+//
+// The fit has a tolerance, derived from FitsIn's 1e-9 slack. Every fresh
+// charge, a short job's placement or a long job's reservation, is admitted
+// by FitsIn against a headroom clamped at zero, so it may overshoot the
+// guaranteed line by at most 1e-9; a resize grows only into that clamped
+// headroom and adds nothing. A VM hosting n jobs may therefore stand up to
+// n·1e-9 over its capacity, and the check allows exactly that on top of
+// the 1e-9 FitsIn itself grants, which covers the sum's rounding (a few
+// ulps at capacities of at most a few hundred units).
+func vmPoolLaw(p scheduler.Pools, capacity, reserved resource.Vector, down bool, hosted int) error {
+	if !p.Fresh.NonNegative() || !p.Opp.NonNegative() {
+		return fmt.Errorf("negative pool: fresh %v, opportunistic %v", p.Fresh, p.Opp)
+	}
+	slack := 1e-9 * float64(hosted)
+	if total := reserved.Add(p.Fresh); !total.FitsIn(capacity.Add(resource.Vector{slack, slack, slack})) {
+		return fmt.Errorf("reserved %v + fresh %v = %v over capacity %v (%d jobs hosted)", reserved, p.Fresh, total, capacity, hosted)
+	}
+	if down && (p != scheduler.Pools{} || hosted != 0) {
+		return fmt.Errorf("down VM holds fresh %v, opportunistic %v and hosts %d jobs", p.Fresh, p.Opp, hosted)
 	}
 	return nil
 }

@@ -157,8 +157,7 @@ func (rs *runState) advanceFaults(t int) {
 		st.running = nil
 		st.hot = nil
 		st.longRunning = nil
-		st.freshInUse = resource.Vector{}
-		st.oppInUse = resource.Vector{}
+		st.Pools = scheduler.Pools{}
 		st.longReserved = resource.Vector{}
 	}
 	if ev.DelayMicros > 0 {
@@ -203,7 +202,7 @@ func (rs *runState) placeLongArrivals(t int) {
 		bestVM, bestVol := -1, -1.0
 		need := rt.Spec.Request
 		for v, vol := range rs.headVol {
-			if vol > bestVol && need.FitsIn(rs.vms[v].freshHeadroom()) {
+			if vol > bestVol && need.FitsIn(rs.vms[v].Headroom(rs.vms[v].guaranteed())) {
 				bestVM, bestVol = v, vol
 			}
 		}
@@ -227,7 +226,8 @@ func (rs *runState) placeLongArrivals(t int) {
 func (rs *runState) setHeadVol(v int) {
 	rs.headVol[v] = -1
 	if !rs.downMask[v] {
-		rs.headVol[v] = rs.vms[v].freshHeadroom().Volume(rs.maxVMCap)
+		st := &rs.vms[v]
+		rs.headVol[v] = st.Headroom(st.guaranteed()).Volume(rs.maxVMCap)
 	}
 }
 
@@ -303,7 +303,7 @@ func (rs *runState) refreshWindow(t int) {
 	start := rs.clk.Now()
 	rs.sched.Refresh()
 	if adj, ok := rs.sched.(scheduler.Adjuster); ok {
-		applyAdjustments(rs.vms, rs.downMask, adj)
+		applyAdjustments(rs.vms, adj)
 	}
 	rs.res.Overhead.AddCompute(rs.clk.Now() - start)
 	// One status RPC per VM to collect utilization reports; in a real
@@ -321,14 +321,12 @@ func (rs *runState) refreshWindow(t int) {
 }
 
 // applyAdjustments re-sizes every running short job's allocation to the
-// scheme's corrected amount. Opportunistic jobs swap their allocation
-// freely (risk lands at execute time when the pool runs short); fresh jobs
-// may only grow into real guaranteed headroom.
-func applyAdjustments(vms []vmState, down []bool, adj scheduler.Adjuster) {
+// scheme's corrected amount through its VM's Pools.Resize, in VM order and
+// then running (grant) order. Fresh growth is bounded by real headroom:
+// capacity minus the resident reservation, the long jobs' guaranteed
+// reservations, and fresh grants already out. A down VM runs nothing.
+func applyAdjustments(vms []vmState, adj scheduler.Adjuster) {
 	for v := range vms {
-		if down[v] {
-			continue
-		}
 		st := &vms[v]
 		for i, rt := range st.running {
 			// The hot entry carries the live slot counter and shadows the
@@ -339,19 +337,8 @@ func applyAdjustments(vms []vmState, down []bool, adj scheduler.Adjuster) {
 			if !changed {
 				continue
 			}
-			if rt.Entity == 1 {
-				st.oppInUse = st.oppInUse.Sub(rt.Allocated).ClampNonNegative().Add(newAlloc)
-			} else {
-				// Fresh increases are bounded by real headroom: capacity
-				// minus the resident reservation, the long jobs'
-				// guaranteed reservations, and fresh grants already out.
-				headroom := st.freshHeadroom()
-				grow := newAlloc.Sub(rt.Allocated).ClampNonNegative().Min(headroom)
-				newAlloc = rt.Allocated.Min(newAlloc).Add(grow)
-				st.freshInUse = st.freshInUse.Sub(rt.Allocated).ClampNonNegative().Add(newAlloc)
-			}
-			rt.Allocated = newAlloc
-			h.alloc = newAlloc
+			rt.Allocated = st.Resize(rt.Allocated, newAlloc, h.opp, st.guaranteed())
+			h.alloc = rt.Allocated
 		}
 	}
 }
@@ -386,15 +373,8 @@ func (rs *runState) admitRetries(t int) {
 func (rs *runState) placeQueued(t int) error {
 	res := rs.res
 	for v := range rs.vms {
-		if rs.downMask[v] {
-			rs.views[v] = scheduler.VMView{Down: true}
-			continue
-		}
 		st := &rs.vms[v]
-		rs.views[v] = scheduler.VMView{
-			FreshAvailable: st.freshHeadroom(),
-			OppInUse:       st.oppInUse,
-		}
+		rs.views[v] = st.View(st.guaranteed(), rs.downMask[v])
 	}
 	if cap(rs.pendingScratch) < len(rs.queue) {
 		rs.pendingScratch = make([]*job.Job, len(rs.queue))
@@ -424,14 +404,13 @@ func (rs *runState) placeQueued(t int) error {
 			rt.Started = t
 			rt.Allocated = p.Allocs[idx]
 			st := &rs.vms[p.VM]
+			st.Charge(rt.Allocated, p.Opportunistic)
 			if p.Opportunistic {
-				st.oppInUse = st.oppInUse.Add(rt.Allocated)
+				rt.Entity = 1
 				res.PlacedOpportunistic++
 			} else {
-				st.freshInUse = st.freshInUse.Add(rt.Allocated)
 				res.PlacedFresh++
 			}
-			rt.Entity = boolToInt(p.Opportunistic)
 			st.running = append(st.running, rt)
 			st.hot = append(st.hot, hotShort{
 				d:        rt.Spec.Usage[0],
@@ -489,8 +468,8 @@ func (rs *runState) executeSlot(t int) {
 	rs.collector.Observe(slotAllocated, slotDemand)
 	// Cluster-wide allocation = Σ over VMs of (resident reservation +
 	// long-job reservations + fresh grants) + the opportunistic grants.
-	// Fresh short-job allocations already sit in the per-VM freshInUse
-	// ledger summed above, so only the opportunistic share — which lives
+	// Fresh short-job allocations already sit in the per-VM Fresh pools
+	// summed above, so only the opportunistic share — which lives
 	// outside the guaranteed ledgers — is added on top; adding all of
 	// slotAllocated would count every fresh allocation twice.
 	rs.clusterCollector.Observe(slotClusterAlloc.Add(slotOppAlloc), slotClusterDemand)
@@ -565,7 +544,7 @@ type hotShort struct {
 // placements, adjustments, finishes and crashes write.
 func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 	st := &rs.vms[v]
-	acc.clusterAlloc = acc.clusterAlloc.Add(st.reserved).Add(st.freshInUse).Add(st.longReserved)
+	acc.clusterAlloc = acc.clusterAlloc.Add(st.reserved).Add(st.Fresh).Add(st.longReserved)
 	acc.clusterDemand = acc.clusterDemand.Add(rs.residentUse[v])
 	if len(st.longRunning) == 0 && len(st.hot) == 0 {
 		return
@@ -642,11 +621,7 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 			rt.Finished = t
 			rt.Progress = h.progress
 			rt.Slots = int(h.slots)
-			if h.opp {
-				st.oppInUse = st.oppInUse.Sub(h.alloc).ClampNonNegative()
-			} else {
-				st.freshInUse = st.freshInUse.Sub(h.alloc).ClampNonNegative()
-			}
+			st.Return(h.alloc, h.opp)
 			finished++
 		}
 	}

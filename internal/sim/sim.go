@@ -289,12 +289,11 @@ type Result struct {
 
 // vmState is the simulator's physical ledger for one VM.
 type vmState struct {
-	capacity     resource.Vector
-	reserved     resource.Vector // resident reservation
-	freshInUse   resource.Vector // short-job allocations from headroom
-	oppInUse     resource.Vector // short-job allocations from predicted-unused
-	longReserved resource.Vector // long-lived jobs' guaranteed reservations
-	running      []*job.Runtime
+	capacity        resource.Vector
+	reserved        resource.Vector // resident reservation
+	scheduler.Pools                 // short-job grants, fresh and opportunistic
+	longReserved    resource.Vector // long-lived jobs' guaranteed reservations
+	running         []*job.Runtime
 	// hot mirrors running index-for-index with the per-slot execution state
 	// (usage series, allocation, progress) packed into one dense array, so
 	// executeVM streams a contiguous slice instead of chasing a *Runtime,
@@ -306,9 +305,10 @@ type vmState struct {
 	longRunning []*job.Runtime
 }
 
-// freshHeadroom is the guaranteed capacity still unallocated on the VM.
-func (st *vmState) freshHeadroom() resource.Vector {
-	return st.capacity.Sub(st.reserved).Sub(st.longReserved).Sub(st.freshInUse).ClampNonNegative()
+// guaranteed is what the VM's capacity leaves short jobs: capacity minus
+// the resident and the long-lived jobs' reservations.
+func (st *vmState) guaranteed() resource.Vector {
+	return st.capacity.Sub(st.reserved).Sub(st.longReserved)
 }
 
 // Run executes one simulation and returns its metrics.
@@ -543,11 +543,4 @@ func carveRuntimes(slab []job.Runtime, specs []*job.Job, offset int) []*job.Runt
 		out[i] = &slab[i]
 	}
 	return out
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

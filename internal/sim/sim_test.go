@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -482,4 +484,81 @@ func TestRunSurfacesDNNTrainErrors(t *testing.T) {
 			t.Errorf("%v: DNNTrainErrors = %d, want 0", sc, r.DNNTrainErrors)
 		}
 	}
+}
+
+// TestRunAllocationCountIsExact pins Run's heap allocation count as a
+// property of the program, not of timing: after one warm run, which builds
+// and caches the workload snapshot and CORP's history, ten more runs of the
+// same small CORP config at Workers 1 must each allocate exactly as many
+// times. A run that allocated through a pool (encoding/json's encoders, for
+// one) would not hold this, because whether a pooled buffer is reused
+// depends on when the collector last ran.
+//
+// The count is read off the memory profile at a sampling rate of one, as
+// the allocations whose stack passes through Run, with the collector held
+// off inside each run and one P. MemStats.Mallocs would also count the
+// runtime's own work that falls inside a run (a cycle's sudog, the
+// scavenger's timer heap, a new thread's stacks), and a collector running
+// inside Run charges an assist's sudog to Run's stack; with one P every
+// allocation goes through the one cache whose sampling countdown the warm
+// run drained at the new rate. The runtime.typeAssert frames are left out
+// because the runtime builds a type-assertion cache on about one slow-path
+// assertion in 1024, chosen at random.
+func TestRunAllocationCountIsExact(t *testing.T) {
+	cfg := small(scheduler.CORP, 9)
+	cfg.NumPMs, cfg.NumVMs, cfg.NumJobs = 4, 12, 40
+	cfg.Warmup, cfg.ArrivalSpan, cfg.Drain = 30, 20, 40
+	cfg.Clock = &VirtualClock{StepMicros: 50}
+	cfg.Workers = 1
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, 10)
+	for i := range counts {
+		before := allocsThroughRun()
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = allocsThroughRun() - before
+	}
+	for _, n := range counts[1:] {
+		if n != counts[0] {
+			t.Fatalf("allocation counts of ten warm runs differ: %v", counts)
+		}
+	}
+	t.Logf("%d allocations a run", counts[0])
+}
+
+// allocsThroughRun sums the memory profile's allocation counts over the
+// stacks that pass through Run and not through runtime.typeAssert. The
+// profile shows what the last completed collector cycles published, so
+// three cycles run first.
+func allocsThroughRun() int64 {
+	for range 3 {
+		runtime.GC()
+	}
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var sum int64
+	for _, r := range recs[:n] {
+		through, cache := false, false
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			through = through || f.Function == "repro/internal/sim.Run"
+			cache = cache || f.Function == "runtime.typeAssert"
+			if !more {
+				break
+			}
+		}
+		if through && !cache {
+			sum += r.AllocObjects
+		}
+	}
+	return sum
 }

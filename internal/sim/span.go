@@ -84,7 +84,7 @@ func (rs *runState) fastForwardSpan(t0, end int) {
 	var clusterAlloc resource.Vector
 	for v := range rs.vms {
 		st := &rs.vms[v]
-		clusterAlloc = clusterAlloc.Add(st.reserved).Add(st.freshInUse).Add(st.longReserved)
+		clusterAlloc = clusterAlloc.Add(st.reserved).Add(st.Fresh).Add(st.longReserved)
 	}
 	var zero resource.Vector
 	clusterAlloc = clusterAlloc.Add(zero)

@@ -64,7 +64,7 @@ func snapshotTimeline(t int, weights resource.Weights,
 		p.UnusedCPU += u.At(resource.CPU)
 	}
 	for v := range vms {
-		p.OppInUseCPU += vms[v].oppInUse.At(resource.CPU)
+		p.OppInUseCPU += vms[v].Opp.At(resource.CPU)
 		p.RunningShort += len(vms[v].running)
 	}
 	return p
