@@ -62,8 +62,8 @@ fma-off:
 # dispatcher/worker pair (leases, heartbeats, and result submission race
 # by design). There are two concurrency sites. Inside a run, CORP's three
 # resource kinds train the shared brain on goroutines of their own. In
-# internal/sim the equivalence suites run CORP at Workers 2, 4 and
-# GOMAXPROCS against the span-less slot loop (oracle_test.go, entered
+# internal/sim the law suite runs CORP at Workers 2, 4 and GOMAXPROCS
+# against Workers 1, every slot checked by the laws (laws_test.go, entered
 # through newRunState), so that fan-out runs under the detector inside
 # whole runs (TestCoreEquivalenceParallel, TestRunWorkerCountEquivalence).
 # Before a run, a snapshot above the size floor builds its three
@@ -96,7 +96,7 @@ farm-smoke:
 # under crashes, surges and long jobs (TestScaleChurnSmoke: rows patched,
 # dense long-job placement), production sim.Run with every slot's
 # telemetry checked bit for bit against the telemetry law (each VM's
-# resident series plus the down, surge and long-job rule; oracle_test.go)
+# resident series plus the down, surge and long-job rule; laws_test.go)
 # and the path counters asserted. They also ride the plain
 # `go test ./...` tier; the named target keeps the 5k-PM path visible as
 # its own CI step.

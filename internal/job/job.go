@@ -193,9 +193,9 @@ type Runtime struct {
 	// Slots counts how many slots the job has been running.
 	Slots int
 
-	// Entity groups jobs packed together (Section III-B); jobs in the
-	// same entity share a VM. Zero means unpacked.
-	Entity int
+	// Opportunistic is set while the job's grant comes from its VM's
+	// opportunistic pool (predicted-unused), clear for a fresh grant.
+	Opportunistic bool
 
 	// Evictions counts how many times a VM failure killed this job
 	// mid-run; Retries counts the re-queues scheduled afterwards.
@@ -225,7 +225,7 @@ func (r *Runtime) Evict(slot int) {
 	r.Allocated = resource.Vector{}
 	r.Progress = 0
 	r.Slots = 0
-	r.Entity = 0
+	r.Opportunistic = false
 	r.Evictions++
 	r.EvictedAt = slot
 }

@@ -24,16 +24,6 @@ type BatchObserver interface {
 	ObserveAll(actualUnused []resource.Vector, skip []bool)
 }
 
-// SpanObserver is the part of Scheduler that ingests several consecutive
-// slots' observations in one call. rows[s][i] is VM i's sample
-// for the s-th slot of the span; semantics are identical to calling
-// ObserveAll(rows[s], skip) for s = 0, 1, ... in order. The simulator's
-// quiescent-span fast-forward uses this to feed k slots of periodic
-// resident telemetry without re-entering the per-slot dispatch.
-type SpanObserver interface {
-	ObserveSpan(rows [][]resource.Vector, skip []bool)
-}
-
 // kindTrainer is the training fan-out's callback: trainKind(k) feeds
 // resource kind k's staged samples into the shared brain, touching only
 // kind-k state.
@@ -94,20 +84,6 @@ func (s *corpScheduler) ObserveAll(actualUnused []resource.Vector, skip []bool) 
 	trainKinds(s.workers, s)
 }
 
-// ObserveSpan (corpScheduler override) implements SpanObserver with one
-// ObserveAll per slot: the shared training stream is slot-major (every VM's
-// slot-s sample trains before any slot-s+1 sample), and ObserveLocal stages
-// one sample per kind at a time.
-func (s *corpScheduler) ObserveSpan(rows [][]resource.Vector, skip []bool) {
-	if s.corpFleet == nil {
-		s.base.ObserveSpan(rows, skip)
-		return
-	}
-	for _, row := range rows {
-		s.ObserveAll(row, skip)
-	}
-}
-
 // ObserveAll implements BatchObserver for fleets of independent predictors:
 // one serial pass in VM order.
 func (b *base) ObserveAll(actualUnused []resource.Vector, skip []bool) {
@@ -117,25 +93,5 @@ func (b *base) ObserveAll(actualUnused []resource.Vector, skip []bool) {
 		}
 		b.dirty[i] = true
 		p.Observe(actualUnused[i])
-	}
-}
-
-// ObserveSpan implements SpanObserver for fleets of independent predictors.
-// The span is fed VM-major: each predictor gets its k samples back to back
-// (better cache locality than k slot-major sweeps). Each predictor's own
-// observation sequence is unchanged and predictors share no state, so the
-// result is bit-identical to k ObserveAll calls.
-func (b *base) ObserveSpan(rows [][]resource.Vector, skip []bool) {
-	if len(rows) == 0 {
-		return
-	}
-	for i, p := range b.preds {
-		if skip != nil && skip[i] {
-			continue
-		}
-		b.dirty[i] = true
-		for _, row := range rows {
-			p.Observe(row[i])
-		}
 	}
 }

@@ -231,11 +231,9 @@ type Scheduler interface {
 	// buffer, valid only until the next DrainOutcomes call; callers that
 	// retain samples must copy them out.
 	DrainOutcomes() []predict.ErrorSample
-	// ObserveAll and ObserveSpan feed one slot's, or several consecutive
-	// slots', observations for the whole fleet at once; the simulator's
-	// telemetry phase and span fast-forward call nothing else.
+	// ObserveAll feeds one slot's observations for the whole fleet at once;
+	// the simulator's telemetry phase calls nothing else.
 	BatchObserver
-	SpanObserver
 }
 
 // New builds the scheduler for the scheme over the given cluster.
@@ -511,8 +509,7 @@ type corpScheduler struct {
 
 	// corpFleet is the per-VM predictors' slab, which base.preds points
 	// into, for the split observe pass (engine.go); nil for the oracle
-	// variant, which routes ObserveAll and ObserveSpan through the per-VM
-	// base path.
+	// variant, which routes ObserveAll through the per-VM base path.
 	corpFleet []predict.CorpPredictor
 
 	// Reused candidate buffers: the eligible-VM sets are fixed for the

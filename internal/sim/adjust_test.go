@@ -29,7 +29,6 @@ func TestAdjustFreshGrowthRespectsLongReservations(t *testing.T) {
 	spec := &job.Job{ID: 1, Duration: 10, Usage: []resource.Vector{one(1)}, Request: one(1)}
 	rt := newRuntime(spec, 0)
 	rt.Allocated = one(1)
-	// Entity 0 = fresh placement (opportunistic jobs carry entity 1).
 	vms := []vmState{{
 		capacity:     one(10),
 		reserved:     one(4),
@@ -58,7 +57,7 @@ func TestAdjustFreshGrowthRespectsLongReservations(t *testing.T) {
 	// the opportunistic pool swaps freely (risk lands at execute time).
 	opp := newRuntime(spec, 0)
 	opp.Allocated = one(1)
-	opp.Entity = 1
+	opp.Opportunistic = true
 	vmsOpp := []vmState{{capacity: one(10), reserved: one(4), Pools: scheduler.Pools{Opp: one(1)}, running: []*job.Runtime{opp}}}
 	vmsOpp[0].rebuildHot()
 	applyAdjustments(vmsOpp, growAdjuster{want: one(6)})

@@ -68,13 +68,13 @@ func TestClusterUtilizationCountsFreshOnce(t *testing.T) {
 		}
 	}
 
-	// VM 0 hosts a fresh short job (entity 0) from guaranteed headroom;
-	// VM 1 hosts an opportunistic one (entity 1) from predicted-unused.
+	// VM 0 hosts a fresh short job from guaranteed headroom; VM 1 hosts an
+	// opportunistic one from predicted-unused.
 	fresh := newRuntime(spec(1), 0)
 	fresh.Allocated = one(3)
 	opp := newRuntime(spec(2), 0)
 	opp.Allocated = one(1)
-	opp.Entity = 1
+	opp.Opportunistic = true
 	vms := []vmState{
 		{capacity: one(8), reserved: one(2), Pools: scheduler.Pools{Fresh: one(3)}, running: []*job.Runtime{fresh}},
 		{capacity: one(8), reserved: one(2), Pools: scheduler.Pools{Opp: one(1)}, running: []*job.Runtime{opp}},
@@ -162,8 +162,8 @@ func TestExecuteSlotDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs.placeLongArrivals(rs.longRuntimes[0].Arrival)
-	if rs.shortActive != 3 || rs.longActive != 1 {
-		t.Fatalf("placed %d short and %d long jobs, want 3 and 1", rs.shortActive, rs.longActive)
+	if len(rs.vms[0].running) != 3 || rs.longActive != 1 {
+		t.Fatalf("placed %d short and %d long jobs, want 3 and 1", len(rs.vms[0].running), rs.longActive)
 	}
 	rs.observe(0)
 	slot := 0
@@ -173,9 +173,9 @@ func TestExecuteSlotDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("executeSlot allocates %v times per busy slot, want 0", n)
 	}
-	if rs.shortActive != 3 || rs.longActive != 1 || rs.collector.Slots != slot {
+	if len(rs.vms[0].running) != 3 || rs.longActive != 1 || rs.collector.Slots != slot {
 		t.Errorf("after %d slots: %d short and %d long jobs running, %d collector slots; want 3, 1, %d",
-			slot, rs.shortActive, rs.longActive, rs.collector.Slots, slot)
+			slot, len(rs.vms[0].running), rs.longActive, rs.collector.Slots, slot)
 	}
 }
 
@@ -230,7 +230,7 @@ func (st *vmState) rebuildHot() {
 			duration: float64(rt.Spec.Duration),
 			usage:    rt.Spec.Usage,
 			slots:    int32(rt.Slots),
-			opp:      rt.Entity == 1,
+			opp:      rt.Opportunistic,
 		}
 		if len(h.usage) > 0 {
 			h.uidx = h.slots % int32(len(h.usage))
@@ -245,7 +245,7 @@ func (st *vmState) rebuildHot() {
 // job's hot entry carries uidx = slots mod len(usage) and d = usage[uidx],
 // the demand its next slot reads. It runs the scale smoke shapes, calm and
 // churned (crashes evict jobs mid-series, surges and adjustments rescale
-// allocations), through runSlot and nextSlot one slot at a time.
+// allocations), through runSlot one slot at a time.
 func TestNextSlotDemandGather(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale smoke skipped in -short mode")
@@ -264,7 +264,7 @@ func TestNextSlotDemandGather(t *testing.T) {
 			}
 			defer rs.release()
 			checked, advanced := 0, 0
-			for slot := 0; slot < rs.horizon; slot = rs.nextSlot(slot) {
+			for slot := 0; slot < rs.horizon; slot++ {
 				if err := rs.runSlot(slot); err != nil {
 					t.Fatal(err)
 				}

@@ -1,13 +1,12 @@
 package sim
 
 // This file is the simulator loop, the whole driver of a run. The run
-// advances in the paper's discrete 10-second slots (Section IV); runSlot
-// offers every phase at slot t in one fixed order, and nextSlot
-// fast-forwards the quiet stretch that may follow (span.go).
+// advances in the paper's discrete 10-second slots (Section IV), and
+// runSlot offers every phase at slot t in one fixed order.
 
 // run drives the run from slot 0 to the horizon.
 func (rs *runState) run() error {
-	for t := 0; t < rs.horizon; t = rs.nextSlot(t) {
+	for t := 0; t < rs.horizon; t++ {
 		if err := rs.runSlot(t); err != nil {
 			return err
 		}
@@ -40,16 +39,4 @@ func (rs *runState) runSlot(t int) error {
 	}
 	rs.executeSlot(t)
 	return nil
-}
-
-// nextSlot returns the next slot to run after slot t. When the slots from
-// t+1 on form a quiet span, it replays the span in one pass and returns
-// the slot that ends it.
-func (rs *runState) nextSlot(t int) int {
-	t++
-	if end := rs.spanEnd(t); end > t {
-		rs.fastForwardSpan(t, end)
-		return end
-	}
-	return t
 }

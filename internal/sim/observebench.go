@@ -28,13 +28,12 @@ type ObserveBench struct {
 // initScratch without dragging a predictor fleet into the measurement.
 type nullScheduler struct{}
 
-func (nullScheduler) Name() string                            { return "null" }
-func (nullScheduler) Window() int                             { return 6 }
-func (nullScheduler) Observe(int, resource.Vector)            {}
-func (nullScheduler) Refresh()                                {}
-func (nullScheduler) ObserveAll([]resource.Vector, []bool)    {}
-func (nullScheduler) ObserveSpan([][]resource.Vector, []bool) {}
-func (nullScheduler) DrainOutcomes() []predict.ErrorSample    { return nil }
+func (nullScheduler) Name() string                         { return "null" }
+func (nullScheduler) Window() int                          { return 6 }
+func (nullScheduler) Observe(int, resource.Vector)         {}
+func (nullScheduler) Refresh()                             {}
+func (nullScheduler) ObserveAll([]resource.Vector, []bool) {}
+func (nullScheduler) DrainOutcomes() []predict.ErrorSample { return nil }
 func (nullScheduler) Place([]*job.Job, []scheduler.VMView) []scheduler.Placement {
 	return nil
 }

@@ -70,7 +70,7 @@ func TestControllerReplaysSimulator(t *testing.T) {
 	}
 }
 
-// replayController runs cfg, a CORP run, through the span-less slot loop
+// replayController runs cfg, a CORP run, slot by slot through runSlot
 // and replays every slot into a core.Controller on the same cluster, with
 // the same scheduler config and pre-training history:
 //
@@ -206,9 +206,9 @@ func replayController(cfg Config) (replayCounts, error) {
 		}
 		for _, g := range grants {
 			rt := rs.byID[g.Job]
-			if rt.Started != t || rt.VM != g.VM || (rt.Entity == 1) != g.Opportunistic || !sameBits(rt.Allocated, g.Alloc) {
+			if rt.Started != t || rt.VM != g.VM || rt.Opportunistic != g.Opportunistic || !sameBits(rt.Allocated, g.Alloc) {
 				return n, fmt.Errorf("slot %d: controller granted job %d %+v; the simulator placed it on VM %d at slot %d, opportunistic %v, alloc %v",
-					t, g.Job, g, rt.VM, rt.Started, rt.Entity == 1, rt.Allocated)
+					t, g.Job, g, rt.VM, rt.Started, rt.Opportunistic, rt.Allocated)
 			}
 			seq[g.Job] = issued
 			issued++

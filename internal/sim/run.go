@@ -62,7 +62,6 @@ type runState struct {
 	downMask         []bool
 	headVol          []float64
 	views            []scheduler.VMView
-	spanRows         [][]resource.Vector
 	// pendingScratch is placeQueued's reused spec-offer buffer. byID maps
 	// every short job's ID to its runtime, built once per run (IDs are
 	// unique: newRunState rejects duplicate explicit IDs).
@@ -77,16 +76,10 @@ type runState struct {
 	tables     *workload.ResidentTables
 	downCount  int
 	longActive int
-	// shortActive counts running short jobs fleet-wide: incremented at
-	// placement, decremented at finish (executeVM) and on eviction
-	// (advanceFaults). The span fast-forward's quiescence check reads it
-	// instead of scanning VMs.
-	shortActive int
 
-	// checkSlot, when set, is handed every slot's telemetry once it is
-	// known: after observe on a walked slot, and per slot with the rows a
-	// span replays. Nil in production; tests set it to hold each slot to a
-	// law of the run state.
+	// checkSlot, when set, is handed every slot's telemetry right after
+	// observe. Nil in production; tests set it to hold each slot to a law
+	// of the run state.
 	checkSlot func(t int, residentUse, unused []resource.Vector)
 
 	pathCounters
@@ -95,7 +88,6 @@ type runState struct {
 // pathCounters records, per run, which path each slot took, so a test can
 // prove the one it means to pin actually ran.
 type pathCounters struct {
-	spanSlots    int // slots fastForwardSpan replayed
 	slotsAliased int // observe served the table rows untouched
 	slotsPatched int // observe copied the rows and patched vmsPatched entries
 	vmsPatched   int
@@ -153,7 +145,6 @@ func (rs *runState) advanceFaults(t int) {
 		// guaranteed reservations return to the pool.
 		res.LongFailed += len(st.longRunning)
 		rs.longActive -= len(st.longRunning)
-		rs.shortActive -= len(st.running)
 		st.running = nil
 		st.hot = nil
 		st.longRunning = nil
@@ -406,7 +397,7 @@ func (rs *runState) placeQueued(t int) error {
 			st := &rs.vms[p.VM]
 			st.Charge(rt.Allocated, p.Opportunistic)
 			if p.Opportunistic {
-				rt.Entity = 1
+				rt.Opportunistic = true
 				res.PlacedOpportunistic++
 			} else {
 				res.PlacedFresh++
@@ -419,7 +410,6 @@ func (rs *runState) placeQueued(t int) error {
 				usage:    rt.Spec.Usage,
 				opp:      p.Opportunistic,
 			})
-			rs.shortActive++
 			anyPlaced = true
 			if rt.EvictedAt >= 0 {
 				// An evicted job found a new home: record the
@@ -637,7 +627,6 @@ func (rs *runState) executeVM(t, v int, acc *slotAccum) {
 		h.d = h.usage[h.uidx]
 	}
 	if finished > 0 {
-		rs.shortActive -= finished
 		// Order-preserving compaction of both parallel arrays. The finish
 		// predicate is stable: progress only grew past the threshold for
 		// the jobs marked above.

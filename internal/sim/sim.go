@@ -334,8 +334,8 @@ func (rs *runState) release() {
 // newRunState builds everything a run needs before its first slot: the
 // cluster, the workload snapshot, the scheduler (pre-trained for CORP), the
 // per-VM ledgers and the fault injector. Run drives the returned state
-// through run and finalize; the equivalence tests drive the same state
-// through their span-less reference loop instead. The caller must release().
+// through run and finalize, as do the law tests, with checkSlot set. The
+// caller must release().
 func newRunState(cfg Config) (rs *runState, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -12,12 +12,11 @@ import (
 
 // TestObserveTableEquivalence pins the table telemetry path: in every
 // scenario production Run (rows, patched where a VM is down, surged or
-// hosts long jobs) must hold the telemetry law (oracle_test.go) on every
-// slot, walked or replayed, and produce the identical Result at 1 and 4
-// workers. The matrix covers the quiet aliased path itself, each patch kind
-// alone and all three on the same VMs, a surge that clamps at the
-// reservation, and an explicit-jobs run whose widened horizon forces real
-// t % period wraps. The per-run path counters prove which path each slot
+// hosts long jobs) must hold the telemetry law (laws_test.go) on every
+// slot and produce the identical Result at 1 and 4 workers. The matrix
+// covers the quiet aliased path itself, each patch kind alone and all
+// three on the same VMs, a surge that clamps at the reservation, and an
+// explicit-jobs run whose widened horizon forces real t % period wraps. The per-run path counters prove which path each slot
 // took: every slot is served from the rows, and a scenario that means to
 // patch does.
 func TestObserveTableEquivalence(t *testing.T) {
@@ -58,40 +57,6 @@ func TestObserveTableEquivalence(t *testing.T) {
 			cfg.LongJobs = 8
 			return cfg
 		}, true, true},
-		{"span-quiet-tail", func() Config {
-			// A short burst followed by a long drain: the tail is pure
-			// quiescence, so the loop fast-forwards span after span
-			// (each bounded by the refresh slot); without tables no span
-			// forms, so this pins the span replay against the fully plain
-			// per-slot path.
-			cfg := base(scheduler.RCCR, 17)
-			cfg.ArrivalSpan = 10
-			cfg.Drain = 200
-			return cfg
-		}, false, true},
-		{"span-edge-fault", func() Config {
-			// Faults during a quiet-heavy run: the injector draws every
-			// slot, so the fast path must stand down; crash/recovery
-			// transitions land on would-be span edges.
-			cfg := base(scheduler.RCCR, 19)
-			cfg.ArrivalSpan = 10
-			cfg.Drain = 150
-			cfg.Faults = faults.Config{
-				Seed: 19, VMCrashProb: 0.02, MeanDowntime: 10,
-			}
-			return cfg
-		}, true, true},
-		{"span-refresh-bisect", func() Config {
-			// A refresh window far wider than the default bisects the quiet
-			// tail into long spans whose only boundary is the refresh slot
-			// itself — the span must stop exactly at the refresh slot so the
-			// matured prediction outcomes drain there and nowhere else.
-			cfg := base(scheduler.RCCR, 23)
-			cfg.Scheduler.RCCR.Window = 25
-			cfg.ArrivalSpan = 10
-			cfg.Drain = 200
-			return cfg
-		}, false, true},
 		{"explicit-wrap", func() Config {
 			cfg := base(scheduler.RCCR, 3)
 			// Late-arriving explicit jobs widen the run horizon well past
@@ -149,7 +114,7 @@ func TestObserveTableEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				cfg := sc.cfg()
 				cfg.Workers = workers
-				got, pc, err := oracle{law: true}.run(cfg)
+				got, pc, err := runWithLaws(cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -162,13 +127,13 @@ func TestObserveTableEquivalence(t *testing.T) {
 					t.Fatalf("no crash killed a long job (%d) or no VM-slot surged (%d); the scenario pins nothing",
 						got.LongFailed, got.Recovery.SurgeSlots)
 				}
-				if pc.slotsAliased+pc.slotsPatched+pc.spanSlots != got.Slots {
+				if pc.slotsAliased+pc.slotsPatched != got.Slots {
 					t.Errorf("workers=%d: every slot must be served from the rows: %+v over %d slots", workers, pc, got.Slots)
 				}
 				if sc.patches != (pc.slotsPatched > 0) || sc.patches != (pc.vmsPatched > 0) {
 					t.Errorf("workers=%d: patches = %v, counters %+v", workers, sc.patches, pc)
 				}
-				if sc.aliases && pc.slotsAliased+pc.spanSlots == 0 {
+				if sc.aliases && pc.slotsAliased == 0 {
 					t.Errorf("workers=%d: no slot served the rows untouched: %+v", workers, pc)
 				}
 			}
@@ -193,7 +158,7 @@ func runScaleSmoke(t *testing.T, cfg Config) (*Result, pathCounters) {
 	if testing.Short() {
 		t.Skip("scale smoke skipped in -short mode")
 	}
-	got, pc, err := oracle{law: true}.run(cfg)
+	got, pc, err := runWithLaws(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,9 +84,6 @@ func tablesDiff(a, b *ResidentTables) string {
 				return fmt.Sprintf("unused phase %d VM %d: %s", p, v, d)
 			}
 		}
-		if d := vecDiff(a.DemandRowSum(p), b.DemandRowSum(p)); d != "" {
-			return fmt.Sprintf("demandSum phase %d: %s", p, d)
-		}
 	}
 	return ""
 }

@@ -38,12 +38,6 @@ type ResidentTables struct {
 
 	demand []resource.Vector // [p*NumVMs+v] = residents[v].DemandAt(p)
 	unused []resource.Vector // [p*NumVMs+v] = residents[v].UnusedAt(p)
-
-	// demandSum[p] is the fold of DemandRow(p) in ascending VM order —
-	// the exact addition sequence the simulator's execute reduction
-	// performs for a quiescent slot's cluster demand, precomputed once so
-	// a span fast-forward can replay k slots without k O(VMs) walks.
-	demandSum []resource.Vector
 }
 
 // DemandRow returns the per-VM resident demand vectors for phase p
@@ -57,16 +51,10 @@ func (t *ResidentTables) UnusedRow(p int) []resource.Vector {
 	return t.unused[p*t.NumVMs : (p+1)*t.NumVMs]
 }
 
-// DemandRowSum returns the fold of DemandRow(p) in ascending VM order,
-// bit-identical to summing the row entry by entry.
-func (t *ResidentTables) DemandRowSum(p int) resource.Vector {
-	return t.demandSum[p]
-}
-
 // Bytes returns the retained size of the tables.
 func (t *ResidentTables) Bytes() int64 {
 	const vecBytes = resource.NumKinds * 8
-	return int64(len(t.demand)+len(t.unused)+len(t.demandSum)) * vecBytes
+	return int64(len(t.demand)+len(t.unused)) * vecBytes
 }
 
 // buildResidentTables materialises the tables for a resident population. It
@@ -75,8 +63,8 @@ func (t *ResidentTables) Bytes() int64 {
 // resident a series exactly Horizon long, so that only happens to a
 // population built by hand. With fanOut the phase range is split into one
 // part per budget slot and the parts run as workpool.Do tasks; each phase
-// row and its sum are still written by one task in ascending VM order, so
-// the tables are the same bit for bit.
+// row is still written by one task in ascending VM order, so the tables
+// are the same bit for bit.
 func buildResidentTables(residents []*job.Job, fanOut bool) (*ResidentTables, error) {
 	if len(residents) == 0 {
 		return nil, fmt.Errorf("workload: no residents to tabulate")
@@ -89,11 +77,10 @@ func buildResidentTables(residents []*job.Job, fanOut bool) (*ResidentTables, er
 		}
 	}
 	t := &ResidentTables{
-		NumVMs:    len(residents),
-		Period:    period,
-		demand:    make([]resource.Vector, period*len(residents)),
-		unused:    make([]resource.Vector, period*len(residents)),
-		demandSum: make([]resource.Vector, period),
+		NumVMs: len(residents),
+		Period: period,
+		demand: make([]resource.Vector, period*len(residents)),
+		unused: make([]resource.Vector, period*len(residents)),
 	}
 	if !fanOut {
 		t.fill(residents, 0, period)
@@ -104,17 +91,14 @@ func buildResidentTables(residents []*job.Job, fanOut bool) (*ResidentTables, er
 	return t, nil
 }
 
-// fill writes phase rows [lo, hi) and their demand sums.
+// fill writes phase rows [lo, hi).
 func (t *ResidentTables) fill(residents []*job.Job, lo, hi int) {
 	for p := lo; p < hi; p++ {
 		row := p * t.NumVMs
-		var sum resource.Vector
 		for v, r := range residents {
 			t.demand[row+v] = r.DemandAt(p)
 			t.unused[row+v] = r.UnusedAt(p)
-			sum = sum.Add(t.demand[row+v])
 		}
-		t.demandSum[p] = sum
 	}
 }
 

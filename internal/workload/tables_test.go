@@ -62,8 +62,8 @@ func TestTablesBuiltWithSnapshot(t *testing.T) {
 	if tab == nil {
 		t.Fatal("Build returned a snapshot without tables")
 	}
-	// Two per-(phase, VM) tables plus the per-phase demand-row sums.
-	if want := int64((2*8*24 + 24) * resource.NumKinds * 8); tab.Bytes() != want {
+	// Two per-(phase, VM) tables.
+	if want := int64(2 * 8 * 24 * resource.NumKinds * 8); tab.Bytes() != want {
 		t.Fatalf("table Bytes = %d, want %d", tab.Bytes(), want)
 	}
 	if traces := jobsBytes(snap.Residents()) + jobsBytes(snap.ShortJobs()) + jobsBytes(snap.LongJobs()); snap.Bytes() != traces+tab.Bytes() {
